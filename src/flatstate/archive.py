@@ -17,7 +17,6 @@ new watermark. Readers never see a partially written block.
 from __future__ import annotations
 
 import heapq
-import json
 import os
 import queue
 import threading
@@ -26,6 +25,7 @@ from pathlib import Path
 
 from .digest import HASH_SIZE, ZERO_HASH, digest
 from .errors import BoundsError, CorruptionError, SequenceError, StorageError, UnavailableError
+from .metafile import read_meta, write_meta
 from .types import (
     ADDRESS_SIZE,
     BALANCE_SIZE,
@@ -431,16 +431,13 @@ class ArchiveDb:
                 for name, table in self._tables.items()
             },
         }
-        path = self._meta_path()
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n")
-        os.replace(tmp, path)
+        write_meta(self._meta_path(), meta)
 
     def _load_meta(self) -> None:
         path = self._meta_path()
         if not path.exists():
             return
-        meta = json.loads(path.read_text())
+        meta = read_meta(path)
         if meta.get("format") != FORMAT_VERSION:
             raise CorruptionError(f"unsupported archive format in {path}: {meta.get('format')}")
         self.watermark = meta["watermark"]

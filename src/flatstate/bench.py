@@ -105,8 +105,8 @@ def replay_workload(
     )
 
 
-def write_samples_csv(path, samples: list[BenchSample]) -> None:
-    writer = csv.writer(path if hasattr(path, "write") else open(path, "w", newline=""))
+def write_samples_csv(out, samples: list[BenchSample]) -> None:
+    writer = csv.writer(out)
     writer.writerow(SAMPLE_FIELDS)
     for sample in samples:
         writer.writerow(
@@ -274,8 +274,8 @@ def sweep_io(
     return rows
 
 
-def write_sweep_csv(path, rows: list[SweepRow]) -> None:
-    writer = csv.writer(path if hasattr(path, "write") else open(path, "w", newline=""))
+def write_sweep_csv(out, rows: list[SweepRow]) -> None:
+    writer = csv.writer(out)
     writer.writerow(("page_size", "mode", "ns_per_hash", "hashes_per_second"))
     for row in rows:
         writer.writerow((row.page_size, row.mode, f"{row.ns_per_hash:.0f}", f"{row.hashes_per_second:.2f}"))

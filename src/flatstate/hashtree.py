@@ -1,10 +1,12 @@
 """Balanced binary hash tree over the pages of a store.
 
-Nodes live in one flat buffer using heap index arithmetic (children of
-node i sit at 2i+1 and 2i+2), so the tree persists as a plain file of
-32-byte records. Leaf i is the digest of page i. Writes only mark leaves
-dirty; ``root`` recomputes bottom-up, level by level, touching each node
-at most once per call no matter how many dirty leaves share ancestors.
+Nodes live in one bytearray of 32-byte records per level, leaves first,
+so growing the tree only appends to each level and adds levels on top.
+The node file is the levels concatenated root first, which is the heap
+array of FORMATS.md (children of node i at 2i+1 and 2i+2). Leaf i is the
+digest of page i. Writes only mark leaves dirty; ``root`` recomputes
+bottom-up, level by level, touching each node at most once per call no
+matter how many dirty leaves share ancestors.
 
 Leaf counts that are not a power of two are padded on the right with the
 empty-string digest; entire padding subtrees collapse to precomputed
@@ -34,20 +36,15 @@ class HashTree:
     def __init__(self, node_path: Path | None = None, leaf_count: int = 0):
         self.node_path = Path(node_path) if node_path is not None else None
         self._leaf_count = 0
-        self._capacity = 0
-        self._levels = 0
-        self._nodes = bytearray()
+        # _levels[h] holds the nodes of height h; _levels[-1] is the root.
+        self._levels: list[bytearray] = []
         self._dirty_leaves: set[int] = set()
-        # Levels whose leftmost node must be recomputed after a capacity
-        # doubling (the old root's new ancestors all sit on the left spine).
-        self._dirty_spine: set[int] = set()
         if leaf_count > 0:
             if self.node_path is not None and self.node_path.exists():
                 self._load(leaf_count)
             else:
                 # No persisted nodes: rebuild everything on the next root().
                 self.grow(leaf_count)
-                self._dirty_leaves.update(range(leaf_count))
 
     @property
     def leaf_count(self) -> int:
@@ -57,6 +54,10 @@ class HashTree:
     def inner_node_count(self) -> int:
         """Nodes above the leaf level; capacity - 1 for the current shape."""
         return max(self._capacity - 1, 0)
+
+    @property
+    def _capacity(self) -> int:
+        return len(self._levels[0]) // HASH_SIZE if self._levels else 0
 
     def mark_dirty(self, leaf: int) -> None:
         """Queue leaf for rehash; grows the tree when leaf is the next new one."""
@@ -68,14 +69,24 @@ class HashTree:
             self._dirty_leaves.add(leaf)
 
     def grow(self, new_leaf_count: int) -> None:
-        """Extend to ``new_leaf_count`` leaves; new leaves start dirty."""
+        """Extend to ``new_leaf_count`` leaves; new leaves start dirty.
+
+        The leftmost node of every added level is an ancestor of the first
+        new leaf, so marking the new leaves dirty also rehashes the old
+        root's new ancestors.
+        """
         if new_leaf_count < self._leaf_count:
             raise BoundsError(f"cannot shrink tree from {self._leaf_count} to {new_leaf_count}")
         if new_leaf_count == self._leaf_count:
             return
-        new_capacity = _next_pow2(new_leaf_count)
-        if new_capacity > self._capacity:
-            self._relayout(new_capacity)
+        levels = self._levels
+        capacity = _next_pow2(new_leaf_count)
+        old_capacity = self._capacity
+        if capacity > old_capacity:
+            for height, nodes in enumerate(levels):
+                nodes += _PAD[height] * ((capacity - old_capacity) >> height)
+            for height in range(len(levels), capacity.bit_length()):
+                levels.append(bytearray(_PAD[height] * (capacity >> height)))
         self._dirty_leaves.update(range(self._leaf_count, new_leaf_count))
         self._leaf_count = new_leaf_count
 
@@ -85,45 +96,47 @@ class HashTree:
         ``page_reader(leaf)`` must return the current bytes of page ``leaf``.
         A clean tree returns the cached root without any digest work.
         """
-        if self._capacity == 0:
+        if not self._levels:
             return EMPTY_HASH
-        if not self._dirty_leaves and not self._dirty_spine:
-            return bytes(self._nodes[:HASH_SIZE])
+        if not self._dirty_leaves:
+            return bytes(self._levels[-1])
         sha = hashlib.sha256  # hot loop; invocations are tallied in bulk below
-        nodes = self._nodes
-        leaf_base = self._capacity - 1
-        current = sorted(self._dirty_leaves)
-        for i, leaf in enumerate(current):
-            index = leaf_base + leaf
-            offset = index << 5
-            nodes[offset : offset + 32] = sha(page_reader(leaf)).digest()
-            current[i] = index
-        calls = len(current)
-        for level in range(self._levels - 1, -1, -1):
-            parents: list[int] = []
-            append = parents.append
-            last = -1
-            for index in current:
-                parent = (index - 1) >> 1
-                if parent != last:
-                    last = parent
-                    append(parent)
-                    offset = parent << 5
-                    children = (parent << 6) | 32
-                    nodes[offset : offset + 32] = sha(nodes[children : children + 64]).digest()
-            if level in self._dirty_spine:
-                spine = (1 << level) - 1
-                if not parents or parents[0] != spine:
-                    offset = spine << 5
-                    children = (spine << 6) | 32
-                    nodes[offset : offset + 32] = sha(nodes[children : children + 64]).digest()
-                    parents.insert(0, spine)
-            calls += len(parents)
-            current = parents
+        # Memoryview slices neither allocate nor copy a buffer. The views are
+        # released before returning, since a live view blocks grow().
+        views = [memoryview(level) for level in self._levels]
+        try:
+            nodes = views[0]
+            # current holds the byte offsets of the dirty nodes of one level,
+            # sorted, so siblings are adjacent and one compare dedupes them.
+            current: list[int] = []
+            append = current.append
+            for leaf in sorted(self._dirty_leaves):
+                offset = leaf << 5
+                append(offset)
+                nodes[offset : offset + 32] = sha(page_reader(leaf)).digest()
+            calls = len(current)
+            for height in range(1, len(views)):
+                children = nodes
+                nodes = views[height]
+                parents: list[int] = []
+                append = parents.append
+                last = -1
+                for child in current:
+                    start = child & -64  # the sibling pair of child
+                    if start != last:
+                        last = start
+                        offset = start >> 1
+                        append(offset)
+                        nodes[offset : offset + 32] = sha(children[start : start + 64]).digest()
+                calls += len(parents)
+                current = parents
+            root = nodes.tobytes()
+        finally:
+            for view in views:
+                view.release()
         add_calls(calls)
         self._dirty_leaves = set()
-        self._dirty_spine = set()
-        return bytes(nodes[:HASH_SIZE])
+        return root
 
     def flush(self, page_reader) -> None:
         """Bring the tree up to date and persist the node file."""
@@ -132,43 +145,21 @@ class HashTree:
             return
         try:
             with open(self.node_path, "wb") as fh:
-                fh.write(self._nodes)
+                fh.writelines(reversed(self._levels))
         except OSError as exc:
             raise StorageError(f"cannot write tree nodes: {exc}", path=self.node_path) from exc
-
-    def node_hash(self, level: int, pos: int) -> bytes:
-        offset = ((1 << level) - 1 + pos) * HASH_SIZE
-        return bytes(self._nodes[offset : offset + HASH_SIZE])
 
     def _load(self, leaf_count: int) -> None:
         capacity = _next_pow2(leaf_count)
         expected = (2 * capacity - 1) * HASH_SIZE
-        data = self.node_path.read_bytes()
+        data = memoryview(self.node_path.read_bytes())
         if len(data) != expected:
             raise CorruptionError(
                 f"tree file {self.node_path} holds {len(data)} bytes, expected {expected} for {leaf_count} leaves"
             )
-        self._nodes = bytearray(data)
-        self._capacity = capacity
-        self._levels = capacity.bit_length() - 1
+        # The file is the heap array: level widths 1, 2, 4, ... from the root down.
+        for depth in range(capacity.bit_length()):
+            start = ((1 << depth) - 1) * HASH_SIZE
+            self._levels.append(bytearray(data[start : start + (HASH_SIZE << depth)]))
+        self._levels.reverse()
         self._leaf_count = leaf_count
-
-    def _relayout(self, new_capacity: int) -> None:
-        new_levels = new_capacity.bit_length() - 1
-        nodes = bytearray((2 * new_capacity - 1) * HASH_SIZE)
-        for level in range(new_levels + 1):
-            start = ((1 << level) - 1) * HASH_SIZE
-            width = 1 << level
-            nodes[start : start + width * HASH_SIZE] = _PAD[new_levels - level] * width
-        if self._capacity > 0:
-            delta = new_levels - self._levels
-            for level in range(self._levels + 1):
-                old_start = ((1 << level) - 1) * HASH_SIZE
-                new_start = ((1 << (level + delta)) - 1) * HASH_SIZE
-                width = (1 << level) * HASH_SIZE
-                nodes[new_start : new_start + width] = self._nodes[old_start : old_start + width]
-            self._dirty_spine = {level + delta for level in self._dirty_spine}
-            self._dirty_spine.update(range(delta))
-        self._nodes = nodes
-        self._capacity = new_capacity
-        self._levels = new_levels

@@ -58,40 +58,18 @@ class LinearHashIndex:
 
     def get(self, key: bytes) -> int | None:
         """Read-only lookup; never mutates the table or the reverse table."""
-        self._check_key(key)
-        page_id = self.bucket_pages[self._bucket_of(key)]
-        while True:
-            page = self.pool.get_page(page_id)
-            found = self._scan(page.data, key)
-            if found is not None:
-                return found
-            nxt = int.from_bytes(page.data[2:10], "big")
-            if nxt == 0:
-                return None
-            page_id = nxt - 1
+        return self._walk(key)[0]
 
     def get_or_add(self, key: bytes) -> tuple[int, bool]:
         """Return (ordinal, was_new); new keys get ordinal == previous count."""
-        self._check_key(key)
-        page_id = self.bucket_pages[self._bucket_of(key)]
-        insert_page = None
-        while True:
-            page = self.pool.get_page(page_id)
-            found = self._scan(page.data, key)
-            if found is not None:
-                return found, False
-            if insert_page is None and int.from_bytes(page.data[0:2], "big") < self.slots_per_page:
-                insert_page = page_id
-            nxt = int.from_bytes(page.data[2:10], "big")
-            if nxt == 0:
-                break
-            page_id = nxt - 1
+        found, insert_page, tail = self._walk(key)
+        if found is not None:
+            return found, False
         ordinal = self.count
         if insert_page is None:
             insert_page = self._alloc_page()
-            tail = self.pool.get_page(page_id)
-            tail.data[2:10] = (insert_page + 1).to_bytes(8, "big")
-            self.pool.mark_dirty(page_id)
+            self.pool.get_page(tail).data[2:10] = (insert_page + 1).to_bytes(8, "big")
+            self.pool.mark_dirty(tail)
         self._append_entry(insert_page, key, ordinal)
         self.reverse.set(ordinal, key)
         self.count += 1
@@ -125,15 +103,30 @@ class LinearHashIndex:
             bucket &= (1 << self.level) - 1
         return bucket
 
-    def _scan(self, data, key: bytes) -> int | None:
-        n = int.from_bytes(data[0:2], "big")
-        offset = _HEADER_SIZE
-        for _ in range(n):
-            if data[offset : offset + self.key_width] == key:
-                end = offset + self.entry_size
-                return int.from_bytes(data[offset + self.key_width : end], "big")
-            offset += self.entry_size
-        return None
+    def _walk(self, key: bytes) -> tuple[int | None, int | None, int]:
+        """(ordinal or None, first page with a free slot or None, last page) of key's chain.
+
+        A hit counts only at an entry boundary, never inside a stored entry.
+        """
+        self._check_key(key)
+        size = self.entry_size
+        page_id = self.bucket_pages[self._bucket_of(key)]
+        free = None
+        while True:
+            data = self.pool.get_page(page_id).data
+            n = int.from_bytes(data[0:2], "big")
+            end = _HEADER_SIZE + n * size
+            at = data.find(key, _HEADER_SIZE, end)
+            while at >= 0:
+                if (at - _HEADER_SIZE) % size == 0:
+                    return int.from_bytes(data[at + self.key_width : at + size], "big"), None, page_id
+                at = data.find(key, at + 1, end)
+            if free is None and n < self.slots_per_page:
+                free = page_id
+            nxt = int.from_bytes(data[2:10], "big")
+            if nxt == 0:
+                return None, free, page_id
+            page_id = nxt - 1
 
     def _alloc_page(self) -> int:
         page_id = self.pool.page_count

@@ -18,7 +18,6 @@ allowed only between block applications.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,6 +25,7 @@ from .cache import LruCache
 from .digest import digest
 from .errors import CorruptionError, SequenceError
 from .index import LinearHashIndex
+from .metafile import read_meta, write_meta
 from .pagepool import PagePool, PoolConfig
 from .store import Depot, RecordStore, DEPOT_META_SIZE
 from .types import (
@@ -257,7 +257,7 @@ class LiveDb:
         path = self._meta_path()
         if not path.exists():
             return {"format": FORMAT_VERSION, "block": 0, "accounts": 0, "slots": 0}
-        meta = json.loads(path.read_text())
+        meta = read_meta(path)
         if meta.get("format") != FORMAT_VERSION:
             raise CorruptionError(f"unsupported metadata format in {path}: {meta.get('format')}")
         if meta.get("page_size", self.config.page_size) != self.config.page_size:
@@ -276,4 +276,4 @@ class LiveDb:
             "a_index": self.a_index.state(),
             "ak_index": self.ak_index.state(),
         }
-        self._meta_path().write_text(json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n")
+        write_meta(self._meta_path(), meta)

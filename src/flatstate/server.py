@@ -13,7 +13,10 @@ One request per line, one response per line. Requests:
 Responses are ``OK <payload>`` or ``ERR <code> <message>``. Byte payloads
 are 0x-prefixed hex, integers are decimal, existence is true/false. A
 malformed request produces an error response and leaves the connection
-usable. The server only reads from the archive.
+usable. A line longer than ``MAX_REQUEST_BYTES`` (newline included)
+gets ``ERR badrequest request too long`` and the connection is closed,
+so one client cannot grow server memory without bound. The server only
+reads from the archive.
 """
 
 from __future__ import annotations
@@ -25,6 +28,10 @@ import threading
 from .archive import ArchiveDb
 from .errors import FlatStateError, UnavailableError
 from .types import ADDRESS_SIZE, KEY_SIZE
+
+# The longest valid request (STORAGE with 0x-prefixed arguments and a
+# 20-digit block) is about 140 bytes.
+MAX_REQUEST_BYTES = 1024
 
 
 def _parse_bytes(token: str, width: int) -> bytes:
@@ -78,8 +85,11 @@ def handle_request(archive: ArchiveDb, line: str) -> str:
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self):
         while True:
-            line = self.rfile.readline()
+            line = self.rfile.readline(MAX_REQUEST_BYTES)
             if not line:
+                return
+            if len(line) == MAX_REQUEST_BYTES and not line.endswith(b"\n"):
+                self.wfile.write(b"ERR badrequest request too long\n")
                 return
             response = handle_request(self.server.archive, line.decode("utf-8", "replace"))
             self.wfile.write(response.encode() + b"\n")

@@ -7,7 +7,7 @@ import threading
 import pytest
 
 from flatstate.archive import ArchiveConfig, ArchiveDb
-from flatstate.errors import SequenceError, UnavailableError
+from flatstate.errors import CorruptionError, SequenceError, UnavailableError
 from flatstate.oracle import ReferenceOracle
 from flatstate.types import AccountUpdate, BlockDiff, ZERO_VALUE, serialize_update
 from flatstate.workload import WorkloadSpec, generate
@@ -285,6 +285,16 @@ def test_reopen_preserves_history_and_hash_chain(tmp_path):
         block = rng.randint(0, spec.blocks)
         assert reopened.get_balance_at(address, block) == oracle.balance_at(address, block)
     reopened.close()
+
+
+def test_torn_meta_is_reported_as_corruption(tmp_path):
+    archive = ArchiveDb(tmp_path / "archive")
+    feed(archive, example_table_diffs())
+    archive.close()
+    meta = tmp_path / "archive" / "meta.json"
+    meta.write_bytes(meta.read_bytes()[:20])
+    with pytest.raises(CorruptionError, match="meta.json"):
+        ArchiveDb(tmp_path / "archive")
 
 
 def test_code_bodies_are_deduplicated(tmp_path):

@@ -2,13 +2,14 @@
 
 import csv
 import random
+import socket
 
 from flatstate import bench
 from flatstate.archive import ArchiveDb
 from flatstate.cli import main
 from flatstate.livedb import LiveDb
 from flatstate.oracle import ReferenceOracle
-from flatstate.server import QueryClient, QueryServer
+from flatstate.server import MAX_REQUEST_BYTES, QueryClient, QueryServer
 from flatstate.workload import WorkloadSpec, generate, write_workload
 
 from util import addr, key, val
@@ -211,6 +212,28 @@ def test_serve_answers_change_log_example(tmp_path):
             assert client.request("WATERMARK") == "OK 17"
             block_hash = client.request("BLOCKHASH 17")
             assert block_hash == f"OK 0x{archive.block_hash(17).hex()}"
+    finally:
+        server.stop()
+        archive.close()
+
+
+def test_serve_closes_connection_on_oversize_request(tmp_path):
+    archive = serve_example_archive(tmp_path)
+    server = QueryServer(archive)
+    server.start()
+    host, port = server.address
+    try:
+        with QueryClient(host, port) as other:
+            with socket.create_connection((host, port), timeout=10) as sock:
+                reader = sock.makefile("rb")
+                # The longest line still served: MAX_REQUEST_BYTES with its newline.
+                sock.sendall(b"WATERMARK".ljust(MAX_REQUEST_BYTES - 1) + b"\n")
+                assert reader.readline() == b"OK 17\n"
+                sock.sendall(b"WATERMARK".ljust(16 * MAX_REQUEST_BYTES) + b"\n")
+                assert reader.readline() == b"ERR badrequest request too long\n"
+                assert reader.readline() == b""
+                reader.close()
+            assert other.request("WATERMARK") == "OK 17"
     finally:
         server.stop()
         archive.close()

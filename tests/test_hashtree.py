@@ -11,18 +11,24 @@ def sha(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
-def eager_root(pages: list[bytes]) -> bytes:
-    """Full recomputation oracle: pad leaf hashes to a power of two and fold."""
-    if not pages:
-        return sha(b"")
+def eager_levels(pages: list[bytes]) -> list[list[bytes]]:
+    """Full recomputation oracle: pad leaf hashes to a power of two and fold.
+
+    Returns every level of node hashes, leaves first, root last.
+    """
     level = [sha(bytes(p)) for p in pages]
     width = 1
     while width < len(level):
         width *= 2
-    level += [sha(b"")] * (width - len(level))
-    while len(level) > 1:
-        level = [sha(level[i] + level[i + 1]) for i in range(0, len(level), 2)]
-    return level[0]
+    levels = [level + [sha(b"")] * (width - len(level))]
+    while len(levels[-1]) > 1:
+        below = levels[-1]
+        levels.append([sha(below[i] + below[i + 1]) for i in range(0, len(below), 2)])
+    return levels
+
+
+def eager_root(pages: list[bytes]) -> bytes:
+    return eager_levels(pages)[-1][0]
 
 
 class Pages:
@@ -179,6 +185,25 @@ def test_growth_across_power_of_two_boundary():
     assert tree.root(store.read) == eager_root(store.pages)
 
 
+def test_failed_page_read_keeps_tree_growable():
+    rng = random.Random(33)
+    store = Pages()
+    tree = HashTree()
+    for i in range(4):
+        store.write(i, tree, rng)
+
+    def broken(index):
+        raise OSError("page unreadable")
+
+    try:
+        tree.root(broken)
+    except OSError as exc:
+        caught = exc  # its traceback keeps the frames of root() alive
+    assert caught.__traceback__ is not None
+    store.write(4, tree, rng)  # capacity 4 -> 8 resizes every level
+    assert tree.root(store.read) == eager_root(store.pages)
+
+
 def test_paging_size_law_inner_node_count():
     # n = 2^k values at p = 2^l slots per page: the tree keeps n/p - 1 inner nodes.
     for k, l in ((10, 3), (12, 5), (8, 2), (14, 7)):
@@ -200,4 +225,24 @@ def test_persistence_roundtrip(tmp_path):
     reopened = HashTree(path, leaf_count=11)
     before = digest_count()
     assert reopened.root(store.read) == root
+    assert digest_count() == before
+
+
+def test_node_file_is_heap_array_after_multi_level_growth(tmp_path):
+    """grow(4) then grow(40) adds four levels in one call; the file stays a heap array."""
+    rng = random.Random(78)
+    pages = [rng.randbytes(64) for _ in range(40)]
+    path = tmp_path / "nodes.tree"
+    tree = HashTree(path)
+    tree.grow(4)
+    tree.root(lambda i: pages[i])
+    tree.grow(40)
+    tree.flush(lambda i: pages[i])
+    # Heap order: level d (root = 0) starts at array index 2^d - 1.
+    heap = b"".join(b"".join(level) for level in reversed(eager_levels(pages)))
+    assert len(heap) == (2 * 64 - 1) * 32
+    assert path.read_bytes() == heap
+    reopened = HashTree(path, leaf_count=40)
+    before = digest_count()
+    assert reopened.root(lambda i: pages[i]) == eager_root(pages)
     assert digest_count() == before

@@ -51,6 +51,22 @@ def test_get_is_read_only(tmp_path):
     assert index.root_hash() != root
 
 
+def test_unaligned_match_in_bucket_is_not_a_hit(tmp_path):
+    index = make_index(tmp_path)
+    # The entry of `stored` (ordinal 0) is 8 bytes ++ tail ++ 8 zero bytes, so
+    # `probe` = tail ++ 8 zero bytes occurs in the bucket page 8 bytes into it.
+    pairs = ((b"\xaa" * 8 + n.to_bytes(12, "big"), n.to_bytes(12, "big") + bytes(8)) for n in range(1, 1000))
+    stored, probe = next((s, p) for s, p in pairs if index._bucket_of(s) == index._bucket_of(p))
+    assert index.get_or_add(stored) == (0, True)
+    bucket = index.pool.get_page(index.bucket_pages[index._bucket_of(stored)]).data
+    assert bucket.find(probe) == 10 + 8
+    assert index.get(probe) is None
+    assert index.get_or_add(probe) == (1, True)
+    assert index.get(probe) == 1
+    assert index.get(stored) == 0
+    index.close()
+
+
 def test_dense_ordinals_across_many_splits(tmp_path):
     # Small pages force frequent splits: (256-10)//28 = 8 slots per bucket.
     index = make_index(tmp_path)

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from flatstate.digest import EMPTY_HASH, digest_count
-from flatstate.errors import SequenceError, ValidationError
+from flatstate.errors import CorruptionError, SequenceError, ValidationError
 from flatstate.livedb import LiveDb, LiveDbConfig, ROOT_ORDER
 from flatstate.oracle import ReferenceOracle
 from flatstate.types import AccountUpdate, BlockDiff, ZERO_VALUE
@@ -216,6 +216,17 @@ def test_replay_survives_reopen(tmp_path):
     for address, slot_key in rng.sample(sorted(slot_pairs), 100):
         assert reopened.get_storage(address, slot_key) == oracle.storage(address, slot_key)
     reopened.close()
+
+
+def test_torn_meta_is_reported_as_corruption(tmp_path):
+    db = LiveDb(tmp_path / "db")
+    db.apply_block(diff(1, AccountUpdate(address=addr(1), created=True, balance=5)))
+    db.close()
+    meta = tmp_path / "db" / "meta.json"
+    assert sorted(p.name for p in meta.parent.glob("meta*")) == ["meta.json"]
+    meta.write_bytes(meta.read_bytes()[:20])
+    with pytest.raises(CorruptionError, match="meta.json"):
+        LiveDb(tmp_path / "db")
 
 
 def tree_bytes(root_dir):
