@@ -2,11 +2,14 @@
 
 Every attribute or storage mutation becomes one immutable log entry
 tagged with its block number. Entries live in sorted run files, one run
-per committed block, periodically merged into larger runs (the usual
+per commit batch, periodically merged into larger runs (the usual
 log-structured organization, which a forkless chain makes safe because
 each block has at most one successor state). A point-in-time query is a
 floor search: the entry with the greatest block less than or equal to
-the requested one.
+the requested one. Because history is linear, every run covers a known
+block range; the search visits runs newest first, skips runs that start
+above the requested block and stops at the first run that cannot hold
+anything newer than the best match so far.
 
 Ingestion is asynchronous: callers enqueue a block diff and return; a
 background appender converts it to entries, computes the per-account
@@ -20,6 +23,7 @@ import heapq
 import os
 import queue
 import threading
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,6 +45,11 @@ from .types import (
 
 FORMAT_VERSION = 1
 BLOCK_FIELD = 8
+MAX_BLOCK = (1 << (8 * BLOCK_FIELD)) - 1
+# Every FENCE_STRIDE-th entry key of a run is kept in memory as a fence
+# pointer, so a search bisects the fences in C and then at most this many
+# entries in Python.
+FENCE_STRIDE = 16
 EMPTY_CODE_HASH = digest(b"")
 
 # Queue sentinels: cut the current commit batch (and stop, for _CLOSE).
@@ -74,7 +83,10 @@ class RunRef:
     file: str
     level: int
     count: int
+    first: int = 0  # lowest block the run may hold
+    last: int = MAX_BLOCK  # highest block the run may hold
     data: bytes | None = None  # run bytes, pinned before the file may vanish
+    fences: list[bytes] | None = None  # key of every FENCE_STRIDE-th entry, built on first search
 
 
 @dataclass
@@ -89,50 +101,77 @@ class _SortedTable:
 
     def __init__(self, spec: TableSpec, directory: Path):
         self.spec = spec
+        self.entry_size = spec.entry_size
+        self.key_size = spec.prefix_size + BLOCK_FIELD
         self.directory = directory
-        self.runs: list[RunRef] = []
+        self._load_lock = threading.Lock()
+        self.runs: list[RunRef] = []  # in meta.json order
+        self.newest_first: tuple[RunRef, ...] = ()  # the snapshot readers search
+
+    def publish(self, runs: list[RunRef]) -> None:
+        """Replace the run list and its newest-first snapshot (archive lock held)."""
+        self.runs = runs
+        self.newest_first = tuple(sorted(runs, key=lambda run: run.last, reverse=True))
 
     def entry_count(self) -> int:
         return sum(run.count for run in self.runs)
 
     def run_bytes(self, run: RunRef) -> bytes:
         if run.data is None:
-            try:
-                run.data = (self.directory / run.file).read_bytes()
-            except FileNotFoundError:
-                # A merge unlinks a run only after pinning its bytes, so a
-                # reader losing this race finds the data in memory.
+            # One reader loads a run while others wait for it. A merge pins
+            # its victims here before it unlinks their files, so a reader
+            # that finds no bytes under the lock still finds the file.
+            with self._load_lock:
                 if run.data is None:
-                    raise
+                    run.data = (self.directory / run.file).read_bytes()
         return run.data
 
-    def floor(self, runs: list[RunRef], prefix: bytes, block: int) -> tuple[int, bytes] | None:
-        """Best (block', payload) with matching prefix and block' <= block."""
-        size = self.spec.entry_size
-        upper = prefix + block.to_bytes(BLOCK_FIELD, "big") + b"\xff" * self.spec.payload_size
+    def floor(self, runs: tuple[RunRef, ...], prefix: bytes, block: int) -> tuple[int, bytes] | None:
+        """Best (block', payload) with matching prefix and block' <= block.
+
+        ``runs`` is a newest-first snapshot: once the best match is at least
+        as new as a run's ``last``, no remaining run can hold a better one.
+        """
+        prefix_size, key_size = self.spec.prefix_size, self.key_size
+        target = prefix + block.to_bytes(BLOCK_FIELD, "big")
         best: tuple[int, bytes] | None = None
         for run in runs:
-            data = self.run_bytes(run)
-            lo, hi = 0, run.count
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if data[mid * size : (mid + 1) * size] <= upper:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            if lo == 0:
+            if best is not None and best[0] >= run.last:
+                break
+            if run.first > block:
                 continue
-            entry = data[(lo - 1) * size : lo * size]
-            if entry[: self.spec.prefix_size] != prefix:
+            entry = self._floor_entry(run, target)
+            if entry is None or entry[:prefix_size] != prefix:
                 continue
-            found = int.from_bytes(entry[self.spec.prefix_size : self.spec.prefix_size + BLOCK_FIELD], "big")
+            found = int.from_bytes(entry[prefix_size:key_size], "big")
             if best is None or found > best[0]:
-                best = (found, entry[self.spec.prefix_size + BLOCK_FIELD :])
+                best = (found, entry[key_size:])
         return best
+
+    def _floor_entry(self, run: RunRef, target: bytes) -> bytes | None:
+        """The last entry of ``run`` whose key (prefix ++ block) is <= ``target``."""
+        data = self.run_bytes(run)
+        size, key_size = self.entry_size, self.key_size
+        fences = run.fences
+        if fences is None:
+            fences = run.fences = [data[i * size : i * size + key_size] for i in range(0, run.count, FENCE_STRIDE)]
+        fence = bisect_right(fences, target)
+        if fence == 0:
+            return None
+        # Entry (fence - 1) * FENCE_STRIDE is <= target; the next fence is not.
+        lo = (fence - 1) * FENCE_STRIDE + 1
+        hi = min(fence * FENCE_STRIDE, run.count)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if data[mid * size : mid * size + key_size] <= target:
+                lo = mid + 1
+            else:
+                hi = mid
+        return data[(lo - 1) * size : lo * size]
 
     def iter_entries(self, run: RunRef):
         data = self.run_bytes(run)
-        size = self.spec.entry_size
+        size = self.entry_size
         for i in range(run.count):
             yield data[i * size : (i + 1) * size]
 
@@ -256,13 +295,13 @@ class ArchiveDb:
             return False, 0
         return best[1][0] == 1, int.from_bytes(best[1][1:], "big")
 
-    def _published(self, table: str, block: int) -> tuple[list[RunRef], int]:
+    def _published(self, table: str, block: int) -> tuple[tuple[RunRef, ...], int]:
         if block < 0:
             raise BoundsError(f"negative block {block}")
         with self._lock:
             if block > self.watermark:
                 raise UnavailableError(f"block {block} beyond watermark {self.watermark}")
-            return self._tables[table].runs, self.watermark
+            return self._tables[table].newest_first, self.watermark
 
     # -- appender --------------------------------------------------------
 
@@ -341,11 +380,12 @@ class ArchiveDb:
         new_runs: dict[str, RunRef] = {}
         for name, rows in entries.items():
             if rows:
-                new_runs[name] = self._write_run(name, sorted(rows), level=0)
+                new_runs[name] = self._write_run(name, sorted(rows), 0, diffs[0].block, diffs[-1].block)
         self._append_block_hashes(diffs[0].block, block_hashes)
         with self._lock:
             for name, run in new_runs.items():
-                self._tables[name].runs.append(run)
+                table = self._tables[name]
+                table.publish(table.runs + [run])
             self._block_hashes.extend(block_hashes)
             self.watermark = diffs[-1].block
             self._write_meta()
@@ -353,7 +393,7 @@ class ArchiveDb:
             for name in new_runs:
                 self._maybe_merge(name)
 
-    def _write_run(self, table: str, rows: list[bytes], level: int) -> RunRef:
+    def _write_run(self, table: str, rows: list[bytes], level: int, first: int, last: int) -> RunRef:
         # A run is reachable only once the metadata lists it, so a partial
         # file from a crash is just an ignored orphan; no rename dance needed.
         seq = self._next_seq
@@ -361,7 +401,7 @@ class ArchiveDb:
         file = f"{table}-{seq:08d}.run"
         with open(self.data_dir / file, "wb") as fh:
             fh.write(b"".join(rows))
-        return RunRef(file=file, level=level, count=len(rows))
+        return RunRef(file=file, level=level, count=len(rows), first=first, last=last)
 
     def _maybe_merge(self, table: str) -> None:
         spec = TABLES[table]
@@ -383,11 +423,13 @@ class ArchiveDb:
             # iter_entries pins each victim's bytes in memory, so readers
             # holding a pre-merge run list stay serviceable after unlink.
             merged = heapq.merge(*(list(sorted_table.iter_entries(run)) for run in victims))
-            new_run = self._write_run(table, list(merged), level=target + 1)
+            first = min(run.first for run in victims)
+            last = max(run.last for run in victims)
+            new_run = self._write_run(table, list(merged), target + 1, first, last)
             victim_files = {run.file for run in victims}
             with self._lock:
                 kept = [run for run in sorted_table.runs if run.file not in victim_files]
-                sorted_table.runs = kept + [new_run]
+                sorted_table.publish(kept + [new_run])
                 self._write_meta()
             for file in victim_files:
                 (self.data_dir / file).unlink(missing_ok=True)
@@ -427,7 +469,10 @@ class ArchiveDb:
             "watermark": self.watermark,
             "next_seq": self._next_seq,
             "tables": {
-                name: [{"file": run.file, "level": run.level, "count": run.count} for run in table.runs]
+                name: [
+                    {"file": run.file, "level": run.level, "count": run.count, "first": run.first, "last": run.last}
+                    for run in table.runs
+                ]
                 for name, table in self._tables.items()
             },
         }
@@ -443,7 +488,13 @@ class ArchiveDb:
         self.watermark = meta["watermark"]
         self._next_seq = meta["next_seq"]
         for name, runs in meta["tables"].items():
-            self._tables[name].runs = [RunRef(file=r["file"], level=r["level"], count=r["count"]) for r in runs]
+            # A run listed without a block range may hold any block.
+            self._tables[name].publish(
+                [
+                    RunRef(r["file"], r["level"], r["count"], r.get("first", 0), r.get("last", MAX_BLOCK))
+                    for r in runs
+                ]
+            )
 
     def _open_blockhash_file(self) -> None:
         path = self.data_dir / "blockhash.dat"

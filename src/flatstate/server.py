@@ -15,8 +15,10 @@ are 0x-prefixed hex, integers are decimal, existence is true/false. A
 malformed request produces an error response and leaves the connection
 usable. A line longer than ``MAX_REQUEST_BYTES`` (newline included)
 gets ``ERR badrequest request too long`` and the connection is closed,
-so one client cannot grow server memory without bound. The server only
-reads from the archive.
+so one client cannot grow server memory without bound. Each connection
+holds a thread, so at most ``MAX_CONNECTIONS`` are served at once; one
+more gets ``ERR unavailable too many connections`` and is closed. The
+server only reads from the archive.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .types import ADDRESS_SIZE, KEY_SIZE
 # The longest valid request (STORAGE with 0x-prefixed arguments and a
 # 20-digit block) is about 140 bytes.
 MAX_REQUEST_BYTES = 1024
+MAX_CONNECTIONS = 64
 
 
 def _parse_bytes(token: str, width: int) -> bytes:
@@ -104,6 +107,27 @@ class QueryServer(socketserver.ThreadingTCPServer):
         super().__init__(listen, _Handler)
         self.archive = archive
         self._thread: threading.Thread | None = None
+        self._slots = threading.BoundedSemaphore(MAX_CONNECTIONS)
+
+    def process_request(self, request, client_address):
+        if not self._slots.acquire(blocking=False):
+            try:
+                request.sendall(b"ERR unavailable too many connections\n")
+            except OSError:
+                pass
+            self.shutdown_request(request)
+            return
+        try:
+            super().process_request(request, client_address)
+        except BaseException:
+            self._slots.release()
+            raise
+
+    def process_request_thread(self, request, client_address):
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            self._slots.release()
 
     @property
     def address(self) -> tuple[str, int]:

@@ -1,12 +1,15 @@
 """Archive database: floor queries, incremental hashes, concurrency, merging."""
 
 import hashlib
+import json
+import pathlib
 import random
 import threading
+import time
 
 import pytest
 
-from flatstate.archive import ArchiveConfig, ArchiveDb
+from flatstate.archive import MAX_BLOCK, ArchiveConfig, ArchiveDb
 from flatstate.errors import CorruptionError, SequenceError, UnavailableError
 from flatstate.oracle import ReferenceOracle
 from flatstate.types import AccountUpdate, BlockDiff, ZERO_VALUE, serialize_update
@@ -352,3 +355,150 @@ def test_concurrent_reader_sees_only_published_blocks(tmp_path):
         thread.join()
     assert not failures
     archive.close()
+
+
+SEARCH_SPEC = WorkloadSpec(seed=21, blocks=30, accounts=25, txs_per_block=4, slot_writes_per_tx=2, new_key_ratio=0.4, delete_ratio=0.15)
+
+
+def history_facts(diffs):
+    """Oracle, addresses, (address, key) pairs, first write per address, deleted-then-recreated addresses."""
+    oracle = ReferenceOracle()
+    pairs, first_write, deleted, recreated = set(), {}, set(), set()
+    for block_diff in diffs:
+        oracle.apply_block(block_diff)
+        for update in block_diff.updates:
+            first_write.setdefault(update.address, block_diff.block)
+            if update.deleted:
+                deleted.add(update.address)
+            if update.created and update.address in deleted:
+                recreated.add(update.address)
+            for slot_key, _ in update.slots:
+                pairs.add((update.address, slot_key))
+    return oracle, sorted(first_write), sorted(pairs), first_write, recreated
+
+
+def run_ranges(archive_dir):
+    meta = json.loads((archive_dir / "meta.json").read_text())
+    return {table: [(run["first"], run["last"]) for run in runs] for table, runs in meta["tables"].items()}
+
+
+def assert_answers_match(archive, oracle, addresses, pairs, blocks):
+    never_written = addr(0xFEED)
+    for block in blocks:
+        for address in addresses + [never_written]:
+            assert archive.get_balance_at(address, block) == oracle.balance_at(address, block)
+            assert archive.get_nonce_at(address, block) == oracle.nonce_at(address, block)
+            assert archive.get_code_at(address, block) == oracle.code_at(address, block)
+            assert archive.account_exists_at(address, block) == oracle.exists_at(address, block)
+            assert archive.get_storage_at(address, key(0xBAD), block) == ZERO_VALUE  # key never written
+        for address, slot_key in pairs:
+            assert archive.get_storage_at(address, slot_key, block) == oracle.storage_at(address, slot_key, block)
+
+
+@pytest.mark.parametrize("fanout", [2, 0])
+def test_newest_first_search_matches_oracle(tmp_path, fanout):
+    diffs = list(generate(SEARCH_SPEC))
+    oracle, addresses, pairs, first_write, recreated = history_facts(diffs)
+    assert recreated, "workload must delete and recreate an account"
+    assert max(first_write.values()) > 3, "some account must be first written after the first batch"
+    config = ArchiveConfig(batch_blocks=3, merge_fanout=fanout)
+    archive = ArchiveDb(tmp_path / "archive", config)
+    feed(archive, diffs)
+    ranges = run_ranges(tmp_path / "archive")
+    for table, spans in ranges.items():
+        assert all(1 <= first <= last <= SEARCH_SPEC.blocks for first, last in spans), table
+        ordered = sorted(spans)
+        assert all(a[1] < b[0] for a, b in zip(ordered, ordered[1:])), f"{table} ranges overlap"
+    bounds = {block for spans in ranges.values() for span in spans for block in span}
+    if fanout:
+        assert any(last - first > 2 for spans in ranges.values() for first, last in spans)  # merged runs
+    # Run bounds, the blocks just around them, and every block before an account's first write.
+    blocks = sorted(bounds | {b - 1 for b in bounds} | set(range(0, max(first_write.values()))))
+    assert_answers_match(archive, oracle, addresses, pairs, blocks)
+    recreated_pairs = [(address, slot_key) for address, slot_key in pairs if address in recreated]
+    assert_answers_match(archive, oracle, sorted(recreated), recreated_pairs, range(SEARCH_SPEC.blocks + 1))
+    archive.close()
+    reopened = ArchiveDb(tmp_path / "archive", config)
+    assert {name: [(run.first, run.last) for run in table.runs] for name, table in reopened._tables.items()} == ranges
+    assert_answers_match(reopened, oracle, addresses, pairs, range(SEARCH_SPEC.blocks + 1))
+    reopened.close()
+
+
+def test_runs_without_block_ranges_still_answer(tmp_path):
+    diffs = list(generate(SEARCH_SPEC))
+    oracle, addresses, pairs, _, _ = history_facts(diffs)
+    config = ArchiveConfig(batch_blocks=3, merge_fanout=2)
+    archive = ArchiveDb(tmp_path / "archive", config)
+    feed(archive, diffs[:15])  # five batches: one merged run plus one unmerged run per table
+    archive.close()
+    meta_path = tmp_path / "archive" / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    legacy_seq = meta["next_seq"]
+    for runs in meta["tables"].values():
+        for run in runs:
+            del run["first"], run["last"]
+    meta_path.write_text(json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n")
+
+    legacy = ArchiveDb(tmp_path / "archive", config)
+    assert_answers_match(legacy, oracle, addresses, pairs, range(16))
+    feed(legacy, diffs[15:])
+    # The next batch merged with the bound-less run: its range is unknown.
+    runs = json.loads(meta_path.read_text())["tables"]["storage"]
+    new_runs = [run for run in runs if int(run["file"].split("-")[1].split(".")[0]) >= legacy_seq]
+    assert any((run["first"], run["last"]) == (0, MAX_BLOCK) for run in new_runs)
+    assert any(run["last"] == SEARCH_SPEC.blocks for run in new_runs)
+    assert_answers_match(legacy, oracle, addresses, pairs, range(SEARCH_SPEC.blocks + 1))
+    legacy.close()
+
+
+def test_query_at_watermark_reads_only_the_newest_run(tmp_path):
+    """A key written in the last batch is answered without reading any older storage run."""
+    a1 = addr(1)
+    diffs = [diff(block, AccountUpdate(address=a1, slots=((key(1), val(block)),))) for block in range(1, 11)]
+    archive = ArchiveDb(tmp_path / "archive", ArchiveConfig(batch_blocks=2, merge_fanout=0))
+    feed(archive, diffs)
+    archive.close()
+    reopened = ArchiveDb(tmp_path / "archive", ArchiveConfig(batch_blocks=2, merge_fanout=0))
+    runs = reopened._tables["storage"].runs
+    assert len(runs) == 5
+    assert reopened.get_storage_at(a1, key(1), 10) == val(10)
+    assert [run.data is not None for run in runs] == [False, False, False, False, True]
+    # A query inside history reads only the run that covers its block.
+    assert reopened.get_storage_at(a1, key(1), 5) == val(5)
+    assert [run.data is not None for run in runs] == [False, False, True, False, True]
+    reopened.close()
+
+
+def test_concurrent_first_reads_load_each_run_once(tmp_path, monkeypatch):
+    a1 = addr(1)
+    diffs = [diff(block, AccountUpdate(address=a1, balance=block, slots=((key(1), val(block)),))) for block in range(1, 9)]
+    archive = ArchiveDb(tmp_path / "archive", ArchiveConfig(batch_blocks=2, merge_fanout=0))
+    feed(archive, diffs)
+    archive.close()
+    reopened = ArchiveDb(tmp_path / "archive", ArchiveConfig(batch_blocks=2, merge_fanout=0))
+    loads = []
+    read_bytes = pathlib.Path.read_bytes
+
+    def slow_read_bytes(path):
+        loads.append(path.name)
+        time.sleep(0.05)  # widen the window in which a second reader could load the same run
+        return read_bytes(path)
+
+    monkeypatch.setattr(pathlib.Path, "read_bytes", slow_read_bytes)
+    start = threading.Barrier(4)
+    answers = []
+
+    def reader():
+        start.wait(timeout=10)
+        answers.append((reopened.get_storage_at(a1, key(1), 1), reopened.get_balance_at(a1, 1)))
+
+    threads = [threading.Thread(target=reader) for _ in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+    assert answers == [(val(1), 1)] * 4
+    assert sorted(loads) == sorted(set(loads)), f"a run was read more than once: {sorted(loads)}"
+    assert {name.split("-")[0] for name in loads} == {"storage", "balance"}
+    reopened.close()

@@ -3,13 +3,14 @@
 import csv
 import random
 import socket
+import time
 
 from flatstate import bench
 from flatstate.archive import ArchiveDb
 from flatstate.cli import main
 from flatstate.livedb import LiveDb
 from flatstate.oracle import ReferenceOracle
-from flatstate.server import MAX_REQUEST_BYTES, QueryClient, QueryServer
+from flatstate.server import MAX_CONNECTIONS, MAX_REQUEST_BYTES, QueryClient, QueryServer
 from flatstate.workload import WorkloadSpec, generate, write_workload
 
 from util import addr, key, val
@@ -235,6 +236,45 @@ def test_serve_closes_connection_on_oversize_request(tmp_path):
                 reader.close()
             assert other.request("WATERMARK") == "OK 17"
     finally:
+        server.stop()
+        archive.close()
+
+
+def test_serve_refuses_connections_beyond_the_limit(tmp_path):
+    archive = serve_example_archive(tmp_path)
+    server = QueryServer(archive)
+    server.start()
+    host, port = server.address
+    clients = []
+
+    def refused_line():
+        with socket.create_connection((host, port), timeout=10) as sock, sock.makefile("rb") as reader:
+            return reader.readline(), reader.readline()
+
+    try:
+        for _ in range(MAX_CONNECTIONS):
+            clients.append(QueryClient(host, port))
+            assert clients[-1].request("WATERMARK") == "OK 17"  # its handler thread is running
+        assert refused_line() == (b"ERR unavailable too many connections\n", b"")
+        for client in clients:
+            assert client.request("WATERMARK") == "OK 17"
+        # A closed connection frees its slot once its handler returns.
+        clients.pop().close()
+        deadline = time.monotonic() + 10
+        while True:
+            with QueryClient(host, port) as client:
+                try:
+                    answer = client.request("WATERMARK")
+                except ConnectionError:  # refused and closed before the request went out
+                    answer = None
+            if answer == "OK 17":
+                break
+            assert answer in (None, "ERR unavailable too many connections")
+            assert time.monotonic() < deadline, "no slot freed after a client closed its connection"
+            time.sleep(0.01)
+    finally:
+        for client in clients:
+            client.close()
         server.stop()
         archive.close()
 
