@@ -20,6 +20,7 @@ new watermark. Readers never see a partially written block.
 from __future__ import annotations
 
 import heapq
+import mmap
 import os
 import queue
 import threading
@@ -83,10 +84,23 @@ class RunRef:
     file: str
     level: int
     count: int
-    first: int = 0  # lowest block the run may hold
-    last: int = MAX_BLOCK  # highest block the run may hold
-    data: bytes | None = None  # run bytes, pinned before the file may vanish
+    first: int  # lowest block the run may hold
+    last: int  # highest block the run may hold
+    data: mmap.mmap  # read-only mapping; stays readable after a merge unlinks the file
     fences: list[bytes] | None = None  # key of every FENCE_STRIDE-th entry, built on first search
+
+
+def map_run(path: Path, count: int, entry_size: int) -> mmap.mmap:
+    """Map a run file read-only after checking it holds exactly ``count`` entries."""
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError as exc:
+        raise CorruptionError(f"run file {path} is missing") from exc
+    with fh:
+        size = os.fstat(fh.fileno()).st_size
+        if count < 1 or size != count * entry_size:
+            raise CorruptionError(f"run file {path} has {size} bytes, expected {count} entries of {entry_size}")
+        return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
 
 
 @dataclass
@@ -99,12 +113,10 @@ class ArchiveConfig:
 class _SortedTable:
     """Run bookkeeping and floor search for one log table."""
 
-    def __init__(self, spec: TableSpec, directory: Path):
+    def __init__(self, spec: TableSpec):
         self.spec = spec
         self.entry_size = spec.entry_size
         self.key_size = spec.prefix_size + BLOCK_FIELD
-        self.directory = directory
-        self._load_lock = threading.Lock()
         self.runs: list[RunRef] = []  # in meta.json order
         self.newest_first: tuple[RunRef, ...] = ()  # the snapshot readers search
 
@@ -115,16 +127,6 @@ class _SortedTable:
 
     def entry_count(self) -> int:
         return sum(run.count for run in self.runs)
-
-    def run_bytes(self, run: RunRef) -> bytes:
-        if run.data is None:
-            # One reader loads a run while others wait for it. A merge pins
-            # its victims here before it unlinks their files, so a reader
-            # that finds no bytes under the lock still finds the file.
-            with self._load_lock:
-                if run.data is None:
-                    run.data = (self.directory / run.file).read_bytes()
-        return run.data
 
     def floor(self, runs: tuple[RunRef, ...], prefix: bytes, block: int) -> tuple[int, bytes] | None:
         """Best (block', payload) with matching prefix and block' <= block.
@@ -150,8 +152,7 @@ class _SortedTable:
 
     def _floor_entry(self, run: RunRef, target: bytes) -> bytes | None:
         """The last entry of ``run`` whose key (prefix ++ block) is <= ``target``."""
-        data = self.run_bytes(run)
-        size, key_size = self.entry_size, self.key_size
+        data, size, key_size = run.data, self.entry_size, self.key_size
         fences = run.fences
         if fences is None:
             fences = run.fences = [data[i * size : i * size + key_size] for i in range(0, run.count, FENCE_STRIDE)]
@@ -170,8 +171,7 @@ class _SortedTable:
         return data[(lo - 1) * size : lo * size]
 
     def iter_entries(self, run: RunRef):
-        data = self.run_bytes(run)
-        size = self.entry_size
+        data, size = run.data, self.entry_size
         for i in range(run.count):
             yield data[i * size : (i + 1) * size]
 
@@ -182,8 +182,7 @@ class ArchiveDb:
         self.data_dir.mkdir(parents=True, exist_ok=True)
         self.config = config or ArchiveConfig()
         self._lock = threading.Lock()
-        self._tables = {name: _SortedTable(spec, self.data_dir) for name, spec in TABLES.items()}
-        self._block_hashes: list[bytes] = [ZERO_HASH]
+        self._tables = {name: _SortedTable(spec) for name, spec in TABLES.items()}
         self._next_seq = 0
         self.watermark = 0
         self._load_meta()
@@ -232,31 +231,32 @@ class ArchiveDb:
         self._closed = True
         self._queue.put(_CLOSE)
         self._appender.join()
-        self._blockhash_fh.close()
+        with self._lock:  # block_hash reads the descriptor under this lock
+            self._blockhash_fh.close()
         self._blob_fh.close()
         self._raise_pending_error()
 
     # -- queries ---------------------------------------------------------
 
     def get_storage_at(self, address: bytes, key: bytes, block: int) -> bytes:
-        runs, _ = self._published("storage", block)
+        runs = self._published("storage", block)
         _, reinc = self._state_at(address, block)
         prefix = address + reinc.to_bytes(REINC_SIZE, "big") + key
         best = self._tables["storage"].floor(runs, prefix, block)
         return best[1] if best else ZERO_VALUE
 
     def get_balance_at(self, address: bytes, block: int) -> int:
-        runs, _ = self._published("balance", block)
+        runs = self._published("balance", block)
         best = self._tables["balance"].floor(runs, address, block)
         return int.from_bytes(best[1], "big") if best else 0
 
     def get_nonce_at(self, address: bytes, block: int) -> int:
-        runs, _ = self._published("nonce", block)
+        runs = self._published("nonce", block)
         best = self._tables["nonce"].floor(runs, address, block)
         return int.from_bytes(best[1], "big") if best else 0
 
     def get_code_at(self, address: bytes, block: int) -> bytes:
-        runs, _ = self._published("code", block)
+        runs = self._published("code", block)
         best = self._tables["code"].floor(runs, address, block)
         if best is None:
             return b""
@@ -267,16 +267,18 @@ class ArchiveDb:
         return exists
 
     def block_hash(self, block: int) -> bytes:
-        if block < 0:
-            raise BoundsError(f"negative block {block}")
         with self._lock:
-            if block > self.watermark:
-                raise UnavailableError(f"block {block} beyond watermark {self.watermark}")
-            return self._block_hashes[block]
+            if self._closed:
+                raise StorageError("archive is closed")
+            self._check_published(block)
+            record = os.pread(self._blockhash_fh.fileno(), HASH_SIZE, block * HASH_SIZE)
+        if len(record) != HASH_SIZE:
+            raise CorruptionError(f"block hash file ends before block {block}")
+        return record
 
     def account_hash(self, address: bytes, block: int) -> bytes:
         """Stored per-account composite hash as of ``block`` (zero if untouched)."""
-        runs, _ = self._published("accthash", block)
+        runs = self._published("accthash", block)
         best = self._tables["accthash"].floor(runs, address, block)
         return best[1] if best else ZERO_HASH
 
@@ -289,19 +291,22 @@ class ArchiveDb:
             return {name: [run.file for run in table.runs] for name, table in self._tables.items()}
 
     def _state_at(self, address: bytes, block: int) -> tuple[bool, int]:
-        runs, _ = self._published("state", block)
+        runs = self._published("state", block)
         best = self._tables["state"].floor(runs, address, block)
         if best is None:
             return False, 0
         return best[1][0] == 1, int.from_bytes(best[1][1:], "big")
 
-    def _published(self, table: str, block: int) -> tuple[tuple[RunRef, ...], int]:
+    def _published(self, table: str, block: int) -> tuple[RunRef, ...]:
+        with self._lock:
+            self._check_published(block)
+            return self._tables[table].newest_first
+
+    def _check_published(self, block: int) -> None:  # archive lock held
         if block < 0:
             raise BoundsError(f"negative block {block}")
-        with self._lock:
-            if block > self.watermark:
-                raise UnavailableError(f"block {block} beyond watermark {self.watermark}")
-            return self._tables[table].newest_first, self.watermark
+        if block > self.watermark:
+            raise UnavailableError(f"block {block} beyond watermark {self.watermark}")
 
     # -- appender --------------------------------------------------------
 
@@ -335,7 +340,7 @@ class ArchiveDb:
         block_hashes: list[bytes] = []
         new_codes: list[bytes] = []
         pending_code_hashes: set[bytes] = set()
-        previous = self._block_hashes[-1]
+        previous = self._last_block_hash
         for diff in diffs:
             block_field = diff.block.to_bytes(BLOCK_FIELD, "big")
             account_hashes: list[bytes] = []
@@ -381,12 +386,14 @@ class ArchiveDb:
         for name, rows in entries.items():
             if rows:
                 new_runs[name] = self._write_run(name, sorted(rows), 0, diffs[0].block, diffs[-1].block)
-        self._append_block_hashes(diffs[0].block, block_hashes)
+        self._blockhash_fh.seek(diffs[0].block * HASH_SIZE)
+        self._blockhash_fh.write(b"".join(block_hashes))
+        self._blockhash_fh.flush()
+        self._last_block_hash = previous
         with self._lock:
             for name, run in new_runs.items():
                 table = self._tables[name]
                 table.publish(table.runs + [run])
-            self._block_hashes.extend(block_hashes)
             self.watermark = diffs[-1].block
             self._write_meta()
         if self.config.merge_fanout > 0:
@@ -398,13 +405,12 @@ class ArchiveDb:
         # file from a crash is just an ignored orphan; no rename dance needed.
         seq = self._next_seq
         self._next_seq += 1
-        file = f"{table}-{seq:08d}.run"
-        with open(self.data_dir / file, "wb") as fh:
+        path = self.data_dir / f"{table}-{seq:08d}.run"
+        with open(path, "wb") as fh:
             fh.write(b"".join(rows))
-        return RunRef(file=file, level=level, count=len(rows), first=first, last=last)
+        return RunRef(path.name, level, len(rows), first, last, map_run(path, len(rows), TABLES[table].entry_size))
 
     def _maybe_merge(self, table: str) -> None:
-        spec = TABLES[table]
         while True:
             with self._lock:
                 runs = list(self._tables[table].runs)
@@ -420,9 +426,7 @@ class ArchiveDb:
                 return
             victims = by_level[target]
             sorted_table = self._tables[table]
-            # iter_entries pins each victim's bytes in memory, so readers
-            # holding a pre-merge run list stay serviceable after unlink.
-            merged = heapq.merge(*(list(sorted_table.iter_entries(run)) for run in victims))
+            merged = heapq.merge(*(sorted_table.iter_entries(run) for run in victims))
             first = min(run.first for run in victims)
             last = max(run.last for run in victims)
             new_run = self._write_run(table, list(merged), target + 1, first, last)
@@ -431,6 +435,8 @@ class ArchiveDb:
                 kept = [run for run in sorted_table.runs if run.file not in victim_files]
                 sorted_table.publish(kept + [new_run])
                 self._write_meta()
+            # Readers holding a pre-merge snapshot keep reading the victims'
+            # mappings, which outlive the unlinked files.
             for file in victim_files:
                 (self.data_dir / file).unlink(missing_ok=True)
 
@@ -452,11 +458,6 @@ class ArchiveDb:
             raise CorruptionError(f"code body for digest {code_hash.hex()} is missing from the blob")
         offset, length = located
         return os.pread(self._blob_fh.fileno(), length, offset)
-
-    def _append_block_hashes(self, first_block: int, hashes: list[bytes]) -> None:
-        self._blockhash_fh.seek(first_block * HASH_SIZE)
-        self._blockhash_fh.write(b"".join(hashes))
-        self._blockhash_fh.flush()
 
     # -- persistence -----------------------------------------------------
 
@@ -488,42 +489,38 @@ class ArchiveDb:
         self.watermark = meta["watermark"]
         self._next_seq = meta["next_seq"]
         for name, runs in meta["tables"].items():
-            # A run listed without a block range may hold any block.
-            self._tables[name].publish(
-                [
-                    RunRef(r["file"], r["level"], r["count"], r.get("first", 0), r.get("last", MAX_BLOCK))
-                    for r in runs
-                ]
-            )
+            loaded = []
+            for r in runs:
+                data = map_run(self.data_dir / r["file"], r["count"], TABLES[name].entry_size)
+                # A run listed without a block range may hold any block.
+                first, last = r.get("first", 0), r.get("last", MAX_BLOCK)
+                loaded.append(RunRef(r["file"], r["level"], r["count"], first, last, data))
+            self._tables[name].publish(loaded)
 
     def _open_blockhash_file(self) -> None:
         path = self.data_dir / "blockhash.dat"
-        fresh = not path.exists()
-        self._blockhash_fh = open(path, "r+b" if not fresh else "w+b")
-        if fresh:
-            self._blockhash_fh.write(ZERO_HASH)
-            self._blockhash_fh.flush()
-        else:
-            data = path.read_bytes()
-            if len(data) < (self.watermark + 1) * HASH_SIZE:
-                raise CorruptionError(f"block hash file shorter than watermark {self.watermark}")
-            self._block_hashes = [
-                data[i * HASH_SIZE : (i + 1) * HASH_SIZE] for i in range(self.watermark + 1)
-            ]
+        if not path.exists():
+            path.write_bytes(ZERO_HASH)
+        self._blockhash_fh = open(path, "r+b")
+        if os.fstat(self._blockhash_fh.fileno()).st_size < (self.watermark + 1) * HASH_SIZE:
+            self._blockhash_fh.close()
+            raise CorruptionError(f"block hash file shorter than watermark {self.watermark}")
+        # The appender chains each new block hash to the last published one.
+        self._last_block_hash = os.pread(self._blockhash_fh.fileno(), HASH_SIZE, self.watermark * HASH_SIZE)
 
     def _open_code_blob(self) -> None:
         path = self.data_dir / "codeblob.dat"
         self._blob_fh = open(path, "r+b" if path.exists() else "w+b")
         self._code_offsets: dict[bytes, tuple[int, int]] = {}
-        data = path.read_bytes()
+        self._blob_size = os.fstat(self._blob_fh.fileno()).st_size
         offset = 0
-        while offset < len(data):
-            code_hash = data[offset : offset + HASH_SIZE]
-            length = int.from_bytes(data[offset + HASH_SIZE : offset + HASH_SIZE + 4], "big")
+        while offset < self._blob_size:
+            # Only the record headers are read; bodies are read on demand.
+            header = os.pread(self._blob_fh.fileno(), HASH_SIZE + 4, offset)
             body_at = offset + HASH_SIZE + 4
-            self._code_offsets[code_hash] = (body_at, length)
+            length = int.from_bytes(header[HASH_SIZE:], "big")
+            self._code_offsets[header[:HASH_SIZE]] = (body_at, length)
             offset = body_at + length
-        self._blob_size = len(data)
 
     def _rebuild_account_maps(self) -> None:
         latest_state: dict[bytes, tuple[int, bytes]] = {}

@@ -4,15 +4,16 @@ import hashlib
 import json
 import pathlib
 import random
+import sys
 import threading
-import time
 
 import pytest
 
+from flatstate import archive as archive_module
 from flatstate.archive import MAX_BLOCK, ArchiveConfig, ArchiveDb
-from flatstate.errors import CorruptionError, SequenceError, UnavailableError
+from flatstate.errors import CorruptionError, SequenceError, StorageError, UnavailableError
 from flatstate.oracle import ReferenceOracle
-from flatstate.types import AccountUpdate, BlockDiff, ZERO_VALUE, serialize_update
+from flatstate.types import REINC_SIZE, AccountUpdate, BlockDiff, ZERO_VALUE, serialize_update
 from flatstate.workload import WorkloadSpec, generate
 
 from util import addr, key, sha, val
@@ -176,6 +177,8 @@ def test_sequencing_and_watermark_errors(tmp_path):
     with pytest.raises(UnavailableError):
         archive.block_hash(2)
     archive.close()
+    with pytest.raises(StorageError, match="closed"):
+        archive.block_hash(1)
 
 
 def test_runs_are_immutable_and_grow_without_merging(tmp_path):
@@ -297,6 +300,47 @@ def test_torn_meta_is_reported_as_corruption(tmp_path):
     meta = tmp_path / "archive" / "meta.json"
     meta.write_bytes(meta.read_bytes()[:20])
     with pytest.raises(CorruptionError, match="meta.json"):
+        ArchiveDb(tmp_path / "archive")
+
+
+def balance_history(directory):
+    """Blocks 1..4 set addr(1)'s balance to the block number, two blocks per run."""
+    archive = ArchiveDb(directory, ArchiveConfig(batch_blocks=2, merge_fanout=0))
+    feed(archive, [diff(block, AccountUpdate(address=addr(1), balance=block)) for block in range(1, 5)])
+    return archive
+
+
+@pytest.mark.parametrize("damage", ["truncated", "missing", "empty"])
+def test_damaged_run_file_is_reported_on_open(tmp_path, damage):
+    balance_history(tmp_path / "archive").close()
+    meta_path = tmp_path / "archive" / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    run = meta["tables"]["balance"][-1]
+    run_path = tmp_path / "archive" / run["file"]
+    if damage == "truncated":
+        run_path.write_bytes(run_path.read_bytes()[:-5])
+    elif damage == "missing":
+        run_path.unlink()
+    else:  # an empty file listed with no entries
+        run_path.write_bytes(b"")
+        run["count"] = 0
+        meta_path.write_text(json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n")
+    with pytest.raises(CorruptionError, match=run["file"]):
+        ArchiveDb(tmp_path / "archive")
+
+
+def test_short_block_hash_file_is_reported_as_corruption(tmp_path):
+    archive = balance_history(tmp_path / "archive")
+    hashes = tmp_path / "archive" / "blockhash.dat"
+    hashes.write_bytes(hashes.read_bytes()[:-1])  # the record of block 4 loses a byte
+    assert len(archive.block_hash(3)) == 32
+    with pytest.raises(CorruptionError, match="block 4"):
+        archive.block_hash(4)
+    archive.close()
+    with pytest.raises(CorruptionError, match="watermark 4"):
+        ArchiveDb(tmp_path / "archive")
+    hashes.unlink()
+    with pytest.raises(CorruptionError, match="watermark 4"):
         ArchiveDb(tmp_path / "archive")
 
 
@@ -462,43 +506,86 @@ def test_query_at_watermark_reads_only_the_newest_run(tmp_path):
     runs = reopened._tables["storage"].runs
     assert len(runs) == 5
     assert reopened.get_storage_at(a1, key(1), 10) == val(10)
-    assert [run.data is not None for run in runs] == [False, False, False, False, True]
+    assert [run.fences is not None for run in runs] == [False, False, False, False, True]
     # A query inside history reads only the run that covers its block.
     assert reopened.get_storage_at(a1, key(1), 5) == val(5)
-    assert [run.data is not None for run in runs] == [False, False, True, False, True]
+    assert [run.fences is not None for run in runs] == [False, False, True, False, True]
     reopened.close()
 
 
-def test_concurrent_first_reads_load_each_run_once(tmp_path, monkeypatch):
+def test_open_maps_each_listed_run_once(tmp_path, monkeypatch):
     a1 = addr(1)
     diffs = [diff(block, AccountUpdate(address=a1, balance=block, slots=((key(1), val(block)),))) for block in range(1, 9)]
+    oracle = ReferenceOracle()
+    for block_diff in diffs:
+        oracle.apply_block(block_diff)
     archive = ArchiveDb(tmp_path / "archive", ArchiveConfig(batch_blocks=2, merge_fanout=0))
     feed(archive, diffs)
+    listed = sorted(file for files in archive.run_files().values() for file in files)
     archive.close()
-    reopened = ArchiveDb(tmp_path / "archive", ArchiveConfig(batch_blocks=2, merge_fanout=0))
-    loads = []
-    read_bytes = pathlib.Path.read_bytes
+    mapped, read = [], []
+    map_run, read_bytes = archive_module.map_run, pathlib.Path.read_bytes
 
-    def slow_read_bytes(path):
-        loads.append(path.name)
-        time.sleep(0.05)  # widen the window in which a second reader could load the same run
+    def counting_map_run(path, count, entry_size):
+        mapped.append(path.name)
+        return map_run(path, count, entry_size)
+
+    def counting_read_bytes(path):
+        read.append(path.name)
         return read_bytes(path)
 
-    monkeypatch.setattr(pathlib.Path, "read_bytes", slow_read_bytes)
+    monkeypatch.setattr(archive_module, "map_run", counting_map_run)
+    monkeypatch.setattr(pathlib.Path, "read_bytes", counting_read_bytes)
+    reopened = ArchiveDb(tmp_path / "archive", ArchiveConfig(batch_blocks=2, merge_fanout=0))
+    assert sorted(mapped) == listed
     start = threading.Barrier(4)
     answers = []
 
     def reader():
         start.wait(timeout=10)
-        answers.append((reopened.get_storage_at(a1, key(1), 1), reopened.get_balance_at(a1, 1)))
+        for block in range(9):
+            answers.append(
+                (reopened.get_storage_at(a1, key(1), block), oracle.storage_at(a1, key(1), block))
+            )
+            answers.append((reopened.get_balance_at(a1, block), oracle.balance_at(a1, block)))
 
     threads = [threading.Thread(target=reader) for _ in range(4)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=30)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert answers == [(val(1), 1)] * 4
-    assert sorted(loads) == sorted(set(loads)), f"a run was read more than once: {sorted(loads)}"
-    assert {name.split("-")[0] for name in loads} == {"storage", "balance"}
+    assert len(answers) == 4 * 9 * 2
+    assert all(got == expected for got, expected in answers)
+    assert sorted(mapped) == listed  # reads map nothing more
+    assert not [name for name in read if name.endswith(".run")]
     reopened.close()
+
+
+def test_snapshot_from_before_a_merge_still_answers(tmp_path):
+    spec = WorkloadSpec(seed=31, blocks=4, accounts=12, txs_per_block=4, slot_writes_per_tx=2, new_key_ratio=0.5, delete_ratio=0.0)
+    diffs = list(generate(spec))
+    oracle, addresses, pairs, _, _ = history_facts(diffs)
+    archive = ArchiveDb(tmp_path / "archive", ArchiveConfig(batch_blocks=2, merge_fanout=2))
+    feed(archive, diffs[:2])
+    storage, balance = archive._tables["storage"], archive._tables["balance"]
+    snapshots = {"storage": storage.newest_first, "balance": balance.newest_first}
+    victims = [run.file for runs in snapshots.values() for run in runs]
+    assert len(victims) == 2
+    feed(archive, diffs[2:])  # the second batch run merges with the first, whose file is unlinked
+    assert not any((tmp_path / "archive" / file).exists() for file in victims)
+    assert not set(victims) & {file for files in archive.run_files().values() for file in files}
+    reinc = (0).to_bytes(REINC_SIZE, "big")  # no deletions: every account keeps reincarnation 0
+    for block in range(3):
+        for address in addresses:
+            best = balance.floor(snapshots["balance"], address, block)
+            assert (int.from_bytes(best[1], "big") if best else 0) == oracle.balance_at(address, block)
+        for address, slot_key in pairs:
+            best = storage.floor(snapshots["storage"], address + reinc + slot_key, block)
+            assert (best[1] if best else ZERO_VALUE) == oracle.storage_at(address, slot_key, block)
+    archive.close()

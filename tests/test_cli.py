@@ -77,7 +77,8 @@ def test_replay_cli_emits_expected_csv(tmp_path):
         ]
     )
     assert code == 0
-    rows = list(csv.DictReader(out.open()))
+    with out.open() as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == SPEC.blocks // 10
     assert [int(r["block_height"]) for r in rows] == [10, 20, 30, 40]
     for row in rows:
@@ -149,7 +150,8 @@ def test_sweep_cli_memory_mode(tmp_path):
         ]
     )
     assert code == 0
-    rows = list(csv.DictReader(out.open()))
+    with out.open() as fh:
+        rows = list(csv.DictReader(fh))
     assert [int(r["page_size"]) for r in rows] == [256, 1024]
     for row in rows:
         assert float(row["ns_per_hash"]) > 0
@@ -177,7 +179,8 @@ def test_sweep_cli_io_mode(tmp_path):
         ]
     )
     assert code == 0
-    rows = list(csv.DictReader(out.open()))
+    with out.open() as fh:
+        rows = list(csv.DictReader(fh))
     assert [int(r["page_size"]) for r in rows] == [1024, 4096]  # paper's io optimum is reported
     for row in rows:
         assert row["mode"] == "io"
