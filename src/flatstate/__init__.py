@@ -8,7 +8,7 @@ workload generator, a replay harness, and a reference oracle round out
 the package.
 """
 
-from .archive import ArchiveConfig, ArchiveDb
+from .archive import ArchiveDb
 from .errors import (
     BoundsError,
     CorruptionError,
@@ -19,14 +19,13 @@ from .errors import (
     UnavailableError,
     ValidationError,
 )
-from .livedb import LiveDb, LiveDbConfig, WorldstateRoot
+from .livedb import LiveDb, WorldstateRoot
 from .oracle import ReferenceOracle
 from .types import AccountUpdate, BlockDiff, canonicalize_diff, serialize_update
 from .workload import WorkloadSpec, generate, read_workload, write_workload
 
 __all__ = [
     "AccountUpdate",
-    "ArchiveConfig",
     "ArchiveDb",
     "BlockDiff",
     "BoundsError",
@@ -34,7 +33,6 @@ __all__ = [
     "FlatStateError",
     "FormatError",
     "LiveDb",
-    "LiveDbConfig",
     "ReferenceOracle",
     "SequenceError",
     "StorageError",

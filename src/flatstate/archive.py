@@ -34,6 +34,8 @@ from .metafile import read_meta, write_meta
 from .types import (
     ADDRESS_SIZE,
     BALANCE_SIZE,
+    BLOCK_SIZE,
+    MAX_BLOCK,
     BlockDiff,
     KEY_SIZE,
     NONCE_SIZE,
@@ -45,8 +47,9 @@ from .types import (
 )
 
 FORMAT_VERSION = 1
-BLOCK_FIELD = 8
-MAX_BLOCK = (1 << (8 * BLOCK_FIELD)) - 1
+QUEUE_DEPTH = 256  # blocks queued before append_block blocks (backpressure)
+BATCH_BLOCKS = 16  # blocks persisted per commit batch; flush cuts a batch early
+MERGE_FANOUT = 4  # runs on one level that trigger their merge into the next
 # Every FENCE_STRIDE-th entry key of a run is kept in memory as a fence
 # pointer, so a search bisects the fences in C and then at most this many
 # entries in Python.
@@ -66,7 +69,7 @@ class TableSpec:
 
     @property
     def entry_size(self) -> int:
-        return self.prefix_size + BLOCK_FIELD + self.payload_size
+        return self.prefix_size + BLOCK_SIZE + self.payload_size
 
 
 TABLES = {
@@ -103,20 +106,13 @@ def map_run(path: Path, count: int, entry_size: int) -> mmap.mmap:
         return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
 
 
-@dataclass
-class ArchiveConfig:
-    queue_depth: int = 256
-    merge_fanout: int = 4  # runs per level that trigger a merge; 0 disables merging
-    batch_blocks: int = 16  # blocks persisted per commit batch; flush cuts a batch early
-
-
 class _SortedTable:
     """Run bookkeeping and floor search for one log table."""
 
     def __init__(self, spec: TableSpec):
         self.spec = spec
         self.entry_size = spec.entry_size
-        self.key_size = spec.prefix_size + BLOCK_FIELD
+        self.key_size = spec.prefix_size + BLOCK_SIZE
         self.runs: list[RunRef] = []  # in meta.json order
         self.newest_first: tuple[RunRef, ...] = ()  # the snapshot readers search
 
@@ -135,7 +131,7 @@ class _SortedTable:
         as new as a run's ``last``, no remaining run can hold a better one.
         """
         prefix_size, key_size = self.spec.prefix_size, self.key_size
-        target = prefix + block.to_bytes(BLOCK_FIELD, "big")
+        target = prefix + block.to_bytes(BLOCK_SIZE, "big")
         best: tuple[int, bytes] | None = None
         for run in runs:
             if best is not None and best[0] >= run.last:
@@ -177,10 +173,9 @@ class _SortedTable:
 
 
 class ArchiveDb:
-    def __init__(self, data_dir: Path, config: ArchiveConfig | None = None):
+    def __init__(self, data_dir: Path):
         self.data_dir = Path(data_dir)
         self.data_dir.mkdir(parents=True, exist_ok=True)
-        self.config = config or ArchiveConfig()
         self._lock = threading.Lock()
         self._tables = {name: _SortedTable(spec) for name, spec in TABLES.items()}
         self._next_seq = 0
@@ -192,7 +187,7 @@ class ArchiveDb:
         self._account_hash: dict[bytes, bytes] = {}
         self._account_state: dict[bytes, tuple[bool, int]] = {}
         self._rebuild_account_maps()
-        self._queue: queue.Queue = queue.Queue(maxsize=self.config.queue_depth)
+        self._queue: queue.Queue = queue.Queue(maxsize=QUEUE_DEPTH)
         self._next_block = self.watermark
         self._error: Exception | None = None
         self._closed = False
@@ -206,7 +201,7 @@ class ArchiveDb:
 
         Returns as soon as the diff is queued; blocks only while the queue
         is full (backpressure). The appender persists blocks in commit
-        batches (``batch_blocks`` at a time, or earlier when flush/close
+        batches (``BATCH_BLOCKS`` at a time, or earlier when flush/close
         cuts a batch) and readers see the new watermark only after the
         whole batch is on disk.
         """
@@ -231,9 +226,9 @@ class ArchiveDb:
         self._closed = True
         self._queue.put(_CLOSE)
         self._appender.join()
-        with self._lock:  # block_hash reads the descriptor under this lock
+        with self._lock:  # readers pread these descriptors under this lock
             self._blockhash_fh.close()
-        self._blob_fh.close()
+            self._blob_fh.close()
         self._raise_pending_error()
 
     # -- queries ---------------------------------------------------------
@@ -332,7 +327,7 @@ class ArchiveDb:
                     return
                 continue
             batch.append(item)
-            if len(batch) >= max(1, self.config.batch_blocks):
+            if len(batch) >= BATCH_BLOCKS:
                 commit()
 
     def _process_batch(self, diffs: list[BlockDiff]) -> None:
@@ -342,7 +337,7 @@ class ArchiveDb:
         pending_code_hashes: set[bytes] = set()
         previous = self._last_block_hash
         for diff in diffs:
-            block_field = diff.block.to_bytes(BLOCK_FIELD, "big")
+            block_field = diff.block.to_bytes(BLOCK_SIZE, "big")
             account_hashes: list[bytes] = []
             for update in diff.updates:
                 addr = update.address
@@ -396,9 +391,8 @@ class ArchiveDb:
                 table.publish(table.runs + [run])
             self.watermark = diffs[-1].block
             self._write_meta()
-        if self.config.merge_fanout > 0:
-            for name in new_runs:
-                self._maybe_merge(name)
+        for name in new_runs:
+            self._maybe_merge(name)
 
     def _write_run(self, table: str, rows: list[bytes], level: int, first: int, last: int) -> RunRef:
         # A run is reachable only once the metadata lists it, so a partial
@@ -419,7 +413,7 @@ class ArchiveDb:
                 by_level.setdefault(run.level, []).append(run)
             target = None
             for level in sorted(by_level):
-                if len(by_level[level]) >= self.config.merge_fanout:
+                if len(by_level[level]) >= MERGE_FANOUT:
                     target = level
                     break
             if target is None:
@@ -457,7 +451,13 @@ class ArchiveDb:
         if located is None:
             raise CorruptionError(f"code body for digest {code_hash.hex()} is missing from the blob")
         offset, length = located
-        return os.pread(self._blob_fh.fileno(), length, offset)
+        with self._lock:
+            if self._closed:
+                raise StorageError("archive is closed")
+            body = os.pread(self._blob_fh.fileno(), length, offset)
+        if len(body) != length:
+            raise CorruptionError(f"code body for digest {code_hash.hex()} is cut short in the blob")
+        return body
 
     # -- persistence -----------------------------------------------------
 
@@ -512,35 +512,40 @@ class ArchiveDb:
         path = self.data_dir / "codeblob.dat"
         self._blob_fh = open(path, "r+b" if path.exists() else "w+b")
         self._code_offsets: dict[bytes, tuple[int, int]] = {}
-        self._blob_size = os.fstat(self._blob_fh.fileno()).st_size
+        size = os.fstat(self._blob_fh.fileno()).st_size
         offset = 0
-        while offset < self._blob_size:
+        while offset + HASH_SIZE + 4 <= size:
             # Only the record headers are read; bodies are read on demand.
             header = os.pread(self._blob_fh.fileno(), HASH_SIZE + 4, offset)
             body_at = offset + HASH_SIZE + 4
             length = int.from_bytes(header[HASH_SIZE:], "big")
+            if body_at + length > size:
+                break
             self._code_offsets[header[:HASH_SIZE]] = (body_at, length)
             offset = body_at + length
+        if offset < size:
+            # A record cut short by a crash belongs to a batch that was never
+            # published; drop it so its body is appended again in full.
+            self._blob_fh.truncate(offset)
+        self._blob_size = offset
 
     def _rebuild_account_maps(self) -> None:
-        latest_state: dict[bytes, tuple[int, bytes]] = {}
-        for run in self._tables["state"].runs:
-            for entry in self._tables["state"].iter_entries(run):
-                addr = entry[:ADDRESS_SIZE]
-                block = int.from_bytes(entry[ADDRESS_SIZE : ADDRESS_SIZE + BLOCK_FIELD], "big")
-                if addr not in latest_state or block > latest_state[addr][0]:
-                    latest_state[addr] = (block, entry[ADDRESS_SIZE + BLOCK_FIELD :])
-        for addr, (_, payload) in latest_state.items():
+        for addr, (_, payload) in self._newest_entries("state").items():
             self._account_state[addr] = (payload[0] == 1, int.from_bytes(payload[1:], "big"))
-        latest_hash: dict[bytes, tuple[int, bytes]] = {}
-        for run in self._tables["accthash"].runs:
-            for entry in self._tables["accthash"].iter_entries(run):
-                addr = entry[:ADDRESS_SIZE]
-                block = int.from_bytes(entry[ADDRESS_SIZE : ADDRESS_SIZE + BLOCK_FIELD], "big")
-                if addr not in latest_hash or block > latest_hash[addr][0]:
-                    latest_hash[addr] = (block, entry[ADDRESS_SIZE + BLOCK_FIELD :])
-        for addr, (_, payload) in latest_hash.items():
+        for addr, (_, payload) in self._newest_entries("accthash").items():
             self._account_hash[addr] = payload
+
+    def _newest_entries(self, name: str) -> dict[bytes, tuple[int, bytes]]:
+        """(block, payload) of each address's newest entry in a table keyed by address."""
+        table = self._tables[name]
+        newest: dict[bytes, tuple[int, bytes]] = {}
+        for run in table.runs:
+            for entry in table.iter_entries(run):
+                addr = entry[:ADDRESS_SIZE]
+                block = int.from_bytes(entry[ADDRESS_SIZE : ADDRESS_SIZE + BLOCK_SIZE], "big")
+                if addr not in newest or block > newest[addr][0]:
+                    newest[addr] = (block, entry[ADDRESS_SIZE + BLOCK_SIZE :])
+        return newest
 
     def _raise_pending_error(self) -> None:
         if self._error is not None:

@@ -12,7 +12,7 @@ from pathlib import Path
 from .archive import ArchiveDb
 from .errors import FlatStateError
 from .hashtree import HashTree
-from .livedb import LiveDb, LiveDbConfig
+from .livedb import LiveDb
 from .store import RecordStore
 from .workload import read_spec, read_workload
 
@@ -44,7 +44,6 @@ def replay_workload(
     db_dir: Path,
     archive_mode: str = "none",
     page_size: int = 4096,
-    cache: int = 1 << 16,
     sample_every: int = 0,
 ) -> ReplaySummary:
     """Apply every diff in ``workload`` to a fresh LiveDb under ``db_dir``.
@@ -59,7 +58,7 @@ def replay_workload(
     db_dir = Path(db_dir)
     live_dir = db_dir / "live"
     archive_dir = db_dir / "archive" if archive_mode == "custom" else None
-    live = LiveDb(live_dir, LiveDbConfig(page_size=page_size, cache_entries=cache))
+    live = LiveDb(live_dir, page_size=page_size)
     archive = ArchiveDb(archive_dir) if archive_dir is not None else None
     samples: list[BenchSample] = []
     blocks = 0

@@ -11,16 +11,12 @@ class LruCache:
         self._entries: OrderedDict = OrderedDict()
 
     def get(self, key):
-        if self.capacity <= 0:
-            return None
         value = self._entries.get(key)
         if value is not None:
             self._entries.move_to_end(key)
         return value
 
     def put(self, key, value) -> None:
-        if self.capacity <= 0:
-            return
         self._entries[key] = value
         self._entries.move_to_end(key)
         if len(self._entries) > self.capacity:

@@ -33,7 +33,6 @@ def cmd_replay(args) -> int:
         Path(args.db_dir),
         archive_mode=args.archive,
         page_size=args.page_size,
-        cache=args.cache,
         sample_every=args.sample_every,
     )
     out = open(args.out, "w", newline="") if args.out else sys.stdout
@@ -121,7 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--db-dir", required=True)
     replay.add_argument("--archive", choices=("none", "custom"), default="none")
     replay.add_argument("--page-size", type=int, default=4096)
-    replay.add_argument("--cache", type=int, default=1 << 16)
     replay.add_argument("--sample-every", type=int, default=0, metavar="N")
     replay.add_argument("--out", help="write the sample CSV here instead of stdout")
     replay.set_defaults(func=cmd_replay)

@@ -41,6 +41,8 @@ from .types import (
 )
 
 FORMAT_VERSION = 1
+POOL_CAPACITY = 1024  # pages each store, index and key file keeps in memory
+KEY_CACHE_ENTRIES = 1 << 16  # addresses and slot keys each LRU cache remembers
 ROOT_ORDER = ("balance", "nonce", "exists", "reinc", "code", "values", "a_index", "ak_index")
 
 AK_KEY_SIZE = ADDRESS_SIZE + REINC_SIZE + KEY_SIZE
@@ -52,18 +54,11 @@ class WorldstateRoot:
     block: int
 
 
-@dataclass
-class LiveDbConfig:
-    page_size: int = 4096
-    pool_capacity: int = 1024
-    cache_entries: int = 1 << 16
-
-
 class LiveDb:
-    def __init__(self, data_dir: Path, config: LiveDbConfig | None = None):
+    def __init__(self, data_dir: Path, *, page_size: int = 4096):
         self.data_dir = Path(data_dir)
         self.data_dir.mkdir(parents=True, exist_ok=True)
-        self.config = config or LiveDbConfig()
+        self.page_size = page_size  # fixed when the database is created; recorded in meta.json
         meta = self._read_meta()
         self.block = meta["block"]
         accounts = meta["accounts"]
@@ -76,8 +71,8 @@ class LiveDb:
         self.values = self._store("values", VALUE_SIZE, slots)
         self.a_index = self._index("addr", ADDRESS_SIZE, meta.get("a_index"))
         self.ak_index = self._index("slots", AK_KEY_SIZE, meta.get("ak_index"))
-        self._a_cache = LruCache(self.config.cache_entries)
-        self._ak_cache = LruCache(self.config.cache_entries)
+        self._a_cache = LruCache(KEY_CACHE_ENTRIES)
+        self._ak_cache = LruCache(KEY_CACHE_ENTRIES)
         self._last_diff: BlockDiff | None = None
         self._root_cache: bytes | None = None
 
@@ -226,8 +221,8 @@ class LiveDb:
             self.data_dir / f"{name}.dat",
             record_size,
             count=count,
-            page_size=self.config.page_size,
-            capacity=self.config.pool_capacity,
+            page_size=self.page_size,
+            capacity=POOL_CAPACITY,
             tree_path=self.data_dir / f"{name}.tree",
         )
 
@@ -235,8 +230,8 @@ class LiveDb:
         pool = PagePool(
             PoolConfig(
                 file_path=self.data_dir / f"{name}.buckets",
-                page_size=self.config.page_size,
-                capacity=self.config.pool_capacity,
+                page_size=self.page_size,
+                capacity=POOL_CAPACITY,
             )
         )
         count = state["count"] if state else 0
@@ -244,8 +239,8 @@ class LiveDb:
             self.data_dir / f"{name}.keys",
             key_width,
             count=count,
-            page_size=self.config.page_size,
-            capacity=self.config.pool_capacity,
+            page_size=self.page_size,
+            capacity=POOL_CAPACITY,
             tree_path=self.data_dir / f"{name}.tree",
         )
         return LinearHashIndex(pool, reverse, key_width, state=state)
@@ -260,16 +255,16 @@ class LiveDb:
         meta = read_meta(path)
         if meta.get("format") != FORMAT_VERSION:
             raise CorruptionError(f"unsupported metadata format in {path}: {meta.get('format')}")
-        if meta.get("page_size", self.config.page_size) != self.config.page_size:
+        if meta.get("page_size", self.page_size) != self.page_size:
             raise CorruptionError(
-                f"database was created with page_size {meta.get('page_size')}, opened with {self.config.page_size}"
+                f"database was created with page_size {meta.get('page_size')}, opened with {self.page_size}"
             )
         return meta
 
     def _write_meta(self) -> None:
         meta = {
             "format": FORMAT_VERSION,
-            "page_size": self.config.page_size,
+            "page_size": self.page_size,
             "block": self.block,
             "accounts": self.a_index.count,
             "slots": self.ak_index.count,

@@ -126,7 +126,7 @@ class Depot:
         meta = offset.to_bytes(8, "big") + len(code).to_bytes(4, "big") + digest(code)
         self.meta.set(record, meta)
 
-    def get(self, record: int, verify: bool = True) -> bytes:
+    def get(self, record: int) -> bytes:
         meta = self.meta.get(record)
         offset = int.from_bytes(meta[0:8], "big")
         length = int.from_bytes(meta[8:12], "big")
@@ -139,7 +139,7 @@ class Depot:
                 code = self._blob.read(length)
             except OSError as exc:
                 raise StorageError(f"blob read failed: {exc}", path=self.blob_path, offset=offset) from exc
-        if verify and digest(code) != stored_hash:
+        if digest(code) != stored_hash:
             raise CorruptionError(f"code record {record} does not match its stored digest")
         return code
 

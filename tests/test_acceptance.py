@@ -11,11 +11,12 @@ import time
 import pytest
 
 from flatstate import bench
+from flatstate import livedb as livedb_module
 from flatstate.archive import ArchiveDb
 from flatstate.digest import digest_count
 from flatstate.hashtree import HashTree
 from flatstate.index import LinearHashIndex
-from flatstate.livedb import LiveDb, LiveDbConfig
+from flatstate.livedb import LiveDb
 from flatstate.oracle import ReferenceOracle
 from flatstate.pagepool import PagePool, PoolConfig
 from flatstate.store import RecordStore
@@ -147,16 +148,13 @@ def test_criterion_03_lazy_eager_hash_equivalence():
     report(3, f"{roots_checked} lazy roots equal eager recomputation; clean repeats hash nothing")
 
 
-def test_criterion_04_replication_determinism(tmp_path):
+def test_criterion_04_replication_determinism(tmp_path, monkeypatch):
     """Identical diff streams produce identical roots and identical bytes."""
     replicas = []
     for name in ("one", "two"):
-        replicas.append(
-            (
-                LiveDb(tmp_path / name / "live", LiveDbConfig(cache_entries=0 if name == "two" else 1 << 16)),
-                ArchiveDb(tmp_path / name / "archive"),
-            )
-        )
+        if name == "two":
+            monkeypatch.setattr(livedb_module, "KEY_CACHE_ENTRIES", 0)  # the second replica runs uncached
+        replicas.append((LiveDb(tmp_path / name / "live"), ArchiveDb(tmp_path / name / "archive")))
     blocks = 0
     for diff in generate(MEDIUM_SPEC):
         roots = []

@@ -10,7 +10,7 @@ import threading
 import pytest
 
 from flatstate import archive as archive_module
-from flatstate.archive import MAX_BLOCK, ArchiveConfig, ArchiveDb
+from flatstate.archive import MAX_BLOCK, ArchiveDb
 from flatstate.errors import CorruptionError, SequenceError, StorageError, UnavailableError
 from flatstate.oracle import ReferenceOracle
 from flatstate.types import REINC_SIZE, AccountUpdate, BlockDiff, ZERO_VALUE, serialize_update
@@ -18,9 +18,17 @@ from flatstate.workload import WorkloadSpec, generate
 
 from util import addr, key, sha, val
 
+NO_MERGE = 1 << 30  # a merge fanout no test reaches
+
 
 def diff(block, *updates):
     return BlockDiff(block=block, updates=tuple(updates))
+
+
+def patch_appender(monkeypatch, batch_blocks, merge_fanout):
+    """Blocks per commit batch and runs per merge for archives this test opens."""
+    monkeypatch.setattr(archive_module, "BATCH_BLOCKS", batch_blocks)
+    monkeypatch.setattr(archive_module, "MERGE_FANOUT", merge_fanout)
 
 
 def feed(archive, diffs):
@@ -155,11 +163,13 @@ def test_perturbed_update_changes_block_hash(tmp_path):
     two.close()
 
 
-def test_hash_determinism_across_instances(tmp_path):
+def test_hash_determinism_across_instances(tmp_path, monkeypatch):
     spec = WorkloadSpec(seed=5, blocks=30, accounts=40, txs_per_block=4, slot_writes_per_tx=2, new_key_ratio=0.5, delete_ratio=0.05)
     one = ArchiveDb(tmp_path / "one")
-    two = ArchiveDb(tmp_path / "two", ArchiveConfig(merge_fanout=2))
     feed(one, generate(spec))
+    # Merges run only while appending, so the second archive merges at fanout 2 alone.
+    monkeypatch.setattr(archive_module, "MERGE_FANOUT", 2)
+    two = ArchiveDb(tmp_path / "two")
     feed(two, generate(spec))
     for block in range(spec.blocks + 1):
         assert one.block_hash(block) == two.block_hash(block)
@@ -171,7 +181,7 @@ def test_sequencing_and_watermark_errors(tmp_path):
     archive = ArchiveDb(tmp_path / "archive")
     with pytest.raises(SequenceError):
         archive.append_block(diff(2))
-    feed(archive, [diff(1)])
+    feed(archive, [diff(1, AccountUpdate(address=addr(1), code=b"aa"))])
     with pytest.raises(UnavailableError):
         archive.get_storage_at(addr(1), key(1), 2)
     with pytest.raises(UnavailableError):
@@ -179,10 +189,13 @@ def test_sequencing_and_watermark_errors(tmp_path):
     archive.close()
     with pytest.raises(StorageError, match="closed"):
         archive.block_hash(1)
+    with pytest.raises(StorageError, match="closed"):
+        archive.get_code_at(addr(1), 1)
 
 
-def test_runs_are_immutable_and_grow_without_merging(tmp_path):
-    archive = ArchiveDb(tmp_path / "archive", ArchiveConfig(merge_fanout=0))
+def test_runs_are_immutable_and_grow_without_merging(tmp_path, monkeypatch):
+    monkeypatch.setattr(archive_module, "MERGE_FANOUT", NO_MERGE)
+    archive = ArchiveDb(tmp_path / "archive")
     spec = WorkloadSpec(seed=2, blocks=20, accounts=20, txs_per_block=3, slot_writes_per_tx=2, new_key_ratio=0.5, delete_ratio=0.0)
     snapshots = {}
     seen_files = set()
@@ -200,16 +213,13 @@ def test_runs_are_immutable_and_grow_without_merging(tmp_path):
     archive.close()
 
 
-def test_merging_preserves_entries_and_answers(tmp_path):
+def test_merging_preserves_entries_and_answers(tmp_path, monkeypatch):
     spec = WorkloadSpec(seed=3, blocks=40, accounts=30, txs_per_block=4, slot_writes_per_tx=3, new_key_ratio=0.4, delete_ratio=0.04)
-    merged = ArchiveDb(tmp_path / "merged", ArchiveConfig(merge_fanout=2))
-    plain = ArchiveDb(tmp_path / "plain", ArchiveConfig(merge_fanout=0))
+    diffs = list(generate(spec))
     oracle = ReferenceOracle()
     changes = {"storage": 0, "balance": 0, "nonce": 0, "code": 0, "state": 0, "accthash": 0}
     touched = set()
-    for block_diff in generate(spec):
-        merged.append_block(block_diff)
-        plain.append_block(block_diff)
+    for block_diff in diffs:
         oracle.apply_block(block_diff)
         for update in block_diff.updates:
             changes["storage"] += len(update.slots)
@@ -220,8 +230,13 @@ def test_merging_preserves_entries_and_answers(tmp_path):
             changes["accthash"] += 1
             for slot_key, _ in update.slots:
                 touched.add((update.address, slot_key))
-    merged.flush()
-    plain.flush()
+    # Merges run only while appending, so each archive is fed under its own fanout.
+    monkeypatch.setattr(archive_module, "MERGE_FANOUT", 2)
+    merged = ArchiveDb(tmp_path / "merged")
+    feed(merged, diffs)
+    monkeypatch.setattr(archive_module, "MERGE_FANOUT", NO_MERGE)
+    plain = ArchiveDb(tmp_path / "plain")
+    feed(plain, diffs)
     # Entry counts equal change counts exactly: history grows with change
     # volume, never with live-state size, and merging drops nothing.
     for table, expected in changes.items():
@@ -303,16 +318,17 @@ def test_torn_meta_is_reported_as_corruption(tmp_path):
         ArchiveDb(tmp_path / "archive")
 
 
-def balance_history(directory):
+def balance_history(directory, monkeypatch):
     """Blocks 1..4 set addr(1)'s balance to the block number, two blocks per run."""
-    archive = ArchiveDb(directory, ArchiveConfig(batch_blocks=2, merge_fanout=0))
+    patch_appender(monkeypatch, batch_blocks=2, merge_fanout=NO_MERGE)
+    archive = ArchiveDb(directory)
     feed(archive, [diff(block, AccountUpdate(address=addr(1), balance=block)) for block in range(1, 5)])
     return archive
 
 
 @pytest.mark.parametrize("damage", ["truncated", "missing", "empty"])
-def test_damaged_run_file_is_reported_on_open(tmp_path, damage):
-    balance_history(tmp_path / "archive").close()
+def test_damaged_run_file_is_reported_on_open(tmp_path, monkeypatch, damage):
+    balance_history(tmp_path / "archive", monkeypatch).close()
     meta_path = tmp_path / "archive" / "meta.json"
     meta = json.loads(meta_path.read_text())
     run = meta["tables"]["balance"][-1]
@@ -329,8 +345,8 @@ def test_damaged_run_file_is_reported_on_open(tmp_path, damage):
         ArchiveDb(tmp_path / "archive")
 
 
-def test_short_block_hash_file_is_reported_as_corruption(tmp_path):
-    archive = balance_history(tmp_path / "archive")
+def test_short_block_hash_file_is_reported_as_corruption(tmp_path, monkeypatch):
+    archive = balance_history(tmp_path / "archive", monkeypatch)
     hashes = tmp_path / "archive" / "blockhash.dat"
     hashes.write_bytes(hashes.read_bytes()[:-1])  # the record of block 4 loses a byte
     assert len(archive.block_hash(3)) == 32
@@ -361,7 +377,28 @@ def test_code_bodies_are_deduplicated(tmp_path):
     archive.close()
 
 
-def test_concurrent_reader_sees_only_published_blocks(tmp_path):
+def test_torn_code_record_is_dropped_on_open(tmp_path):
+    kept, body = b"\x01" * 50, bytes(range(256)) * 4
+    archive = ArchiveDb(tmp_path / "archive")
+    feed(archive, [diff(1, AccountUpdate(address=addr(2), code=kept))])
+    archive.close()
+    blob = tmp_path / "archive" / "codeblob.dat"
+    complete = blob.read_bytes()
+    # A crash while appending the body of block 2's code: header and 100 of 1,024 bytes reached the file.
+    with blob.open("ab") as fh:
+        fh.write(sha(body) + len(body).to_bytes(4, "big") + body[:100])
+    reopened = ArchiveDb(tmp_path / "archive")
+    assert blob.read_bytes() == complete
+    feed(reopened, [diff(2, AccountUpdate(address=addr(1), code=body))])
+    assert reopened.get_code_at(addr(1), 2) == body
+    assert reopened.get_code_at(addr(2), 2) == kept
+    blob.write_bytes(blob.read_bytes()[:-1])  # the body loses its last byte under the open archive
+    with pytest.raises(CorruptionError, match="cut short"):
+        reopened.get_code_at(addr(1), 2)
+    reopened.close()
+
+
+def test_concurrent_reader_sees_only_published_blocks(tmp_path, monkeypatch):
     spec = WorkloadSpec(seed=13, blocks=60, accounts=50, txs_per_block=4, slot_writes_per_tx=3, new_key_ratio=0.4, delete_ratio=0.05)
     diffs = list(generate(spec))
     oracle = ReferenceOracle()
@@ -372,7 +409,8 @@ def test_concurrent_reader_sees_only_published_blocks(tmp_path):
             for slot_key, _ in update.slots:
                 pairs.add((update.address, slot_key))
     pairs = sorted(pairs)
-    archive = ArchiveDb(tmp_path / "archive", ArchiveConfig(merge_fanout=2))
+    monkeypatch.setattr(archive_module, "MERGE_FANOUT", 2)
+    archive = ArchiveDb(tmp_path / "archive")
     failures = []
     stop = threading.Event()
 
@@ -440,13 +478,13 @@ def assert_answers_match(archive, oracle, addresses, pairs, blocks):
 
 
 @pytest.mark.parametrize("fanout", [2, 0])
-def test_newest_first_search_matches_oracle(tmp_path, fanout):
+def test_newest_first_search_matches_oracle(tmp_path, monkeypatch, fanout):
     diffs = list(generate(SEARCH_SPEC))
     oracle, addresses, pairs, first_write, recreated = history_facts(diffs)
     assert recreated, "workload must delete and recreate an account"
     assert max(first_write.values()) > 3, "some account must be first written after the first batch"
-    config = ArchiveConfig(batch_blocks=3, merge_fanout=fanout)
-    archive = ArchiveDb(tmp_path / "archive", config)
+    patch_appender(monkeypatch, batch_blocks=3, merge_fanout=fanout or NO_MERGE)
+    archive = ArchiveDb(tmp_path / "archive")
     feed(archive, diffs)
     ranges = run_ranges(tmp_path / "archive")
     for table, spans in ranges.items():
@@ -462,17 +500,17 @@ def test_newest_first_search_matches_oracle(tmp_path, fanout):
     recreated_pairs = [(address, slot_key) for address, slot_key in pairs if address in recreated]
     assert_answers_match(archive, oracle, sorted(recreated), recreated_pairs, range(SEARCH_SPEC.blocks + 1))
     archive.close()
-    reopened = ArchiveDb(tmp_path / "archive", config)
+    reopened = ArchiveDb(tmp_path / "archive")
     assert {name: [(run.first, run.last) for run in table.runs] for name, table in reopened._tables.items()} == ranges
     assert_answers_match(reopened, oracle, addresses, pairs, range(SEARCH_SPEC.blocks + 1))
     reopened.close()
 
 
-def test_runs_without_block_ranges_still_answer(tmp_path):
+def test_runs_without_block_ranges_still_answer(tmp_path, monkeypatch):
     diffs = list(generate(SEARCH_SPEC))
     oracle, addresses, pairs, _, _ = history_facts(diffs)
-    config = ArchiveConfig(batch_blocks=3, merge_fanout=2)
-    archive = ArchiveDb(tmp_path / "archive", config)
+    patch_appender(monkeypatch, batch_blocks=3, merge_fanout=2)
+    archive = ArchiveDb(tmp_path / "archive")
     feed(archive, diffs[:15])  # five batches: one merged run plus one unmerged run per table
     archive.close()
     meta_path = tmp_path / "archive" / "meta.json"
@@ -483,7 +521,7 @@ def test_runs_without_block_ranges_still_answer(tmp_path):
             del run["first"], run["last"]
     meta_path.write_text(json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n")
 
-    legacy = ArchiveDb(tmp_path / "archive", config)
+    legacy = ArchiveDb(tmp_path / "archive")
     assert_answers_match(legacy, oracle, addresses, pairs, range(16))
     feed(legacy, diffs[15:])
     # The next batch merged with the bound-less run: its range is unknown.
@@ -495,14 +533,15 @@ def test_runs_without_block_ranges_still_answer(tmp_path):
     legacy.close()
 
 
-def test_query_at_watermark_reads_only_the_newest_run(tmp_path):
+def test_query_at_watermark_reads_only_the_newest_run(tmp_path, monkeypatch):
     """A key written in the last batch is answered without reading any older storage run."""
     a1 = addr(1)
     diffs = [diff(block, AccountUpdate(address=a1, slots=((key(1), val(block)),))) for block in range(1, 11)]
-    archive = ArchiveDb(tmp_path / "archive", ArchiveConfig(batch_blocks=2, merge_fanout=0))
+    patch_appender(monkeypatch, batch_blocks=2, merge_fanout=NO_MERGE)
+    archive = ArchiveDb(tmp_path / "archive")
     feed(archive, diffs)
     archive.close()
-    reopened = ArchiveDb(tmp_path / "archive", ArchiveConfig(batch_blocks=2, merge_fanout=0))
+    reopened = ArchiveDb(tmp_path / "archive")
     runs = reopened._tables["storage"].runs
     assert len(runs) == 5
     assert reopened.get_storage_at(a1, key(1), 10) == val(10)
@@ -519,7 +558,8 @@ def test_open_maps_each_listed_run_once(tmp_path, monkeypatch):
     oracle = ReferenceOracle()
     for block_diff in diffs:
         oracle.apply_block(block_diff)
-    archive = ArchiveDb(tmp_path / "archive", ArchiveConfig(batch_blocks=2, merge_fanout=0))
+    patch_appender(monkeypatch, batch_blocks=2, merge_fanout=NO_MERGE)
+    archive = ArchiveDb(tmp_path / "archive")
     feed(archive, diffs)
     listed = sorted(file for files in archive.run_files().values() for file in files)
     archive.close()
@@ -536,7 +576,7 @@ def test_open_maps_each_listed_run_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(archive_module, "map_run", counting_map_run)
     monkeypatch.setattr(pathlib.Path, "read_bytes", counting_read_bytes)
-    reopened = ArchiveDb(tmp_path / "archive", ArchiveConfig(batch_blocks=2, merge_fanout=0))
+    reopened = ArchiveDb(tmp_path / "archive")
     assert sorted(mapped) == listed
     start = threading.Barrier(4)
     answers = []
@@ -567,11 +607,12 @@ def test_open_maps_each_listed_run_once(tmp_path, monkeypatch):
     reopened.close()
 
 
-def test_snapshot_from_before_a_merge_still_answers(tmp_path):
+def test_snapshot_from_before_a_merge_still_answers(tmp_path, monkeypatch):
     spec = WorkloadSpec(seed=31, blocks=4, accounts=12, txs_per_block=4, slot_writes_per_tx=2, new_key_ratio=0.5, delete_ratio=0.0)
     diffs = list(generate(spec))
     oracle, addresses, pairs, _, _ = history_facts(diffs)
-    archive = ArchiveDb(tmp_path / "archive", ArchiveConfig(batch_blocks=2, merge_fanout=2))
+    patch_appender(monkeypatch, batch_blocks=2, merge_fanout=2)
+    archive = ArchiveDb(tmp_path / "archive")
     feed(archive, diffs[:2])
     storage, balance = archive._tables["storage"], archive._tables["balance"]
     snapshots = {"storage": storage.newest_first, "balance": balance.newest_first}

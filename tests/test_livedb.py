@@ -6,9 +6,10 @@ import random
 
 import pytest
 
+from flatstate import livedb as livedb_module
 from flatstate.digest import EMPTY_HASH, digest_count
 from flatstate.errors import CorruptionError, SequenceError, ValidationError
-from flatstate.livedb import LiveDb, LiveDbConfig, ROOT_ORDER
+from flatstate.livedb import LiveDb, ROOT_ORDER
 from flatstate.oracle import ReferenceOracle
 from flatstate.types import AccountUpdate, BlockDiff, ZERO_VALUE
 from flatstate.workload import WorkloadSpec, generate
@@ -237,9 +238,10 @@ def tree_bytes(root_dir):
     return files
 
 
-def test_two_replicas_produce_identical_roots_and_files(tmp_path):
+def test_two_replicas_produce_identical_roots_and_files(tmp_path, monkeypatch):
     left = LiveDb(tmp_path / "left")
-    right = LiveDb(tmp_path / "right", LiveDbConfig(cache_entries=16))  # cache size must not matter
+    monkeypatch.setattr(livedb_module, "KEY_CACHE_ENTRIES", 16)  # cache size must not matter
+    right = LiveDb(tmp_path / "right")
     for block_diff in generate(SMALL_SPEC):
         left.apply_block(block_diff)
         right.apply_block(block_diff)
@@ -312,9 +314,10 @@ def test_overwrites_do_not_grow_files(tmp_path):
             assert sizes_after[name] == size, f"{name} grew"
 
 
-def test_cache_transparency(tmp_path):
+def test_cache_transparency(tmp_path, monkeypatch):
     cached = LiveDb(tmp_path / "cached")
-    uncached = LiveDb(tmp_path / "uncached", LiveDbConfig(cache_entries=0))
+    monkeypatch.setattr(livedb_module, "KEY_CACHE_ENTRIES", 0)
+    uncached = LiveDb(tmp_path / "uncached")
     for block_diff in generate(SMALL_SPEC):
         cached.apply_block(block_diff)
         uncached.apply_block(block_diff)
@@ -324,3 +327,4 @@ def test_cache_transparency(tmp_path):
         assert cached.get_balance(address) == uncached.get_balance(address)
     for address, slot_key in slot_pairs:
         assert cached.get_storage(address, slot_key) == uncached.get_storage(address, slot_key)
+    assert len(uncached._a_cache) == len(uncached._ak_cache) == 0 < len(cached._ak_cache)

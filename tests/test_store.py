@@ -142,7 +142,6 @@ def test_depot_detects_blob_corruption(tmp_path):
     tampered = Depot(fresh_meta, blob)
     with pytest.raises(CorruptionError):
         tampered.get(0)
-    assert tampered.get(0, verify=False) != b"\xaa" * 100
 
 
 def test_depot_root_changes_with_code_content(tmp_path):
