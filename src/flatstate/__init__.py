@@ -21,7 +21,7 @@ from .errors import (
 )
 from .livedb import LiveDb, WorldstateRoot
 from .oracle import ReferenceOracle
-from .types import AccountUpdate, BlockDiff, canonicalize_diff, serialize_update
+from .types import AccountUpdate, BlockDiff, serialize_update
 from .workload import WorkloadSpec, generate, read_workload, write_workload
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "ValidationError",
     "WorkloadSpec",
     "WorldstateRoot",
-    "canonicalize_diff",
     "generate",
     "read_workload",
     "serialize_update",

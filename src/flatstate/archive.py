@@ -14,7 +14,9 @@ anything newer than the best match so far.
 Ingestion is asynchronous: callers enqueue a block diff and return; a
 background appender converts it to entries, computes the per-account
 and per-block hashes, persists everything, and only then publishes the
-new watermark. Readers never see a partially written block.
+new watermark. Readers never see a partially written block. A failed
+batch stops the appender for good: every later append or flush raises
+that failure, and readers keep the last published watermark.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from pathlib import Path
 
 from .digest import HASH_SIZE, ZERO_HASH, digest
 from .errors import BoundsError, CorruptionError, SequenceError, StorageError, UnavailableError
-from .metafile import read_meta, write_meta
+from .metafile import read_meta, require, write_meta
 from .types import (
     ADDRESS_SIZE,
     BALANCE_SIZE,
@@ -42,7 +44,6 @@ from .types import (
     REINC_SIZE,
     VALUE_SIZE,
     ZERO_VALUE,
-    canonicalize_diff,
     serialize_update,
 )
 
@@ -208,7 +209,6 @@ class ArchiveDb:
         self._raise_pending_error()
         if self._closed:
             raise StorageError("archive is closed")
-        diff = canonicalize_diff(diff)
         if diff.block != self._next_block + 1:
             raise SequenceError(f"expected block {self._next_block + 1}, got {diff.block}")
         self._next_block = diff.block
@@ -221,14 +221,21 @@ class ArchiveDb:
         self._raise_pending_error()
 
     def close(self) -> None:
+        """Stop the appender after the queued blocks and release every file.
+
+        Afterwards each query raises ``StorageError``.
+        """
         if self._closed:
             return
         self._closed = True
         self._queue.put(_CLOSE)
         self._appender.join()
-        with self._lock:  # readers pread these descriptors under this lock
+        with self._lock:  # readers take descriptors and run snapshots under this lock
             self._blockhash_fh.close()
             self._blob_fh.close()
+            for table in self._tables.values():
+                for run in table.runs:
+                    run.data.close()
         self._raise_pending_error()
 
     # -- queries ---------------------------------------------------------
@@ -294,6 +301,8 @@ class ArchiveDb:
 
     def _published(self, table: str, block: int) -> tuple[RunRef, ...]:
         with self._lock:
+            if self._closed:
+                raise StorageError("archive is closed")
             self._check_published(block)
             return self._tables[table].newest_first
 
@@ -312,7 +321,7 @@ class ArchiveDb:
             if batch and self._error is None:
                 try:
                     self._process_batch(batch)
-                except Exception as exc:  # surfaced on the caller's next call
+                except Exception as exc:  # raised by every later call; no later batch runs
                     self._error = exc
             for _ in batch:
                 self._queue.task_done()
@@ -483,14 +492,16 @@ class ArchiveDb:
         path = self._meta_path()
         if not path.exists():
             return
-        meta = read_meta(path)
-        if meta.get("format") != FORMAT_VERSION:
-            raise CorruptionError(f"unsupported archive format in {path}: {meta.get('format')}")
+        meta = read_meta(path, FORMAT_VERSION, ("watermark", "next_seq", "tables"))
         self.watermark = meta["watermark"]
         self._next_seq = meta["next_seq"]
+        require(meta["tables"], path, ())
         for name, runs in meta["tables"].items():
+            if name not in TABLES:
+                raise CorruptionError(f"metadata in {path} names unknown table {name!r}")
             loaded = []
             for r in runs:
+                require(r, path, ("file", "level", "count"))
                 data = map_run(self.data_dir / r["file"], r["count"], TABLES[name].entry_size)
                 # A run listed without a block range may hold any block.
                 first, last = r.get("first", 0), r.get("last", MAX_BLOCK)
@@ -549,5 +560,4 @@ class ArchiveDb:
 
     def _raise_pending_error(self) -> None:
         if self._error is not None:
-            error, self._error = self._error, None
-            raise error
+            raise self._error

@@ -70,7 +70,7 @@ def replay_workload(
             if root.block != diff.block:
                 raise FlatStateError(f"root reported block {root.block} while applying {diff.block}")
             if archive is not None:
-                archive.append_block(live.diff_of_block())
+                archive.append_block(diff)
             blocks += 1
             if sample_every and blocks % sample_every == 0:
                 live.flush()

@@ -25,8 +25,8 @@ from .cache import LruCache
 from .digest import digest
 from .errors import CorruptionError, SequenceError
 from .index import LinearHashIndex
-from .metafile import read_meta, write_meta
-from .pagepool import PagePool, PoolConfig
+from .metafile import read_meta, require, write_meta
+from .pagepool import PagePool
 from .store import Depot, RecordStore, DEPOT_META_SIZE
 from .types import (
     ADDRESS_SIZE,
@@ -37,7 +37,6 @@ from .types import (
     REINC_SIZE,
     VALUE_SIZE,
     ZERO_VALUE,
-    canonicalize_diff,
 )
 
 FORMAT_VERSION = 1
@@ -73,7 +72,6 @@ class LiveDb:
         self.ak_index = self._index("slots", AK_KEY_SIZE, meta.get("ak_index"))
         self._a_cache = LruCache(KEY_CACHE_ENTRIES)
         self._ak_cache = LruCache(KEY_CACHE_ENTRIES)
-        self._last_diff: BlockDiff | None = None
         self._root_cache: bytes | None = None
 
     # -- reads ---------------------------------------------------------------
@@ -110,20 +108,12 @@ class LiveDb:
     # -- writes --------------------------------------------------------------
 
     def apply_block(self, diff: BlockDiff) -> None:
-        diff = canonicalize_diff(diff)
         if diff.block != self.block + 1:
             raise SequenceError(f"expected block {self.block + 1}, got {diff.block}")
         for update in diff.updates:
             self._apply_update(update)
         self.block = diff.block
-        self._last_diff = diff
         self._root_cache = None
-
-    def diff_of_block(self) -> BlockDiff:
-        """The canonicalized diff applied by the last apply_block call."""
-        if self._last_diff is None:
-            raise SequenceError("no block has been applied yet")
-        return self._last_diff
 
     def _apply_update(self, update) -> None:
         ordinal = self._a_cache.get(update.address)
@@ -227,13 +217,7 @@ class LiveDb:
         )
 
     def _index(self, name: str, key_width: int, state: dict | None) -> LinearHashIndex:
-        pool = PagePool(
-            PoolConfig(
-                file_path=self.data_dir / f"{name}.buckets",
-                page_size=self.page_size,
-                capacity=POOL_CAPACITY,
-            )
-        )
+        pool = PagePool(self.data_dir / f"{name}.buckets", page_size=self.page_size, capacity=POOL_CAPACITY)
         count = state["count"] if state else 0
         reverse = RecordStore.open(
             self.data_dir / f"{name}.keys",
@@ -252,9 +236,9 @@ class LiveDb:
         path = self._meta_path()
         if not path.exists():
             return {"format": FORMAT_VERSION, "block": 0, "accounts": 0, "slots": 0}
-        meta = read_meta(path)
-        if meta.get("format") != FORMAT_VERSION:
-            raise CorruptionError(f"unsupported metadata format in {path}: {meta.get('format')}")
+        meta = read_meta(path, FORMAT_VERSION, ("block", "accounts", "slots", "a_index", "ak_index"))
+        for name in ("a_index", "ak_index"):
+            require(meta[name], path, ("count", "level", "split", "bucket_pages"))
         if meta.get("page_size", self.page_size) != self.page_size:
             raise CorruptionError(
                 f"database was created with page_size {meta.get('page_size')}, opened with {self.page_size}"

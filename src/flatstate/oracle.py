@@ -10,7 +10,7 @@ invisible to queries.
 from __future__ import annotations
 
 from .errors import BoundsError, SequenceError
-from .types import BlockDiff, ZERO_VALUE, canonicalize_diff
+from .types import BlockDiff, ZERO_VALUE
 
 
 class OracleAccount:
@@ -42,7 +42,6 @@ class ReferenceOracle:
         return len(self._snapshots) - 1
 
     def apply_block(self, diff: BlockDiff) -> None:
-        diff = canonicalize_diff(diff)
         if diff.block != self.block + 1:
             raise SequenceError(f"expected block {self.block + 1}, got {diff.block}")
         snapshot = dict(self._snapshots[-1])

@@ -1,7 +1,7 @@
 """Fixed-size binary pages over one backing file with a bounded resident set.
 
 Pages are addressed by a dense id starting at 0. Page i lives at file
-offset ``i * page_size``. A configured number of pages stays in memory;
+offset ``i * page_size``. Up to ``capacity`` pages stay in memory;
 the least recently used page is evicted (written back first when dirty)
 when the pool is full. Reads past the end of the file yield zero-filled
 pages, matching the convention that the absent value is zero.
@@ -11,27 +11,11 @@ from __future__ import annotations
 
 import os
 from collections import OrderedDict
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import BoundsError, FormatError, StorageError
 
-DEFAULT_PAGE_SIZE = 4096
 MIN_PAGE_SIZE = 64
-
-
-@dataclass
-class PoolConfig:
-    file_path: Path
-    page_size: int = DEFAULT_PAGE_SIZE
-    capacity: int = 256
-
-    def __post_init__(self):
-        self.file_path = Path(self.file_path)
-        if self.page_size < MIN_PAGE_SIZE or self.page_size & (self.page_size - 1):
-            raise FormatError(f"page_size must be a power of two >= {MIN_PAGE_SIZE}, got {self.page_size}")
-        if self.capacity < 2:
-            raise FormatError(f"capacity must be >= 2, got {self.capacity}")
 
 
 class Page:
@@ -49,22 +33,24 @@ class Page:
 
 
 class PagePool:
-    def __init__(self, config: PoolConfig):
-        self.config = config
+    def __init__(self, file_path: Path, *, page_size: int, capacity: int):
+        if page_size < MIN_PAGE_SIZE or page_size & (page_size - 1):
+            raise FormatError(f"page_size must be a power of two >= {MIN_PAGE_SIZE}, got {page_size}")
+        if capacity < 2:
+            raise FormatError(f"capacity must be >= 2, got {capacity}")
+        self.file_path = Path(file_path)
+        self.page_size = page_size
+        self.capacity = capacity
         self._pages: OrderedDict[int, Page] = OrderedDict()
         try:
-            self._fh = open(config.file_path, "r+b" if config.file_path.exists() else "w+b")
+            self._fh = open(self.file_path, "r+b" if self.file_path.exists() else "w+b")
             size = os.fstat(self._fh.fileno()).st_size
         except OSError as exc:
-            raise StorageError(f"cannot open pool file: {exc}", path=config.file_path) from exc
-        if size % config.page_size:
-            raise FormatError(f"{config.file_path} size {size} is not a multiple of page_size {config.page_size}")
-        self._page_count = size // config.page_size
+            raise StorageError(f"cannot open pool file: {exc}", path=self.file_path) from exc
+        if size % page_size:
+            raise FormatError(f"{self.file_path} size {size} is not a multiple of page_size {page_size}")
+        self._page_count = size // page_size
         self._file_pages = self._page_count
-
-    @property
-    def page_size(self) -> int:
-        return self.config.page_size
 
     @property
     def page_count(self) -> int:
@@ -109,12 +95,12 @@ class PagePool:
             try:
                 self._fh.truncate(self._page_count * self.page_size)
             except OSError as exc:
-                raise StorageError(f"cannot extend pool file: {exc}", path=self.config.file_path) from exc
+                raise StorageError(f"cannot extend pool file: {exc}", path=self.file_path) from exc
             self._file_pages = self._page_count
         try:
             self._fh.flush()
         except OSError as exc:
-            raise StorageError(f"cannot flush pool file: {exc}", path=self.config.file_path) from exc
+            raise StorageError(f"cannot flush pool file: {exc}", path=self.file_path) from exc
 
     def close(self) -> None:
         self.flush()
@@ -122,7 +108,7 @@ class PagePool:
         self._pages.clear()
 
     def _evict_over_capacity(self) -> None:
-        while len(self._pages) > self.config.capacity:
+        while len(self._pages) > self.capacity:
             page_id, page = self._pages.popitem(last=False)
             if page.dirty:
                 self._write(page_id, page)
@@ -133,7 +119,7 @@ class PagePool:
             self._fh.seek(offset)
             data = self._fh.read(self.page_size)
         except OSError as exc:
-            raise StorageError(f"read failed: {exc}", path=self.config.file_path, offset=offset) from exc
+            raise StorageError(f"read failed: {exc}", path=self.file_path, offset=offset) from exc
         if len(data) < self.page_size:
             data = data + b"\x00" * (self.page_size - len(data))
         return bytearray(data)
@@ -144,6 +130,6 @@ class PagePool:
             self._fh.seek(offset)
             self._fh.write(page.data)
         except OSError as exc:
-            raise StorageError(f"write failed: {exc}", path=self.config.file_path, offset=offset) from exc
+            raise StorageError(f"write failed: {exc}", path=self.file_path, offset=offset) from exc
         page.dirty = False
         self._file_pages = max(self._file_pages, page_id + 1)

@@ -20,7 +20,7 @@ from pathlib import Path
 from .digest import digest
 from .errors import BoundsError, CorruptionError, FormatError, StorageError
 from .hashtree import HashTree
-from .pagepool import PagePool, PoolConfig
+from .pagepool import PagePool
 from .types import MAX_CODE_SIZE
 
 DEPOT_META_SIZE = 8 + 4 + 32  # blob offset, length, code digest
@@ -48,7 +48,7 @@ class RecordStore:
         capacity: int = 256,
         tree_path: Path | None = None,
     ) -> "RecordStore":
-        pool = PagePool(PoolConfig(file_path=data_path, page_size=page_size, capacity=capacity))
+        pool = PagePool(data_path, page_size=page_size, capacity=capacity)
         tree = HashTree(tree_path, leaf_count=_pages_for(count, page_size // record_size))
         return cls(pool, record_size, count=count, tree=tree)
 

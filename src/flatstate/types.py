@@ -9,6 +9,7 @@ big-endian everywhere in this package.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .digest import digest
 from .errors import FormatError, ValidationError
@@ -50,8 +51,9 @@ class AccountUpdate:
     """All changes one block makes to one account.
 
     ``balance``/``nonce``/``code`` are ``None`` when the block does not touch
-    them. ``slots`` holds (key, value) pairs; writing the all-zero value
-    clears a slot. An update may not set both ``created`` and ``deleted``.
+    them. ``slots`` holds (key, value) pairs, sorted by key when the update
+    is built; a repeated key is rejected. Writing the all-zero value clears
+    a slot. An update may not set both ``created`` and ``deleted``.
     """
 
     address: Address
@@ -72,56 +74,36 @@ class AccountUpdate:
             _check_range("nonce", self.nonce, MAX_NONCE)
         if self.code is not None and len(self.code) > MAX_CODE_SIZE:
             raise FormatError(f"code length {len(self.code)} exceeds {MAX_CODE_SIZE}")
-        object.__setattr__(self, "slots", tuple((bytes(k), bytes(v)) for k, v in self.slots))
-        for key, value in self.slots:
+        slots = tuple(sorted((bytes(k), bytes(v)) for k, v in self.slots))
+        previous = None
+        for key, value in slots:
             _check_width("storage key", key, KEY_SIZE)
             _check_width("storage value", value, VALUE_SIZE)
+            if key == previous:
+                raise ValidationError(f"duplicate storage key {key.hex()} for {self.address.hex()}")
+            previous = key
+        object.__setattr__(self, "slots", slots)
 
 
 @dataclass(frozen=True)
 class BlockDiff:
-    """The change set of one block: per-account updates, sorted by address."""
+    """The change set of one block: per-account updates.
+
+    The updates are sorted by address when the diff is built and a repeated
+    address is rejected, so every diff is in the canonical form that fixes
+    index insertion order and block hashes.
+    """
 
     block: int
     updates: tuple[AccountUpdate, ...] = ()
 
     def __post_init__(self):
         _check_range("block", self.block, MAX_BLOCK)
-        object.__setattr__(self, "updates", tuple(self.updates))
-
-
-def canonicalize_update(update: AccountUpdate) -> AccountUpdate:
-    """Sort slots by key; reject duplicate keys."""
-    slots = sorted(update.slots, key=lambda kv: kv[0])
-    for (a, _), (b, _) in zip(slots, slots[1:]):
-        if a == b:
-            raise ValidationError(f"duplicate storage key {a.hex()} for {update.address.hex()}")
-    if tuple(slots) == update.slots:
-        return update
-    return AccountUpdate(
-        address=update.address,
-        created=update.created,
-        deleted=update.deleted,
-        balance=update.balance,
-        nonce=update.nonce,
-        code=update.code,
-        slots=tuple(slots),
-    )
-
-
-def canonicalize_diff(diff: BlockDiff) -> BlockDiff:
-    """Sort updates by address, sort each update's slots, reject duplicates."""
-    updates = sorted((canonicalize_update(u) for u in diff.updates), key=lambda u: u.address)
-    for a, b in zip(updates, updates[1:]):
-        if a.address == b.address:
-            raise ValidationError(f"duplicate update for address {a.address.hex()} in block {diff.block}")
-    return BlockDiff(block=diff.block, updates=tuple(updates))
-
-
-def validate_diff(diff: BlockDiff) -> None:
-    """Raise ValidationError unless ``diff`` is already canonical."""
-    if canonicalize_diff(diff) != diff:
-        raise ValidationError(f"block {diff.block} diff is not in canonical order")
+        updates = tuple(sorted(self.updates, key=attrgetter("address")))
+        for a, b in zip(updates, updates[1:]):
+            if a.address == b.address:
+                raise ValidationError(f"duplicate update for address {a.address.hex()} in block {self.block}")
+        object.__setattr__(self, "updates", updates)
 
 
 def serialize_update(update: AccountUpdate) -> bytes:
@@ -130,9 +112,9 @@ def serialize_update(update: AccountUpdate) -> bytes:
     Layout: address, deleted flag, created flag, then each optional field
     (balance, nonce, code) as a presence byte followed by the payload. Code
     contributes its 32-byte digest, not its body. Slots follow as a 4-byte
-    big-endian count and (key, value) pairs sorted by key.
+    big-endian count and the (key, value) pairs in the update's own order,
+    which is sorted by key since the update was built.
     """
-    update = canonicalize_update(update)
     parts = [
         update.address,
         b"\x01" if update.deleted else b"\x00",

@@ -110,21 +110,19 @@ def generate(spec: WorkloadSpec):
                 else:
                     value = rng.getrandbits(VALUE_SIZE * 8 - 1).to_bytes(VALUE_SIZE, "big")
                 builder["slots"][slot_key(address, key_index)] = value
-        updates = []
-        for address in sorted(builders):
-            builder = builders[address]
-            updates.append(
-                AccountUpdate(
-                    address=address,
-                    created=builder.get("created", False),
-                    deleted=builder.get("deleted", False),
-                    balance=builder.get("balance"),
-                    nonce=builder.get("nonce"),
-                    code=builder.get("code"),
-                    slots=tuple(sorted(builder.get("slots", {}).items())),
-                )
+        updates = tuple(
+            AccountUpdate(
+                address=address,
+                created=builder.get("created", False),
+                deleted=builder.get("deleted", False),
+                balance=builder.get("balance"),
+                nonce=builder.get("nonce"),
+                code=builder.get("code"),
+                slots=tuple(builder.get("slots", {}).items()),
             )
-        yield BlockDiff(block=block, updates=tuple(updates))
+            for address, builder in builders.items()
+        )
+        yield BlockDiff(block=block, updates=updates)
 
 
 # -- diff stream codec -----------------------------------------------------

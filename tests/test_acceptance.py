@@ -18,7 +18,7 @@ from flatstate.hashtree import HashTree
 from flatstate.index import LinearHashIndex
 from flatstate.livedb import LiveDb
 from flatstate.oracle import ReferenceOracle
-from flatstate.pagepool import PagePool, PoolConfig
+from flatstate.pagepool import PagePool
 from flatstate.store import RecordStore
 from flatstate.types import AccountUpdate, BlockDiff
 from flatstate.workload import WorkloadSpec, account_address, generate, slot_key, write_workload
@@ -85,7 +85,7 @@ def test_criterion_01_oracle_equivalence(tmp_path, big_history):
     archive = ArchiveDb(tmp_path / "archive")
     for diff in diffs:
         live.apply_block(diff)
-        archive.append_block(live.diff_of_block())
+        archive.append_block(diff)
     archive.flush()
     mismatches = 0
     for address in touched:
@@ -160,7 +160,7 @@ def test_criterion_04_replication_determinism(tmp_path, monkeypatch):
         roots = []
         for live, archive in replicas:
             live.apply_block(diff)
-            archive.append_block(live.diff_of_block())
+            archive.append_block(diff)
             roots.append(live.state_root())
         assert roots[0] == roots[1]
         blocks += 1
@@ -219,11 +219,13 @@ def test_criterion_06_intrinsic_pruning(tmp_path):
             address = account_address(a)
             slots = tuple(sorted((slot_key(address, i), val(i + 1)) for i in range(100)))
             setup.append(AccountUpdate(address=address, created=True, slots=slots))
-        live.apply_block(BlockDiff(block=1, updates=tuple(sorted(setup, key=lambda u: u.address))))
-        archive.append_block(live.diff_of_block())
+        setup_diff = BlockDiff(block=1, updates=tuple(setup))
+        live.apply_block(setup_diff)
+        archive.append_block(setup_diff)
         for round_index in range(w):
-            live.apply_block(prune_round_diff(round_index + 2, round_index))
-            archive.append_block(live.diff_of_block())
+            round_diff = prune_round_diff(round_index + 2, round_index)
+            live.apply_block(round_diff)
+            archive.append_block(round_diff)
         live.flush()
         archive.flush()
         sizes_by_w[w] = dict(bench.directory_sizes(base / "live"))
@@ -263,7 +265,7 @@ def test_criterion_07_hash_tree_work_bound():
 
 def test_criterion_08_linear_hash_density(tmp_path):
     """100k random keys: dense ordinals, many splits, full retrievability."""
-    pool = PagePool(PoolConfig(file_path=tmp_path / "buckets", page_size=4096, capacity=4096))
+    pool = PagePool(tmp_path / "buckets", page_size=4096, capacity=4096)
     reverse = RecordStore.open(tmp_path / "keys", 20, page_size=4096, capacity=4096)
     index = LinearHashIndex(pool, reverse, 20)
     rng = random.Random(808)

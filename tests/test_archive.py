@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import pathlib
 import random
 import sys
@@ -630,3 +631,110 @@ def test_snapshot_from_before_a_merge_still_answers(tmp_path, monkeypatch):
             best = storage.floor(snapshots["storage"], address + reinc + slot_key, block)
             assert (best[1] if best else ZERO_VALUE) == oracle.storage_at(address, slot_key, block)
     archive.close()
+
+
+def test_failed_batch_stops_the_appender_for_good(tmp_path):
+    account = addr(1)
+    diffs = [
+        diff(1, AccountUpdate(address=account, created=True, balance=10)),
+        diff(2, AccountUpdate(address=account, balance=20)),
+        diff(3, AccountUpdate(address=account, balance=30)),
+    ]
+    oracle = ReferenceOracle()
+    for block_diff in diffs:
+        oracle.apply_block(block_diff)
+    archive = ArchiveDb(tmp_path / "archive")
+    feed(archive, diffs[:1])
+    write_run, failed = archive._write_run, []
+
+    def write_run_failing_once(*args):
+        if not failed:
+            failed.append(args)
+            raise OSError("injected write failure")
+        return write_run(*args)
+
+    archive._write_run = write_run_failing_once
+    archive.append_block(diffs[1])
+    with pytest.raises(OSError, match="injected"):
+        archive.flush()
+    with pytest.raises(OSError, match="injected"):
+        archive.append_block(diffs[2])
+    with pytest.raises(OSError, match="injected"):
+        archive.flush()
+    assert archive.watermark == 1
+    assert archive.get_balance_at(account, 1) == 10
+    with pytest.raises(UnavailableError):
+        archive.get_balance_at(account, 2)
+    with pytest.raises(OSError, match="injected"):
+        archive.close()
+
+    reopened = ArchiveDb(tmp_path / "archive")
+    assert reopened.watermark == 1
+    feed(reopened, diffs[1:])
+    clean = ArchiveDb(tmp_path / "clean")
+    feed(clean, diffs)
+    for block in range(len(diffs) + 1):
+        assert reopened.get_balance_at(account, block) == oracle.balance_at(account, block)
+        assert reopened.account_exists_at(account, block) == oracle.exists_at(account, block)
+        assert reopened.block_hash(block) == clean.block_hash(block)
+    reopened.close()
+    clean.close()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors through /proc")
+def test_close_releases_every_run_and_refuses_queries(tmp_path):
+    before = len(os.listdir("/proc/self/fd"))
+    archive = ArchiveDb(tmp_path / "archive")
+    feed(archive, [diff(1, AccountUpdate(address=addr(1), created=True, balance=5, code=b"aa"))])
+    assert sum(len(files) for files in archive.run_files().values()) == 4
+    assert len(os.listdir("/proc/self/fd")) > before
+    archive.close()
+    assert len(os.listdir("/proc/self/fd")) == before
+    queries = [
+        lambda: archive.get_balance_at(addr(1), 1),
+        lambda: archive.get_nonce_at(addr(1), 1),
+        lambda: archive.get_storage_at(addr(1), key(1), 1),
+        lambda: archive.get_code_at(addr(1), 1),
+        lambda: archive.account_exists_at(addr(1), 1),
+        lambda: archive.block_hash(1),
+        lambda: archive.account_hash(addr(1), 1),
+    ]
+    for query in queries:
+        with pytest.raises(StorageError, match="archive is closed"):
+            query()
+
+
+def without(*steps):
+    """Damage that deletes the field at ``steps`` from the parsed metadata."""
+
+    def damage(meta):
+        holder = meta
+        for step in steps[:-1]:
+            holder = holder[step]
+        del holder[steps[-1]]
+        return meta
+
+    return damage
+
+
+ARCHIVE_META_DAMAGE = {
+    "not-an-object": (lambda meta: [meta], "meta.json holds"),
+    "no-format": (without("format"), "meta.json lacks field 'format'"),
+    "no-watermark": (without("watermark"), "meta.json lacks field 'watermark'"),
+    "no-next_seq": (without("next_seq"), "meta.json lacks field 'next_seq'"),
+    "no-tables": (without("tables"), "meta.json lacks field 'tables'"),
+    "unknown-table": (lambda meta: {**meta, "tables": {**meta["tables"], "bogus": []}}, "meta.json names unknown table 'bogus'"),
+    "run-without-count": (without("tables", "storage", 0, "count"), "meta.json lacks field 'count'"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(ARCHIVE_META_DAMAGE))
+def test_damaged_meta_fields_are_reported_as_corruption(tmp_path, damage):
+    archive = ArchiveDb(tmp_path / "archive")
+    feed(archive, example_table_diffs())
+    archive.close()
+    path = tmp_path / "archive" / "meta.json"
+    damaged, message = ARCHIVE_META_DAMAGE[damage]
+    path.write_text(json.dumps(damaged(json.loads(path.read_text()))))
+    with pytest.raises(CorruptionError, match=message):
+        ArchiveDb(tmp_path / "archive")

@@ -6,12 +6,12 @@ import pytest
 
 from flatstate.errors import BoundsError
 from flatstate.index import LinearHashIndex
-from flatstate.pagepool import PagePool, PoolConfig
+from flatstate.pagepool import PagePool
 from flatstate.store import RecordStore
 
 
 def make_index(tmp_path, key_width=20, page_size=256, name="idx", state=None, count=0):
-    pool = PagePool(PoolConfig(file_path=tmp_path / f"{name}.buckets", page_size=page_size, capacity=64))
+    pool = PagePool(tmp_path / f"{name}.buckets", page_size=page_size, capacity=64)
     reverse = RecordStore.open(
         tmp_path / f"{name}.keys",
         key_width,

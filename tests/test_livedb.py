@@ -2,6 +2,7 @@
 
 import filecmp
 import hashlib
+import json
 import random
 
 import pytest
@@ -143,21 +144,6 @@ def test_single_balance_update_touches_only_balance_component(tmp_path):
             assert after[name] == before[name]
 
 
-def test_diff_of_block_echoes_canonicalized_input(tmp_path):
-    db = LiveDb(tmp_path / "db")
-    with pytest.raises(SequenceError):
-        db.diff_of_block()
-    messy = diff(
-        1,
-        AccountUpdate(address=addr(2), balance=1),
-        AccountUpdate(address=addr(1), slots=((key(2), val(2)), (key(1), val(1)))),
-    )
-    db.apply_block(messy)
-    canonical = db.diff_of_block()
-    assert [u.address for u in canonical.updates] == [addr(1), addr(2)]
-    assert canonical.updates[0].slots == ((key(1), val(1)), (key(2), val(2)))
-
-
 def replay_workload_into(db, oracle, spec):
     for block_diff in generate(spec):
         db.apply_block(block_diff)
@@ -227,6 +213,27 @@ def test_torn_meta_is_reported_as_corruption(tmp_path):
     assert sorted(p.name for p in meta.parent.glob("meta*")) == ["meta.json"]
     meta.write_bytes(meta.read_bytes()[:20])
     with pytest.raises(CorruptionError, match="meta.json"):
+        LiveDb(tmp_path / "db")
+
+
+@pytest.mark.parametrize("field", ["format", "block", "accounts", "slots", "a_index", "ak_index.count", "not-an-object"])
+def test_damaged_meta_fields_are_reported_as_corruption(tmp_path, field):
+    db = LiveDb(tmp_path / "db")
+    db.apply_block(diff(1, AccountUpdate(address=addr(1), created=True, balance=5)))
+    db.close()
+    path = tmp_path / "db" / "meta.json"
+    meta = json.loads(path.read_text())
+    if field == "not-an-object":
+        meta, message = [meta], "meta.json holds"
+    else:
+        *outer, name = field.split(".")
+        holder = meta
+        for step in outer:
+            holder = holder[step]
+        del holder[name]
+        message = f"meta.json lacks field '{name}'"
+    path.write_text(json.dumps(meta))
+    with pytest.raises(CorruptionError, match=message):
         LiveDb(tmp_path / "db")
 
 

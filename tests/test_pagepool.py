@@ -5,11 +5,11 @@ import random
 import pytest
 
 from flatstate.errors import BoundsError, FormatError
-from flatstate.pagepool import PagePool, PoolConfig
+from flatstate.pagepool import PagePool
 
 
 def make_pool(tmp_path, page_size=256, capacity=4, name="pool.dat"):
-    return PagePool(PoolConfig(file_path=tmp_path / name, page_size=page_size, capacity=capacity))
+    return PagePool(tmp_path / name, page_size=page_size, capacity=capacity)
 
 
 def write_page(pool, page_id, data):
@@ -37,11 +37,12 @@ def test_eviction_roundtrip(tmp_path):
 
 def test_config_validation(tmp_path):
     with pytest.raises(FormatError):
-        PoolConfig(file_path=tmp_path / "x", page_size=100)
+        PagePool(tmp_path / "x", page_size=100, capacity=4)
     with pytest.raises(FormatError):
-        PoolConfig(file_path=tmp_path / "x", page_size=32)
+        PagePool(tmp_path / "x", page_size=32, capacity=4)
     with pytest.raises(FormatError):
-        PoolConfig(file_path=tmp_path / "x", capacity=1)
+        PagePool(tmp_path / "x", page_size=256, capacity=1)
+    assert not (tmp_path / "x").exists()  # rejected before the file is opened
 
 
 def test_page_id_gap_rejected(tmp_path):

@@ -6,12 +6,12 @@ import random
 import pytest
 
 from flatstate.errors import BoundsError, CorruptionError, FormatError
-from flatstate.pagepool import PagePool, PoolConfig
+from flatstate.pagepool import PagePool
 from flatstate.store import Depot, RecordStore
 
 
 def make_store(tmp_path, record_size, page_size=4096, capacity=8, name="store.dat"):
-    pool = PagePool(PoolConfig(file_path=tmp_path / name, page_size=page_size, capacity=capacity))
+    pool = PagePool(tmp_path / name, page_size=page_size, capacity=capacity)
     return RecordStore(pool, record_size)
 
 
@@ -137,7 +137,7 @@ def test_depot_detects_blob_corruption(tmp_path):
     raw[10] ^= 0xFF
     blob.write_bytes(raw)
     fresh_meta = RecordStore(
-        PagePool(PoolConfig(file_path=tmp_path / "codes.meta", page_size=4096, capacity=8)), 44, count=1
+        PagePool(tmp_path / "codes.meta", page_size=4096, capacity=8), 44, count=1
     )
     tampered = Depot(fresh_meta, blob)
     with pytest.raises(CorruptionError):

@@ -6,14 +6,7 @@ import random
 import pytest
 
 from flatstate.errors import FormatError, ValidationError
-from flatstate.types import (
-    AccountUpdate,
-    BlockDiff,
-    canonicalize_diff,
-    canonicalize_update,
-    serialize_update,
-    validate_diff,
-)
+from flatstate.types import AccountUpdate, BlockDiff, serialize_update
 
 from util import addr, key, random_update, val
 
@@ -55,6 +48,8 @@ def test_balance_only_zero_layout():
 def test_slot_input_order_is_canonicalized():
     a = AccountUpdate(address=addr(1), slots=((key(2), val(9)), (key(1), val(8))))
     b = AccountUpdate(address=addr(1), slots=((key(1), val(8)), (key(2), val(9))))
+    assert a == b
+    assert a.slots == ((key(1), val(8)), (key(2), val(9)))
     assert serialize_update(a) == serialize_update(b)
 
 
@@ -70,17 +65,17 @@ def test_roundtrip_against_independent_parser():
     for _ in range(500):
         update = random_update(rng)
         fields = parse_update(serialize_update(update))
-        canonical = canonicalize_update(update)
-        assert fields["address"] == canonical.address
-        assert fields["deleted"] == canonical.deleted
-        assert fields["created"] == canonical.created
-        assert fields["balance"] == canonical.balance
-        assert fields["nonce"] == canonical.nonce
-        if canonical.code is None:
+        assert fields["address"] == update.address
+        assert fields["deleted"] == update.deleted
+        assert fields["created"] == update.created
+        assert fields["balance"] == update.balance
+        assert fields["nonce"] == update.nonce
+        if update.code is None:
             assert fields["code_hash"] is None
         else:
-            assert fields["code_hash"] == hashlib.sha256(canonical.code).digest()
-        assert fields["slots"] == canonical.slots
+            assert fields["code_hash"] == hashlib.sha256(update.code).digest()
+        assert fields["slots"] == update.slots
+        assert [k for k, _ in update.slots] == sorted({k for k, _ in update.slots})
 
 
 def test_injective_over_random_updates():
@@ -111,9 +106,10 @@ def test_field_width_validation():
 
 
 def test_duplicate_slot_key_rejected():
-    update = AccountUpdate(address=addr(1), slots=((key(1), val(1)), (key(1), val(2))))
     with pytest.raises(ValidationError):
-        canonicalize_update(update)
+        AccountUpdate(address=addr(1), slots=((key(1), val(1)), (key(1), val(2))))
+    with pytest.raises(ValidationError):
+        AccountUpdate(address=addr(1), slots=((key(1), val(1)), (key(2), val(2)), (key(1), val(1))))
 
 
 def test_diff_canonicalization_and_validation():
@@ -124,11 +120,9 @@ def test_diff_canonicalization_and_validation():
             AccountUpdate(address=addr(1), balance=2),
         ),
     )
+    assert [u.address for u in diff.updates] == [addr(1), addr(2)]
+    assert diff == BlockDiff(block=1, updates=tuple(reversed(diff.updates)))
     with pytest.raises(ValidationError):
-        validate_diff(diff)
-    canonical = canonicalize_diff(diff)
-    assert [u.address for u in canonical.updates] == [addr(1), addr(2)]
-    validate_diff(canonical)
-    duplicated = BlockDiff(block=1, updates=(canonical.updates[0], canonical.updates[0]))
+        BlockDiff(block=1, updates=(diff.updates[0], diff.updates[0]))
     with pytest.raises(ValidationError):
-        canonicalize_diff(duplicated)
+        BlockDiff(block=1, updates=(AccountUpdate(address=addr(1)), AccountUpdate(address=addr(1), balance=3)))

@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from flatstate.errors import FormatError
-from flatstate.types import validate_diff
+from flatstate.errors import FormatError, ValidationError
+from flatstate.types import AccountUpdate, BlockDiff
 from flatstate.workload import (
     WorkloadSpec,
     decode_diff,
@@ -17,7 +17,7 @@ from flatstate.workload import (
     write_workload,
 )
 
-from util import random_diff
+from util import addr, random_diff
 
 SPEC = WorkloadSpec(seed=42, blocks=30, accounts=50, txs_per_block=5, slot_writes_per_tx=3, new_key_ratio=0.3, delete_ratio=0.1)
 
@@ -62,6 +62,19 @@ def test_codec_rejects_garbage():
         decode_diff(good + b"\x00")
 
 
+def test_decoding_a_record_builds_a_canonical_diff():
+    one, two = AccountUpdate(address=addr(1), balance=1), AccountUpdate(address=addr(2), balance=2)
+
+    def record(*updates):
+        """A block-1 record holding ``updates`` in the order given, as another encoder may write it."""
+        body = b"".join(encode_diff(BlockDiff(block=1, updates=(update,)))[12:] for update in updates)
+        return (1).to_bytes(8, "big") + len(updates).to_bytes(4, "big") + body
+
+    assert decode_diff(record(two, one)) == BlockDiff(block=1, updates=(one, two))
+    with pytest.raises(ValidationError):
+        decode_diff(record(one, one))
+
+
 def test_generated_diffs_are_canonical_for_many_random_specs():
     rng = random.Random(314)
     for _ in range(10_000):
@@ -74,8 +87,9 @@ def test_generated_diffs_are_canonical_for_many_random_specs():
             new_key_ratio=rng.random(),
             delete_ratio=rng.random() * 0.5,
         )
-        for diff in generate(spec):
-            validate_diff(diff)  # sorted, unique, width-checked, flag-consistent
+        for diff in generate(spec):  # building a diff checks widths, flags and duplicates
+            addresses = [update.address for update in diff.updates]
+            assert addresses == sorted(set(addresses))
 
 
 def test_nonces_monotone_per_account_life():
