@@ -134,17 +134,20 @@ class _SortedTable:
         prefix_size, key_size = self.spec.prefix_size, self.key_size
         target = prefix + block.to_bytes(BLOCK_SIZE, "big")
         best: tuple[int, bytes] | None = None
-        for run in runs:
-            if best is not None and best[0] >= run.last:
-                break
-            if run.first > block:
-                continue
-            entry = self._floor_entry(run, target)
-            if entry is None or entry[:prefix_size] != prefix:
-                continue
-            found = int.from_bytes(entry[prefix_size:key_size], "big")
-            if best is None or found > best[0]:
-                best = (found, entry[key_size:])
+        try:
+            for run in runs:
+                if best is not None and best[0] >= run.last:
+                    break
+                if run.first > block:
+                    continue
+                entry = self._floor_entry(run, target)
+                if entry is None or entry[:prefix_size] != prefix:
+                    continue
+                found = int.from_bytes(entry[prefix_size:key_size], "big")
+                if best is None or found > best[0]:
+                    best = (found, entry[key_size:])
+        except ValueError as exc:  # close() released a mapping of this snapshot
+            raise StorageError("archive is closed") from exc
         return best
 
     def _floor_entry(self, run: RunRef, target: bytes) -> bytes | None:

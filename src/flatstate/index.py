@@ -10,11 +10,17 @@ key is appended to a reverse lookup table (record i holds the key with
 ordinal i). The table's commitment is the hash-tree root over the
 reverse table's pages only: bucket layout is an implementation detail
 and stays outside the commitment.
+
+A validator reads every key before it writes it, so a lookup that misses
+remembers the key's bucket hash (up to ``MISSES_REMEMBERED`` keys): the
+insert that follows skips the digest and the key search.
 """
 
 from __future__ import annotations
 
-from .digest import digest
+import hashlib
+
+from .digest import add_calls, digest
 from .errors import FormatError
 from .pagepool import PagePool
 from .store import RecordStore
@@ -23,6 +29,12 @@ _HEADER_SIZE = 10  # u16 entry count, u64 overflow pointer (page id + 1; 0 = non
 _INITIAL_BUCKETS = 4
 _INITIAL_LEVEL = 2
 _LOAD_FACTOR = 0.75
+MISSES_REMEMBERED = 4096  # absent keys whose bucket hash get() keeps; cleared when full
+
+
+def bucket_hash(key: bytes) -> int:
+    """Placement hash: the last 8 bytes of the key's digest, big-endian."""
+    return int.from_bytes(digest(key)[-8:], "big")
 
 
 class LinearHashIndex:
@@ -47,6 +59,7 @@ class LinearHashIndex:
             self.level = state["level"]
             self.split_ptr = state["split"]
             self.bucket_pages = list(state["bucket_pages"])
+        self._misses: dict[bytes, int] = {}  # absent key -> bucket_hash(key)
 
     def state(self) -> dict:
         return {
@@ -57,14 +70,35 @@ class LinearHashIndex:
         }
 
     def get(self, key: bytes) -> int | None:
-        """Read-only lookup; never mutates the table or the reverse table."""
-        return self._walk(key)[0]
+        """Read-only lookup; never mutates the table or the reverse table.
+
+        A miss remembers the key's bucket hash, so asking again costs no
+        walk and a following ``get_or_add`` walks page headers only.
+        """
+        self._check_key(key)
+        if key in self._misses:
+            return None
+        h = bucket_hash(key)
+        found = self._walk(key, self._primary_page(h))[0]
+        if found is None:
+            if len(self._misses) >= MISSES_REMEMBERED:
+                self._misses.clear()
+            self._misses[key] = h
+        return found
 
     def get_or_add(self, key: bytes) -> tuple[int, bool]:
         """Return (ordinal, was_new); new keys get ordinal == previous count."""
-        found, insert_page, tail = self._walk(key)
-        if found is not None:
-            return found, False
+        self._check_key(key)
+        # A remembered miss is still absent: only this method adds keys, and it
+        # forgets the miss first. The bucket is recomputed from h at the current
+        # level, so splits since the miss change nothing.
+        h = self._misses.pop(key, None)
+        if h is None:
+            found, insert_page, tail = self._walk(key, self._primary_page(bucket_hash(key)))
+            if found is not None:
+                return found, False
+        else:
+            insert_page, tail = self._free_and_tail(self._primary_page(h))
         ordinal = self.count
         if insert_page is None:
             insert_page = self._alloc_page()
@@ -96,21 +130,19 @@ class LinearHashIndex:
         if len(key) != self.key_width:
             raise FormatError(f"key must be {self.key_width} bytes, got {len(key)}")
 
-    def _bucket_of(self, key: bytes) -> int:
-        h = int.from_bytes(digest(key)[-8:], "big")
+    def _primary_page(self, h: int) -> int:
+        """Page id of the primary page of the bucket that bucket hash h maps to now."""
         bucket = h & ((1 << (self.level + 1)) - 1)
         if bucket >= len(self.bucket_pages):
             bucket &= (1 << self.level) - 1
-        return bucket
+        return self.bucket_pages[bucket]
 
-    def _walk(self, key: bytes) -> tuple[int | None, int | None, int]:
-        """(ordinal or None, first page with a free slot or None, last page) of key's chain.
+    def _walk(self, key: bytes, page_id: int) -> tuple[int | None, int | None, int]:
+        """(ordinal or None, first page with a free slot or None, last page) of the chain at page_id.
 
         A hit counts only at an entry boundary, never inside a stored entry.
         """
-        self._check_key(key)
         size = self.entry_size
-        page_id = self.bucket_pages[self._bucket_of(key)]
         free = None
         while True:
             data = self.pool.get_page(page_id).data
@@ -128,6 +160,18 @@ class LinearHashIndex:
                 return None, free, page_id
             page_id = nxt - 1
 
+    def _free_and_tail(self, page_id: int) -> tuple[int | None, int]:
+        """(first page with a free slot or None, last page) of the chain at page_id, from headers only."""
+        free = None
+        while True:
+            data = self.pool.get_page(page_id).data
+            if free is None and int.from_bytes(data[0:2], "big") < self.slots_per_page:
+                free = page_id
+            nxt = int.from_bytes(data[2:10], "big")
+            if nxt == 0:
+                return free, page_id
+            page_id = nxt - 1
+
     def _alloc_page(self) -> int:
         page_id = self.pool.page_count
         self.pool.get_page(page_id)
@@ -143,27 +187,25 @@ class LinearHashIndex:
 
     def _split(self) -> None:
         source = self.split_ptr
-        entries: list[tuple[bytes, int]] = []
+        size, width = self.entry_size, self.key_width
+        entries: list[bytearray] = []  # stored key ++ ordinal entries, in chain order
         chain = [self.bucket_pages[source]]
         while True:
-            page = self.pool.get_page(chain[-1])
-            n = int.from_bytes(page.data[0:2], "big")
-            offset = _HEADER_SIZE
-            for _ in range(n):
-                key = bytes(page.data[offset : offset + self.key_width])
-                ordinal = int.from_bytes(page.data[offset + self.key_width : offset + self.entry_size], "big")
-                entries.append((key, ordinal))
-                offset += self.entry_size
-            nxt = int.from_bytes(page.data[2:10], "big")
+            data = self.pool.get_page(chain[-1]).data
+            end = _HEADER_SIZE + int.from_bytes(data[0:2], "big") * size
+            entries.extend(data[at : at + size] for at in range(_HEADER_SIZE, end, size))
+            nxt = int.from_bytes(data[2:10], "big")
             if nxt == 0:
                 break
             chain.append(nxt - 1)
         wide_mask = (1 << (self.level + 1)) - 1
+        sha = hashlib.sha256  # hot loop; invocations are tallied in bulk below
         stay = []
         move = []
-        for key, ordinal in entries:
-            h = int.from_bytes(digest(key)[-8:], "big")
-            (stay if h & wide_mask == source else move).append((key, ordinal))
+        for entry in entries:
+            h = int.from_bytes(sha(entry[:width]).digest()[-8:], "big")
+            (stay if h & wide_mask == source else move).append(entry)
+        add_calls(len(entries))
         self._rewrite_chain(chain, stay)
         new_primary = self._alloc_page()
         self.bucket_pages.append(new_primary)
@@ -176,20 +218,16 @@ class LinearHashIndex:
             self.level += 1
             self.split_ptr = 0
 
-    def _rewrite_chain(self, chain: list[int], entries: list[tuple[bytes, int]]) -> None:
-        """Repack entries into the chain; unused trailing pages are zeroed."""
+    def _rewrite_chain(self, chain: list[int], entries: list[bytearray]) -> None:
+        """Repack stored entries into the chain in order; unused trailing pages are zeroed."""
         per_page = self.slots_per_page
+        page_size = self.pool.page_size
         for idx, page_id in enumerate(chain):
-            fresh = bytearray(self.pool.page_size)
             batch = entries[idx * per_page : (idx + 1) * per_page]
-            if batch:
-                fresh[0:2] = len(batch).to_bytes(2, "big")
-                offset = _HEADER_SIZE
-                for key, ordinal in batch:
-                    fresh[offset : offset + self.entry_size] = key + ordinal.to_bytes(8, "big")
-                    offset += self.entry_size
-            if (idx + 1) * per_page < len(entries):
-                fresh[2:10] = (chain[idx + 1] + 1).to_bytes(8, "big")
+            nxt = chain[idx + 1] + 1 if (idx + 1) * per_page < len(entries) else 0
+            used = _HEADER_SIZE + len(batch) * self.entry_size
             page = self.pool.get_page(page_id)
-            page.data[:] = fresh
+            page.data[:] = b"".join(
+                (len(batch).to_bytes(2, "big"), nxt.to_bytes(8, "big"), *batch, bytes(page_size - used))
+            )
             self.pool.mark_dirty(page_id)

@@ -43,7 +43,8 @@ class PagePool:
         self.capacity = capacity
         self._pages: OrderedDict[int, Page] = OrderedDict()
         try:
-            self._fh = open(self.file_path, "r+b" if self.file_path.exists() else "w+b")
+            # Unbuffered: pages move by positional reads and writes only.
+            self._fh = open(self.file_path, "r+b" if self.file_path.exists() else "w+b", buffering=0)
             size = os.fstat(self._fh.fileno()).st_size
         except OSError as exc:
             raise StorageError(f"cannot open pool file: {exc}", path=self.file_path) from exc
@@ -97,10 +98,6 @@ class PagePool:
             except OSError as exc:
                 raise StorageError(f"cannot extend pool file: {exc}", path=self.file_path) from exc
             self._file_pages = self._page_count
-        try:
-            self._fh.flush()
-        except OSError as exc:
-            raise StorageError(f"cannot flush pool file: {exc}", path=self.file_path) from exc
 
     def close(self) -> None:
         self.flush()
@@ -115,21 +112,20 @@ class PagePool:
 
     def _load(self, page_id: int) -> bytearray:
         offset = page_id * self.page_size
+        data = bytearray(self.page_size)  # a read past the end of the file leaves zeros
         try:
-            self._fh.seek(offset)
-            data = self._fh.read(self.page_size)
+            os.preadv(self._fh.fileno(), [data], offset)
         except OSError as exc:
             raise StorageError(f"read failed: {exc}", path=self.file_path, offset=offset) from exc
-        if len(data) < self.page_size:
-            data = data + b"\x00" * (self.page_size - len(data))
-        return bytearray(data)
+        return data
 
     def _write(self, page_id: int, page: Page) -> None:
         offset = page_id * self.page_size
         try:
-            self._fh.seek(offset)
-            self._fh.write(page.data)
+            written = os.pwrite(self._fh.fileno(), page.data, offset)
         except OSError as exc:
             raise StorageError(f"write failed: {exc}", path=self.file_path, offset=offset) from exc
+        if written != self.page_size:
+            raise StorageError(f"short write: {written} of {self.page_size} bytes", path=self.file_path, offset=offset)
         page.dirty = False
         self._file_pages = max(self._file_pages, page_id + 1)

@@ -704,6 +704,21 @@ def test_close_releases_every_run_and_refuses_queries(tmp_path):
             query()
 
 
+def test_query_racing_close_reports_closed_archive(tmp_path):
+    archive = ArchiveDb(tmp_path / "archive")
+    feed(archive, [diff(1, AccountUpdate(address=addr(1), created=True, balance=5))])
+    published = archive._published
+
+    def snapshot_then_close(table, block):
+        runs = published(table, block)
+        archive.close()
+        return runs
+
+    archive._published = snapshot_then_close
+    with pytest.raises(StorageError, match="archive is closed"):
+        archive.get_balance_at(addr(1), 1)
+
+
 def without(*steps):
     """Damage that deletes the field at ``steps`` from the parsed metadata."""
 

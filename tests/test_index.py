@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+from flatstate import index as index_module
+from flatstate.digest import digest_count
 from flatstate.errors import BoundsError
-from flatstate.index import LinearHashIndex
+from flatstate.index import LinearHashIndex, bucket_hash
 from flatstate.pagepool import PagePool
 from flatstate.store import RecordStore
 
@@ -56,9 +58,13 @@ def test_unaligned_match_in_bucket_is_not_a_hit(tmp_path):
     # The entry of `stored` (ordinal 0) is 8 bytes ++ tail ++ 8 zero bytes, so
     # `probe` = tail ++ 8 zero bytes occurs in the bucket page 8 bytes into it.
     pairs = ((b"\xaa" * 8 + n.to_bytes(12, "big"), n.to_bytes(12, "big") + bytes(8)) for n in range(1, 1000))
-    stored, probe = next((s, p) for s, p in pairs if index._bucket_of(s) == index._bucket_of(p))
+
+    def bucket_of(key):
+        return index._primary_page(bucket_hash(key))
+
+    stored, probe = next((s, p) for s, p in pairs if bucket_of(s) == bucket_of(p))
     assert index.get_or_add(stored) == (0, True)
-    bucket = index.pool.get_page(index.bucket_pages[index._bucket_of(stored)]).data
+    bucket = index.pool.get_page(bucket_of(stored)).data
     assert bucket.find(probe) == 10 + 8
     assert index.get(probe) is None
     assert index.get_or_add(probe) == (1, True)
@@ -170,3 +176,64 @@ def test_persistence_roundtrip(tmp_path):
     for ordinal, key in enumerate(keys):
         assert reopened.get(key) == ordinal
     assert reopened.get_or_add(rng.randbytes(20)) == (3_000, True)
+
+
+def test_remembered_misses_place_keys_as_a_plain_insert_does(tmp_path):
+    # Each batch is looked up (all misses) before it is inserted, so splits
+    # fall between a key's get() and its get_or_add().
+    rng = random.Random(2024)
+    keys = [rng.randbytes(20) for _ in range(10_000)]
+    plain = make_index(tmp_path, name="plain")
+    probed = make_index(tmp_path, name="probed")
+    for start in range(0, len(keys), 50):
+        batch = keys[start : start + 50]
+        for key in batch:
+            plain.get_or_add(key)
+        assert [probed.get(key) for key in batch] == [None] * len(batch)
+        for key in batch:
+            assert probed.get_or_add(key) == (plain.get(key), True)
+    assert probed.state() == plain.state()
+    assert len(plain.bucket_pages) > 1000
+    plain.close()
+    probed.close()
+    for suffix in ("buckets", "keys"):
+        assert (tmp_path / f"probed.{suffix}").read_bytes() == (tmp_path / f"plain.{suffix}").read_bytes()
+
+
+def test_repeated_miss_walks_no_page_and_computes_no_digest(tmp_path):
+    index = make_index(tmp_path)
+    for n in range(100):
+        index.get_or_add(k20(n))
+    assert index.get(k20(1_000)) is None
+    pages = []
+    real_get_page = index.pool.get_page
+    index.pool.get_page = lambda page_id: pages.append(page_id) or real_get_page(page_id)
+    before = digest_count()
+    assert index.get(k20(1_000)) is None
+    assert (pages, digest_count()) == ([], before)
+    index.pool.get_page = real_get_page
+    index.close()
+
+
+def test_remembered_miss_is_found_after_insertion(tmp_path):
+    index = make_index(tmp_path)
+    assert index.get(k20(9)) is None
+    assert index.get_or_add(k20(9)) == (0, True)
+    assert index.get(k20(9)) == 0
+    assert index.get_or_add(k20(9)) == (0, False)
+    assert index.count == 1
+    index.close()
+
+
+def test_remembered_misses_stay_bounded(tmp_path, monkeypatch):
+    monkeypatch.setattr(index_module, "MISSES_REMEMBERED", 8)
+    index = make_index(tmp_path)
+    sizes = set()
+    for n in range(100):
+        assert index.get(k20(n)) is None
+        sizes.add(len(index._misses))
+    assert max(sizes) == 8
+    for n in range(100):
+        assert index.get_or_add(k20(n)) == (n, True)
+        assert index.get(k20(n)) == n
+    index.close()

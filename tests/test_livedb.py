@@ -22,8 +22,23 @@ def diff(block, *updates):
     return BlockDiff(block=block, updates=tuple(updates))
 
 
-def test_unknown_address_reads_default(tmp_path):
-    db = LiveDb(tmp_path / "db")
+@pytest.fixture
+def open_db(tmp_path):
+    """Opens LiveDb directories under tmp_path and closes each one after the test."""
+    opened = []
+
+    def open_(name):
+        db = LiveDb(tmp_path / name)
+        opened.append(db)
+        return db
+
+    yield open_
+    for db in opened:
+        db.close()
+
+
+def test_unknown_address_reads_default(open_db):
+    db = open_db("db")
     assert db.get_balance(addr(1)) == 0
     assert db.get_nonce(addr(1)) == 0
     assert db.get_code(addr(1)) == b""
@@ -31,8 +46,8 @@ def test_unknown_address_reads_default(tmp_path):
     assert db.get_storage(addr(1), key(1)) == ZERO_VALUE
 
 
-def test_reads_never_allocate_ordinals(tmp_path):
-    db = LiveDb(tmp_path / "db")
+def test_reads_never_allocate_ordinals(open_db):
+    db = open_db("db")
     db.get_balance(addr(1))
     db.get_storage(addr(1), key(1))
     assert db.a_index.count == 0
@@ -42,8 +57,8 @@ def test_reads_never_allocate_ordinals(tmp_path):
     assert db.ak_index.count == 0
 
 
-def test_write_read_roundtrip(tmp_path):
-    db = LiveDb(tmp_path / "db")
+def test_write_read_roundtrip(open_db):
+    db = open_db("db")
     db.apply_block(
         diff(
             1,
@@ -64,15 +79,15 @@ def test_write_read_roundtrip(tmp_path):
     assert db.get_storage(addr(1), key(1)) == val(42)
 
 
-def test_zero_value_write_clears_slot(tmp_path):
-    db = LiveDb(tmp_path / "db")
+def test_zero_value_write_clears_slot(open_db):
+    db = open_db("db")
     db.apply_block(diff(1, AccountUpdate(address=addr(1), created=True, slots=((key(1), val(9)),))))
     db.apply_block(diff(2, AccountUpdate(address=addr(1), slots=((key(1), ZERO_VALUE),))))
     assert db.get_storage(addr(1), key(1)) == ZERO_VALUE
 
 
-def test_reincarnation_masks_old_slots(tmp_path):
-    db = LiveDb(tmp_path / "db")
+def test_reincarnation_masks_old_slots(open_db):
+    db = open_db("db")
     db.apply_block(diff(1, AccountUpdate(address=addr(1), created=True, slots=((key(1), val(7)),))))
     db.apply_block(diff(2, AccountUpdate(address=addr(1), deleted=True)))
     assert db.get_storage(addr(1), key(1)) == ZERO_VALUE
@@ -82,8 +97,8 @@ def test_reincarnation_masks_old_slots(tmp_path):
     assert db.get_storage(addr(1), key(1)) == val(8)
 
 
-def test_deletion_resets_attributes_in_constant_slot_work(tmp_path):
-    db = LiveDb(tmp_path / "db")
+def test_deletion_resets_attributes_in_constant_slot_work(open_db):
+    db = open_db("db")
     slots = tuple((key(i), val(i + 1)) for i in range(50))
     db.apply_block(diff(1, AccountUpdate(address=addr(1), created=True, balance=5, nonce=2, code=b"c", slots=slots)))
     values_root_before = db.values.root()
@@ -97,8 +112,8 @@ def test_deletion_resets_attributes_in_constant_slot_work(tmp_path):
     assert int.from_bytes(db.reincarnations.get(0), "big") == 1
 
 
-def test_sequencing_and_validation_errors(tmp_path):
-    db = LiveDb(tmp_path / "db")
+def test_sequencing_and_validation_errors(open_db):
+    db = open_db("db")
     with pytest.raises(SequenceError):
         db.apply_block(diff(5))
     update = AccountUpdate(address=addr(1), balance=1)
@@ -107,8 +122,8 @@ def test_sequencing_and_validation_errors(tmp_path):
     assert db.block == 0
 
 
-def test_empty_diff_advances_block_only(tmp_path):
-    db = LiveDb(tmp_path / "db")
+def test_empty_diff_advances_block_only(open_db):
+    db = open_db("db")
     before = db.state_root()
     db.apply_block(diff(1))
     after = db.state_root()
@@ -116,14 +131,14 @@ def test_empty_diff_advances_block_only(tmp_path):
     assert before.root == after.root
 
 
-def test_genesis_root_is_digest_of_empty_components(tmp_path):
-    db = LiveDb(tmp_path / "db")
+def test_genesis_root_is_digest_of_empty_components(open_db):
+    db = open_db("db")
     expected = hashlib.sha256(EMPTY_HASH * len(ROOT_ORDER)).digest()
     assert db.state_root() == type(db.state_root())(root=expected, block=0)
 
 
-def test_repeated_state_root_does_no_hash_work(tmp_path):
-    db = LiveDb(tmp_path / "db")
+def test_repeated_state_root_does_no_hash_work(open_db):
+    db = open_db("db")
     db.apply_block(diff(1, AccountUpdate(address=addr(1), created=True, balance=4)))
     first = db.state_root()
     before = digest_count()
@@ -132,8 +147,8 @@ def test_repeated_state_root_does_no_hash_work(tmp_path):
     assert digest_count() == before
 
 
-def test_single_balance_update_touches_only_balance_component(tmp_path):
-    db = LiveDb(tmp_path / "db")
+def test_single_balance_update_touches_only_balance_component(open_db):
+    db = open_db("db")
     db.apply_block(diff(1, AccountUpdate(address=addr(1), created=True, balance=1, nonce=1)))
     before = db.component_roots()
     db.apply_block(diff(2, AccountUpdate(address=addr(1), balance=2)))
@@ -172,8 +187,8 @@ SMALL_SPEC = WorkloadSpec(
 )
 
 
-def test_random_replay_matches_oracle(tmp_path):
-    db = LiveDb(tmp_path / "db")
+def test_random_replay_matches_oracle(open_db):
+    db = open_db("db")
     oracle = ReferenceOracle()
     replay_workload_into(db, oracle, SMALL_SPEC)
     addresses, slot_pairs = collect_touched(SMALL_SPEC)
@@ -263,22 +278,22 @@ def test_two_replicas_produce_identical_roots_and_files(tmp_path, monkeypatch):
     assert not filecmp.dircmp(tmp_path / "left", tmp_path / "right").diff_files
 
 
-def test_root_invariant_under_within_block_input_order(tmp_path):
+def test_root_invariant_under_within_block_input_order(open_db):
     base = [
         AccountUpdate(address=addr(1), created=True, balance=1),
         AccountUpdate(address=addr(2), created=True, balance=2),
     ]
-    one = LiveDb(tmp_path / "one")
-    two = LiveDb(tmp_path / "two")
+    one = open_db("one")
+    two = open_db("two")
     one.apply_block(BlockDiff(block=1, updates=tuple(base)))
     two.apply_block(BlockDiff(block=1, updates=tuple(reversed(base))))
     assert one.state_root() == two.state_root()
 
 
-def test_roots_differ_when_first_insertion_order_differs(tmp_path):
+def test_roots_differ_when_first_insertion_order_differs(open_db):
     # Same final key set, inserted across blocks in different orders.
-    one = LiveDb(tmp_path / "one")
-    two = LiveDb(tmp_path / "two")
+    one = open_db("one")
+    two = open_db("two")
     one.apply_block(diff(1, AccountUpdate(address=addr(1), created=True)))
     one.apply_block(diff(2, AccountUpdate(address=addr(2), created=True)))
     two.apply_block(diff(1, AccountUpdate(address=addr(2), created=True)))
@@ -286,14 +301,14 @@ def test_roots_differ_when_first_insertion_order_differs(tmp_path):
     assert one.state_root().root != two.state_root().root
 
 
-def test_roots_equal_when_only_overwrites_are_permuted_across_blocks(tmp_path):
+def test_roots_equal_when_only_overwrites_are_permuted_across_blocks(open_db):
     setup = diff(
         1,
         AccountUpdate(address=addr(1), created=True, balance=1),
         AccountUpdate(address=addr(2), created=True, balance=2),
     )
-    one = LiveDb(tmp_path / "one")
-    two = LiveDb(tmp_path / "two")
+    one = open_db("one")
+    two = open_db("two")
     one.apply_block(setup)
     two.apply_block(setup)
     one.apply_block(diff(2, AccountUpdate(address=addr(1), balance=10)))
@@ -303,8 +318,8 @@ def test_roots_equal_when_only_overwrites_are_permuted_across_blocks(tmp_path):
     assert one.state_root().root == two.state_root().root
 
 
-def test_overwrites_do_not_grow_files(tmp_path):
-    db = LiveDb(tmp_path / "db")
+def test_overwrites_do_not_grow_files(tmp_path, open_db):
+    db = open_db("db")
     slots = tuple((key(i), val(1)) for i in range(64))
     db.apply_block(diff(1, AccountUpdate(address=addr(1), created=True, slots=slots)))
     db.flush()
@@ -321,10 +336,10 @@ def test_overwrites_do_not_grow_files(tmp_path):
             assert sizes_after[name] == size, f"{name} grew"
 
 
-def test_cache_transparency(tmp_path, monkeypatch):
-    cached = LiveDb(tmp_path / "cached")
+def test_cache_transparency(open_db, monkeypatch):
+    cached = open_db("cached")
     monkeypatch.setattr(livedb_module, "KEY_CACHE_ENTRIES", 0)
-    uncached = LiveDb(tmp_path / "uncached")
+    uncached = open_db("uncached")
     for block_diff in generate(SMALL_SPEC):
         cached.apply_block(block_diff)
         uncached.apply_block(block_diff)

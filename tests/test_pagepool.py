@@ -1,10 +1,11 @@
 """Page pool behavior: transparency of eviction, durability of flush."""
 
+import os
 import random
 
 import pytest
 
-from flatstate.errors import BoundsError, FormatError
+from flatstate.errors import BoundsError, FormatError, StorageError
 from flatstate.pagepool import PagePool
 
 
@@ -118,3 +119,29 @@ def test_reopen_preserves_contents(tmp_path):
     reopened = make_pool(tmp_path, page_size=256, capacity=4)
     for i, data in payloads.items():
         assert bytes(reopened.get_page(i).data) == data
+
+
+def test_page_past_end_of_file_reads_as_zeros(tmp_path):
+    pool = make_pool(tmp_path, capacity=2)
+    for i in range(3):
+        write_page(pool, i, bytes([i + 1]) * 256)
+    pool.flush()
+    pool.close()
+    pool = make_pool(tmp_path, capacity=2)
+    os.truncate(tmp_path / "pool.dat", 256 + 100)  # page 1 torn, page 2 gone
+    assert bytes(pool.get_page(0).data) == b"\x01" * 256
+    assert bytes(pool.get_page(1).data) == b"\x02" * 100 + bytes(156)
+    assert bytes(pool.get_page(2).data) == bytes(256)
+    pool.close()
+
+
+def test_short_write_raises_storage_error(tmp_path, monkeypatch):
+    pool = make_pool(tmp_path)
+    write_page(pool, 0, b"\x07" * 256)
+    real_pwrite = os.pwrite
+    monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: real_pwrite(fd, data[:100], offset))
+    with pytest.raises(StorageError, match="short write"):
+        pool.flush()
+    monkeypatch.undo()
+    pool.close()
+    assert (tmp_path / "pool.dat").read_bytes() == b"\x07" * 256
