@@ -26,9 +26,11 @@ import mmap
 import os
 import queue
 import threading
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .digest import HASH_SIZE, ZERO_HASH, digest
 from .errors import BoundsError, CorruptionError, SequenceError, StorageError, UnavailableError
@@ -55,6 +57,10 @@ MERGE_FANOUT = 4  # runs on one level that trigger their merge into the next
 # pointer, so a search bisects the fences in C and then at most this many
 # entries in Python.
 FENCE_STRIDE = 16
+# Each run also gets an in-memory blocked Bloom filter over its entry
+# prefixes with at least this many bits per entry, so a search skips
+# nearly every run that cannot hold the queried prefix.
+FILTER_BITS_PER_KEY = 10
 EMPTY_CODE_HASH = digest(b"")
 
 # Queue sentinels: cut the current commit batch (and stop, for _CLOSE).
@@ -83,6 +89,14 @@ TABLES = {
 }
 
 
+class RunSearch(NamedTuple):
+    """In-memory search aids of one run, built together on its first search and never persisted."""
+
+    fences: list[bytes]  # key of every FENCE_STRIDE-th entry
+    words: array  # blocked Bloom filter: a power of two of 64-bit words, each prefix sets bits in one
+    mask: int  # len(words) - 1
+
+
 @dataclass
 class RunRef:
     file: str
@@ -91,7 +105,20 @@ class RunRef:
     first: int  # lowest block the run may hold
     last: int  # highest block the run may hold
     data: mmap.mmap  # read-only mapping; stays readable after a merge unlinks the file
-    fences: list[bytes] | None = None  # key of every FENCE_STRIDE-th entry, built on first search
+    search: RunSearch | None = None  # published whole, so a racing reader sees all of it or none
+
+
+_BIT = tuple(1 << i for i in range(64))
+
+
+def filter_bits(h: int) -> int:
+    """The filter bits of a prefix hash: five positions from disjoint 6-bit fields of its top 30 bits.
+
+    The word is picked by the hash's low bits, which stay clear of these
+    fields for any filter below 2**34 words.
+    """
+    top = h >> 34 & 0x3FFFFFFF  # a small int, so the field arithmetic below stays cheap
+    return _BIT[top & 63] | _BIT[top >> 6 & 63] | _BIT[top >> 12 & 63] | _BIT[top >> 18 & 63] | _BIT[top >> 24]
 
 
 def map_run(path: Path, count: int, entry_size: int) -> mmap.mmap:
@@ -116,6 +143,9 @@ class _SortedTable:
         self.key_size = spec.prefix_size + BLOCK_SIZE
         self.runs: list[RunRef] = []  # in meta.json order
         self.newest_first: tuple[RunRef, ...] = ()  # the snapshot readers search
+        # One reader builds a run's search aids while others needing them wait,
+        # so racing first searches neither repeat the work nor hold two copies.
+        self.build_lock = threading.Lock()
 
     def publish(self, runs: list[RunRef]) -> None:
         """Replace the run list and its newest-first snapshot (archive lock held)."""
@@ -133,6 +163,10 @@ class _SortedTable:
         """
         prefix_size, key_size = self.spec.prefix_size, self.key_size
         target = prefix + block.to_bytes(BLOCK_SIZE, "big")
+        # Python's hash() of bytes is keyed per process, which is harmless
+        # for filters that are never persisted.
+        prefix_hash = hash(prefix)
+        bits = filter_bits(prefix_hash)
         best: tuple[int, bytes] | None = None
         try:
             for run in runs:
@@ -140,7 +174,10 @@ class _SortedTable:
                     break
                 if run.first > block:
                     continue
-                entry = self._floor_entry(run, target)
+                search = run.search or self._search_of(run)
+                if search.words[prefix_hash & search.mask] & bits != bits:
+                    continue  # the run holds no entry with this prefix
+                entry = self._floor_entry(run, search.fences, target)
                 if entry is None or entry[:prefix_size] != prefix:
                     continue
                 found = int.from_bytes(entry[prefix_size:key_size], "big")
@@ -150,12 +187,34 @@ class _SortedTable:
             raise StorageError("archive is closed") from exc
         return best
 
-    def _floor_entry(self, run: RunRef, target: bytes) -> bytes | None:
+    def _search_of(self, run: RunRef) -> RunSearch:
+        """The search aids of ``run``, built unless a reader that held the lock first built them."""
+        with self.build_lock:
+            return run.search or self._build_search(run)
+
+    def _build_search(self, run: RunRef) -> RunSearch:
+        """Fences and filter of ``run`` in one pass over its entries, published as one object."""
+        data, size, key_size, prefix_size = run.data, self.entry_size, self.key_size, self.spec.prefix_size
+        word_count = 1 << max(0, (run.count * FILTER_BITS_PER_KEY - 1).bit_length() - 6)
+        words = array("Q", [0]) * word_count
+        mask = word_count - 1
+        fences = []
+        previous = None
+        for i in range(run.count):
+            at = i * size
+            if i % FENCE_STRIDE == 0:
+                fences.append(data[at : at + key_size])
+            prefix = data[at : at + prefix_size]
+            if prefix != previous:  # a sorted run keeps a prefix's entries adjacent
+                previous = prefix
+                prefix_hash = hash(prefix)
+                words[prefix_hash & mask] |= filter_bits(prefix_hash)
+        search = run.search = RunSearch(fences, words, mask)
+        return search
+
+    def _floor_entry(self, run: RunRef, fences: list[bytes], target: bytes) -> bytes | None:
         """The last entry of ``run`` whose key (prefix ++ block) is <= ``target``."""
         data, size, key_size = run.data, self.entry_size, self.key_size
-        fences = run.fences
-        if fences is None:
-            fences = run.fences = [data[i * size : i * size + key_size] for i in range(0, run.count, FENCE_STRIDE)]
         fence = bisect_right(fences, target)
         if fence == 0:
             return None
@@ -237,8 +296,10 @@ class ArchiveDb:
             self._blockhash_fh.close()
             self._blob_fh.close()
             for table in self._tables.values():
-                for run in table.runs:
-                    run.data.close()
+                with table.build_lock:  # a build still running cannot publish after this
+                    for run in table.runs:
+                        run.data.close()
+                        run.search = None
         self._raise_pending_error()
 
     # -- queries ---------------------------------------------------------

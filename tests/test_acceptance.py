@@ -268,15 +268,18 @@ def test_criterion_08_linear_hash_density(tmp_path):
     pool = PagePool(tmp_path / "buckets", page_size=4096, capacity=4096)
     reverse = RecordStore.open(tmp_path / "keys", 20, page_size=4096, capacity=4096)
     index = LinearHashIndex(pool, reverse, 20)
-    rng = random.Random(808)
-    keys = [rng.randbytes(20) for _ in range(100_000)]
-    initial_buckets = len(index.bucket_pages)
-    ordinals = [index.get_or_add(k)[0] for k in keys]
-    splits = len(index.bucket_pages) - initial_buckets
-    assert sorted(ordinals) == list(range(100_000))
-    assert splits >= 8
-    retrievable = sum(index.get(k) == o for k, o in zip(keys, ordinals))
-    assert retrievable == 100_000
+    try:
+        rng = random.Random(808)
+        keys = [rng.randbytes(20) for _ in range(100_000)]
+        initial_buckets = len(index.bucket_pages)
+        ordinals = [index.get_or_add(k)[0] for k in keys]
+        splits = len(index.bucket_pages) - initial_buckets
+        assert sorted(ordinals) == list(range(100_000))
+        assert splits >= 8
+        retrievable = sum(index.get(k) == o for k, o in zip(keys, ordinals))
+        assert retrievable == 100_000
+    finally:
+        index.close()
     report(8, f"100000 keys, {splits} splits, ordinals dense 0..99999, 100% retrievable")
 
 

@@ -7,11 +7,12 @@ import pathlib
 import random
 import sys
 import threading
+import time
 
 import pytest
 
 from flatstate import archive as archive_module
-from flatstate.archive import MAX_BLOCK, ArchiveDb
+from flatstate.archive import FENCE_STRIDE, FILTER_BITS_PER_KEY, MAX_BLOCK, ArchiveDb, filter_bits
 from flatstate.errors import CorruptionError, SequenceError, StorageError, UnavailableError
 from flatstate.oracle import ReferenceOracle
 from flatstate.types import REINC_SIZE, AccountUpdate, BlockDiff, ZERO_VALUE, serialize_update
@@ -478,6 +479,21 @@ def assert_answers_match(archive, oracle, addresses, pairs, blocks):
             assert archive.get_storage_at(address, slot_key, block) == oracle.storage_at(address, slot_key, block)
 
 
+def assert_filters_admit_stored_prefixes(archive):
+    """Every prefix stored in every run passes that run's filter, and its fences are every FENCE_STRIDE-th key."""
+    for table in archive._tables.values():
+        for run in table.runs:
+            search = run.search or table._build_search(run)
+            assert len(search.words) == search.mask + 1 and search.mask & (search.mask + 1) == 0
+            assert len(search.words) * 64 >= run.count * FILTER_BITS_PER_KEY
+            entries = list(table.iter_entries(run))
+            assert search.fences == [entry[: table.key_size] for entry in entries[::FENCE_STRIDE]]
+            for entry in entries:
+                prefix_hash = hash(entry[: table.spec.prefix_size])
+                bits = filter_bits(prefix_hash)
+                assert search.words[prefix_hash & search.mask] & bits == bits, (run.file, entry.hex())
+
+
 @pytest.mark.parametrize("fanout", [2, 0])
 def test_newest_first_search_matches_oracle(tmp_path, monkeypatch, fanout):
     diffs = list(generate(SEARCH_SPEC))
@@ -500,10 +516,13 @@ def test_newest_first_search_matches_oracle(tmp_path, monkeypatch, fanout):
     assert_answers_match(archive, oracle, addresses, pairs, blocks)
     recreated_pairs = [(address, slot_key) for address, slot_key in pairs if address in recreated]
     assert_answers_match(archive, oracle, sorted(recreated), recreated_pairs, range(SEARCH_SPEC.blocks + 1))
+    assert any(run.level > 0 for run in archive._tables["storage"].runs) == bool(fanout)
+    assert_filters_admit_stored_prefixes(archive)
     archive.close()
     reopened = ArchiveDb(tmp_path / "archive")
     assert {name: [(run.first, run.last) for run in table.runs] for name, table in reopened._tables.items()} == ranges
     assert_answers_match(reopened, oracle, addresses, pairs, range(SEARCH_SPEC.blocks + 1))
+    assert_filters_admit_stored_prefixes(reopened)
     reopened.close()
 
 
@@ -531,7 +550,104 @@ def test_runs_without_block_ranges_still_answer(tmp_path, monkeypatch):
     assert any((run["first"], run["last"]) == (0, MAX_BLOCK) for run in new_runs)
     assert any(run["last"] == SEARCH_SPEC.blocks for run in new_runs)
     assert_answers_match(legacy, oracle, addresses, pairs, range(SEARCH_SPEC.blocks + 1))
+    assert_filters_admit_stored_prefixes(legacy)
     legacy.close()
+
+
+def written_slot_history(spec, monkeypatch, directory):
+    """Writes ``spec`` as a closed archive of unmerged six-block runs; returns oracle, addresses, first writes."""
+    diffs = list(generate(spec))
+    oracle, addresses, _, _, _ = history_facts(diffs)
+    first_write = {}
+    for block_diff in diffs:
+        for update in block_diff.updates:
+            for slot_key, _ in update.slots:
+                first_write.setdefault((update.address, slot_key), block_diff.block)
+    patch_appender(monkeypatch, batch_blocks=6, merge_fanout=NO_MERGE)
+    archive = ArchiveDb(directory)
+    feed(archive, diffs)
+    archive.close()
+    return oracle, addresses, first_write
+
+
+FILTER_SPEC = WorkloadSpec(seed=41, blocks=48, accounts=60, txs_per_block=4, slot_writes_per_tx=2, new_key_ratio=0.5, delete_ratio=0.0)
+
+
+def test_storage_floor_searches_about_one_run(tmp_path, monkeypatch):
+    """Runs whose filter rules the prefix out are skipped: about one run search per storage floor call."""
+    oracle, _, first_write = written_slot_history(FILTER_SPEC, monkeypatch, tmp_path / "archive")
+    archive = ArchiveDb(tmp_path / "archive")
+    assert len(archive.run_files()["storage"]) == 8
+    calls = {"floor": 0, "search": 0}
+    floor, floor_entry = archive_module._SortedTable.floor, archive_module._SortedTable._floor_entry
+
+    def counting_floor(table, *args):
+        calls["floor"] += table.spec.name == "storage"
+        return floor(table, *args)
+
+    def counting_floor_entry(table, *args):
+        calls["search"] += table.spec.name == "storage"
+        return floor_entry(table, *args)
+
+    monkeypatch.setattr(archive_module._SortedTable, "floor", counting_floor)
+    monkeypatch.setattr(archive_module._SortedTable, "_floor_entry", counting_floor_entry)
+    for (address, slot_key), written in sorted(first_write.items()):
+        for block in range(written, FILTER_SPEC.blocks + 1, 3):
+            assert archive.get_storage_at(address, slot_key, block) == oracle.storage_at(address, slot_key, block)
+    assert calls["floor"] > 1_000
+    # Searching every run that covers the block, as without filters, makes about 3 per call here.
+    assert calls["search"] / calls["floor"] <= 1.3
+    archive.close()
+
+
+def test_concurrent_first_searches_build_whole_filters(tmp_path, monkeypatch):
+    oracle, addresses, first_write = written_slot_history(FILTER_SPEC, monkeypatch, tmp_path / "archive")
+    pairs = sorted(first_write)
+    reopened = ArchiveDb(tmp_path / "archive")
+    runs = [run for table in reopened._tables.values() for run in table.runs]
+    assert not any(run.search for run in runs)
+    built, build_search = [], archive_module._SortedTable._build_search
+
+    def counting_build_search(table, run):
+        built.append(run.file)
+        time.sleep(0.002)  # widen the window in which another reader could start the same build
+        return build_search(table, run)
+
+    monkeypatch.setattr(archive_module._SortedTable, "_build_search", counting_build_search)
+    start = threading.Barrier(4)
+    wrong = []
+
+    def reader(seed):
+        rng = random.Random(seed)
+        start.wait(timeout=10)
+        for query in range(300):
+            block = rng.randint(0, FILTER_SPEC.blocks) if query else FILTER_SPEC.blocks  # all race on the newest runs first
+            address, slot_key = rng.choice(pairs) if query else pairs[0]
+            if reopened.get_storage_at(address, slot_key, block) != oracle.storage_at(address, slot_key, block):
+                wrong.append(("storage", address, slot_key, block))
+            address = rng.choice(addresses)
+            if reopened.get_balance_at(address, block) != oracle.balance_at(address, block):
+                wrong.append(("balance", address, block))
+
+    threads = [threading.Thread(target=reader, args=(seed,)) for seed in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not wrong
+    assert all(run.search for run in reopened._tables["storage"].runs)
+    assert len(built) == len(set(built))  # racing first searches build each run's aids once
+    assert_filters_admit_stored_prefixes(reopened)  # the published aids are whole
+    reopened.close()
+    assert not any(run.search for run in runs)
+    with pytest.raises(StorageError, match="archive is closed"):
+        reopened.get_storage_at(*pairs[0], FILTER_SPEC.blocks)
 
 
 def test_query_at_watermark_reads_only_the_newest_run(tmp_path, monkeypatch):
@@ -546,10 +662,10 @@ def test_query_at_watermark_reads_only_the_newest_run(tmp_path, monkeypatch):
     runs = reopened._tables["storage"].runs
     assert len(runs) == 5
     assert reopened.get_storage_at(a1, key(1), 10) == val(10)
-    assert [run.fences is not None for run in runs] == [False, False, False, False, True]
+    assert [run.search is not None for run in runs] == [False, False, False, False, True]
     # A query inside history reads only the run that covers its block.
     assert reopened.get_storage_at(a1, key(1), 5) == val(5)
-    assert [run.fences is not None for run in runs] == [False, False, True, False, True]
+    assert [run.search is not None for run in runs] == [False, False, True, False, True]
     reopened.close()
 
 

@@ -12,30 +12,40 @@ from flatstate.pagepool import PagePool
 from flatstate.store import RecordStore
 
 
-def make_index(tmp_path, key_width=20, page_size=256, name="idx", state=None, count=0):
-    pool = PagePool(tmp_path / f"{name}.buckets", page_size=page_size, capacity=64)
-    reverse = RecordStore.open(
-        tmp_path / f"{name}.keys",
-        key_width,
-        count=count,
-        page_size=page_size,
-        capacity=64,
-        tree_path=tmp_path / f"{name}.tree",
-    )
-    return LinearHashIndex(pool, reverse, key_width, state=state)
+@pytest.fixture
+def open_index(tmp_path):
+    """Opens indexes under tmp_path and closes each one after the test."""
+    opened = []
+
+    def open_(key_width=20, page_size=256, name="idx", state=None, count=0):
+        pool = PagePool(tmp_path / f"{name}.buckets", page_size=page_size, capacity=64)
+        reverse = RecordStore.open(
+            tmp_path / f"{name}.keys",
+            key_width,
+            count=count,
+            page_size=page_size,
+            capacity=64,
+            tree_path=tmp_path / f"{name}.tree",
+        )
+        opened.append(LinearHashIndex(pool, reverse, key_width, state=state))
+        return opened[-1]
+
+    yield open_
+    for index in opened:
+        index.close()
 
 
 def k20(n: int) -> bytes:
     return n.to_bytes(20, "big")
 
 
-def test_first_key_gets_ordinal_zero(tmp_path):
-    index = make_index(tmp_path)
+def test_first_key_gets_ordinal_zero(open_index):
+    index = open_index()
     assert index.get_or_add(k20(7)) == (0, True)
 
 
-def test_repeated_insert_is_idempotent(tmp_path):
-    index = make_index(tmp_path)
+def test_repeated_insert_is_idempotent(open_index):
+    index = open_index()
     ordinal, was_new = index.get_or_add(k20(1))
     again, still_new = index.get_or_add(k20(1))
     assert (ordinal, was_new) == (0, True)
@@ -43,8 +53,8 @@ def test_repeated_insert_is_idempotent(tmp_path):
     assert index.count == 1
 
 
-def test_get_is_read_only(tmp_path):
-    index = make_index(tmp_path)
+def test_get_is_read_only(open_index):
+    index = open_index()
     assert index.get(k20(5)) is None
     assert index.count == 0
     root = index.root_hash()
@@ -53,8 +63,8 @@ def test_get_is_read_only(tmp_path):
     assert index.root_hash() != root
 
 
-def test_unaligned_match_in_bucket_is_not_a_hit(tmp_path):
-    index = make_index(tmp_path)
+def test_unaligned_match_in_bucket_is_not_a_hit(open_index):
+    index = open_index()
     # The entry of `stored` (ordinal 0) is 8 bytes ++ tail ++ 8 zero bytes, so
     # `probe` = tail ++ 8 zero bytes occurs in the bucket page 8 bytes into it.
     pairs = ((b"\xaa" * 8 + n.to_bytes(12, "big"), n.to_bytes(12, "big") + bytes(8)) for n in range(1, 1000))
@@ -73,9 +83,9 @@ def test_unaligned_match_in_bucket_is_not_a_hit(tmp_path):
     index.close()
 
 
-def test_dense_ordinals_across_many_splits(tmp_path):
+def test_dense_ordinals_across_many_splits(open_index):
     # Small pages force frequent splits: (256-10)//28 = 8 slots per bucket.
-    index = make_index(tmp_path)
+    index = open_index()
     rng = random.Random(77)
     keys = [rng.randbytes(20) for _ in range(10_000)]
     buckets_seen = {len(index.bucket_pages)}
@@ -92,17 +102,17 @@ def test_dense_ordinals_across_many_splits(tmp_path):
         assert index.key_at(expected) == key
 
 
-def test_key_at_bounds(tmp_path):
-    index = make_index(tmp_path)
+def test_key_at_bounds(open_index):
+    index = open_index()
     index.get_or_add(k20(3))
     assert index.key_at(0) == k20(3)
     with pytest.raises(BoundsError):
         index.key_at(1)
 
 
-def test_random_workload_matches_dict_oracle(tmp_path):
+def test_random_workload_matches_dict_oracle(open_index):
     rng = random.Random(404)
-    index = make_index(tmp_path)
+    index = open_index()
     oracle: dict[bytes, int] = {}
     universe = [rng.randbytes(20) for _ in range(600)]
     for _ in range(5_000):
@@ -120,8 +130,8 @@ def test_random_workload_matches_dict_oracle(tmp_path):
         assert index.key_at(ordinal) == key
 
 
-def test_commitment_ignores_duplicate_inserts(tmp_path):
-    index = make_index(tmp_path)
+def test_commitment_ignores_duplicate_inserts(open_index):
+    index = open_index()
     index.get_or_add(k20(1))
     index.get_or_add(k20(2))
     root = index.root_hash()
@@ -129,41 +139,41 @@ def test_commitment_ignores_duplicate_inserts(tmp_path):
     assert index.root_hash() == root
 
 
-def test_same_sequence_same_root_and_permuted_sequence_differs(tmp_path):
+def test_same_sequence_same_root_and_permuted_sequence_differs(open_index):
     keys = [k20(i) for i in range(40)]
-    left = make_index(tmp_path, name="left")
-    right = make_index(tmp_path, name="right")
+    left = open_index(name="left")
+    right = open_index(name="right")
     for key in keys:
         left.get_or_add(key)
         right.get_or_add(key)
     assert left.root_hash() == right.root_hash()
-    permuted = make_index(tmp_path, name="perm")
+    permuted = open_index(name="perm")
     for key in reversed(keys):
         permuted.get_or_add(key)
     assert permuted.root_hash() != left.root_hash()
 
 
-def test_rebuild_from_key_sequence_reproduces_root(tmp_path):
+def test_rebuild_from_key_sequence_reproduces_root(open_index):
     rng = random.Random(11)
-    index = make_index(tmp_path, name="orig")
+    index = open_index(name="orig")
     for _ in range(500):
         index.get_or_add(rng.randbytes(20))
-    rebuilt = make_index(tmp_path, name="rebuilt")
+    rebuilt = open_index(name="rebuilt")
     for ordinal in range(index.count):
         rebuilt.get_or_add(index.key_at(ordinal))
     assert rebuilt.root_hash() == index.root_hash()
 
 
-def test_empty_index_root_is_empty_tree_root(tmp_path):
+def test_empty_index_root_is_empty_tree_root(open_index):
     from flatstate.digest import EMPTY_HASH
 
-    index = make_index(tmp_path)
+    index = open_index()
     assert index.root_hash() == EMPTY_HASH
 
 
-def test_persistence_roundtrip(tmp_path):
+def test_persistence_roundtrip(open_index):
     rng = random.Random(55)
-    index = make_index(tmp_path, name="persist")
+    index = open_index(name="persist")
     keys = [rng.randbytes(20) for _ in range(3_000)]
     for key in keys:
         index.get_or_add(key)
@@ -171,20 +181,20 @@ def test_persistence_roundtrip(tmp_path):
     state = index.state()
     index.flush()
     index.close()
-    reopened = make_index(tmp_path, name="persist", state=state, count=state["count"])
+    reopened = open_index(name="persist", state=state, count=state["count"])
     assert reopened.root_hash() == root
     for ordinal, key in enumerate(keys):
         assert reopened.get(key) == ordinal
     assert reopened.get_or_add(rng.randbytes(20)) == (3_000, True)
 
 
-def test_remembered_misses_place_keys_as_a_plain_insert_does(tmp_path):
+def test_remembered_misses_place_keys_as_a_plain_insert_does(open_index, tmp_path):
     # Each batch is looked up (all misses) before it is inserted, so splits
     # fall between a key's get() and its get_or_add().
     rng = random.Random(2024)
     keys = [rng.randbytes(20) for _ in range(10_000)]
-    plain = make_index(tmp_path, name="plain")
-    probed = make_index(tmp_path, name="probed")
+    plain = open_index(name="plain")
+    probed = open_index(name="probed")
     for start in range(0, len(keys), 50):
         batch = keys[start : start + 50]
         for key in batch:
@@ -200,8 +210,8 @@ def test_remembered_misses_place_keys_as_a_plain_insert_does(tmp_path):
         assert (tmp_path / f"probed.{suffix}").read_bytes() == (tmp_path / f"plain.{suffix}").read_bytes()
 
 
-def test_repeated_miss_walks_no_page_and_computes_no_digest(tmp_path):
-    index = make_index(tmp_path)
+def test_repeated_miss_walks_no_page_and_computes_no_digest(open_index):
+    index = open_index()
     for n in range(100):
         index.get_or_add(k20(n))
     assert index.get(k20(1_000)) is None
@@ -215,8 +225,8 @@ def test_repeated_miss_walks_no_page_and_computes_no_digest(tmp_path):
     index.close()
 
 
-def test_remembered_miss_is_found_after_insertion(tmp_path):
-    index = make_index(tmp_path)
+def test_remembered_miss_is_found_after_insertion(open_index):
+    index = open_index()
     assert index.get(k20(9)) is None
     assert index.get_or_add(k20(9)) == (0, True)
     assert index.get(k20(9)) == 0
@@ -225,9 +235,9 @@ def test_remembered_miss_is_found_after_insertion(tmp_path):
     index.close()
 
 
-def test_remembered_misses_stay_bounded(tmp_path, monkeypatch):
+def test_remembered_misses_stay_bounded(open_index, monkeypatch):
     monkeypatch.setattr(index_module, "MISSES_REMEMBERED", 8)
-    index = make_index(tmp_path)
+    index = open_index()
     sizes = set()
     for n in range(100):
         assert index.get(k20(n)) is None

@@ -9,8 +9,19 @@ from flatstate.errors import BoundsError, FormatError, StorageError
 from flatstate.pagepool import PagePool
 
 
-def make_pool(tmp_path, page_size=256, capacity=4, name="pool.dat"):
-    return PagePool(tmp_path / name, page_size=page_size, capacity=capacity)
+@pytest.fixture
+def open_pool(tmp_path):
+    """Opens pools under tmp_path and closes each one after the test."""
+    opened = []
+
+    def open_(page_size=256, capacity=4, name="pool.dat"):
+        pool = PagePool(tmp_path / name, page_size=page_size, capacity=capacity)
+        opened.append(pool)
+        return pool
+
+    yield open_
+    for pool in opened:
+        pool.close()
 
 
 def write_page(pool, page_id, data):
@@ -19,13 +30,13 @@ def write_page(pool, page_id, data):
     pool.mark_dirty(page_id)
 
 
-def test_fresh_pool_first_page_is_zero(tmp_path):
-    pool = make_pool(tmp_path, page_size=4096)
+def test_fresh_pool_first_page_is_zero(open_pool):
+    pool = open_pool(page_size=4096)
     assert bytes(pool.get_page(0).data) == b"\x00" * 4096
 
 
-def test_eviction_roundtrip(tmp_path):
-    pool = make_pool(tmp_path, page_size=256, capacity=2)
+def test_eviction_roundtrip(open_pool):
+    pool = open_pool(page_size=256, capacity=2)
     payload = bytes(range(256))
     for i in range(8):
         write_page(pool, i, payload if i == 7 else bytes([i]) * 256)
@@ -46,16 +57,16 @@ def test_config_validation(tmp_path):
     assert not (tmp_path / "x").exists()  # rejected before the file is opened
 
 
-def test_page_id_gap_rejected(tmp_path):
-    pool = make_pool(tmp_path)
+def test_page_id_gap_rejected(open_pool):
+    pool = open_pool()
     with pytest.raises(BoundsError):
         pool.get_page(1)
     pool.get_page(0)
     pool.get_page(1)
 
 
-def test_flush_is_idempotent_and_materializes_all_pages(tmp_path):
-    pool = make_pool(tmp_path, page_size=256, capacity=4)
+def test_flush_is_idempotent_and_materializes_all_pages(open_pool, tmp_path):
+    pool = open_pool(page_size=256, capacity=4)
     pool.flush()  # empty pool: no-op
     assert (tmp_path / "pool.dat").stat().st_size == 0
     for i in range(6):
@@ -67,8 +78,8 @@ def test_flush_is_idempotent_and_materializes_all_pages(tmp_path):
     assert (tmp_path / "pool.dat").read_bytes() == first
 
 
-def test_mark_dirty_requires_residency(tmp_path):
-    pool = make_pool(tmp_path, capacity=2)
+def test_mark_dirty_requires_residency(open_pool):
+    pool = open_pool(capacity=2)
     for i in range(4):
         pool.get_page(i)
     evicted = next(i for i in range(4) if i not in pool._pages)
@@ -76,11 +87,11 @@ def test_mark_dirty_requires_residency(tmp_path):
         pool.mark_dirty(evicted)
 
 
-def test_random_schedule_matches_mirror_oracle(tmp_path):
+def test_random_schedule_matches_mirror_oracle(open_pool, tmp_path):
     """10^4 random write/read/evict/flush/reopen steps against a dict mirror."""
     rng = random.Random(1234)
     page_size = 128
-    pool = make_pool(tmp_path, page_size=page_size, capacity=3)
+    pool = open_pool(page_size=page_size, capacity=3)
     mirror = {}
     for step in range(10_000):
         action = rng.random()
@@ -98,7 +109,7 @@ def test_random_schedule_matches_mirror_oracle(tmp_path):
             pool.flush()
         else:
             pool.close()
-            pool = make_pool(tmp_path, page_size=page_size, capacity=3)
+            pool = open_pool(page_size=page_size, capacity=3)
         assert pool.resident_count <= 3
     pool.flush()
     for page_id, expected in mirror.items():
@@ -110,24 +121,24 @@ def test_random_schedule_matches_mirror_oracle(tmp_path):
         assert stored[page_id * page_size : (page_id + 1) * page_size] == expected
 
 
-def test_reopen_preserves_contents(tmp_path):
-    pool = make_pool(tmp_path, page_size=256, capacity=4)
+def test_reopen_preserves_contents(open_pool):
+    pool = open_pool(page_size=256, capacity=4)
     payloads = {i: bytes([i + 1]) * 256 for i in range(5)}
     for i, data in payloads.items():
         write_page(pool, i, data)
     pool.close()
-    reopened = make_pool(tmp_path, page_size=256, capacity=4)
+    reopened = open_pool(page_size=256, capacity=4)
     for i, data in payloads.items():
         assert bytes(reopened.get_page(i).data) == data
 
 
-def test_page_past_end_of_file_reads_as_zeros(tmp_path):
-    pool = make_pool(tmp_path, capacity=2)
+def test_page_past_end_of_file_reads_as_zeros(open_pool, tmp_path):
+    pool = open_pool(capacity=2)
     for i in range(3):
         write_page(pool, i, bytes([i + 1]) * 256)
     pool.flush()
     pool.close()
-    pool = make_pool(tmp_path, capacity=2)
+    pool = open_pool(capacity=2)
     os.truncate(tmp_path / "pool.dat", 256 + 100)  # page 1 torn, page 2 gone
     assert bytes(pool.get_page(0).data) == b"\x01" * 256
     assert bytes(pool.get_page(1).data) == b"\x02" * 100 + bytes(156)
@@ -135,8 +146,8 @@ def test_page_past_end_of_file_reads_as_zeros(tmp_path):
     pool.close()
 
 
-def test_short_write_raises_storage_error(tmp_path, monkeypatch):
-    pool = make_pool(tmp_path)
+def test_short_write_raises_storage_error(open_pool, tmp_path, monkeypatch):
+    pool = open_pool()
     write_page(pool, 0, b"\x07" * 256)
     real_pwrite = os.pwrite
     monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: real_pwrite(fd, data[:100], offset))

@@ -10,13 +10,27 @@ from flatstate.pagepool import PagePool
 from flatstate.store import Depot, RecordStore
 
 
-def make_store(tmp_path, record_size, page_size=4096, capacity=8, name="store.dat"):
-    pool = PagePool(tmp_path / name, page_size=page_size, capacity=capacity)
-    return RecordStore(pool, record_size)
+@pytest.fixture
+def opened():
+    """Stores and depots a test opens, closed after it."""
+    held = []
+    yield held
+    for store in held:
+        store.close()
 
 
-def test_slot_arithmetic_golden_case(tmp_path):
-    store = make_store(tmp_path, record_size=32, page_size=4096)
+@pytest.fixture
+def open_store(tmp_path, opened):
+    def open_(record_size, page_size=4096, capacity=8, name="store.dat"):
+        pool = PagePool(tmp_path / name, page_size=page_size, capacity=capacity)
+        opened.append(RecordStore(pool, record_size))
+        return opened[-1]
+
+    return open_
+
+
+def test_slot_arithmetic_golden_case(open_store, tmp_path):
+    store = open_store(record_size=32, page_size=4096)
     for r in range(129):
         store.set(r, r.to_bytes(32, "big"))
     store.flush()
@@ -26,9 +40,9 @@ def test_slot_arithmetic_golden_case(tmp_path):
 
 
 @pytest.mark.parametrize("record_size,page_size", [(1, 256), (7, 256), (32, 4096), (44, 512), (56, 512)])
-def test_record_placement_exhaustive(tmp_path, record_size, page_size):
+def test_record_placement_exhaustive(open_store, tmp_path, record_size, page_size):
     count = 10_000 if record_size <= 8 else 2_000
-    store = make_store(tmp_path, record_size, page_size=page_size, name=f"s{record_size}.dat")
+    store = open_store(record_size, page_size=page_size, name=f"s{record_size}.dat")
     for r in range(count):
         store.set(r, (r % 251).to_bytes(1, "big") * record_size)
     store.flush()
@@ -39,16 +53,16 @@ def test_record_placement_exhaustive(tmp_path, record_size, page_size):
         assert data[offset : offset + record_size] == (r % 251).to_bytes(1, "big") * record_size
 
 
-def test_set_get_roundtrip_and_overwrite(tmp_path):
-    store = make_store(tmp_path, record_size=16)
+def test_set_get_roundtrip_and_overwrite(open_store):
+    store = open_store(record_size=16)
     store.set(0, b"a" * 16)
     assert store.get(0) == b"a" * 16
     store.set(0, b"b" * 16)
     assert store.get(0) == b"b" * 16
 
 
-def test_bounds_and_format_errors(tmp_path):
-    store = make_store(tmp_path, record_size=16)
+def test_bounds_and_format_errors(open_store):
+    store = open_store(record_size=16)
     with pytest.raises(BoundsError):
         store.get(0)
     with pytest.raises(BoundsError):
@@ -57,9 +71,9 @@ def test_bounds_and_format_errors(tmp_path):
         store.set(0, b"short")
 
 
-def test_random_schedule_matches_flat_array_oracle(tmp_path):
+def test_random_schedule_matches_flat_array_oracle(open_store):
     rng = random.Random(2024)
-    store = make_store(tmp_path, record_size=8, page_size=256, capacity=3)
+    store = open_store(record_size=8, page_size=256, capacity=3)
     oracle: list[bytes] = []
     for _ in range(5_000):
         if rng.random() < 0.55 or not oracle:
@@ -78,8 +92,8 @@ def test_random_schedule_matches_flat_array_oracle(tmp_path):
         assert store.get(r) == expected
 
 
-def test_store_root_tracks_content(tmp_path):
-    store = make_store(tmp_path, record_size=32)
+def test_store_root_tracks_content(open_store):
+    store = open_store(record_size=32)
     empty = store.root()
     store.set(0, b"\x11" * 32)
     first = store.root()
@@ -88,13 +102,18 @@ def test_store_root_tracks_content(tmp_path):
     assert store.root() == first
 
 
-def make_depot(tmp_path):
-    meta = make_store(tmp_path, record_size=44, name="codes.meta")
-    return Depot(meta, tmp_path / "codes.blob")
+@pytest.fixture
+def open_depot(tmp_path, opened):
+    def open_():
+        meta = RecordStore(PagePool(tmp_path / "codes.meta", page_size=4096, capacity=8), 44)
+        opened.append(Depot(meta, tmp_path / "codes.blob"))
+        return opened[-1]
+
+    return open_
 
 
-def test_depot_empty_code(tmp_path):
-    depot = make_depot(tmp_path)
+def test_depot_empty_code(open_depot):
+    depot = open_depot()
     depot.set(0, b"")
     assert depot.get(0) == b""
     meta = depot.meta.get(0)
@@ -102,9 +121,9 @@ def test_depot_empty_code(tmp_path):
     assert meta[12:44] == hashlib.sha256(b"").digest()
 
 
-def test_depot_roundtrip_and_oracle(tmp_path):
+def test_depot_roundtrip_and_oracle(open_depot):
     rng = random.Random(9)
-    depot = make_depot(tmp_path)
+    depot = open_depot()
     oracle: list[bytes] = []
     for _ in range(800):
         if rng.random() < 0.6 or not oracle:
@@ -122,14 +141,14 @@ def test_depot_roundtrip_and_oracle(tmp_path):
         assert depot.get(r) == expected
 
 
-def test_depot_rejects_oversized_code(tmp_path):
-    depot = make_depot(tmp_path)
+def test_depot_rejects_oversized_code(open_depot):
+    depot = open_depot()
     with pytest.raises(FormatError):
         depot.set(0, b"\x00" * 25601)
 
 
-def test_depot_detects_blob_corruption(tmp_path):
-    depot = make_depot(tmp_path)
+def test_depot_detects_blob_corruption(open_depot, opened, tmp_path):
+    depot = open_depot()
     depot.set(0, b"\xaa" * 100)
     depot.flush()
     blob = tmp_path / "codes.blob"
@@ -140,12 +159,13 @@ def test_depot_detects_blob_corruption(tmp_path):
         PagePool(tmp_path / "codes.meta", page_size=4096, capacity=8), 44, count=1
     )
     tampered = Depot(fresh_meta, blob)
+    opened.append(tampered)
     with pytest.raises(CorruptionError):
         tampered.get(0)
 
 
-def test_depot_root_changes_with_code_content(tmp_path):
-    depot = make_depot(tmp_path)
+def test_depot_root_changes_with_code_content(open_depot):
+    depot = open_depot()
     depot.set(0, b"one")
     first = depot.root()
     depot.set(0, b"two")
