@@ -21,7 +21,6 @@ that failure, and readers keep the last published watermark.
 
 from __future__ import annotations
 
-import heapq
 import mmap
 import os
 import queue
@@ -229,10 +228,9 @@ class _SortedTable:
                 hi = mid
         return data[(lo - 1) * size : lo * size]
 
-    def iter_entries(self, run: RunRef):
+    def entries(self, run: RunRef) -> list[bytes]:
         data, size = run.data, self.entry_size
-        for i in range(run.count):
-            yield data[i * size : (i + 1) * size]
+        return [data[at : at + size] for at in range(0, run.count * size, size)]
 
 
 class ArchiveDb:
@@ -406,8 +404,7 @@ class ArchiveDb:
     def _process_batch(self, diffs: list[BlockDiff]) -> None:
         entries: dict[str, list[bytes]] = {name: [] for name in TABLES}
         block_hashes: list[bytes] = []
-        new_codes: list[bytes] = []
-        pending_code_hashes: set[bytes] = set()
+        new_codes: dict[bytes, bytes] = {}  # digest -> body of each code the blob lacks
         previous = self._last_block_hash
         for diff in diffs:
             block_field = diff.block.to_bytes(BLOCK_SIZE, "big")
@@ -434,9 +431,8 @@ class ArchiveDb:
                 if code is not None:
                     code_hash = digest(code)
                     entries["code"].append(addr + block_field + code_hash)
-                    if code and code_hash not in self._code_offsets and code_hash not in pending_code_hashes:
-                        pending_code_hashes.add(code_hash)
-                        new_codes.append(code)
+                    if code and code_hash not in self._code_offsets:
+                        new_codes.setdefault(code_hash, code)
                 reinc_field = reinc.to_bytes(REINC_SIZE, "big")
                 for key, value in update.slots:
                     entries["storage"].append(addr + reinc_field + key + block_field + value)
@@ -448,8 +444,8 @@ class ArchiveDb:
             previous = digest(previous + b"".join(account_hashes))
             block_hashes.append(previous)
 
-        for code in new_codes:
-            self._append_code(code)
+        for code_hash, code in new_codes.items():
+            self._append_code(code_hash, code)
         new_runs: dict[str, RunRef] = {}
         for name, rows in entries.items():
             if rows:
@@ -493,10 +489,13 @@ class ArchiveDb:
                 return
             victims = by_level[target]
             sorted_table = self._tables[table]
-            merged = heapq.merge(*(sorted_table.iter_entries(run) for run in victims))
+            merged: list[bytes] = []
+            for run in victims:
+                merged += sorted_table.entries(run)
+            merged.sort()  # finds the victims' sorted stretches and merges them
             first = min(run.first for run in victims)
             last = max(run.last for run in victims)
-            new_run = self._write_run(table, list(merged), target + 1, first, last)
+            new_run = self._write_run(table, merged, target + 1, first, last)
             victim_files = {run.file for run in victims}
             with self._lock:
                 kept = [run for run in sorted_table.runs if run.file not in victim_files]
@@ -507,8 +506,7 @@ class ArchiveDb:
             for file in victim_files:
                 (self.data_dir / file).unlink(missing_ok=True)
 
-    def _append_code(self, code: bytes) -> None:
-        code_hash = digest(code)
+    def _append_code(self, code_hash: bytes, code: bytes) -> None:
         offset = self._blob_size
         record = code_hash + len(code).to_bytes(4, "big") + code
         self._blob_fh.seek(offset)
@@ -613,13 +611,16 @@ class ArchiveDb:
     def _newest_entries(self, name: str) -> dict[bytes, tuple[int, bytes]]:
         """(block, payload) of each address's newest entry in a table keyed by address."""
         table = self._tables[name]
+        size = table.entry_size
+        payload_at = ADDRESS_SIZE + BLOCK_SIZE
         newest: dict[bytes, tuple[int, bytes]] = {}
         for run in table.runs:
-            for entry in table.iter_entries(run):
-                addr = entry[:ADDRESS_SIZE]
-                block = int.from_bytes(entry[ADDRESS_SIZE : ADDRESS_SIZE + BLOCK_SIZE], "big")
+            data = run.data  # read in place: one run's entries are never all held at once
+            for at in range(0, run.count * size, size):
+                addr = data[at : at + ADDRESS_SIZE]
+                block = int.from_bytes(data[at + ADDRESS_SIZE : at + payload_at], "big")
                 if addr not in newest or block > newest[addr][0]:
-                    newest[addr] = (block, entry[ADDRESS_SIZE + BLOCK_SIZE :])
+                    newest[addr] = (block, data[at + payload_at : at + size])
         return newest
 
     def _raise_pending_error(self) -> None:

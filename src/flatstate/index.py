@@ -11,14 +11,19 @@ ordinal i). The table's commitment is the hash-tree root over the
 reverse table's pages only: bucket layout is an implementation detail
 and stays outside the commitment.
 
-A validator reads every key before it writes it, so a lookup that misses
-remembers the key's bucket hash (up to ``MISSES_REMEMBERED`` keys): the
-insert that follows skips the digest and the key search.
+Lookups remember what they learn. A key that is found or added keeps its
+ordinal in a least-recently-used memo (up to ``KEYS_REMEMBERED`` keys), so
+asking again costs no digest and no chain walk; keys are never removed
+and ordinals never change, so the memo needs no invalidation. A validator
+reads every key before it writes it, so a lookup that misses remembers
+the key's bucket hash (up to ``MISSES_REMEMBERED`` keys): the insert that
+follows skips the digest and the key search.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections import OrderedDict
 
 from .digest import add_calls, digest
 from .errors import FormatError
@@ -29,6 +34,7 @@ _HEADER_SIZE = 10  # u16 entry count, u64 overflow pointer (page id + 1; 0 = non
 _INITIAL_BUCKETS = 4
 _INITIAL_LEVEL = 2
 _LOAD_FACTOR = 0.75
+KEYS_REMEMBERED = 1 << 16  # found or added keys whose ordinal is kept; least recently used go first
 MISSES_REMEMBERED = 4096  # absent keys whose bucket hash get() keeps; cleared when full
 
 
@@ -59,6 +65,8 @@ class LinearHashIndex:
             self.level = state["level"]
             self.split_ptr = state["split"]
             self.bucket_pages = list(state["bucket_pages"])
+        self._known: OrderedDict[bytes, int] = OrderedDict()  # present key -> ordinal, oldest use first
+        self._known_limit = KEYS_REMEMBERED
         self._misses: dict[bytes, int] = {}  # absent key -> bucket_hash(key)
 
     def state(self) -> dict:
@@ -72,9 +80,14 @@ class LinearHashIndex:
     def get(self, key: bytes) -> int | None:
         """Read-only lookup; never mutates the table or the reverse table.
 
-        A miss remembers the key's bucket hash, so asking again costs no
-        walk and a following ``get_or_add`` walks page headers only.
+        A hit remembers the key's ordinal and a miss its bucket hash, so
+        asking again costs no walk, and a ``get_or_add`` that follows a
+        miss walks page headers only.
         """
+        ordinal = self._known.get(key)
+        if ordinal is not None:  # remembered keys have passed _check_key
+            self._known.move_to_end(key)
+            return ordinal
         self._check_key(key)
         if key in self._misses:
             return None
@@ -84,10 +97,16 @@ class LinearHashIndex:
             if len(self._misses) >= MISSES_REMEMBERED:
                 self._misses.clear()
             self._misses[key] = h
+        else:
+            self._remember(key, found)
         return found
 
     def get_or_add(self, key: bytes) -> tuple[int, bool]:
         """Return (ordinal, was_new); new keys get ordinal == previous count."""
+        ordinal = self._known.get(key)
+        if ordinal is not None:
+            self._known.move_to_end(key)
+            return ordinal, False
         self._check_key(key)
         # A remembered miss is still absent: only this method adds keys, and it
         # forgets the miss first. The bucket is recomputed from h at the current
@@ -96,6 +115,7 @@ class LinearHashIndex:
         if h is None:
             found, insert_page, tail = self._walk(key, self._primary_page(bucket_hash(key)))
             if found is not None:
+                self._remember(key, found)
                 return found, False
         else:
             insert_page, tail = self._free_and_tail(self._primary_page(h))
@@ -109,6 +129,7 @@ class LinearHashIndex:
         self.count += 1
         if self.count > _LOAD_FACTOR * len(self.bucket_pages) * self.slots_per_page:
             self._split()
+        self._remember(key, ordinal)
         return ordinal, True
 
     def key_at(self, ordinal: int) -> bytes:
@@ -125,6 +146,12 @@ class LinearHashIndex:
     def close(self) -> None:
         self.reverse.close()
         self.pool.close()
+
+    def _remember(self, key: bytes, ordinal: int) -> None:
+        known = self._known
+        known[key] = ordinal
+        if len(known) > self._known_limit:
+            known.popitem(last=False)
 
     def _check_key(self, key: bytes) -> None:
         if len(key) != self.key_width:

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .cache import LruCache
 from .digest import digest
 from .errors import CorruptionError, SequenceError
 from .index import LinearHashIndex
@@ -41,7 +40,6 @@ from .types import (
 
 FORMAT_VERSION = 1
 POOL_CAPACITY = 1024  # pages each store, index and key file keeps in memory
-KEY_CACHE_ENTRIES = 1 << 16  # addresses and slot keys each LRU cache remembers
 ROOT_ORDER = ("balance", "nonce", "exists", "reinc", "code", "values", "a_index", "ak_index")
 
 AK_KEY_SIZE = ADDRESS_SIZE + REINC_SIZE + KEY_SIZE
@@ -70,40 +68,32 @@ class LiveDb:
         self.values = self._store("values", VALUE_SIZE, slots)
         self.a_index = self._index("addr", ADDRESS_SIZE, meta.get("a_index"))
         self.ak_index = self._index("slots", AK_KEY_SIZE, meta.get("ak_index"))
-        self._a_cache = LruCache(KEY_CACHE_ENTRIES)
-        self._ak_cache = LruCache(KEY_CACHE_ENTRIES)
         self._root_cache: bytes | None = None
 
     # -- reads ---------------------------------------------------------------
 
     def get_balance(self, address: bytes) -> int:
-        ordinal = self._account_ordinal(address)
+        ordinal = self.a_index.get(address)
         return 0 if ordinal is None else int.from_bytes(self.balances.get(ordinal), "big")
 
     def get_nonce(self, address: bytes) -> int:
-        ordinal = self._account_ordinal(address)
+        ordinal = self.a_index.get(address)
         return 0 if ordinal is None else int.from_bytes(self.nonces.get(ordinal), "big")
 
     def get_code(self, address: bytes) -> bytes:
-        ordinal = self._account_ordinal(address)
+        ordinal = self.a_index.get(address)
         return b"" if ordinal is None else self.codes.get(ordinal)
 
     def account_exists(self, address: bytes) -> bool:
-        ordinal = self._account_ordinal(address)
+        ordinal = self.a_index.get(address)
         return ordinal is not None and self.exists_flags.get(ordinal) == b"\x01"
 
     def get_storage(self, address: bytes, key: bytes) -> bytes:
-        ordinal = self._account_ordinal(address)
+        ordinal = self.a_index.get(address)
         if ordinal is None:
             return ZERO_VALUE
-        composite = address + self.reincarnations.get(ordinal) + key
-        slot = self._ak_cache.get(composite)
-        if slot is None:
-            slot = self.ak_index.get(composite)
-            if slot is None:
-                return ZERO_VALUE
-            self._ak_cache.put(composite, slot)
-        return self.values.get(slot)
+        slot = self.ak_index.get(address + self.reincarnations.get(ordinal) + key)
+        return ZERO_VALUE if slot is None else self.values.get(slot)
 
     # -- writes --------------------------------------------------------------
 
@@ -116,16 +106,13 @@ class LiveDb:
         self._root_cache = None
 
     def _apply_update(self, update) -> None:
-        ordinal = self._a_cache.get(update.address)
-        if ordinal is None:
-            ordinal, was_new = self.a_index.get_or_add(update.address)
-            self._a_cache.put(update.address, ordinal)
-            if was_new:
-                self.balances.set(ordinal, b"\x00" * BALANCE_SIZE)
-                self.nonces.set(ordinal, b"\x00" * NONCE_SIZE)
-                self.exists_flags.set(ordinal, b"\x00")
-                self.reincarnations.set(ordinal, b"\x00" * REINC_SIZE)
-                self.codes.set(ordinal, b"")
+        ordinal, was_new = self.a_index.get_or_add(update.address)
+        if was_new:
+            self.balances.set(ordinal, b"\x00" * BALANCE_SIZE)
+            self.nonces.set(ordinal, b"\x00" * NONCE_SIZE)
+            self.exists_flags.set(ordinal, b"\x00")
+            self.reincarnations.set(ordinal, b"\x00" * REINC_SIZE)
+            self.codes.set(ordinal, b"")
         if update.deleted:
             reinc = int.from_bytes(self.reincarnations.get(ordinal), "big") + 1
             self.reincarnations.set(ordinal, reinc.to_bytes(REINC_SIZE, "big"))
@@ -144,12 +131,7 @@ class LiveDb:
         if update.slots:
             prefix = update.address + self.reincarnations.get(ordinal)
             for key, value in update.slots:
-                composite = prefix + key
-                slot = self._ak_cache.get(composite)
-                if slot is None:
-                    slot, _ = self.ak_index.get_or_add(composite)
-                    self._ak_cache.put(composite, slot)
-                self.values.set(slot, value)
+                self.values.set(self.ak_index.get_or_add(prefix + key)[0], value)
 
     # -- commitment ----------------------------------------------------------
 
@@ -188,23 +170,15 @@ class LiveDb:
         self._write_meta()
 
     def close(self) -> None:
-        self.flush()
+        """Persist and close every component once, in flush order, then write the metadata file."""
         for store in (self.balances, self.nonces, self.exists_flags, self.reincarnations, self.values):
             store.close()
         self.codes.close()
         self.a_index.close()
         self.ak_index.close()
+        self._write_meta()
 
     # -- internals -----------------------------------------------------------
-
-    def _account_ordinal(self, address: bytes) -> int | None:
-        ordinal = self._a_cache.get(address)
-        if ordinal is not None:
-            return ordinal
-        ordinal = self.a_index.get(address)
-        if ordinal is not None:
-            self._a_cache.put(address, ordinal)
-        return ordinal
 
     def _store(self, name: str, record_size: int, count: int) -> RecordStore:
         return RecordStore.open(

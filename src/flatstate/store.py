@@ -147,16 +147,19 @@ class Depot:
         return self.meta.root()
 
     def flush(self) -> None:
+        self._flush_blob()
+        self.meta.flush()
+
+    def close(self) -> None:
+        self._flush_blob()
+        self._blob.close()
+        self.meta.close()
+
+    def _flush_blob(self) -> None:
         try:
             self._blob.flush()
         except OSError as exc:
             raise StorageError(f"blob flush failed: {exc}", path=self.blob_path) from exc
-        self.meta.flush()
-
-    def close(self) -> None:
-        self.flush()
-        self._blob.close()
-        self.meta.close()
 
 
 def _pages_for(count: int, slots_per_page: int) -> int:

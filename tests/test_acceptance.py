@@ -11,7 +11,7 @@ import time
 import pytest
 
 from flatstate import bench
-from flatstate import livedb as livedb_module
+from flatstate import index as index_module
 from flatstate.archive import ArchiveDb
 from flatstate.digest import digest_count
 from flatstate.hashtree import HashTree
@@ -153,7 +153,7 @@ def test_criterion_04_replication_determinism(tmp_path, monkeypatch):
     replicas = []
     for name in ("one", "two"):
         if name == "two":
-            monkeypatch.setattr(livedb_module, "KEY_CACHE_ENTRIES", 0)  # the second replica runs uncached
+            monkeypatch.setattr(index_module, "KEYS_REMEMBERED", 0)  # the second replica remembers no key
         replicas.append((LiveDb(tmp_path / name / "live"), ArchiveDb(tmp_path / name / "archive")))
     blocks = 0
     for diff in generate(MEDIUM_SPEC):
@@ -164,6 +164,8 @@ def test_criterion_04_replication_determinism(tmp_path, monkeypatch):
             roots.append(live.state_root())
         assert roots[0] == roots[1]
         blocks += 1
+    (remembering, _), (forgetful, _) = replicas
+    assert len(forgetful.a_index._known) == len(forgetful.ak_index._known) == 0 < len(remembering.ak_index._known)
     for live, archive in replicas:
         live.close()
         archive.close()

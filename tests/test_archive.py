@@ -486,7 +486,7 @@ def assert_filters_admit_stored_prefixes(archive):
             search = run.search or table._build_search(run)
             assert len(search.words) == search.mask + 1 and search.mask & (search.mask + 1) == 0
             assert len(search.words) * 64 >= run.count * FILTER_BITS_PER_KEY
-            entries = list(table.iter_entries(run))
+            entries = table.entries(run)
             assert search.fences == [entry[: table.key_size] for entry in entries[::FENCE_STRIDE]]
             for entry in entries:
                 prefix_hash = hash(entry[: table.spec.prefix_size])

@@ -188,26 +188,60 @@ def test_persistence_roundtrip(open_index):
     assert reopened.get_or_add(rng.randbytes(20)) == (3_000, True)
 
 
-def test_remembered_misses_place_keys_as_a_plain_insert_does(open_index, tmp_path):
+@pytest.mark.parametrize("remembered", [0, 16, index_module.KEYS_REMEMBERED], ids=["none", "16", "default"])
+def test_remembered_misses_place_keys_as_a_plain_insert_does(open_index, tmp_path, monkeypatch, remembered):
     # Each batch is looked up (all misses) before it is inserted, so splits
-    # fall between a key's get() and its get_or_add().
+    # fall between a key's get() and its get_or_add(); then it is looked up
+    # and inserted again, which a memo of 16 keys serves while evicting.
     rng = random.Random(2024)
     keys = [rng.randbytes(20) for _ in range(10_000)]
+    monkeypatch.setattr(index_module, "KEYS_REMEMBERED", 0)
     plain = open_index(name="plain")
+    monkeypatch.setattr(index_module, "KEYS_REMEMBERED", remembered)
     probed = open_index(name="probed")
     for start in range(0, len(keys), 50):
         batch = keys[start : start + 50]
+        ordinals = list(range(start, start + len(batch)))
         for key in batch:
             plain.get_or_add(key)
         assert [probed.get(key) for key in batch] == [None] * len(batch)
         for key in batch:
             assert probed.get_or_add(key) == (plain.get(key), True)
+        assert [probed.get(key) for key in batch] == ordinals
+        assert [probed.get_or_add(key) for key in batch] == [(n, False) for n in ordinals]
     assert probed.state() == plain.state()
     assert len(plain.bucket_pages) > 1000
+    assert (len(plain._known), len(probed._known)) == (0, min(remembered, len(keys)))
     plain.close()
     probed.close()
     for suffix in ("buckets", "keys"):
         assert (tmp_path / f"probed.{suffix}").read_bytes() == (tmp_path / f"plain.{suffix}").read_bytes()
+
+
+def test_repeated_hit_walks_no_page_and_computes_no_digest(open_index):
+    index = open_index(name="hits")
+    for n in range(100):
+        index.get_or_add(k20(n))
+    state = index.state()
+    index.close()
+    reopened = open_index(name="hits", state=state, count=state["count"])
+    pages = []
+    real_get_page = reopened.pool.get_page
+    reopened.pool.get_page = lambda page_id: pages.append(page_id) or real_get_page(page_id)
+    assert reopened.get(k20(7)) == 7  # found by a walk, then remembered
+    assert pages
+    pages.clear()
+    before = digest_count()
+    assert reopened.get(k20(7)) == 7
+    assert reopened.get_or_add(k20(7)) == (7, False)
+    assert (pages, digest_count()) == ([], before)
+    assert reopened.get_or_add(k20(100)) == (100, True)  # added, then remembered
+    pages.clear()
+    before = digest_count()
+    assert reopened.get(k20(100)) == 100
+    assert reopened.get_or_add(k20(100)) == (100, False)
+    assert (pages, digest_count()) == ([], before)
+    reopened.pool.get_page = real_get_page
 
 
 def test_repeated_miss_walks_no_page_and_computes_no_digest(open_index):

@@ -7,9 +7,10 @@ import random
 
 import pytest
 
-from flatstate import livedb as livedb_module
+from flatstate import index as index_module
 from flatstate.digest import EMPTY_HASH, digest_count
 from flatstate.errors import CorruptionError, SequenceError, ValidationError
+from flatstate.hashtree import HashTree
 from flatstate.livedb import LiveDb, ROOT_ORDER
 from flatstate.oracle import ReferenceOracle
 from flatstate.types import AccountUpdate, BlockDiff, ZERO_VALUE
@@ -262,12 +263,13 @@ def tree_bytes(root_dir):
 
 def test_two_replicas_produce_identical_roots_and_files(tmp_path, monkeypatch):
     left = LiveDb(tmp_path / "left")
-    monkeypatch.setattr(livedb_module, "KEY_CACHE_ENTRIES", 16)  # cache size must not matter
+    monkeypatch.setattr(index_module, "KEYS_REMEMBERED", 16)  # memo size must not matter
     right = LiveDb(tmp_path / "right")
     for block_diff in generate(SMALL_SPEC):
         left.apply_block(block_diff)
         right.apply_block(block_diff)
         assert left.state_root() == right.state_root()
+    assert len(right.ak_index._known) == 16 < len(left.ak_index._known)
     left.close()
     right.close()
     left_files = tree_bytes(tmp_path / "left")
@@ -318,6 +320,30 @@ def test_roots_equal_when_only_overwrites_are_permuted_across_blocks(open_db):
     assert one.state_root().root == two.state_root().root
 
 
+def test_close_after_flush_writes_each_tree_file_once(tmp_path, monkeypatch):
+    db = LiveDb(tmp_path / "db")
+    slots = tuple((key(i), val(i + 1)) for i in range(8))
+    db.apply_block(diff(1, AccountUpdate(address=addr(1), created=True, balance=5, code=b"\x60", slots=slots)))
+    db.flush()
+    written = []
+    real_flush = HashTree.flush
+
+    def counting_flush(tree, page_reader):
+        written.append(tree.node_path.name)
+        real_flush(tree, page_reader)
+
+    monkeypatch.setattr(HashTree, "flush", counting_flush)
+    meta_before = (tmp_path / "db" / "meta.json").read_bytes()
+    db.close()
+    assert sorted(written) == sorted(path.name for path in (tmp_path / "db").glob("*.tree"))
+    assert len(written) == 8
+    assert (tmp_path / "db" / "meta.json").read_bytes() == meta_before
+    reopened = LiveDb(tmp_path / "db")
+    assert reopened.get_storage(addr(1), key(3)) == val(4)
+    assert reopened.get_code(addr(1)) == b"\x60"
+    reopened.close()
+
+
 def test_overwrites_do_not_grow_files(tmp_path, open_db):
     db = open_db("db")
     slots = tuple((key(i), val(1)) for i in range(64))
@@ -338,7 +364,7 @@ def test_overwrites_do_not_grow_files(tmp_path, open_db):
 
 def test_cache_transparency(open_db, monkeypatch):
     cached = open_db("cached")
-    monkeypatch.setattr(livedb_module, "KEY_CACHE_ENTRIES", 0)
+    monkeypatch.setattr(index_module, "KEYS_REMEMBERED", 0)
     uncached = open_db("uncached")
     for block_diff in generate(SMALL_SPEC):
         cached.apply_block(block_diff)
@@ -349,4 +375,4 @@ def test_cache_transparency(open_db, monkeypatch):
         assert cached.get_balance(address) == uncached.get_balance(address)
     for address, slot_key in slot_pairs:
         assert cached.get_storage(address, slot_key) == uncached.get_storage(address, slot_key)
-    assert len(uncached._a_cache) == len(uncached._ak_cache) == 0 < len(cached._ak_cache)
+    assert len(uncached.a_index._known) == len(uncached.ak_index._known) == 0 < len(cached.ak_index._known)
