@@ -35,8 +35,6 @@ class ReplaySummary:
     final_root: bytes
     elapsed: float
     samples: list[BenchSample]
-    live_dir: Path
-    archive_dir: Path | None
 
 
 def replay_workload(
@@ -66,9 +64,7 @@ def replay_workload(
     try:
         for diff in read_workload(workload):
             live.apply_block(diff)
-            root = live.state_root()
-            if root.block != diff.block:
-                raise FlatStateError(f"root reported block {root.block} while applying {diff.block}")
+            live.state_root()
             if archive is not None:
                 archive.append_block(diff)
             blocks += 1
@@ -99,8 +95,6 @@ def replay_workload(
         final_root=final_root,
         elapsed=time.perf_counter() - started,
         samples=samples,
-        live_dir=live_dir,
-        archive_dir=archive_dir,
     )
 
 

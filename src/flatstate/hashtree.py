@@ -39,6 +39,7 @@ class HashTree:
         # _levels[h] holds the nodes of height h; _levels[-1] is the root.
         self._levels: list[bytearray] = []
         self._dirty_leaves: set[int] = set()
+        self._saved = False  # the node file holds exactly _levels
         if leaf_count > 0:
             if self.node_path is not None and self.node_path.exists():
                 self._load(leaf_count)
@@ -89,6 +90,7 @@ class HashTree:
                 levels.append(bytearray(_PAD[height] * (capacity >> height)))
         self._dirty_leaves.update(range(self._leaf_count, new_leaf_count))
         self._leaf_count = new_leaf_count
+        self._saved = False
 
     def root(self, page_reader) -> bytes:
         """Current root hash; recomputes only dirty leaves and their ancestors.
@@ -136,18 +138,20 @@ class HashTree:
                 view.release()
         add_calls(calls)
         self._dirty_leaves = set()
+        self._saved = False
         return root
 
     def flush(self, page_reader) -> None:
-        """Bring the tree up to date and persist the node file."""
+        """Bring the tree up to date and persist the node file unless it already matches."""
         self.root(page_reader)
-        if self.node_path is None:
+        if self.node_path is None or self._saved:
             return
         try:
             with open(self.node_path, "wb") as fh:
                 fh.writelines(reversed(self._levels))
         except OSError as exc:
             raise StorageError(f"cannot write tree nodes: {exc}", path=self.node_path) from exc
+        self._saved = True
 
     def _load(self, leaf_count: int) -> None:
         capacity = _next_pow2(leaf_count)
@@ -163,3 +167,4 @@ class HashTree:
             self._levels.append(bytearray(data[start : start + (HASH_SIZE << depth)]))
         self._levels.reverse()
         self._leaf_count = leaf_count
+        self._saved = True

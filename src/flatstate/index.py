@@ -11,13 +11,13 @@ ordinal i). The table's commitment is the hash-tree root over the
 reverse table's pages only: bucket layout is an implementation detail
 and stays outside the commitment.
 
-Lookups remember what they learn. A key that is found or added keeps its
-ordinal in a least-recently-used memo (up to ``KEYS_REMEMBERED`` keys), so
-asking again costs no digest and no chain walk; keys are never removed
-and ordinals never change, so the memo needs no invalidation. A validator
-reads every key before it writes it, so a lookup that misses remembers
-the key's bucket hash (up to ``MISSES_REMEMBERED`` keys): the insert that
-follows skips the digest and the key search.
+Lookups remember what they learn in one least-recently-used memo of up
+to ``KEYS_REMEMBERED`` keys: a present key maps to its ordinal (>= 0), an
+absent key to ``~bucket_hash(key)`` (< 0). Asking again for a present key
+costs no digest and no chain walk, and since a validator reads every key
+before it writes it, the insert that follows a miss walks page headers
+only. Ordinals never change and only ``get_or_add`` adds keys, overwriting
+the key's miss entry as it does, so the memo needs no invalidation.
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ _HEADER_SIZE = 10  # u16 entry count, u64 overflow pointer (page id + 1; 0 = non
 _INITIAL_BUCKETS = 4
 _INITIAL_LEVEL = 2
 _LOAD_FACTOR = 0.75
-KEYS_REMEMBERED = 1 << 16  # found or added keys whose ordinal is kept; least recently used go first
-MISSES_REMEMBERED = 4096  # absent keys whose bucket hash get() keeps; cleared when full
+KEYS_REMEMBERED = 1 << 16  # found, added or missed keys the memo keeps; least recently used go first
 
 
 def bucket_hash(key: bytes) -> int:
@@ -65,9 +64,9 @@ class LinearHashIndex:
             self.level = state["level"]
             self.split_ptr = state["split"]
             self.bucket_pages = list(state["bucket_pages"])
-        self._known: OrderedDict[bytes, int] = OrderedDict()  # present key -> ordinal, oldest use first
+        # present key -> ordinal, absent key -> ~bucket_hash(key); oldest use first
+        self._known: OrderedDict[bytes, int] = OrderedDict()
         self._known_limit = KEYS_REMEMBERED
-        self._misses: dict[bytes, int] = {}  # absent key -> bucket_hash(key)
 
     def state(self) -> dict:
         return {
@@ -84,45 +83,37 @@ class LinearHashIndex:
         asking again costs no walk, and a ``get_or_add`` that follows a
         miss walks page headers only.
         """
-        ordinal = self._known.get(key)
-        if ordinal is not None:  # remembered keys have passed _check_key
+        known = self._known.get(key)
+        if known is not None:  # remembered keys have passed _check_key
             self._known.move_to_end(key)
-            return ordinal
+            return known if known >= 0 else None
         self._check_key(key)
-        if key in self._misses:
-            return None
         h = bucket_hash(key)
         found = self._walk(key, self._primary_page(h))[0]
-        if found is None:
-            if len(self._misses) >= MISSES_REMEMBERED:
-                self._misses.clear()
-            self._misses[key] = h
-        else:
-            self._remember(key, found)
+        self._remember(key, ~h if found is None else found)
         return found
 
     def get_or_add(self, key: bytes) -> tuple[int, bool]:
         """Return (ordinal, was_new); new keys get ordinal == previous count."""
-        ordinal = self._known.get(key)
-        if ordinal is not None:
-            self._known.move_to_end(key)
-            return ordinal, False
-        self._check_key(key)
-        # A remembered miss is still absent: only this method adds keys, and it
-        # forgets the miss first. The bucket is recomputed from h at the current
-        # level, so splits since the miss change nothing.
-        h = self._misses.pop(key, None)
-        if h is None:
+        known = self._known.get(key)
+        if known is None:
+            self._check_key(key)
             found, insert_page, tail = self._walk(key, self._primary_page(bucket_hash(key)))
             if found is not None:
                 self._remember(key, found)
                 return found, False
+        elif known >= 0:
+            self._known.move_to_end(key)
+            return known, False
         else:
-            insert_page, tail = self._free_and_tail(self._primary_page(h))
+            # A remembered miss is still absent: only this method adds keys, and it
+            # overwrites the miss below. The bucket is recomputed from the hash at
+            # the current level, so splits since the miss change nothing.
+            insert_page, tail = self._free_and_tail(self._primary_page(~known))
         ordinal = self.count
         if insert_page is None:
             insert_page = self._alloc_page()
-            self.pool.get_page(tail).data[2:10] = (insert_page + 1).to_bytes(8, "big")
+            self.pool.get_page(tail)[2:10] = (insert_page + 1).to_bytes(8, "big")
             self.pool.mark_dirty(tail)
         self._append_entry(insert_page, key, ordinal)
         self.reverse.set(ordinal, key)
@@ -172,7 +163,7 @@ class LinearHashIndex:
         size = self.entry_size
         free = None
         while True:
-            data = self.pool.get_page(page_id).data
+            data = self.pool.get_page(page_id)
             n = int.from_bytes(data[0:2], "big")
             end = _HEADER_SIZE + n * size
             at = data.find(key, _HEADER_SIZE, end)
@@ -191,7 +182,7 @@ class LinearHashIndex:
         """(first page with a free slot or None, last page) of the chain at page_id, from headers only."""
         free = None
         while True:
-            data = self.pool.get_page(page_id).data
+            data = self.pool.get_page(page_id)
             if free is None and int.from_bytes(data[0:2], "big") < self.slots_per_page:
                 free = page_id
             nxt = int.from_bytes(data[2:10], "big")
@@ -205,11 +196,11 @@ class LinearHashIndex:
         return page_id
 
     def _append_entry(self, page_id: int, key: bytes, ordinal: int) -> None:
-        page = self.pool.get_page(page_id)
-        n = int.from_bytes(page.data[0:2], "big")
+        data = self.pool.get_page(page_id)
+        n = int.from_bytes(data[0:2], "big")
         offset = _HEADER_SIZE + n * self.entry_size
-        page.data[offset : offset + self.entry_size] = key + ordinal.to_bytes(8, "big")
-        page.data[0:2] = (n + 1).to_bytes(2, "big")
+        data[offset : offset + self.entry_size] = key + ordinal.to_bytes(8, "big")
+        data[0:2] = (n + 1).to_bytes(2, "big")
         self.pool.mark_dirty(page_id)
 
     def _split(self) -> None:
@@ -218,7 +209,7 @@ class LinearHashIndex:
         entries: list[bytearray] = []  # stored key ++ ordinal entries, in chain order
         chain = [self.bucket_pages[source]]
         while True:
-            data = self.pool.get_page(chain[-1]).data
+            data = self.pool.get_page(chain[-1])
             end = _HEADER_SIZE + int.from_bytes(data[0:2], "big") * size
             entries.extend(data[at : at + size] for at in range(_HEADER_SIZE, end, size))
             nxt = int.from_bytes(data[2:10], "big")
@@ -253,8 +244,7 @@ class LinearHashIndex:
             batch = entries[idx * per_page : (idx + 1) * per_page]
             nxt = chain[idx + 1] + 1 if (idx + 1) * per_page < len(entries) else 0
             used = _HEADER_SIZE + len(batch) * self.entry_size
-            page = self.pool.get_page(page_id)
-            page.data[:] = b"".join(
+            self.pool.get_page(page_id)[:] = b"".join(
                 (len(batch).to_bytes(2, "big"), nxt.to_bytes(8, "big"), *batch, bytes(page_size - used))
             )
             self.pool.mark_dirty(page_id)

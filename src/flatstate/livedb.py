@@ -12,8 +12,9 @@ The worldstate commitment is the digest of eight component roots in a
 fixed order (balance, nonce, exists, reincarnation, code, values,
 address index, slot index), each maintained lazily by the hash trees.
 
-One writer owns the instance during apply_block; concurrent readers are
-allowed only between block applications.
+One thread uses an instance at a time, readers included: every read
+reorders the least-recently-used page and key maps, so two threads must
+not share an instance without a lock of their own.
 """
 
 from __future__ import annotations

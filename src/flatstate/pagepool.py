@@ -18,20 +18,6 @@ from .errors import BoundsError, FormatError, StorageError
 MIN_PAGE_SIZE = 64
 
 
-class Page:
-    """A resident page: mutable bytes plus a dirty flag.
-
-    Callers that mutate ``data`` must call ``PagePool.mark_dirty`` before
-    the next pool operation, or the change may be lost on eviction.
-    """
-
-    __slots__ = ("data", "dirty")
-
-    def __init__(self, data: bytearray, dirty: bool):
-        self.data = data
-        self.dirty = dirty
-
-
 class PagePool:
     def __init__(self, file_path: Path, *, page_size: int, capacity: int):
         if page_size < MIN_PAGE_SIZE or page_size & (page_size - 1):
@@ -41,7 +27,8 @@ class PagePool:
         self.file_path = Path(file_path)
         self.page_size = page_size
         self.capacity = capacity
-        self._pages: OrderedDict[int, Page] = OrderedDict()
+        self._pages: OrderedDict[int, bytearray] = OrderedDict()  # resident pages, oldest use first
+        self._dirty: set[int] = set()  # resident pages that differ from the file
         try:
             # Unbuffered: pages move by positional reads and writes only.
             self._fh = open(self.file_path, "r+b" if self.file_path.exists() else "w+b", buffering=0)
@@ -61,37 +48,40 @@ class PagePool:
     def resident_count(self) -> int:
         return len(self._pages)
 
-    def get_page(self, page_id: int) -> Page:
-        """Return page ``page_id``, loading or creating it as needed.
+    def get_page(self, page_id: int) -> bytearray:
+        """Return the bytes of page ``page_id``, loading or creating it as needed.
 
         ``page_id == page_count`` extends the pool by one zeroed page;
-        anything beyond that is a bounds error.
+        anything beyond that is a bounds error. A caller that changes the
+        bytes must call ``mark_dirty`` before the next pool operation, or
+        the change may be lost on eviction.
         """
-        page = self._pages.get(page_id)
-        if page is not None:
+        data = self._pages.get(page_id)
+        if data is not None:
             self._pages.move_to_end(page_id)
-            return page
+            return data
         if page_id > self._page_count or page_id < 0:
             raise BoundsError(f"page {page_id} beyond pool end {self._page_count}")
         if page_id == self._page_count:
             self._page_count += 1
-            page = Page(bytearray(self.page_size), dirty=True)
+            data = bytearray(self.page_size)
+            self._dirty.add(page_id)
         else:
-            page = Page(self._load(page_id), dirty=False)
-        self._pages[page_id] = page
+            data = self._load(page_id)
+        self._pages[page_id] = data
         self._evict_over_capacity()
-        return page
+        return data
 
     def mark_dirty(self, page_id: int) -> None:
-        page = self._pages.get(page_id)
-        if page is None:
+        if page_id not in self._pages:
             raise BoundsError(f"page {page_id} is not resident")
-        page.dirty = True
+        self._dirty.add(page_id)
 
     def flush(self) -> None:
         """Persist all dirty pages; afterwards the file covers every page."""
-        for page_id in sorted(pid for pid, p in self._pages.items() if p.dirty):
+        for page_id in sorted(self._dirty):
             self._write(page_id, self._pages[page_id])
+        self._dirty.clear()
         if self._file_pages < self._page_count:
             try:
                 self._fh.truncate(self._page_count * self.page_size)
@@ -106,9 +96,10 @@ class PagePool:
 
     def _evict_over_capacity(self) -> None:
         while len(self._pages) > self.capacity:
-            page_id, page = self._pages.popitem(last=False)
-            if page.dirty:
-                self._write(page_id, page)
+            page_id, data = self._pages.popitem(last=False)
+            if page_id in self._dirty:
+                self._dirty.remove(page_id)
+                self._write(page_id, data)
 
     def _load(self, page_id: int) -> bytearray:
         offset = page_id * self.page_size
@@ -119,13 +110,12 @@ class PagePool:
             raise StorageError(f"read failed: {exc}", path=self.file_path, offset=offset) from exc
         return data
 
-    def _write(self, page_id: int, page: Page) -> None:
+    def _write(self, page_id: int, data: bytearray) -> None:
         offset = page_id * self.page_size
         try:
-            written = os.pwrite(self._fh.fileno(), page.data, offset)
+            written = os.pwrite(self._fh.fileno(), data, offset)
         except OSError as exc:
             raise StorageError(f"write failed: {exc}", path=self.file_path, offset=offset) from exc
         if written != self.page_size:
             raise StorageError(f"short write: {written} of {self.page_size} bytes", path=self.file_path, offset=offset)
-        page.dirty = False
         self._file_pages = max(self._file_pages, page_id + 1)

@@ -60,8 +60,7 @@ class RecordStore:
         if record < 0 or record >= self.count:
             raise BoundsError(f"record {record} out of range 0..{self.count - 1}")
         page_id, offset = self._locate(record)
-        page = self.pool.get_page(page_id)
-        return bytes(page.data[offset : offset + self.record_size])
+        return bytes(self.pool.get_page(page_id)[offset : offset + self.record_size])
 
     def set(self, record: int, data: bytes) -> None:
         """Write record ``record``; ``record == count`` appends."""
@@ -72,16 +71,15 @@ class RecordStore:
         if record == self.count:
             self.count += 1
         page_id, offset = self._locate(record)
-        page = self.pool.get_page(page_id)
-        page.data[offset : offset + self.record_size] = data
+        self.pool.get_page(page_id)[offset : offset + self.record_size] = data
         self.pool.mark_dirty(page_id)
         self.tree.mark_dirty(page_id)
 
     def root(self) -> bytes:
-        return self.tree.root(self._page_bytes)
+        return self.tree.root(self.pool.get_page)
 
     def flush(self) -> None:
-        self.tree.flush(self._page_bytes)
+        self.tree.flush(self.pool.get_page)
         self.pool.flush()
 
     def close(self) -> None:
@@ -91,9 +89,6 @@ class RecordStore:
     def _locate(self, record: int) -> tuple[int, int]:
         return record // self.slots_per_page, (record % self.slots_per_page) * self.record_size
 
-    def _page_bytes(self, page_id: int) -> bytearray:
-        return self.pool.get_page(page_id).data
-
 
 class Depot:
     """Variable-length payloads behind a fixed-record meta store."""
@@ -102,7 +97,8 @@ class Depot:
         self.meta = meta
         self.blob_path = Path(blob_path)
         try:
-            self._blob = open(self.blob_path, "r+b" if self.blob_path.exists() else "w+b")
+            # Unbuffered, like PagePool: bodies move by positional reads and writes only.
+            self._blob = open(self.blob_path, "r+b" if self.blob_path.exists() else "w+b", buffering=0)
             self._blob_size = os.fstat(self._blob.fileno()).st_size
         except OSError as exc:
             raise StorageError(f"cannot open blob file: {exc}", path=blob_path) from exc
@@ -118,10 +114,11 @@ class Depot:
         offset = self._blob_size
         if code:
             try:
-                self._blob.seek(offset)
-                self._blob.write(code)
+                written = os.pwrite(self._blob.fileno(), code, offset)
             except OSError as exc:
                 raise StorageError(f"blob write failed: {exc}", path=self.blob_path, offset=offset) from exc
+            if written != len(code):
+                raise StorageError(f"short blob write: {written} of {len(code)} bytes", path=self.blob_path, offset=offset)
             self._blob_size += len(code)
         meta = offset.to_bytes(8, "big") + len(code).to_bytes(4, "big") + digest(code)
         self.meta.set(record, meta)
@@ -135,8 +132,7 @@ class Depot:
             code = b""
         else:
             try:
-                self._blob.seek(offset)
-                code = self._blob.read(length)
+                code = os.pread(self._blob.fileno(), length, offset)
             except OSError as exc:
                 raise StorageError(f"blob read failed: {exc}", path=self.blob_path, offset=offset) from exc
         if digest(code) != stored_hash:
@@ -147,19 +143,11 @@ class Depot:
         return self.meta.root()
 
     def flush(self) -> None:
-        self._flush_blob()
         self.meta.flush()
 
     def close(self) -> None:
-        self._flush_blob()
         self._blob.close()
         self.meta.close()
-
-    def _flush_blob(self) -> None:
-        try:
-            self._blob.flush()
-        except OSError as exc:
-            raise StorageError(f"blob flush failed: {exc}", path=self.blob_path) from exc
 
 
 def _pages_for(count: int, slots_per_page: int) -> int:

@@ -74,7 +74,7 @@ def test_unaligned_match_in_bucket_is_not_a_hit(open_index):
 
     stored, probe = next((s, p) for s, p in pairs if bucket_of(s) == bucket_of(p))
     assert index.get_or_add(stored) == (0, True)
-    bucket = index.pool.get_page(bucket_of(stored)).data
+    bucket = index.pool.get_page(bucket_of(stored))
     assert bucket.find(probe) == 10 + 8
     assert index.get(probe) is None
     assert index.get_or_add(probe) == (1, True)
@@ -270,14 +270,29 @@ def test_remembered_miss_is_found_after_insertion(open_index):
 
 
 def test_remembered_misses_stay_bounded(open_index, monkeypatch):
-    monkeypatch.setattr(index_module, "MISSES_REMEMBERED", 8)
+    monkeypatch.setattr(index_module, "KEYS_REMEMBERED", 8)
     index = open_index()
     sizes = set()
     for n in range(100):
         assert index.get(k20(n)) is None
-        sizes.add(len(index._misses))
+        sizes.add(len(index._known))
     assert max(sizes) == 8
     for n in range(100):
+        assert index.get(k20(n + 100)) is None  # misses and hits share the bound
         assert index.get_or_add(k20(n)) == (n, True)
         assert index.get(k20(n)) == n
+        sizes.add(len(index._known))
+    assert max(sizes) == 8
+    index.close()
+
+
+def test_insert_after_a_miss_overwrites_the_remembered_miss(open_index):
+    index = open_index()
+    for n in range(10):
+        index.get_or_add(k20(n))
+    assert index.get(k20(10)) is None
+    remembered = len(index._known)
+    assert index.get_or_add(k20(10)) == (10, True)
+    assert len(index._known) == remembered
+    assert index.get(k20(10)) == 10
     index.close()

@@ -4,9 +4,11 @@ import filecmp
 import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 
+from flatstate import hashtree as hashtree_module
 from flatstate import index as index_module
 from flatstate.digest import EMPTY_HASH, digest_count
 from flatstate.errors import CorruptionError, SequenceError, ValidationError
@@ -342,6 +344,31 @@ def test_close_after_flush_writes_each_tree_file_once(tmp_path, monkeypatch):
     assert reopened.get_storage(addr(1), key(3)) == val(4)
     assert reopened.get_code(addr(1)) == b"\x60"
     reopened.close()
+
+
+def test_close_after_flush_opens_no_tree_file(tmp_path, monkeypatch):
+    db = LiveDb(tmp_path / "db")
+    db.apply_block(diff(1, AccountUpdate(address=addr(1), created=True, balance=5, slots=((key(1), val(2)),))))
+    db.flush()
+    trees = {path.name: path.read_bytes() for path in (tmp_path / "db").glob("*.tree")}
+    opened = []
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        opened.append((Path(file).name, mode))
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(hashtree_module, "open", counting_open, raising=False)
+    db.close()
+    assert opened == []
+    reopened = LiveDb(tmp_path / "db")
+    reopened.flush()
+    assert opened == []  # trees loaded from their files are already saved
+    reopened.apply_block(diff(2, AccountUpdate(address=addr(1), balance=6)))
+    reopened.close()
+    assert opened == [("balances.tree", "wb")]
+    monkeypatch.undo()
+    for name, data in trees.items():
+        assert ((tmp_path / "db" / name).read_bytes() == data) == (name != "balances.tree")
 
 
 def test_overwrites_do_not_grow_files(tmp_path, open_db):

@@ -25,14 +25,13 @@ def open_pool(tmp_path):
 
 
 def write_page(pool, page_id, data):
-    page = pool.get_page(page_id)
-    page.data[:] = data
+    pool.get_page(page_id)[:] = data
     pool.mark_dirty(page_id)
 
 
 def test_fresh_pool_first_page_is_zero(open_pool):
     pool = open_pool(page_size=4096)
-    assert bytes(pool.get_page(0).data) == b"\x00" * 4096
+    assert bytes(pool.get_page(0)) == b"\x00" * 4096
 
 
 def test_eviction_roundtrip(open_pool):
@@ -44,7 +43,7 @@ def test_eviction_roundtrip(open_pool):
     pool.get_page(0)
     pool.get_page(1)
     assert pool.resident_count <= 2
-    assert bytes(pool.get_page(7).data) == payload
+    assert bytes(pool.get_page(7)) == payload
 
 
 def test_config_validation(tmp_path):
@@ -104,7 +103,7 @@ def test_random_schedule_matches_mirror_oracle(open_pool, tmp_path):
         elif action < 0.9 and max_page:
             page_id = rng.randrange(max_page)
             expected = mirror.get(page_id, b"\x00" * page_size)
-            assert bytes(pool.get_page(page_id).data) == expected
+            assert bytes(pool.get_page(page_id)) == expected
         elif action < 0.97:
             pool.flush()
         else:
@@ -113,7 +112,7 @@ def test_random_schedule_matches_mirror_oracle(open_pool, tmp_path):
         assert pool.resident_count <= 3
     pool.flush()
     for page_id, expected in mirror.items():
-        assert bytes(pool.get_page(page_id).data) == expected
+        assert bytes(pool.get_page(page_id)) == expected
     stored = (tmp_path / "pool.dat").read_bytes()
     assert len(stored) == pool.page_count * page_size
     for page_id in range(pool.page_count):
@@ -129,7 +128,7 @@ def test_reopen_preserves_contents(open_pool):
     pool.close()
     reopened = open_pool(page_size=256, capacity=4)
     for i, data in payloads.items():
-        assert bytes(reopened.get_page(i).data) == data
+        assert bytes(reopened.get_page(i)) == data
 
 
 def test_page_past_end_of_file_reads_as_zeros(open_pool, tmp_path):
@@ -140,9 +139,9 @@ def test_page_past_end_of_file_reads_as_zeros(open_pool, tmp_path):
     pool.close()
     pool = open_pool(capacity=2)
     os.truncate(tmp_path / "pool.dat", 256 + 100)  # page 1 torn, page 2 gone
-    assert bytes(pool.get_page(0).data) == b"\x01" * 256
-    assert bytes(pool.get_page(1).data) == b"\x02" * 100 + bytes(156)
-    assert bytes(pool.get_page(2).data) == bytes(256)
+    assert bytes(pool.get_page(0)) == b"\x01" * 256
+    assert bytes(pool.get_page(1)) == b"\x02" * 100 + bytes(156)
+    assert bytes(pool.get_page(2)) == bytes(256)
     pool.close()
 
 
@@ -156,3 +155,24 @@ def test_short_write_raises_storage_error(open_pool, tmp_path, monkeypatch):
     monkeypatch.undo()
     pool.close()
     assert (tmp_path / "pool.dat").read_bytes() == b"\x07" * 256
+
+
+def test_only_dirty_pages_are_written_and_each_once(open_pool, monkeypatch):
+    pool = open_pool(page_size=256, capacity=2)
+    for i in range(4):
+        write_page(pool, i, bytes([i + 1]) * 256)
+    pool.flush()
+    written = []
+    real_pwrite = os.pwrite
+    monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: written.append(offset // 256) or real_pwrite(fd, data, offset))
+    for i in range(4):
+        assert bytes(pool.get_page(i)) == bytes([i + 1]) * 256  # read only, evicting as it goes
+    pool.flush()
+    assert written == []  # a page that was only read is written neither on eviction nor on flush
+    write_page(pool, 0, b"\x09" * 256)
+    pool.get_page(1)
+    pool.get_page(2)  # evicts dirty page 0
+    assert written == [0]
+    pool.flush()
+    assert written == [0]  # the evicted page was written once, not again by flush
+    assert bytes(pool.get_page(0)) == b"\x09" * 256
