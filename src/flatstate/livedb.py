@@ -44,6 +44,9 @@ POOL_CAPACITY = 1024  # pages each store, index and key file keeps in memory
 ROOT_ORDER = ("balance", "nonce", "exists", "reinc", "code", "values", "a_index", "ak_index")
 
 AK_KEY_SIZE = ADDRESS_SIZE + REINC_SIZE + KEY_SIZE
+_ZERO_BALANCE = bytes(BALANCE_SIZE)
+_ZERO_NONCE = bytes(NONCE_SIZE)
+_ZERO_REINC = bytes(REINC_SIZE)
 
 
 @dataclass(frozen=True)
@@ -99,40 +102,60 @@ class LiveDb:
     # -- writes --------------------------------------------------------------
 
     def apply_block(self, diff: BlockDiff) -> None:
+        """Apply one block's updates; each plain store then takes the block's writes in one pass.
+
+        The writes collect per store as ``{record: bytes}`` (a later write to
+        a record wins), so each page is fetched and marked dirty once per
+        block. Index keys and code records are written as they come.
+        """
         if diff.block != self.block + 1:
             raise SequenceError(f"expected block {self.block + 1}, got {diff.block}")
+        balances: dict[int, bytes] = {}
+        nonces: dict[int, bytes] = {}
+        exists: dict[int, bytes] = {}
+        reincs: dict[int, bytes] = {}
+        values: dict[int, bytes] = {}
+        add_address = self.a_index.get_or_add
+        add_slot = self.ak_index.get_or_add
         for update in diff.updates:
-            self._apply_update(update)
+            ordinal, was_new = add_address(update.address)
+            if was_new:
+                balances[ordinal] = _ZERO_BALANCE
+                nonces[ordinal] = _ZERO_NONCE
+                exists[ordinal] = b"\x00"
+                reincs[ordinal] = _ZERO_REINC
+                self.codes.set(ordinal, b"")
+            if update.deleted:
+                reinc = int.from_bytes(self._reinc(reincs, ordinal), "big") + 1
+                reincs[ordinal] = reinc.to_bytes(REINC_SIZE, "big")
+                exists[ordinal] = b"\x00"
+                balances[ordinal] = _ZERO_BALANCE
+                nonces[ordinal] = _ZERO_NONCE
+                self.codes.set(ordinal, b"")
+            if update.created:
+                exists[ordinal] = b"\x01"
+            if update.balance is not None:
+                balances[ordinal] = update.balance.to_bytes(BALANCE_SIZE, "big")
+            if update.nonce is not None:
+                nonces[ordinal] = update.nonce.to_bytes(NONCE_SIZE, "big")
+            if update.code is not None:
+                self.codes.set(ordinal, update.code)
+            if update.slots:
+                prefix = update.address + self._reinc(reincs, ordinal)
+                for key, value in update.slots:
+                    values[add_slot(prefix + key)[0]] = value
+        self.balances.set_many(balances)
+        self.nonces.set_many(nonces)
+        self.exists_flags.set_many(exists)
+        self.reincarnations.set_many(reincs)
+        self.values.set_many(values)
         self.block = diff.block
         self._root_cache = None
 
-    def _apply_update(self, update) -> None:
-        ordinal, was_new = self.a_index.get_or_add(update.address)
-        if was_new:
-            self.balances.set(ordinal, b"\x00" * BALANCE_SIZE)
-            self.nonces.set(ordinal, b"\x00" * NONCE_SIZE)
-            self.exists_flags.set(ordinal, b"\x00")
-            self.reincarnations.set(ordinal, b"\x00" * REINC_SIZE)
-            self.codes.set(ordinal, b"")
-        if update.deleted:
-            reinc = int.from_bytes(self.reincarnations.get(ordinal), "big") + 1
-            self.reincarnations.set(ordinal, reinc.to_bytes(REINC_SIZE, "big"))
-            self.exists_flags.set(ordinal, b"\x00")
-            self.balances.set(ordinal, b"\x00" * BALANCE_SIZE)
-            self.nonces.set(ordinal, b"\x00" * NONCE_SIZE)
-            self.codes.set(ordinal, b"")
-        if update.created:
-            self.exists_flags.set(ordinal, b"\x01")
-        if update.balance is not None:
-            self.balances.set(ordinal, update.balance.to_bytes(BALANCE_SIZE, "big"))
-        if update.nonce is not None:
-            self.nonces.set(ordinal, update.nonce.to_bytes(NONCE_SIZE, "big"))
-        if update.code is not None:
-            self.codes.set(ordinal, update.code)
-        if update.slots:
-            prefix = update.address + self.reincarnations.get(ordinal)
-            for key, value in update.slots:
-                self.values.set(self.ak_index.get_or_add(prefix + key)[0], value)
+    def _reinc(self, pending: dict[int, bytes], ordinal: int) -> bytes:
+        """The account's reincarnation counter, as written earlier in this block or else as stored."""
+        reinc = pending.get(ordinal)
+        return self.reincarnations.get(ordinal) if reinc is None else reinc
 
     # -- commitment ----------------------------------------------------------
 

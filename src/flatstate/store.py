@@ -64,16 +64,27 @@ class RecordStore:
 
     def set(self, record: int, data: bytes) -> None:
         """Write record ``record``; ``record == count`` appends."""
-        if len(data) != self.record_size:
-            raise FormatError(f"record must be {self.record_size} bytes, got {len(data)}")
-        if record < 0 or record > self.count:
-            raise BoundsError(f"record {record} beyond append position {self.count}")
-        if record == self.count:
-            self.count += 1
-        page_id, offset = self._locate(record)
+        page_id, offset = self._place(record, data)
         self.pool.get_page(page_id)[offset : offset + self.record_size] = data
         self.pool.mark_dirty(page_id)
         self.tree.mark_dirty(page_id)
+
+    def set_many(self, writes: dict[int, bytes]) -> None:
+        """Write every ``{record: data}`` pair in record order, touching each page once.
+
+        Records from ``count`` on append, so they must follow on without a gap.
+        """
+        size = self.record_size
+        current = -1
+        for record in sorted(writes):
+            data = writes[record]
+            page_id, offset = self._place(record, data)
+            if page_id != current:
+                current = page_id
+                page = self.pool.get_page(page_id)
+                self.pool.mark_dirty(page_id)  # ahead of the write: no pool call comes between
+                self.tree.mark_dirty(page_id)
+            page[offset : offset + size] = data
 
     def root(self) -> bytes:
         return self.tree.root(self.pool.get_page)
@@ -85,6 +96,17 @@ class RecordStore:
     def close(self) -> None:
         self.flush()
         self.pool.close()
+
+    def _place(self, record: int, data: bytes) -> tuple[int, int]:
+        """Check a write of ``data`` to ``record``, count an append, and return (page id, byte offset)."""
+        if len(data) != self.record_size:
+            raise FormatError(f"record must be {self.record_size} bytes, got {len(data)}")
+        if record < 0 or record > self.count:
+            raise BoundsError(f"record {record} beyond append position {self.count}")
+        if record == self.count:
+            self.count += 1
+        page_id, slot = divmod(record, self.slots_per_page)
+        return page_id, slot * self.record_size
 
     def _locate(self, record: int) -> tuple[int, int]:
         return record // self.slots_per_page, (record % self.slots_per_page) * self.record_size

@@ -54,6 +54,11 @@ class AccountUpdate:
     them. ``slots`` holds (key, value) pairs, sorted by key when the update
     is built; a repeated key is rejected. Writing the all-zero value clears
     a slot. An update may not set both ``created`` and ``deleted``.
+
+    ``address``, ``code`` and every slot key and value are held as
+    ``bytes``: a ``bytearray`` given for any of them is converted. Slots
+    given already canonical (a tuple of ``bytes`` pairs, keys strictly
+    increasing) are kept as they are, after one checking pass.
     """
 
     address: Address
@@ -66,14 +71,24 @@ class AccountUpdate:
 
     def __post_init__(self):
         _check_width("address", self.address, ADDRESS_SIZE)
+        if type(self.address) is not bytes:
+            object.__setattr__(self, "address", bytes(self.address))
         if self.created and self.deleted:
             raise ValidationError(f"update for {self.address.hex()} is both created and deleted")
         if self.balance is not None:
             _check_range("balance", self.balance, MAX_BALANCE)
         if self.nonce is not None:
             _check_range("nonce", self.nonce, MAX_NONCE)
-        if self.code is not None and len(self.code) > MAX_CODE_SIZE:
-            raise FormatError(f"code length {len(self.code)} exceeds {MAX_CODE_SIZE}")
+        if self.code is not None:
+            if len(self.code) > MAX_CODE_SIZE:
+                raise FormatError(f"code length {len(self.code)} exceeds {MAX_CODE_SIZE}")
+            if type(self.code) is not bytes:
+                object.__setattr__(self, "code", bytes(self.code))
+        if not _canonical_slots(self.slots):
+            object.__setattr__(self, "slots", self._sorted_slots())
+
+    def _sorted_slots(self) -> tuple[tuple[StorageKey, StorageValue], ...]:
+        """Convert, sort and check slots given in any other form than the canonical one."""
         slots = tuple(sorted((bytes(k), bytes(v)) for k, v in self.slots))
         previous = None
         for key, value in slots:
@@ -82,7 +97,28 @@ class AccountUpdate:
             if key == previous:
                 raise ValidationError(f"duplicate storage key {key.hex()} for {self.address.hex()}")
             previous = key
-        object.__setattr__(self, "slots", slots)
+        return slots
+
+
+def _canonical_slots(slots) -> bool:
+    """True when ``slots`` is already a tuple of (bytes key, bytes value) pairs of full width, keys strictly increasing."""
+    if type(slots) is not tuple:
+        return False
+    previous = b""
+    for slot in slots:
+        if type(slot) is not tuple:
+            return False
+        key, value = slot
+        if (
+            type(key) is not bytes
+            or type(value) is not bytes
+            or len(key) != KEY_SIZE
+            or len(value) != VALUE_SIZE
+            or key <= previous
+        ):
+            return False
+        previous = key
+    return True
 
 
 @dataclass(frozen=True)
@@ -99,10 +135,12 @@ class BlockDiff:
 
     def __post_init__(self):
         _check_range("block", self.block, MAX_BLOCK)
-        updates = tuple(sorted(self.updates, key=attrgetter("address")))
-        for a, b in zip(updates, updates[1:]):
-            if a.address == b.address:
-                raise ValidationError(f"duplicate update for address {a.address.hex()} in block {self.block}")
+        updates = tuple(self.updates)
+        if any(a.address >= b.address for a, b in zip(updates, updates[1:])):
+            updates = tuple(sorted(updates, key=attrgetter("address")))
+            for a, b in zip(updates, updates[1:]):
+                if a.address == b.address:
+                    raise ValidationError(f"duplicate update for address {a.address.hex()} in block {self.block}")
         object.__setattr__(self, "updates", updates)
 
 

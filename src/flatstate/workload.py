@@ -35,6 +35,9 @@ _HOT_KEYS = 64
 _ZIPF_EXPONENT = 1.1
 _CODE_RATIO = 0.02
 _ZERO_VALUE_RATIO = 0.05
+_FLAG_BITS = 0b11  # bit0 deleted, bit1 created
+_PRESENCE_BITS = 0b111  # bit0 balance, bit1 nonce, bit2 code
+_SLOT_SIZE = KEY_SIZE + VALUE_SIZE
 
 
 @dataclass(frozen=True)
@@ -154,31 +157,55 @@ def encode_diff(diff: BlockDiff) -> bytes:
 
 
 def decode_diff(data: bytes) -> BlockDiff:
-    view = memoryview(data)
-    offset = 0
-
-    def take(n: int) -> bytes:
-        nonlocal offset
-        if offset + n > len(view):
-            raise FormatError("truncated diff record")
-        chunk = bytes(view[offset : offset + n])
-        offset += n
-        return chunk
-
-    block = int.from_bytes(take(8), "big")
-    count = int.from_bytes(take(4), "big")
+    if type(data) is not bytes:
+        data = bytes(data)
+    size = len(data)
+    if size < 12:
+        raise FormatError("truncated diff record")
+    block = int.from_bytes(data[0:8], "big")
+    count = int.from_bytes(data[8:12], "big")
+    offset = 12
     updates = []
     for _ in range(count):
-        address = take(ADDRESS_SIZE)
-        flags = take(1)[0]
-        presence = take(1)[0]
-        balance = int.from_bytes(take(BALANCE_SIZE), "big") if presence & 1 else None
-        nonce = int.from_bytes(take(NONCE_SIZE), "big") if presence & 2 else None
-        code = take(int.from_bytes(take(4), "big")) if presence & 4 else None
-        slot_count = int.from_bytes(take(4), "big")
-        slots = []
-        for _ in range(slot_count):
-            slots.append((take(KEY_SIZE), take(VALUE_SIZE)))
+        head = offset + ADDRESS_SIZE + 2
+        if head > size:
+            raise FormatError("truncated diff record")
+        flags = data[head - 2]
+        presence = data[head - 1]
+        if flags & ~_FLAG_BITS or presence & ~_PRESENCE_BITS:
+            raise FormatError(f"unknown flag bits {flags:#04x}/{presence:#04x} in diff record")
+        address = data[offset : head - 2]
+        offset = head
+        balance = nonce = code = None
+        if presence & 1:
+            end = offset + BALANCE_SIZE
+            if end > size:
+                raise FormatError("truncated diff record")
+            balance = int.from_bytes(data[offset:end], "big")
+            offset = end
+        if presence & 2:
+            end = offset + NONCE_SIZE
+            if end > size:
+                raise FormatError("truncated diff record")
+            nonce = int.from_bytes(data[offset:end], "big")
+            offset = end
+        if presence & 4:
+            if offset + 4 > size:
+                raise FormatError("truncated diff record")
+            end = offset + 4 + int.from_bytes(data[offset : offset + 4], "big")
+            if end > size:
+                raise FormatError("truncated diff record")
+            code = data[offset + 4 : end]
+            offset = end
+        if offset + 4 > size:
+            raise FormatError("truncated diff record")
+        end = offset + 4 + int.from_bytes(data[offset : offset + 4], "big") * _SLOT_SIZE
+        if end > size:
+            raise FormatError("truncated diff record")
+        slots = tuple(
+            [(data[at : at + KEY_SIZE], data[at + KEY_SIZE : at + _SLOT_SIZE]) for at in range(offset + 4, end, _SLOT_SIZE)]
+        )
+        offset = end
         updates.append(
             AccountUpdate(
                 address=address,
@@ -187,11 +214,11 @@ def decode_diff(data: bytes) -> BlockDiff:
                 balance=balance,
                 nonce=nonce,
                 code=code,
-                slots=tuple(slots),
+                slots=slots,
             )
         )
-    if offset != len(view):
-        raise FormatError(f"{len(view) - offset} trailing bytes after diff record")
+    if offset != size:
+        raise FormatError(f"{size - offset} trailing bytes after diff record")
     return BlockDiff(block=block, updates=tuple(updates))
 
 

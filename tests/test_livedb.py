@@ -10,7 +10,8 @@ import pytest
 
 from flatstate import hashtree as hashtree_module
 from flatstate import index as index_module
-from flatstate.digest import EMPTY_HASH, digest_count
+from flatstate import livedb as livedb_module
+from flatstate.digest import EMPTY_HASH, digest, digest_count
 from flatstate.errors import CorruptionError, SequenceError, ValidationError
 from flatstate.hashtree import HashTree
 from flatstate.livedb import LiveDb, ROOT_ORDER
@@ -403,3 +404,104 @@ def test_cache_transparency(open_db, monkeypatch):
     for address, slot_key in slot_pairs:
         assert cached.get_storage(address, slot_key) == uncached.get_storage(address, slot_key)
     assert len(uncached.a_index._known) == len(uncached.ak_index._known) == 0 < len(cached.ak_index._known)
+
+
+def test_bytearray_address_applies_like_bytes(open_db):
+    one = AccountUpdate(address=addr(1), created=True, balance=4, slots=((key(1), val(1)),))
+    two = dict(created=True, balance=5, code=b"\x60\x00", slots=((key(2), val(2)),))
+    mixed = open_db("mixed")
+    mixed.apply_block(diff(1, one, AccountUpdate(address=bytearray(addr(2)), **two)))
+    plain = open_db("plain")
+    plain.apply_block(diff(1, one, AccountUpdate(address=addr(2), **two)))
+    assert mixed.state_root() == plain.state_root()
+    assert [mixed.get_balance(addr(n)) for n in (1, 2)] == [4, 5]
+    assert mixed.get_storage(addr(2), key(2)) == val(2)
+    assert mixed.get_code(addr(2)) == b"\x60\x00"
+
+
+def apply_record_by_record(db, block_diff):
+    """Apply ``block_diff`` with one store write per record, in update order."""
+    for update in block_diff.updates:
+        ordinal, was_new = db.a_index.get_or_add(update.address)
+        if was_new:
+            db.balances.set(ordinal, bytes(16))
+            db.nonces.set(ordinal, bytes(8))
+            db.exists_flags.set(ordinal, b"\x00")
+            db.reincarnations.set(ordinal, bytes(4))
+            db.codes.set(ordinal, b"")
+        if update.deleted:
+            reinc = int.from_bytes(db.reincarnations.get(ordinal), "big") + 1
+            db.reincarnations.set(ordinal, reinc.to_bytes(4, "big"))
+            db.exists_flags.set(ordinal, b"\x00")
+            db.balances.set(ordinal, bytes(16))
+            db.nonces.set(ordinal, bytes(8))
+            db.codes.set(ordinal, b"")
+        if update.created:
+            db.exists_flags.set(ordinal, b"\x01")
+        if update.balance is not None:
+            db.balances.set(ordinal, update.balance.to_bytes(16, "big"))
+        if update.nonce is not None:
+            db.nonces.set(ordinal, update.nonce.to_bytes(8, "big"))
+        if update.code is not None:
+            db.codes.set(ordinal, update.code)
+        prefix = update.address + db.reincarnations.get(ordinal)
+        for slot_key, value in update.slots:
+            db.values.set(db.ak_index.get_or_add(prefix + slot_key)[0], value)
+    db.block = block_diff.block
+
+
+def batched_write_blocks():
+    """Blocks aimed at the batched write path: page-crossing appends, delete-and-write updates, one hot value page."""
+    hot = addr(900)
+    yield [
+        AccountUpdate(address=addr(n), created=True, balance=n, nonce=1, slots=((key(n), val(n)),)) for n in range(1, 41)
+    ] + [AccountUpdate(address=hot, created=True, code=b"\x60" * 40, slots=tuple((key(i), val(i)) for i in range(16)))]
+    yield [
+        # Deleted and written in one update: the slots belong to the new reincarnation.
+        AccountUpdate(address=addr(3), deleted=True, slots=((key(3), val(33)), (key(99), val(99)))),
+        # Never seen before, deleted and written in one update.
+        AccountUpdate(address=addr(500), deleted=True, balance=7, slots=((key(1), val(5)),)),
+        AccountUpdate(address=hot, slots=tuple((key(i), val(100 + i)) for i in range(16))),
+    ] + [AccountUpdate(address=addr(n), created=True, balance=n) for n in range(41, 60)]
+    yield [
+        AccountUpdate(address=addr(3), created=True, balance=3, slots=((key(3), val(0)), (key(4), val(4)))),
+        AccountUpdate(address=addr(500), deleted=True, slots=((key(1), val(6)),)),
+        AccountUpdate(address=hot, deleted=True, slots=tuple((key(i), val(200 + i)) for i in range(0, 16, 2))),
+    ]
+    spec = WorkloadSpec(seed=5, blocks=25, accounts=60, txs_per_block=8, slot_writes_per_tx=3, new_key_ratio=0.4, delete_ratio=0.1)
+    for generated in generate(spec):
+        yield generated.updates
+
+
+def test_batched_writes_match_record_by_record_writes_and_the_oracle(tmp_path, monkeypatch):
+    monkeypatch.setattr(livedb_module, "POOL_CAPACITY", 2)
+    batched = LiveDb(tmp_path / "batched", page_size=256)
+    single = LiveDb(tmp_path / "single", page_size=256)
+    oracle = ReferenceOracle()
+    addresses, slot_pairs = set(), set()
+    for block, updates in enumerate(batched_write_blocks(), start=1):
+        block_diff = BlockDiff(block=block, updates=tuple(updates))
+        batched.apply_block(block_diff)
+        apply_record_by_record(single, block_diff)
+        oracle.apply_block(block_diff)
+        roots = single.component_roots()
+        assert batched.component_roots() == roots
+        assert batched.state_root().root == digest(b"".join(roots[name] for name in ROOT_ORDER))
+        for update in updates:
+            addresses.add(update.address)
+            slot_pairs.update((update.address, slot_key) for slot_key, _ in update.slots)
+        for address in addresses:
+            for read in ("get_balance", "get_nonce", "get_code", "account_exists"):
+                assert getattr(batched, read)(address) == getattr(single, read)(address)
+            assert batched.get_balance(address) == oracle.balance(address)
+            assert batched.get_nonce(address) == oracle.nonce(address)
+            assert batched.get_code(address) == oracle.code(address)
+            assert batched.account_exists(address) == oracle.exists(address)
+        for address, slot_key in slot_pairs:
+            value = batched.get_storage(address, slot_key)
+            assert value == single.get_storage(address, slot_key) == oracle.storage(address, slot_key)
+    assert batched.get_storage(addr(3), key(99)) == val(99)
+    assert batched.get_storage(addr(900), key(1)) == ZERO_VALUE
+    batched.close()
+    single.close()
+    assert tree_bytes(tmp_path / "batched") == tree_bytes(tmp_path / "single")

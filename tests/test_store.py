@@ -102,6 +102,52 @@ def test_store_root_tracks_content(open_store):
     assert store.root() == first
 
 
+def test_set_many_matches_record_by_record_writes(open_store, tmp_path):
+    rng = random.Random(77)
+    batched = open_store(record_size=8, page_size=256, capacity=2, name="batched.dat")
+    single = open_store(record_size=8, page_size=256, capacity=2, name="single.dat")
+    for _ in range(200):
+        writes = {}
+        for _ in range(rng.randint(0, 40)):
+            writes[rng.randint(0, single.count + len(writes))] = rng.randbytes(8)
+        # Appends must follow on without a gap: keep only the unbroken run past count.
+        end = single.count
+        while end in writes:
+            end += 1
+        writes = {r: data for r, data in writes.items() if r < end}
+        batched.set_many(writes)
+        for r in sorted(writes):
+            single.set(r, writes[r])
+        assert batched.count == single.count
+        assert batched.root() == single.root()
+    batched.flush()
+    single.flush()
+    assert (tmp_path / "batched.dat").read_bytes() == (tmp_path / "single.dat").read_bytes()
+
+
+def test_set_many_fetches_each_page_once(open_store, monkeypatch):
+    store = open_store(record_size=8, page_size=256)  # 32 records per page
+    fetched = []
+    get_page = store.pool.get_page
+    monkeypatch.setattr(store.pool, "get_page", lambda page_id: fetched.append(page_id) or get_page(page_id))
+    store.set_many({r: r.to_bytes(8, "big") for r in reversed(range(70))})
+    assert fetched == [0, 1, 2]
+    assert [store.get(r) for r in range(70)] == [r.to_bytes(8, "big") for r in range(70)]
+
+
+def test_set_many_checks_each_write_like_set(open_store):
+    store = open_store(record_size=16)
+    with pytest.raises(BoundsError):
+        store.set_many({0: b"x" * 16, 2: b"x" * 16})  # record 1 missing
+    assert store.count == 1
+    with pytest.raises(FormatError):
+        store.set_many({0: b"short"})
+    with pytest.raises(BoundsError):
+        store.set_many({-1: b"x" * 16})
+    store.set_many({})
+    assert store.count == 1
+
+
 @pytest.fixture
 def open_depot(tmp_path, opened):
     def open_():

@@ -126,3 +126,72 @@ def test_diff_canonicalization_and_validation():
         BlockDiff(block=1, updates=(diff.updates[0], diff.updates[0]))
     with pytest.raises(ValidationError):
         BlockDiff(block=1, updates=(AccountUpdate(address=addr(1)), AccountUpdate(address=addr(1), balance=3)))
+
+
+def canonical_slots(slots):
+    """The slots every update holds: pairs converted to bytes, sorted by key."""
+    return tuple(sorted((bytes(k), bytes(v)) for k, v in slots))
+
+
+class Bytes(bytes):
+    pass
+
+
+@pytest.mark.parametrize(
+    "given",
+    [
+        pytest.param(((key(1), val(8)), (key(2), val(9)), (key(3), val(7))), id="in-order"),
+        pytest.param(((key(3), val(7)), (key(1), val(8)), (key(2), val(9))), id="unsorted"),
+        pytest.param([(key(1), val(8)), (key(2), val(9))], id="list"),
+        pytest.param(((key(1), val(8)), [key(2), val(9)]), id="list-pair"),
+        pytest.param(((bytearray(key(1)), val(8)), (key(2), bytearray(val(9)))), id="bytearray"),
+        pytest.param(((Bytes(key(1)), val(8)), (key(2), Bytes(val(9)))), id="bytes-subclass"),
+        pytest.param((), id="empty"),
+    ],
+)
+def test_slots_of_every_accepted_form_are_canonical(given):
+    slots = AccountUpdate(address=addr(1), slots=given).slots
+    assert slots == canonical_slots(given)
+    assert type(slots) is tuple
+    assert all(type(pair) is tuple and all(type(part) is bytes for part in pair) for pair in slots)
+
+
+@pytest.mark.parametrize(
+    "given",
+    [
+        ((key(1), val(8)), (b"\x00" * 31, val(9))),
+        ((key(1), val(8)), (key(2), b"\x00" * 33)),
+        ((key(2), val(8)), (bytearray(31), val(9))),
+    ],
+)
+def test_slot_width_errors_in_either_path(given):
+    with pytest.raises(FormatError):
+        AccountUpdate(address=addr(1), slots=given)
+
+
+@pytest.mark.parametrize(
+    "given",
+    [
+        ((key(1), val(1)), (key(1), val(2))),
+        ((key(2), val(1)), (key(1), val(2)), (key(2), val(1))),
+        [(key(1), val(1)), (bytearray(key(1)), val(1))],
+    ],
+)
+def test_duplicate_slot_key_rejected_in_any_order(given):
+    with pytest.raises(ValidationError):
+        AccountUpdate(address=addr(1), slots=given)
+
+
+def test_bytearray_address_and_code_are_stored_as_bytes():
+    update = AccountUpdate(address=bytearray(addr(1)), code=bytearray(b"\x60\x00"))
+    assert type(update.address) is bytes and type(update.code) is bytes
+    assert update == AccountUpdate(address=addr(1), code=b"\x60\x00")
+    assert hash(update.address) == hash(addr(1))
+
+
+def test_diff_keeps_ordered_updates_and_sorts_others():
+    ordered = (AccountUpdate(address=addr(1)), AccountUpdate(address=addr(2)), AccountUpdate(address=addr(3)))
+    assert BlockDiff(block=1, updates=ordered).updates is ordered
+    assert BlockDiff(block=1, updates=list(reversed(ordered))).updates == ordered
+    with pytest.raises(ValidationError):
+        BlockDiff(block=1, updates=(ordered[1], ordered[0], ordered[1]))

@@ -127,3 +127,63 @@ def test_bad_magic_rejected(tmp_path):
         read_spec(tmp_path / "junk.wl")
     with pytest.raises(FormatError):
         list(read_workload(tmp_path / "junk.wl"))
+
+
+def sample_records(count=40, seed=3):
+    """Encoded records of random diffs with codes, slots and flags, plus the empty block."""
+    rng = random.Random(seed)
+    records = [encode_diff(BlockDiff(block=1))]
+    records += [encode_diff(random_diff(rng, block, max_updates=4)) for block in range(1, count)]
+    return records
+
+
+def test_unknown_flag_and_presence_bits_rejected():
+    record = bytearray(encode_diff(BlockDiff(block=1, updates=(AccountUpdate(address=addr(1), created=True, balance=5),))))
+    flags, presence = 12 + 20, 12 + 21
+    assert decode_diff(bytes(record)).updates[0].balance == 5
+    for at, bit in [(flags, bit) for bit in range(2, 8)] + [(presence, bit) for bit in range(3, 8)]:
+        bad = bytearray(record)
+        bad[at] |= 1 << bit
+        with pytest.raises(FormatError, match="flag bits"):
+            decode_diff(bytes(bad))
+
+
+def test_every_proper_prefix_is_truncated():
+    for record in sample_records(count=12):
+        for cut in range(len(record)):
+            with pytest.raises(FormatError):
+                decode_diff(record[:cut])
+
+
+def test_single_byte_flips_decode_or_raise_library_errors():
+    rng = random.Random(11)
+    records = sample_records()
+    outcomes = {"decoded": 0, "rejected": 0}
+    for _ in range(20_000):
+        record = bytearray(rng.choice(records))
+        record[rng.randrange(len(record))] ^= rng.randrange(1, 256)
+        try:
+            decode_diff(bytes(record))
+        except (FormatError, ValidationError):
+            outcomes["rejected"] += 1
+        else:
+            outcomes["decoded"] += 1
+    assert min(outcomes.values()) > 1_000  # both outcomes are exercised
+
+
+def test_canonical_records_roundtrip_byte_for_byte(tmp_path):
+    for record in sample_records():
+        assert encode_diff(decode_diff(record)) == record
+    write_workload(tmp_path / "w.wl", SPEC)
+    data = (tmp_path / "w.wl").read_bytes()
+    offset = 50
+    while offset < len(data):
+        length = int.from_bytes(data[offset : offset + 4], "big")
+        record = data[offset + 4 : offset + 4 + length]
+        assert encode_diff(decode_diff(record)) == record
+        offset += 4 + length
+
+
+def test_decoder_accepts_any_bytes_like_record():
+    record = sample_records(count=5)[-1]
+    assert decode_diff(bytearray(record)) == decode_diff(memoryview(record)) == decode_diff(record)
