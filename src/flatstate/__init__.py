@@ -6,42 +6,48 @@ place, so pruning is free), while ArchiveDb keeps the full linear
 history as sorted change logs served by floor searches. A deterministic
 workload generator, a replay harness, and a reference oracle round out
 the package.
+
+Each exported name is imported from its module on first use (PEP 562),
+so a process that only reads an archive, such as ``flatstate serve``,
+never loads the LiveDb side.
 """
 
-from .archive import ArchiveDb
-from .errors import (
-    BoundsError,
-    CorruptionError,
-    FlatStateError,
-    FormatError,
-    SequenceError,
-    StorageError,
-    UnavailableError,
-    ValidationError,
-)
-from .livedb import LiveDb, WorldstateRoot
-from .oracle import ReferenceOracle
-from .types import AccountUpdate, BlockDiff, serialize_update
-from .workload import WorkloadSpec, generate, read_workload, write_workload
+from importlib import import_module
 
-__all__ = [
-    "AccountUpdate",
-    "ArchiveDb",
-    "BlockDiff",
-    "BoundsError",
-    "CorruptionError",
-    "FlatStateError",
-    "FormatError",
-    "LiveDb",
-    "ReferenceOracle",
-    "SequenceError",
-    "StorageError",
-    "UnavailableError",
-    "ValidationError",
-    "WorkloadSpec",
-    "WorldstateRoot",
-    "generate",
-    "read_workload",
-    "serialize_update",
-    "write_workload",
-]
+# Exported name -> the module that defines it.
+_EXPORTS = {
+    "AccountUpdate": "types",
+    "ArchiveDb": "archive",
+    "BlockDiff": "types",
+    "BoundsError": "errors",
+    "CorruptionError": "errors",
+    "FlatStateError": "errors",
+    "FormatError": "errors",
+    "LiveDb": "livedb",
+    "ReferenceOracle": "oracle",
+    "SequenceError": "errors",
+    "StorageError": "errors",
+    "UnavailableError": "errors",
+    "ValidationError": "errors",
+    "WorkloadSpec": "workload",
+    "WorldstateRoot": "livedb",
+    "generate": "workload",
+    "read_workload": "workload",
+    "serialize_update": "types",
+    "write_workload": "workload",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -17,6 +17,12 @@ and per-block hashes, persists everything, and only then publishes the
 new watermark. Readers never see a partially written block. A failed
 batch stops the appender for good: every later append or flush raises
 that failure, and readers keep the last published watermark.
+
+Opening reads the run manifest, maps the runs and indexes the code blob;
+it scans no entry. The appender's per-account state (newest hash,
+existence and reincarnation) is built from the tables before its first
+batch, so an archive that is only read, as by the query server, never
+pays for that scan.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from __future__ import annotations
 import mmap
 import os
 import queue
+import struct
 import threading
 from array import array
 from bisect import bisect_right
@@ -244,10 +251,12 @@ class ArchiveDb:
         self._load_meta()
         self._open_blockhash_file()
         self._open_code_blob()
-        # Appender-private running state, rebuilt from the tables on open.
-        self._account_hash: dict[bytes, bytes] = {}
-        self._account_state: dict[bytes, tuple[bool, int]] = {}
-        self._rebuild_account_maps()
+        # Appender-private running state: the payload of each account's newest
+        # accthash and state entry (exists byte ++ reincarnation). The appender
+        # builds both from the tables before its first batch, so an archive
+        # that is only read never does.
+        self._account_hash: dict[bytes, bytes] | None = None
+        self._account_state: dict[bytes, bytes] | None = None
         self._queue: queue.Queue = queue.Queue(maxsize=QUEUE_DEPTH)
         self._next_block = self.watermark
         self._error: Exception | None = None
@@ -402,6 +411,9 @@ class ArchiveDb:
                 commit()
 
     def _process_batch(self, diffs: list[BlockDiff]) -> None:
+        if self._account_state is None:
+            self._rebuild_account_maps()
+        never_created = bytes(1 + REINC_SIZE)  # state payload of an address no state entry names
         entries: dict[str, list[bytes]] = {name: [] for name in TABLES}
         block_hashes: list[bytes] = []
         new_codes: dict[bytes, bytes] = {}  # digest -> body of each code the blob lacks
@@ -411,16 +423,12 @@ class ArchiveDb:
             account_hashes: list[bytes] = []
             for update in diff.updates:
                 addr = update.address
-                exists, reinc = self._account_state.get(addr, (False, 0))
-                state_changed = update.created or update.deleted
-                if update.deleted:
-                    exists, reinc = False, reinc + 1
-                if update.created:
-                    exists = True
-                if state_changed:
-                    self._account_state[addr] = (exists, reinc)
-                    payload = (b"\x01" if exists else b"\x00") + reinc.to_bytes(REINC_SIZE, "big")
-                    entries["state"].append(addr + block_field + payload)
+                state = self._account_state.get(addr, never_created)
+                if update.created or update.deleted:  # never both
+                    reinc = int.from_bytes(state[1:], "big") + (1 if update.deleted else 0)
+                    state = (b"\x01" if update.created else b"\x00") + reinc.to_bytes(REINC_SIZE, "big")
+                    self._account_state[addr] = state
+                    entries["state"].append(addr + block_field + state)
                 balance = update.balance if update.balance is not None else (0 if update.deleted else None)
                 if balance is not None:
                     entries["balance"].append(addr + block_field + balance.to_bytes(BALANCE_SIZE, "big"))
@@ -433,7 +441,7 @@ class ArchiveDb:
                     entries["code"].append(addr + block_field + code_hash)
                     if code and code_hash not in self._code_offsets:
                         new_codes.setdefault(code_hash, code)
-                reinc_field = reinc.to_bytes(REINC_SIZE, "big")
+                reinc_field = state[1:]
                 for key, value in update.slots:
                     entries["storage"].append(addr + reinc_field + key + block_field + value)
                 update_hash = digest(serialize_update(update))
@@ -603,25 +611,33 @@ class ArchiveDb:
         self._blob_size = offset
 
     def _rebuild_account_maps(self) -> None:
-        for addr, (_, payload) in self._newest_entries("state").items():
-            self._account_state[addr] = (payload[0] == 1, int.from_bytes(payload[1:], "big"))
-        for addr, (_, payload) in self._newest_entries("accthash").items():
-            self._account_hash[addr] = payload
+        self._account_state = self._newest_payloads("state")
+        self._account_hash = self._newest_payloads("accthash")
 
-    def _newest_entries(self, name: str) -> dict[bytes, tuple[int, bytes]]:
-        """(block, payload) of each address's newest entry in a table keyed by address."""
+    def _newest_payloads(self, name: str) -> dict[bytes, bytes]:
+        """The payload of each address's newest entry in a table keyed by address."""
         table = self._tables[name]
-        size = table.entry_size
-        payload_at = ADDRESS_SIZE + BLOCK_SIZE
-        newest: dict[bytes, tuple[int, bytes]] = {}
-        for run in table.runs:
-            data = run.data  # read in place: one run's entries are never all held at once
-            for at in range(0, run.count * size, size):
-                addr = data[at : at + ADDRESS_SIZE]
-                block = int.from_bytes(data[at + ADDRESS_SIZE : at + payload_at], "big")
-                if addr not in newest or block > newest[addr][0]:
-                    newest[addr] = (block, data[at + payload_at : at + size])
-        return newest
+        runs, payload_size = table.runs, table.spec.payload_size
+        if all(older.last < newer.first for older, newer in zip(runs, runs[1:])):
+            # The writer lists runs in block order. Each run holds only blocks
+            # newer than the run before it, and a run sorted by address then
+            # block puts each address's newest entry last, so plain updates
+            # keep the newest payload.
+            without_block = struct.Struct(f"{ADDRESS_SIZE}s{BLOCK_SIZE}x{payload_size}s")
+            newest: dict[bytes, bytes] = {}
+            for run in runs:
+                newest.update(without_block.iter_unpack(run.data))
+            return newest
+        # Runs listed out of block order, or without a block range (which may
+        # overlap any other): compare block fields, big-endian, so bytes order
+        # is block order.
+        with_block = struct.Struct(f"{ADDRESS_SIZE}s{BLOCK_SIZE + payload_size}s")
+        newest_entry: dict[bytes, bytes] = {}
+        for run in runs:
+            for addr, found in with_block.iter_unpack(run.data):
+                if found > newest_entry.get(addr, b""):
+                    newest_entry[addr] = found
+        return {addr: found[BLOCK_SIZE:] for addr, found in newest_entry.items()}
 
     def _raise_pending_error(self) -> None:
         if self._error is not None:

@@ -1,4 +1,8 @@
-"""Command line harness: generate, replay, measure, sweep, serve."""
+"""Command line harness: generate, replay, measure, sweep, serve.
+
+The LiveDb-side modules (``bench``, ``workload``) are imported by the
+commands that use them, so ``serve`` loads only the archive side.
+"""
 
 from __future__ import annotations
 
@@ -6,13 +10,14 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import bench, workload
 from .archive import ArchiveDb
 from .errors import FlatStateError
 from .server import QueryServer
 
 
 def cmd_gen(args) -> int:
+    from . import workload
+
     spec = workload.WorkloadSpec(
         seed=args.seed,
         blocks=args.blocks,
@@ -28,6 +33,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_replay(args) -> int:
+    from . import bench
+
     summary = bench.replay_workload(
         Path(args.workload),
         Path(args.db_dir),
@@ -45,6 +52,8 @@ def cmd_replay(args) -> int:
 
 
 def cmd_du(args) -> int:
+    from . import bench
+
     db_dir = Path(args.db_dir)
     total = 0
     for section in ("live", "archive"):
@@ -60,6 +69,8 @@ def cmd_du(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from . import bench, workload
+
     page_sizes = [int(size) for size in args.page_sizes.split(",")]
     keys = args.keys
     if keys is None and args.workload:
@@ -87,7 +98,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_serve(args) -> int:
     host, _, port = args.listen.rpartition(":")
-    archive = ArchiveDb(Path(args.db_dir) / "archive")
+    archive_dir = Path(args.db_dir) / "archive"
+    if not archive_dir.is_dir():  # opening would create an empty archive, and serve only reads
+        print(f"error: no archive at {archive_dir}", file=sys.stderr)
+        return 1
+    archive = ArchiveDb(archive_dir)
     server = QueryServer(archive, (host or "127.0.0.1", int(port)))
     print(f"serving archive queries on {server.address[0]}:{server.address[1]}", file=sys.stderr)
     try:

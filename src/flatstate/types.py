@@ -56,9 +56,10 @@ class AccountUpdate:
     a slot. An update may not set both ``created`` and ``deleted``.
 
     ``address``, ``code`` and every slot key and value are held as
-    ``bytes``: a ``bytearray`` given for any of them is converted. Slots
-    given already canonical (a tuple of ``bytes`` pairs, keys strictly
-    increasing) are kept as they are, after one checking pass.
+    ``bytes``: a ``bytearray`` given for any of them is converted, and a
+    slot key or value of any other type is rejected. Slots given already
+    canonical (a tuple of ``bytes`` pairs, keys strictly increasing) are
+    kept as they are, after one checking pass.
     """
 
     address: Address
@@ -89,11 +90,15 @@ class AccountUpdate:
 
     def _sorted_slots(self) -> tuple[tuple[StorageKey, StorageValue], ...]:
         """Convert, sort and check slots given in any other form than the canonical one."""
-        slots = tuple(sorted((bytes(k), bytes(v)) for k, v in self.slots))
-        previous = None
-        for key, value in slots:
+        pairs = []
+        for key, value in self.slots:
+            # Checked before converting: bytes() of an int would make that many zero bytes.
             _check_width("storage key", key, KEY_SIZE)
             _check_width("storage value", value, VALUE_SIZE)
+            pairs.append((bytes(key), bytes(value)))
+        slots = tuple(sorted(pairs))
+        previous = None
+        for key, _ in slots:
             if key == previous:
                 raise ValidationError(f"duplicate storage key {key.hex()} for {self.address.hex()}")
             previous = key

@@ -15,6 +15,7 @@ from flatstate import archive as archive_module
 from flatstate.archive import FENCE_STRIDE, FILTER_BITS_PER_KEY, MAX_BLOCK, ArchiveDb, filter_bits
 from flatstate.errors import CorruptionError, SequenceError, StorageError, UnavailableError
 from flatstate.oracle import ReferenceOracle
+from flatstate.server import handle_request
 from flatstate.types import REINC_SIZE, AccountUpdate, BlockDiff, ZERO_VALUE, serialize_update
 from flatstate.workload import WorkloadSpec, generate
 
@@ -310,6 +311,49 @@ def test_reopen_preserves_history_and_hash_chain(tmp_path):
     reopened.close()
 
 
+def test_account_maps_are_built_by_the_first_append_only(tmp_path, monkeypatch):
+    """Opening, querying and closing never scans the tables; the first batch after a reopen scans them once."""
+    spec = WorkloadSpec(seed=4, blocks=24, accounts=20, txs_per_block=3, slot_writes_per_tx=2, new_key_ratio=0.5, delete_ratio=0.08)
+    diffs = list(generate(spec))
+    archive = ArchiveDb(tmp_path / "archive")
+    feed(archive, diffs[:12])
+    archive.close()
+    calls = []
+    rebuild = ArchiveDb._rebuild_account_maps
+
+    def counting_rebuild(self):
+        calls.append(self)
+        rebuild(self)
+
+    monkeypatch.setattr(ArchiveDb, "_rebuild_account_maps", counting_rebuild)
+    address, (slot_key, _) = next((u.address, u.slots[0]) for d in diffs[:12] for u in d.updates if u.slots)
+    reader = ArchiveDb(tmp_path / "archive")
+    for line in (
+        f"STORAGE 0x{address.hex()} 0x{slot_key.hex()} 12",
+        f"BALANCE 0x{address.hex()} 12",
+        f"NONCE 0x{address.hex()} 7",
+        f"CODE 0x{address.hex()} 12",
+        f"EXISTS 0x{address.hex()} 3",
+        "BLOCKHASH 12",
+        "WATERMARK",
+    ):
+        assert handle_request(reader, line).startswith("OK "), line
+    reader.account_hash(address, 12)
+    reader.entry_count("state")
+    reader.run_files()
+    reader.close()
+    assert calls == []
+
+    writer = ArchiveDb(tmp_path / "archive")
+    feed(writer, diffs[12:13])
+    assert calls == [writer]
+    feed(writer, diffs[13:])
+    assert calls == [writer]
+    expected = scratch_block_hashes(diffs)
+    assert {block: writer.block_hash(block) for block in range(spec.blocks + 1)} == expected
+    writer.close()
+
+
 def test_torn_meta_is_reported_as_corruption(tmp_path):
     archive = ArchiveDb(tmp_path / "archive")
     feed(archive, example_table_diffs())
@@ -506,8 +550,9 @@ def test_newest_first_search_matches_oracle(tmp_path, monkeypatch, fanout):
     ranges = run_ranges(tmp_path / "archive")
     for table, spans in ranges.items():
         assert all(1 <= first <= last <= SEARCH_SPEC.blocks for first, last in spans), table
-        ordered = sorted(spans)
-        assert all(a[1] < b[0] for a, b in zip(ordered, ordered[1:])), f"{table} ranges overlap"
+        # The appender's account-map rebuild reads runs in this order.
+        assert spans == sorted(spans), f"{table} runs listed out of block order"
+        assert all(a[1] < b[0] for a, b in zip(spans, spans[1:])), f"{table} ranges overlap"
     bounds = {block for spans in ranges.values() for span in spans for block in span}
     if fanout:
         assert any(last - first > 2 for spans in ranges.values() for first, last in spans)  # merged runs
@@ -539,6 +584,7 @@ def test_runs_without_block_ranges_still_answer(tmp_path, monkeypatch):
     for runs in meta["tables"].values():
         for run in runs:
             del run["first"], run["last"]
+        runs.reverse()  # the listing order says nothing about blocks, so newest first is as valid as oldest
     meta_path.write_text(json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n")
 
     legacy = ArchiveDb(tmp_path / "archive")
@@ -551,6 +597,15 @@ def test_runs_without_block_ranges_still_answer(tmp_path, monkeypatch):
     assert any(run["last"] == SEARCH_SPEC.blocks for run in new_runs)
     assert_answers_match(legacy, oracle, addresses, pairs, range(SEARCH_SPEC.blocks + 1))
     assert_filters_admit_stored_prefixes(legacy)
+    # The appender rebuilt its account maps from runs without block ranges,
+    # so every later hash must equal that of an archive that was never closed.
+    unbroken = ArchiveDb(tmp_path / "unbroken")
+    feed(unbroken, diffs)
+    for block in range(SEARCH_SPEC.blocks + 1):
+        assert legacy.block_hash(block) == unbroken.block_hash(block)
+        for address in addresses:
+            assert legacy.account_hash(address, block) == unbroken.account_hash(address, block)
+    unbroken.close()
     legacy.close()
 
 

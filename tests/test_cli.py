@@ -5,7 +5,7 @@ import random
 import socket
 import time
 
-from flatstate import bench
+from flatstate import bench, cli
 from flatstate.archive import ArchiveDb
 from flatstate.cli import main
 from flatstate.livedb import LiveDb
@@ -184,6 +184,18 @@ def test_sweep_cli_io_mode(tmp_path):
     assert [int(r["page_size"]) for r in rows] == [1024, 4096]  # paper's io optimum is reported
     for row in rows:
         assert row["mode"] == "io"
+
+
+def test_serve_refuses_a_missing_archive_and_creates_nothing(tmp_path, capsys, monkeypatch):
+    def serve_nothing(*args):
+        raise AssertionError("served a missing archive")
+
+    monkeypatch.setattr(cli, "QueryServer", serve_nothing)
+    for db_dir in (tmp_path / "missing", tmp_path):
+        code = main(["serve", "--db-dir", str(db_dir), "--listen", "127.0.0.1:0"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: no archive at {db_dir / 'archive'}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def serve_example_archive(tmp_path):

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from flatstate.errors import FormatError, ValidationError
-from flatstate.types import AccountUpdate, BlockDiff, serialize_update
+from flatstate.types import KEY_SIZE, VALUE_SIZE, AccountUpdate, BlockDiff, serialize_update
 
 from util import addr, key, random_update, val
 
@@ -162,6 +162,9 @@ def test_slots_of_every_accepted_form_are_canonical(given):
         ((key(1), val(8)), (b"\x00" * 31, val(9))),
         ((key(1), val(8)), (key(2), b"\x00" * 33)),
         ((key(2), val(8)), (bytearray(31), val(9))),
+        # An int is not taken as that many zero bytes.
+        pytest.param(((KEY_SIZE, val(8)),), id="int-key"),
+        pytest.param(((key(1), VALUE_SIZE),), id="int-value"),
     ],
 )
 def test_slot_width_errors_in_either_path(given):
