@@ -617,27 +617,16 @@ class ArchiveDb:
     def _newest_payloads(self, name: str) -> dict[bytes, bytes]:
         """The payload of each address's newest entry in a table keyed by address."""
         table = self._tables[name]
-        runs, payload_size = table.runs, table.spec.payload_size
-        if all(older.last < newer.first for older, newer in zip(runs, runs[1:])):
-            # The writer lists runs in block order. Each run holds only blocks
-            # newer than the run before it, and a run sorted by address then
-            # block puts each address's newest entry last, so plain updates
-            # keep the newest payload.
-            without_block = struct.Struct(f"{ADDRESS_SIZE}s{BLOCK_SIZE}x{payload_size}s")
-            newest: dict[bytes, bytes] = {}
-            for run in runs:
-                newest.update(without_block.iter_unpack(run.data))
-            return newest
-        # Runs listed out of block order, or without a block range (which may
-        # overlap any other): compare block fields, big-endian, so bytes order
-        # is block order.
-        with_block = struct.Struct(f"{ADDRESS_SIZE}s{BLOCK_SIZE + payload_size}s")
-        newest_entry: dict[bytes, bytes] = {}
-        for run in runs:
-            for addr, found in with_block.iter_unpack(run.data):
-                if found > newest_entry.get(addr, b""):
-                    newest_entry[addr] = found
-        return {addr: found[BLOCK_SIZE:] for addr, found in newest_entry.items()}
+        # Each entry is read as (address, block ++ payload). The block field is
+        # big-endian, so the greater bytes are the newer entry, whatever order
+        # the runs are listed in and whether or not they carry a block range.
+        entry = struct.Struct(f"{ADDRESS_SIZE}s{BLOCK_SIZE + table.spec.payload_size}s")
+        newest: dict[bytes, bytes] = {}
+        for run in table.runs:
+            for addr, found in entry.iter_unpack(run.data):
+                if found > newest.get(addr, b""):
+                    newest[addr] = found
+        return {addr: found[BLOCK_SIZE:] for addr, found in newest.items()}
 
     def _raise_pending_error(self) -> None:
         if self._error is not None:
