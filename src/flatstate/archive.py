@@ -19,10 +19,11 @@ batch stops the appender for good: every later append or flush raises
 that failure, and readers keep the last published watermark.
 
 Opening reads the run manifest, maps the runs and indexes the code blob;
-it scans no entry. The appender's per-account state (newest hash,
-existence and reincarnation) is built from the tables before its first
-batch, so an archive that is only read, as by the query server, never
-pays for that scan.
+it scans no entry and writes nothing to an existing archive. Only the
+appender writes: before its first batch it cuts a torn code-blob tail and
+builds its per-account state (newest hash, existence and reincarnation)
+from the tables, so an archive that is only read, as by the query server,
+never pays for that scan.
 """
 
 from __future__ import annotations
@@ -125,6 +126,13 @@ def filter_bits(h: int) -> int:
     """
     top = h >> 34 & 0x3FFFFFFF  # a small int, so the field arithmetic below stays cheap
     return _BIT[top & 63] | _BIT[top >> 6 & 63] | _BIT[top >> 12 & 63] | _BIT[top >> 18 & 63] | _BIT[top >> 24]
+
+
+def _pwrite(fh, data: bytes, offset: int) -> None:
+    """Write all of ``data`` at ``offset`` of the unbuffered file ``fh``."""
+    written = os.pwrite(fh.fileno(), data, offset)
+    if written != len(data):
+        raise StorageError(f"short write: {written} of {len(data)} bytes", path=fh.name, offset=offset)
 
 
 def map_run(path: Path, count: int, entry_size: int) -> mmap.mmap:
@@ -411,7 +419,10 @@ class ArchiveDb:
                 commit()
 
     def _process_batch(self, diffs: list[BlockDiff]) -> None:
-        if self._account_state is None:
+        if self._account_state is None:  # the first batch
+            # A code record cut short by a crash belongs to a batch that was
+            # never published; drop it so its body is appended again in full.
+            os.ftruncate(self._blob_fh.fileno(), self._blob_size)
             self._rebuild_account_maps()
         never_created = bytes(1 + REINC_SIZE)  # state payload of an address no state entry names
         entries: dict[str, list[bytes]] = {name: [] for name in TABLES}
@@ -458,9 +469,7 @@ class ArchiveDb:
         for name, rows in entries.items():
             if rows:
                 new_runs[name] = self._write_run(name, sorted(rows), 0, diffs[0].block, diffs[-1].block)
-        self._blockhash_fh.seek(diffs[0].block * HASH_SIZE)
-        self._blockhash_fh.write(b"".join(block_hashes))
-        self._blockhash_fh.flush()
+        _pwrite(self._blockhash_fh, b"".join(block_hashes), diffs[0].block * HASH_SIZE)
         self._last_block_hash = previous
         with self._lock:
             for name, run in new_runs.items():
@@ -477,8 +486,8 @@ class ArchiveDb:
         seq = self._next_seq
         self._next_seq += 1
         path = self.data_dir / f"{table}-{seq:08d}.run"
-        with open(path, "wb") as fh:
-            fh.write(b"".join(rows))
+        with open(path, "wb", buffering=0) as fh:
+            _pwrite(fh, b"".join(rows), 0)
         return RunRef(path.name, level, len(rows), first, last, map_run(path, len(rows), TABLES[table].entry_size))
 
     def _maybe_merge(self, table: str) -> None:
@@ -517,9 +526,7 @@ class ArchiveDb:
     def _append_code(self, code_hash: bytes, code: bytes) -> None:
         offset = self._blob_size
         record = code_hash + len(code).to_bytes(4, "big") + code
-        self._blob_fh.seek(offset)
-        self._blob_fh.write(record)
-        self._blob_fh.flush()
+        _pwrite(self._blob_fh, record, offset)
         self._blob_size += len(record)
         self._code_offsets[code_hash] = (offset + HASH_SIZE + 4, len(code))
 
@@ -580,9 +587,11 @@ class ArchiveDb:
 
     def _open_blockhash_file(self) -> None:
         path = self.data_dir / "blockhash.dat"
-        if not path.exists():
-            path.write_bytes(ZERO_HASH)
-        self._blockhash_fh = open(path, "r+b")
+        new = not path.exists()
+        # Unbuffered, like PagePool: hashes move by positional reads and writes only.
+        self._blockhash_fh = open(path, "w+b" if new else "r+b", buffering=0)
+        if new:  # a new archive: block 0 hashes to zero
+            _pwrite(self._blockhash_fh, ZERO_HASH, 0)
         if os.fstat(self._blockhash_fh.fileno()).st_size < (self.watermark + 1) * HASH_SIZE:
             self._blockhash_fh.close()
             raise CorruptionError(f"block hash file shorter than watermark {self.watermark}")
@@ -591,7 +600,7 @@ class ArchiveDb:
 
     def _open_code_blob(self) -> None:
         path = self.data_dir / "codeblob.dat"
-        self._blob_fh = open(path, "r+b" if path.exists() else "w+b")
+        self._blob_fh = open(path, "r+b" if path.exists() else "w+b", buffering=0)
         self._code_offsets: dict[bytes, tuple[int, int]] = {}
         size = os.fstat(self._blob_fh.fileno()).st_size
         offset = 0
@@ -604,11 +613,7 @@ class ArchiveDb:
                 break
             self._code_offsets[header[:HASH_SIZE]] = (body_at, length)
             offset = body_at + length
-        if offset < size:
-            # A record cut short by a crash belongs to a batch that was never
-            # published; drop it so its body is appended again in full.
-            self._blob_fh.truncate(offset)
-        self._blob_size = offset
+        self._blob_size = offset  # a torn tail after this is cut by the appender's first batch
 
     def _rebuild_account_maps(self) -> None:
         self._account_state = self._newest_payloads("state")

@@ -126,7 +126,7 @@ class LinearHashIndex:
     def key_at(self, ordinal: int) -> bytes:
         return self.reverse.get(ordinal)
 
-    def root_hash(self) -> bytes:
+    def root(self) -> bytes:
         """Commitment over the assigned key sequence (reverse table pages)."""
         return self.reverse.root()
 

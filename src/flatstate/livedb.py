@@ -72,6 +72,9 @@ class LiveDb:
         self.values = self._store("values", VALUE_SIZE, slots)
         self.a_index = self._index("addr", ADDRESS_SIZE, meta.get("a_index"))
         self.ak_index = self._index("slots", AK_KEY_SIZE, meta.get("ak_index"))
+        # The committed components in ROOT_ORDER; each answers root(), flush() and close().
+        stores = (self.balances, self.nonces, self.exists_flags, self.reincarnations, self.codes, self.values)
+        self._components = (*stores, self.a_index, self.ak_index)
         self._root_cache: bytes | None = None
 
     # -- reads ---------------------------------------------------------------
@@ -160,22 +163,12 @@ class LiveDb:
     # -- commitment ----------------------------------------------------------
 
     def component_roots(self) -> dict[str, bytes]:
-        return {
-            "balance": self.balances.root(),
-            "nonce": self.nonces.root(),
-            "exists": self.exists_flags.root(),
-            "reinc": self.reincarnations.root(),
-            "code": self.codes.root(),
-            "values": self.values.root(),
-            "a_index": self.a_index.root_hash(),
-            "ak_index": self.ak_index.root_hash(),
-        }
+        return dict(zip(ROOT_ORDER, (component.root() for component in self._components)))
 
     def state_root(self) -> WorldstateRoot:
         """Composite commitment; cached until the next write."""
         if self._root_cache is None:
-            roots = self.component_roots()
-            self._root_cache = digest(b"".join(roots[name] for name in ROOT_ORDER))
+            self._root_cache = digest(b"".join(self.component_roots().values()))  # in ROOT_ORDER
         return WorldstateRoot(root=self._root_cache, block=self.block)
 
     # -- lifecycle -----------------------------------------------------------
@@ -186,20 +179,14 @@ class LiveDb:
         Hash trees are brought fully up to date first, so two replicas
         that applied the same diffs flush byte-identical directories.
         """
-        for store in (self.balances, self.nonces, self.exists_flags, self.reincarnations, self.values):
-            store.flush()
-        self.codes.flush()
-        self.a_index.flush()
-        self.ak_index.flush()
+        for component in self._components:
+            component.flush()
         self._write_meta()
 
     def close(self) -> None:
-        """Persist and close every component once, in flush order, then write the metadata file."""
-        for store in (self.balances, self.nonces, self.exists_flags, self.reincarnations, self.values):
-            store.close()
-        self.codes.close()
-        self.a_index.close()
-        self.ak_index.close()
+        """Persist and close every component once, then write the metadata file."""
+        for component in self._components:
+            component.close()
         self._write_meta()
 
     # -- internals -----------------------------------------------------------

@@ -38,7 +38,6 @@ class PagePool:
         if size % page_size:
             raise FormatError(f"{self.file_path} size {size} is not a multiple of page_size {page_size}")
         self._page_count = size // page_size
-        self._file_pages = self._page_count
 
     @property
     def page_count(self) -> int:
@@ -78,16 +77,10 @@ class PagePool:
         self._dirty.add(page_id)
 
     def flush(self) -> None:
-        """Persist all dirty pages; afterwards the file covers every page."""
+        """Persist all dirty pages; afterwards the file covers every page (a new page is dirty until written)."""
         for page_id in sorted(self._dirty):
             self._write(page_id, self._pages[page_id])
         self._dirty.clear()
-        if self._file_pages < self._page_count:
-            try:
-                self._fh.truncate(self._page_count * self.page_size)
-            except OSError as exc:
-                raise StorageError(f"cannot extend pool file: {exc}", path=self.file_path) from exc
-            self._file_pages = self._page_count
 
     def close(self) -> None:
         self.flush()
@@ -118,4 +111,3 @@ class PagePool:
             raise StorageError(f"write failed: {exc}", path=self.file_path, offset=offset) from exc
         if written != self.page_size:
             raise StorageError(f"short write: {written} of {self.page_size} bytes", path=self.file_path, offset=offset)
-        self._file_pages = max(self._file_pages, page_id + 1)

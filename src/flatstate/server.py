@@ -45,10 +45,9 @@ def _parse_bytes(token: str, width: int) -> bytes:
 
 
 def _parse_block(token: str) -> int:
-    block = int(token)
-    if block < 0:
-        raise ValueError("block must be non-negative")
-    return block
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"block must be decimal digits, got {token!r}")
+    return int(token)
 
 
 def handle_request(archive: ArchiveDb, line: str) -> str:

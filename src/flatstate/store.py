@@ -59,7 +59,8 @@ class RecordStore:
     def get(self, record: int) -> bytes:
         if record < 0 or record >= self.count:
             raise BoundsError(f"record {record} out of range 0..{self.count - 1}")
-        page_id, offset = self._locate(record)
+        page_id, slot = divmod(record, self.slots_per_page)
+        offset = slot * self.record_size
         return bytes(self.pool.get_page(page_id)[offset : offset + self.record_size])
 
     def set(self, record: int, data: bytes) -> None:
@@ -108,9 +109,6 @@ class RecordStore:
         page_id, slot = divmod(record, self.slots_per_page)
         return page_id, slot * self.record_size
 
-    def _locate(self, record: int) -> tuple[int, int]:
-        return record // self.slots_per_page, (record % self.slots_per_page) * self.record_size
-
 
 class Depot:
     """Variable-length payloads behind a fixed-record meta store."""
@@ -124,10 +122,6 @@ class Depot:
             self._blob_size = os.fstat(self._blob.fileno()).st_size
         except OSError as exc:
             raise StorageError(f"cannot open blob file: {exc}", path=blob_path) from exc
-
-    @property
-    def count(self) -> int:
-        return self.meta.count
 
     def set(self, record: int, code: bytes) -> None:
         """Store ``code`` under ``record``; old blob bytes become garbage."""

@@ -430,18 +430,51 @@ def test_torn_code_record_is_dropped_on_open(tmp_path):
     archive.close()
     blob = tmp_path / "archive" / "codeblob.dat"
     complete = blob.read_bytes()
-    # A crash while appending the body of block 2's code: header and 100 of 1,024 bytes reached the file.
+    record = sha(body) + len(body).to_bytes(4, "big") + body
+    torn = record[: 32 + 4 + 100]  # a crash while appending block 2's code: header and 100 of 1,024 body bytes
     with blob.open("ab") as fh:
-        fh.write(sha(body) + len(body).to_bytes(4, "big") + body[:100])
+        fh.write(torn)
     reopened = ArchiveDb(tmp_path / "archive")
+    assert blob.read_bytes() == complete + torn  # opening leaves the file as it is
+    # The appender drops the torn record before its first batch, whose record is shorter than the tail.
+    short = b"\x02" * 10
+    feed(reopened, [diff(2, AccountUpdate(address=addr(3), code=short))])
+    complete += sha(short) + len(short).to_bytes(4, "big") + short
     assert blob.read_bytes() == complete
-    feed(reopened, [diff(2, AccountUpdate(address=addr(1), code=body))])
-    assert reopened.get_code_at(addr(1), 2) == body
-    assert reopened.get_code_at(addr(2), 2) == kept
+    feed(reopened, [diff(3, AccountUpdate(address=addr(1), code=body))])
+    assert blob.read_bytes() == complete + record  # the body is appended again in full
+    assert reopened.get_code_at(addr(1), 3) == body
+    assert reopened.get_code_at(addr(2), 3) == kept
+    assert reopened.get_code_at(addr(3), 3) == short
     blob.write_bytes(blob.read_bytes()[:-1])  # the body loses its last byte under the open archive
     with pytest.raises(CorruptionError, match="cut short"):
-        reopened.get_code_at(addr(1), 2)
+        reopened.get_code_at(addr(1), 3)
     reopened.close()
+
+
+def test_reading_an_archive_changes_no_file(tmp_path):
+    directory = tmp_path / "archive"
+    a123, a2, code = addr(0x123), addr(2), b"\x01" * 50
+    writer = ArchiveDb(directory)
+    created = AccountUpdate(address=a2, created=True, balance=5, nonce=1, code=code)
+    feed(writer, example_table_diffs() + [diff(18, created)])
+    block_hash, account_hash = writer.block_hash(18), writer.account_hash(a2, 18)
+    writer.close()
+    with (directory / "codeblob.dat").open("ab") as fh:
+        fh.write(sha(b"lost") + (4).to_bytes(4, "big") + b"lo")  # a record torn by a crash
+    before = {path.name: path.read_bytes() for path in directory.iterdir()}
+    reader = ArchiveDb(directory)
+    assert reader.watermark == 18
+    assert reader.block_hash(18) == block_hash
+    assert reader.get_storage_at(a123, key(1), 16) == val(110)
+    assert reader.get_balance_at(a2, 18) == 5
+    assert reader.get_nonce_at(a2, 18) == 1
+    assert reader.get_code_at(a2, 18) == code
+    assert reader.account_exists_at(a2, 18)
+    assert reader.account_hash(a2, 18) == account_hash
+    reader.flush()
+    reader.close()
+    assert {path.name: path.read_bytes() for path in directory.iterdir()} == before
 
 
 def test_concurrent_reader_sees_only_published_blocks(tmp_path, monkeypatch):

@@ -191,11 +191,13 @@ def test_serve_refuses_a_missing_archive_and_creates_nothing(tmp_path, capsys, m
         raise AssertionError("served a missing archive")
 
     monkeypatch.setattr(cli, "QueryServer", serve_nothing)
-    for db_dir in (tmp_path / "missing", tmp_path):
+    empty = tmp_path / "empty"
+    (empty / "archive").mkdir(parents=True)  # an archive directory that holds no archive
+    for db_dir in (tmp_path / "missing", tmp_path, empty):
         code = main(["serve", "--db-dir", str(db_dir), "--listen", "127.0.0.1:0"])
         assert code == 1
         assert capsys.readouterr().err == f"error: no archive at {db_dir / 'archive'}\n"
-    assert list(tmp_path.iterdir()) == []
+    assert sorted(tmp_path.rglob("*")) == [empty, empty / "archive"]
 
 
 def serve_example_archive(tmp_path):
@@ -224,6 +226,10 @@ def test_serve_answers_change_log_example(tmp_path):
             assert beyond.startswith("ERR unavailable")
             bad = client.request("STORAGE nonsense")
             assert bad.startswith("ERR badrequest")
+            # Blocks are ASCII decimal digits only: no sign, no underscore, no Arabic-Indic three.
+            for block in ("+7", "-1", "1_0", "\u0663"):
+                assert client.request(f"BLOCKHASH {block}").startswith("ERR badrequest"), block
+                assert client.request(f"BALANCE 0x{addr(0x123).hex()} {block}").startswith("ERR badrequest"), block
             # The connection survives malformed requests.
             assert client.request("WATERMARK") == "OK 17"
             block_hash = client.request("BLOCKHASH 17")

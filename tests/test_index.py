@@ -57,10 +57,10 @@ def test_get_is_read_only(open_index):
     index = open_index()
     assert index.get(k20(5)) is None
     assert index.count == 0
-    root = index.root_hash()
+    root = index.root()
     index.get_or_add(k20(5))
     assert index.get(k20(5)) == 0
-    assert index.root_hash() != root
+    assert index.root() != root
 
 
 def test_unaligned_match_in_bucket_is_not_a_hit(open_index):
@@ -134,9 +134,9 @@ def test_commitment_ignores_duplicate_inserts(open_index):
     index = open_index()
     index.get_or_add(k20(1))
     index.get_or_add(k20(2))
-    root = index.root_hash()
+    root = index.root()
     index.get_or_add(k20(1))
-    assert index.root_hash() == root
+    assert index.root() == root
 
 
 def test_same_sequence_same_root_and_permuted_sequence_differs(open_index):
@@ -146,11 +146,11 @@ def test_same_sequence_same_root_and_permuted_sequence_differs(open_index):
     for key in keys:
         left.get_or_add(key)
         right.get_or_add(key)
-    assert left.root_hash() == right.root_hash()
+    assert left.root() == right.root()
     permuted = open_index(name="perm")
     for key in reversed(keys):
         permuted.get_or_add(key)
-    assert permuted.root_hash() != left.root_hash()
+    assert permuted.root() != left.root()
 
 
 def test_rebuild_from_key_sequence_reproduces_root(open_index):
@@ -161,14 +161,14 @@ def test_rebuild_from_key_sequence_reproduces_root(open_index):
     rebuilt = open_index(name="rebuilt")
     for ordinal in range(index.count):
         rebuilt.get_or_add(index.key_at(ordinal))
-    assert rebuilt.root_hash() == index.root_hash()
+    assert rebuilt.root() == index.root()
 
 
 def test_empty_index_root_is_empty_tree_root(open_index):
     from flatstate.digest import EMPTY_HASH
 
     index = open_index()
-    assert index.root_hash() == EMPTY_HASH
+    assert index.root() == EMPTY_HASH
 
 
 def test_persistence_roundtrip(open_index):
@@ -177,12 +177,12 @@ def test_persistence_roundtrip(open_index):
     keys = [rng.randbytes(20) for _ in range(3_000)]
     for key in keys:
         index.get_or_add(key)
-    root = index.root_hash()
+    root = index.root()
     state = index.state()
     index.flush()
     index.close()
     reopened = open_index(name="persist", state=state, count=state["count"])
-    assert reopened.root_hash() == root
+    assert reopened.root() == root
     for ordinal, key in enumerate(keys):
         assert reopened.get(key) == ordinal
     assert reopened.get_or_add(rng.randbytes(20)) == (3_000, True)
