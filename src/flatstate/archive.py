@@ -19,11 +19,15 @@ batch stops the appender for good: every later append or flush raises
 that failure, and readers keep the last published watermark.
 
 Opening reads the run manifest, maps the runs and indexes the code blob;
-it scans no entry and writes nothing to an existing archive. Only the
-appender writes: before its first batch it cuts a torn code-blob tail and
-builds its per-account state (newest hash, existence and reincarnation)
-from the tables, so an archive that is only read, as by the query server,
-never pays for that scan.
+it scans no entry and creates or writes nothing in an existing archive.
+Only the appender writes: before its first batch it cuts a torn code-blob
+tail and builds its per-account state (newest hash, existence and
+reincarnation) from the tables, so an archive that is only read, as by
+the query server, never pays for that scan.
+
+A query reaches the runs through one guarded floor search per table and
+the flat files through one locked positional read; a code body is served
+only after it matches its digest.
 """
 
 from __future__ import annotations
@@ -130,7 +134,10 @@ def filter_bits(h: int) -> int:
 
 def _pwrite(fh, data: bytes, offset: int) -> None:
     """Write all of ``data`` at ``offset`` of the unbuffered file ``fh``."""
-    written = os.pwrite(fh.fileno(), data, offset)
+    try:
+        written = os.pwrite(fh.fileno(), data, offset)
+    except OSError as exc:
+        raise StorageError(f"write failed: {exc}", path=fh.name, offset=offset) from exc
     if written != len(data):
         raise StorageError(f"short write: {written} of {len(data)} bytes", path=fh.name, offset=offset)
 
@@ -284,8 +291,7 @@ class ArchiveDb:
         whole batch is on disk.
         """
         self._raise_pending_error()
-        if self._closed:
-            raise StorageError("archive is closed")
+        self._check_open()
         if diff.block != self._next_block + 1:
             raise SequenceError(f"expected block {self._next_block + 1}, got {diff.block}")
         self._next_block = diff.block
@@ -320,48 +326,33 @@ class ArchiveDb:
     # -- queries ---------------------------------------------------------
 
     def get_storage_at(self, address: bytes, key: bytes, block: int) -> bytes:
-        runs = self._published("storage", block)
-        _, reinc = self._state_at(address, block)
-        prefix = address + reinc.to_bytes(REINC_SIZE, "big") + key
-        best = self._tables["storage"].floor(runs, prefix, block)
-        return best[1] if best else ZERO_VALUE
+        state = self._floor("state", address, block)  # exists byte ++ reincarnation
+        reinc = state[1:] if state else bytes(REINC_SIZE)
+        return self._floor("storage", address + reinc + key, block) or ZERO_VALUE
 
     def get_balance_at(self, address: bytes, block: int) -> int:
-        runs = self._published("balance", block)
-        best = self._tables["balance"].floor(runs, address, block)
-        return int.from_bytes(best[1], "big") if best else 0
+        return int.from_bytes(self._floor("balance", address, block) or b"", "big")
 
     def get_nonce_at(self, address: bytes, block: int) -> int:
-        runs = self._published("nonce", block)
-        best = self._tables["nonce"].floor(runs, address, block)
-        return int.from_bytes(best[1], "big") if best else 0
+        return int.from_bytes(self._floor("nonce", address, block) or b"", "big")
 
     def get_code_at(self, address: bytes, block: int) -> bytes:
-        runs = self._published("code", block)
-        best = self._tables["code"].floor(runs, address, block)
-        if best is None:
-            return b""
-        return self._read_code(best[1])
+        code_hash = self._floor("code", address, block)
+        return self._read_code(code_hash) if code_hash else b""
 
     def account_exists_at(self, address: bytes, block: int) -> bool:
-        exists, _ = self._state_at(address, block)
-        return exists
+        state = self._floor("state", address, block)
+        return state is not None and state[0] == 1
 
     def block_hash(self, block: int) -> bytes:
-        with self._lock:
-            if self._closed:
-                raise StorageError("archive is closed")
-            self._check_published(block)
-            record = os.pread(self._blockhash_fh.fileno(), HASH_SIZE, block * HASH_SIZE)
+        record = self._pread(self._blockhash_fh, HASH_SIZE, block * HASH_SIZE, block)
         if len(record) != HASH_SIZE:
             raise CorruptionError(f"block hash file ends before block {block}")
         return record
 
     def account_hash(self, address: bytes, block: int) -> bytes:
         """Stored per-account composite hash as of ``block`` (zero if untouched)."""
-        runs = self._published("accthash", block)
-        best = self._tables["accthash"].floor(runs, address, block)
-        return best[1] if best else ZERO_HASH
+        return self._floor("accthash", address, block) or ZERO_HASH
 
     def entry_count(self, table: str) -> int:
         with self._lock:
@@ -371,21 +362,30 @@ class ArchiveDb:
         with self._lock:
             return {name: [run.file for run in table.runs] for name, table in self._tables.items()}
 
-    def _state_at(self, address: bytes, block: int) -> tuple[bool, int]:
-        runs = self._published("state", block)
-        best = self._tables["state"].floor(runs, address, block)
-        if best is None:
-            return False, 0
-        return best[1][0] == 1, int.from_bytes(best[1][1:], "big")
+    def _floor(self, table: str, prefix: bytes, block: int) -> bytes | None:
+        """Payload of the newest ``table`` entry with ``prefix`` at or below ``block``, or None."""
+        best = self._tables[table].floor(self._published(table, block), prefix, block)
+        return best[1] if best else None
 
     def _published(self, table: str, block: int) -> tuple[RunRef, ...]:
+        """The newest-first run snapshot of ``table``, once ``block`` is known to be published."""
         with self._lock:
-            if self._closed:
-                raise StorageError("archive is closed")
-            self._check_published(block)
+            self._check_open(block)
             return self._tables[table].newest_first
 
-    def _check_published(self, block: int) -> None:  # archive lock held
+    def _pread(self, fh, length: int, offset: int, block: int = 0) -> bytes:
+        """Up to ``length`` bytes at ``offset`` of a flat file, once ``block`` is known to be published."""
+        with self._lock:  # close() releases the descriptors under this lock
+            self._check_open(block)
+            try:
+                return os.pread(fh.fileno(), length, offset)
+            except OSError as exc:
+                raise StorageError(f"read failed: {exc}", path=fh.name, offset=offset) from exc
+
+    def _check_open(self, block: int = 0) -> None:
+        """Raise unless the archive is open and ``block`` is published (block 0 always is)."""
+        if self._closed:
+            raise StorageError("archive is closed")
         if block < 0:
             raise BoundsError(f"negative block {block}")
         if block > self.watermark:
@@ -422,7 +422,10 @@ class ArchiveDb:
         if self._account_state is None:  # the first batch
             # A code record cut short by a crash belongs to a batch that was
             # never published; drop it so its body is appended again in full.
-            os.ftruncate(self._blob_fh.fileno(), self._blob_size)
+            try:
+                os.ftruncate(self._blob_fh.fileno(), self._blob_size)
+            except OSError as exc:
+                raise StorageError(f"truncate failed: {exc}", path=self._blob_fh.name, offset=self._blob_size) from exc
             self._rebuild_account_maps()
         never_created = bytes(1 + REINC_SIZE)  # state payload of an address no state entry names
         entries: dict[str, list[bytes]] = {name: [] for name in TABLES}
@@ -486,7 +489,11 @@ class ArchiveDb:
         seq = self._next_seq
         self._next_seq += 1
         path = self.data_dir / f"{table}-{seq:08d}.run"
-        with open(path, "wb", buffering=0) as fh:
+        try:
+            fh = open(path, "wb", buffering=0)
+        except OSError as exc:
+            raise StorageError(f"cannot create run file: {exc}", path=path) from exc
+        with fh:
             _pwrite(fh, b"".join(rows), 0)
         return RunRef(path.name, level, len(rows), first, last, map_run(path, len(rows), TABLES[table].entry_size))
 
@@ -537,12 +544,9 @@ class ArchiveDb:
         if located is None:
             raise CorruptionError(f"code body for digest {code_hash.hex()} is missing from the blob")
         offset, length = located
-        with self._lock:
-            if self._closed:
-                raise StorageError("archive is closed")
-            body = os.pread(self._blob_fh.fileno(), length, offset)
-        if len(body) != length:
-            raise CorruptionError(f"code body for digest {code_hash.hex()} is cut short in the blob")
+        body = self._pread(self._blob_fh, length, offset)
+        if digest(body) != code_hash:  # a body the blob lost bytes of, or one damaged in place
+            raise CorruptionError(f"code body for digest {code_hash.hex()} is cut short or damaged in the blob")
         return body
 
     # -- persistence -----------------------------------------------------
@@ -584,6 +588,10 @@ class ArchiveDb:
                 first, last = r.get("first", 0), r.get("last", MAX_BLOCK)
                 loaded.append(RunRef(r["file"], r["level"], r["count"], first, last, data))
             self._tables[name].publish(loaded)
+        # Only a new archive creates the flat files; opening an existing one writes nothing.
+        for flat in (self.data_dir / "blockhash.dat", self.data_dir / "codeblob.dat"):
+            if not flat.exists():
+                raise CorruptionError(f"{flat} is missing from an archive at watermark {self.watermark}")
 
     def _open_blockhash_file(self) -> None:
         path = self.data_dir / "blockhash.dat"

@@ -69,22 +69,16 @@ def cmd_du(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from . import bench, workload
+    from . import bench
 
     page_sizes = [int(size) for size in args.page_sizes.split(",")]
-    keys = args.keys
-    if keys is None and args.workload:
-        spec = workload.read_spec(Path(args.workload))
-        keys = max(1, spec.accounts * spec.txs_per_block * spec.slot_writes_per_tx)
-    if keys is None:
-        keys = 160_000
     if args.mode == "memory":
-        rows = bench.sweep_memory(page_sizes, keys=keys, hot_set=args.hot_set, rounds=args.rounds)
+        rows = bench.sweep_memory(page_sizes, keys=args.keys, hot_set=args.hot_set, rounds=args.rounds)
     else:
         rows = bench.sweep_io(
             page_sizes,
             data_dir=Path(args.db_dir),
-            keys=keys,
+            keys=args.keys,
             hot_set=args.hot_set,
             rounds=args.rounds,
             cache_budget=args.cache_budget,
@@ -144,10 +138,9 @@ def build_parser() -> argparse.ArgumentParser:
     du.set_defaults(func=cmd_du)
 
     sweep = sub.add_parser("sweep", help="page-size sweep microbenchmark")
-    sweep.add_argument("workload", nargs="?", help="optional workload file used as a scale hint")
     sweep.add_argument("--page-sizes", default="256,512,1024,2048,4096,8192,16384,32768,65536")
     sweep.add_argument("--mode", choices=("memory", "io"), default="memory")
-    sweep.add_argument("--keys", type=int, default=None)
+    sweep.add_argument("--keys", type=int, default=160_000)
     sweep.add_argument("--hot-set", type=int, default=100)
     sweep.add_argument("--rounds", type=int, default=5)
     sweep.add_argument("--cache-budget", type=int, default=1 << 22, help="io mode page cache budget in bytes")

@@ -109,7 +109,7 @@ class LinearHashIndex:
             # A remembered miss is still absent: only this method adds keys, and it
             # overwrites the miss below. The bucket is recomputed from the hash at
             # the current level, so splits since the miss change nothing.
-            insert_page, tail = self._free_and_tail(self._primary_page(~known))
+            _, insert_page, tail = self._walk(None, self._primary_page(~known))
         ordinal = self.count
         if insert_page is None:
             insert_page = self._alloc_page()
@@ -155,39 +155,29 @@ class LinearHashIndex:
             bucket &= (1 << self.level) - 1
         return self.bucket_pages[bucket]
 
-    def _walk(self, key: bytes, page_id: int) -> tuple[int | None, int | None, int]:
+    def _walk(self, key: bytes | None, page_id: int) -> tuple[int | None, int | None, int]:
         """(ordinal or None, first page with a free slot or None, last page) of the chain at page_id.
 
         A hit counts only at an entry boundary, never inside a stored entry.
+        With ``key`` None only the page headers are read, to place an insert.
         """
         size = self.entry_size
         free = None
         while True:
             data = self.pool.get_page(page_id)
             n = int.from_bytes(data[0:2], "big")
-            end = _HEADER_SIZE + n * size
-            at = data.find(key, _HEADER_SIZE, end)
-            while at >= 0:
-                if (at - _HEADER_SIZE) % size == 0:
-                    return int.from_bytes(data[at + self.key_width : at + size], "big"), None, page_id
-                at = data.find(key, at + 1, end)
+            if key is not None:
+                end = _HEADER_SIZE + n * size
+                at = data.find(key, _HEADER_SIZE, end)
+                while at >= 0:
+                    if (at - _HEADER_SIZE) % size == 0:
+                        return int.from_bytes(data[at + self.key_width : at + size], "big"), None, page_id
+                    at = data.find(key, at + 1, end)
             if free is None and n < self.slots_per_page:
                 free = page_id
             nxt = int.from_bytes(data[2:10], "big")
             if nxt == 0:
                 return None, free, page_id
-            page_id = nxt - 1
-
-    def _free_and_tail(self, page_id: int) -> tuple[int | None, int]:
-        """(first page with a free slot or None, last page) of the chain at page_id, from headers only."""
-        free = None
-        while True:
-            data = self.pool.get_page(page_id)
-            if free is None and int.from_bytes(data[0:2], "big") < self.slots_per_page:
-                free = page_id
-            nxt = int.from_bytes(data[2:10], "big")
-            if nxt == 0:
-                return free, page_id
             page_id = nxt - 1
 
     def _alloc_page(self) -> int:

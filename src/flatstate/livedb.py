@@ -19,6 +19,7 @@ not share an instance without a lock of their own.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -228,6 +229,13 @@ class LiveDb:
             raise CorruptionError(
                 f"database was created with page_size {meta.get('page_size')}, opened with {self.page_size}"
             )
+        # Only a new database creates its data files; a missing .tree is rebuilt from its data.
+        missing = {
+            "balances.dat", "nonces.dat", "exists.dat", "reincs.dat", "codes.dat", "codes.blob", "values.dat",
+            "addr.buckets", "addr.keys", "slots.buckets", "slots.keys",
+        }.difference(os.listdir(self.data_dir))
+        if missing:
+            raise CorruptionError(f"{self.data_dir / min(missing)} is missing from a database at block {meta['block']}")
         return meta
 
     def _write_meta(self) -> None:

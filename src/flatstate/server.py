@@ -28,7 +28,7 @@ import socketserver
 import threading
 
 from .archive import ArchiveDb
-from .errors import FlatStateError, UnavailableError
+from .errors import BoundsError, UnavailableError
 from .types import ADDRESS_SIZE, KEY_SIZE
 
 # The longest valid request (STORAGE with 0x-prefixed arguments and a
@@ -78,9 +78,9 @@ def handle_request(archive: ArchiveDb, line: str) -> str:
         return f"ERR badrequest unknown command or arity: {line.strip()}"
     except UnavailableError as exc:
         return f"ERR unavailable {exc}"
-    except (ValueError, FlatStateError) as exc:
+    except (ValueError, BoundsError) as exc:  # malformed input, FormatError included
         return f"ERR badrequest {exc}"
-    except Exception as exc:  # keep the connection alive for the next request
+    except Exception as exc:  # corruption, a failed read or a bug; the connection stays usable
         return f"ERR internal {exc}"
 
 

@@ -1,5 +1,6 @@
 """Archive database: floor queries, incremental hashes, concurrency, merging."""
 
+import errno
 import hashlib
 import json
 import os
@@ -404,6 +405,20 @@ def test_short_block_hash_file_is_reported_as_corruption(tmp_path, monkeypatch):
     hashes.unlink()
     with pytest.raises(CorruptionError, match="watermark 4"):
         ArchiveDb(tmp_path / "archive")
+    assert not hashes.exists()  # an existing archive never recreates it
+
+
+@pytest.mark.parametrize("name", ["blockhash.dat", "codeblob.dat"])
+def test_missing_flat_file_is_reported_and_never_created(tmp_path, name):
+    directory = tmp_path / "archive"
+    archive = ArchiveDb(directory)
+    feed(archive, [diff(1, AccountUpdate(address=addr(1), created=True, code=b"\x60\x00"))])
+    archive.close()
+    (directory / name).unlink()
+    before = sorted(path.name for path in directory.iterdir())
+    with pytest.raises(CorruptionError, match=f"{name} is missing"):
+        ArchiveDb(directory)
+    assert sorted(path.name for path in directory.iterdir()) == before
 
 
 def test_code_bodies_are_deduplicated(tmp_path):
@@ -450,6 +465,50 @@ def test_torn_code_record_is_dropped_on_open(tmp_path):
     with pytest.raises(CorruptionError, match="cut short"):
         reopened.get_code_at(addr(1), 3)
     reopened.close()
+
+
+def test_damaged_code_body_is_reported_as_corruption(tmp_path):
+    body = bytes.fromhex("600060ff")
+    archive = ArchiveDb(tmp_path / "archive")
+    feed(archive, [diff(1, AccountUpdate(address=addr(1), created=True, code=body))])
+    blob = tmp_path / "archive" / "codeblob.dat"
+    assert blob.read_bytes().endswith(body)
+    blob.write_bytes(blob.read_bytes()[:-1] + b"\xfe")  # the body's last byte flips in place
+    with pytest.raises(CorruptionError, match="damaged"):
+        archive.get_code_at(addr(1), 1)
+    assert handle_request(archive, f"CODE 0x{addr(1).hex()} 1").startswith("ERR internal code body")
+    archive.close()
+    reopened = ArchiveDb(tmp_path / "archive")
+    with pytest.raises(CorruptionError, match="damaged"):
+        reopened.get_code_at(addr(1), 1)
+    reopened.close()
+
+
+def test_archive_io_failures_raise_storage_errors(tmp_path, monkeypatch):
+    directory = tmp_path / "archive"
+    archive = ArchiveDb(directory)
+    feed(archive, [diff(1, AccountUpdate(address=addr(1), created=True, balance=5))])
+    real_pread = os.pread
+
+    def failing(*args):
+        raise OSError(errno.EIO, "injected")
+
+    monkeypatch.setattr(os, "pread", failing)
+    with pytest.raises(StorageError, match="injected") as read_failure:
+        archive.block_hash(1)
+    assert pathlib.Path(read_failure.value.path) == directory / "blockhash.dat"
+    assert read_failure.value.offset == 32
+    assert handle_request(archive, "BLOCKHASH 1").startswith("ERR internal read failed")
+    monkeypatch.setattr(os, "pread", real_pread)
+    monkeypatch.setattr(os, "pwrite", lambda *args: failing())
+    archive.append_block(diff(2, AccountUpdate(address=addr(1), balance=6)))
+    with pytest.raises(StorageError, match="write failed") as write_failure:
+        archive.flush()
+    written = pathlib.Path(write_failure.value.path)  # the first file the batch writes: its first run
+    assert written.parent == directory and written.suffix == ".run"
+    with pytest.raises(StorageError, match="write failed"):
+        archive.close()
+    assert archive.watermark == 1
 
 
 def test_reading_an_archive_changes_no_file(tmp_path):

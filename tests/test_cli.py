@@ -5,12 +5,15 @@ import random
 import socket
 import time
 
+import pytest
+
 from flatstate import bench, cli
 from flatstate.archive import ArchiveDb
 from flatstate.cli import main
 from flatstate.livedb import LiveDb
 from flatstate.oracle import ReferenceOracle
 from flatstate.server import MAX_CONNECTIONS, MAX_REQUEST_BYTES, QueryClient, QueryServer
+from flatstate.types import AccountUpdate
 from flatstate.workload import WorkloadSpec, generate, write_workload
 
 from util import addr, key, val
@@ -155,6 +158,9 @@ def test_sweep_cli_memory_mode(tmp_path):
     assert [int(r["page_size"]) for r in rows] == [256, 1024]
     for row in rows:
         assert float(row["ns_per_hash"]) > 0
+    assert cli.build_parser().parse_args(["sweep"]).keys == 160_000  # --keys alone sets the scale
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["sweep", "scale.wl"])
 
 
 def test_sweep_cli_io_mode(tmp_path):
@@ -234,6 +240,26 @@ def test_serve_answers_change_log_example(tmp_path):
             assert client.request("WATERMARK") == "OK 17"
             block_hash = client.request("BLOCKHASH 17")
             assert block_hash == f"OK 0x{archive.block_hash(17).hex()}"
+    finally:
+        server.stop()
+        archive.close()
+
+
+def test_serve_reports_corruption_as_internal_error(tmp_path):
+    from test_archive import diff
+
+    archive = ArchiveDb(tmp_path / "db" / "archive")
+    archive.append_block(diff(1, AccountUpdate(address=addr(1), created=True, balance=5, code=bytes.fromhex("600060ff"))))
+    archive.flush()
+    blob = tmp_path / "db" / "archive" / "codeblob.dat"
+    blob.write_bytes(blob.read_bytes()[:-1] + b"\xfe")  # one byte of the body flips
+    server = QueryServer(archive)
+    server.start()
+    try:
+        with QueryClient(*server.address) as client:
+            assert client.request(f"CODE 0x{addr(1).hex()} 1").startswith("ERR internal code body")
+            assert client.request(f"BALANCE 0x{addr(1).hex()} 1") == "OK 5"  # the connection stays usable
+            assert client.request(f"CODE 0x{addr(1).hex()}").startswith("ERR badrequest")
     finally:
         server.stop()
         archive.close()

@@ -256,6 +256,30 @@ def test_damaged_meta_fields_are_reported_as_corruption(tmp_path, field):
         LiveDb(tmp_path / "db")
 
 
+@pytest.mark.parametrize("name", ["balances.dat", "addr.buckets", "slots.keys", "codes.blob"])
+def test_missing_data_file_is_reported_and_never_created(tmp_path, name):
+    db = LiveDb(tmp_path / "db")
+    replay_workload_into(db, ReferenceOracle(), SMALL_SPEC)
+    db.close()
+    (tmp_path / "db" / name).unlink()
+    before = sorted(path.name for path in (tmp_path / "db").iterdir())
+    with pytest.raises(CorruptionError, match=f"{name} is missing"):
+        LiveDb(tmp_path / "db")
+    assert sorted(path.name for path in (tmp_path / "db").iterdir()) == before
+
+
+def test_missing_tree_file_is_rebuilt_from_the_data(tmp_path):
+    db = LiveDb(tmp_path / "db")
+    replay_workload_into(db, ReferenceOracle(), SMALL_SPEC)
+    root = db.state_root().root
+    db.close()
+    (tmp_path / "db" / "balances.tree").unlink()
+    reopened = LiveDb(tmp_path / "db")
+    assert reopened.state_root().root == root
+    reopened.close()
+    assert (tmp_path / "db" / "balances.tree").exists()
+
+
 def tree_bytes(root_dir):
     files = {}
     for path in sorted(root_dir.rglob("*")):
