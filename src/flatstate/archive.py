@@ -142,6 +142,14 @@ def _pwrite(fh, data: bytes, offset: int) -> None:
         raise StorageError(f"short write: {written} of {len(data)} bytes", path=fh.name, offset=offset)
 
 
+def _pread(fh, length: int, offset: int) -> bytes:
+    """Up to ``length`` bytes at ``offset`` of the unbuffered file ``fh``."""
+    try:
+        return os.pread(fh.fileno(), length, offset)
+    except OSError as exc:
+        raise StorageError(f"read failed: {exc}", path=fh.name, offset=offset) from exc
+
+
 def map_run(path: Path, count: int, entry_size: int) -> mmap.mmap:
     """Map a run file read-only after checking it holds exactly ``count`` entries."""
     try:
@@ -265,7 +273,11 @@ class ArchiveDb:
         self.watermark = 0
         self._load_meta()
         self._open_blockhash_file()
-        self._open_code_blob()
+        try:
+            self._open_code_blob()
+        except BaseException:
+            self._blockhash_fh.close()
+            raise
         # Appender-private running state: the payload of each account's newest
         # accthash and state entry (exists byte ++ reincarnation). The appender
         # builds both from the tables before its first batch, so an archive
@@ -345,7 +357,7 @@ class ArchiveDb:
         return state is not None and state[0] == 1
 
     def block_hash(self, block: int) -> bytes:
-        record = self._pread(self._blockhash_fh, HASH_SIZE, block * HASH_SIZE, block)
+        record = self._locked_pread(self._blockhash_fh, HASH_SIZE, block * HASH_SIZE, block)
         if len(record) != HASH_SIZE:
             raise CorruptionError(f"block hash file ends before block {block}")
         return record
@@ -373,14 +385,11 @@ class ArchiveDb:
             self._check_open(block)
             return self._tables[table].newest_first
 
-    def _pread(self, fh, length: int, offset: int, block: int = 0) -> bytes:
+    def _locked_pread(self, fh, length: int, offset: int, block: int = 0) -> bytes:
         """Up to ``length`` bytes at ``offset`` of a flat file, once ``block`` is known to be published."""
         with self._lock:  # close() releases the descriptors under this lock
             self._check_open(block)
-            try:
-                return os.pread(fh.fileno(), length, offset)
-            except OSError as exc:
-                raise StorageError(f"read failed: {exc}", path=fh.name, offset=offset) from exc
+            return _pread(fh, length, offset)
 
     def _check_open(self, block: int = 0) -> None:
         """Raise unless the archive is open and ``block`` is published (block 0 always is)."""
@@ -544,7 +553,7 @@ class ArchiveDb:
         if located is None:
             raise CorruptionError(f"code body for digest {code_hash.hex()} is missing from the blob")
         offset, length = located
-        body = self._pread(self._blob_fh, length, offset)
+        body = self._locked_pread(self._blob_fh, length, offset)
         if digest(body) != code_hash:  # a body the blob lost bytes of, or one damaged in place
             raise CorruptionError(f"code body for digest {code_hash.hex()} is cut short or damaged in the blob")
         return body
@@ -596,31 +605,44 @@ class ArchiveDb:
     def _open_blockhash_file(self) -> None:
         path = self.data_dir / "blockhash.dat"
         new = not path.exists()
-        # Unbuffered, like PagePool: hashes move by positional reads and writes only.
-        self._blockhash_fh = open(path, "w+b" if new else "r+b", buffering=0)
-        if new:  # a new archive: block 0 hashes to zero
-            _pwrite(self._blockhash_fh, ZERO_HASH, 0)
-        if os.fstat(self._blockhash_fh.fileno()).st_size < (self.watermark + 1) * HASH_SIZE:
+        try:
+            # Unbuffered, like PagePool: hashes move by positional reads and writes only.
+            self._blockhash_fh = open(path, "w+b" if new else "r+b", buffering=0)
+        except OSError as exc:
+            raise StorageError(f"cannot open block hash file: {exc}", path=path) from exc
+        try:
+            if new:  # a new archive: block 0 hashes to zero
+                _pwrite(self._blockhash_fh, ZERO_HASH, 0)
+            if os.fstat(self._blockhash_fh.fileno()).st_size < (self.watermark + 1) * HASH_SIZE:
+                raise CorruptionError(f"block hash file shorter than watermark {self.watermark}")
+            # The appender chains each new block hash to the last published one.
+            self._last_block_hash = _pread(self._blockhash_fh, HASH_SIZE, self.watermark * HASH_SIZE)
+        except BaseException:
             self._blockhash_fh.close()
-            raise CorruptionError(f"block hash file shorter than watermark {self.watermark}")
-        # The appender chains each new block hash to the last published one.
-        self._last_block_hash = os.pread(self._blockhash_fh.fileno(), HASH_SIZE, self.watermark * HASH_SIZE)
+            raise
 
     def _open_code_blob(self) -> None:
         path = self.data_dir / "codeblob.dat"
-        self._blob_fh = open(path, "r+b" if path.exists() else "w+b", buffering=0)
+        try:
+            self._blob_fh = open(path, "r+b" if path.exists() else "w+b", buffering=0)
+        except OSError as exc:
+            raise StorageError(f"cannot open code blob: {exc}", path=path) from exc
         self._code_offsets: dict[bytes, tuple[int, int]] = {}
-        size = os.fstat(self._blob_fh.fileno()).st_size
-        offset = 0
-        while offset + HASH_SIZE + 4 <= size:
-            # Only the record headers are read; bodies are read on demand.
-            header = os.pread(self._blob_fh.fileno(), HASH_SIZE + 4, offset)
-            body_at = offset + HASH_SIZE + 4
-            length = int.from_bytes(header[HASH_SIZE:], "big")
-            if body_at + length > size:
-                break
-            self._code_offsets[header[:HASH_SIZE]] = (body_at, length)
-            offset = body_at + length
+        try:
+            size = os.fstat(self._blob_fh.fileno()).st_size
+            offset = 0
+            while offset + HASH_SIZE + 4 <= size:
+                # Only the record headers are read; bodies are read on demand.
+                header = _pread(self._blob_fh, HASH_SIZE + 4, offset)
+                body_at = offset + HASH_SIZE + 4
+                length = int.from_bytes(header[HASH_SIZE:], "big")
+                if body_at + length > size:
+                    break
+                self._code_offsets[header[:HASH_SIZE]] = (body_at, length)
+                offset = body_at + length
+        except BaseException:
+            self._blob_fh.close()
+            raise
         self._blob_size = offset  # a torn tail after this is cut by the appender's first batch
 
     def _rebuild_account_maps(self) -> None:

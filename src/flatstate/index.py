@@ -26,7 +26,7 @@ import hashlib
 from collections import OrderedDict
 
 from .digest import add_calls, digest
-from .errors import FormatError
+from .errors import CorruptionError, FormatError
 from .pagepool import PagePool
 from .store import RecordStore
 
@@ -55,15 +55,14 @@ class LinearHashIndex:
             self.count = 0
             self.level = _INITIAL_LEVEL
             self.split_ptr = 0
-            self.bucket_pages = []
-            for _ in range(_INITIAL_BUCKETS):
-                self._alloc_page()
-                self.bucket_pages.append(self.pool.page_count - 1)
+            self.bucket_pages = [self.pool.append_page() for _ in range(_INITIAL_BUCKETS)]
         else:
             self.count = state["count"]
             self.level = state["level"]
             self.split_ptr = state["split"]
             self.bucket_pages = list(state["bucket_pages"])
+            if max(self.bucket_pages) >= pool.page_count:  # a file cut short
+                raise CorruptionError(f"{pool.file_path} holds {pool.page_count} pages, fewer than its bucket pages")
         # present key -> ordinal, absent key -> ~bucket_hash(key); oldest use first
         self._known: OrderedDict[bytes, int] = OrderedDict()
         self._known_limit = KEYS_REMEMBERED
@@ -112,7 +111,7 @@ class LinearHashIndex:
             _, insert_page, tail = self._walk(None, self._primary_page(~known))
         ordinal = self.count
         if insert_page is None:
-            insert_page = self._alloc_page()
+            insert_page = self.pool.append_page()
             self.pool.get_page(tail)[2:10] = (insert_page + 1).to_bytes(8, "big")
             self.pool.mark_dirty(tail)
         self._append_entry(insert_page, key, ordinal)
@@ -180,11 +179,6 @@ class LinearHashIndex:
                 return None, free, page_id
             page_id = nxt - 1
 
-    def _alloc_page(self) -> int:
-        page_id = self.pool.page_count
-        self.pool.get_page(page_id)
-        return page_id
-
     def _append_entry(self, page_id: int, key: bytes, ordinal: int) -> None:
         data = self.pool.get_page(page_id)
         n = int.from_bytes(data[0:2], "big")
@@ -215,11 +209,11 @@ class LinearHashIndex:
             (stay if h & wide_mask == source else move).append(entry)
         add_calls(len(entries))
         self._rewrite_chain(chain, stay)
-        new_primary = self._alloc_page()
+        new_primary = self.pool.append_page()
         self.bucket_pages.append(new_primary)
         new_chain = [new_primary]
         while len(new_chain) * self.slots_per_page < len(move):
-            new_chain.append(self._alloc_page())
+            new_chain.append(self.pool.append_page())
         self._rewrite_chain(new_chain, move)
         self.split_ptr += 1
         if len(self.bucket_pages) == 1 << (self.level + 1):

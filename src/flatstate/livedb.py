@@ -25,10 +25,11 @@ from pathlib import Path
 
 from .digest import digest
 from .errors import CorruptionError, SequenceError
+from .hashtree import HashTree
 from .index import LinearHashIndex
 from .metafile import read_meta, require, write_meta
 from .pagepool import PagePool
-from .store import Depot, RecordStore, DEPOT_META_SIZE
+from .store import Depot, RecordStore, DEPOT_META_SIZE, pages_for
 from .types import (
     ADDRESS_SIZE,
     BALANCE_SIZE,
@@ -65,14 +66,22 @@ class LiveDb:
         self.block = meta["block"]
         accounts = meta["accounts"]
         slots = meta["slots"]
-        self.balances = self._store("balances", BALANCE_SIZE, accounts)
-        self.nonces = self._store("nonces", NONCE_SIZE, accounts)
-        self.exists_flags = self._store("exists", 1, accounts)
-        self.reincarnations = self._store("reincs", REINC_SIZE, accounts)
-        self.codes = Depot(self._store("codes", DEPOT_META_SIZE, accounts), self.data_dir / "codes.blob")
-        self.values = self._store("values", VALUE_SIZE, slots)
-        self.a_index = self._index("addr", ADDRESS_SIZE, meta.get("a_index"))
-        self.ak_index = self._index("slots", AK_KEY_SIZE, meta.get("ak_index"))
+        self._opened: list[PagePool] = []  # closed again, unwritten, if a later file is damaged
+        try:
+            self.balances = self._store("balances", BALANCE_SIZE, accounts)
+            self.nonces = self._store("nonces", NONCE_SIZE, accounts)
+            self.exists_flags = self._store("exists", 1, accounts)
+            self.reincarnations = self._store("reincs", REINC_SIZE, accounts)
+            code_meta = self._store("codes", DEPOT_META_SIZE, accounts)
+            self.values = self._store("values", VALUE_SIZE, slots)
+            self.a_index = self._index("addr", ADDRESS_SIZE, meta.get("a_index"))
+            self.ak_index = self._index("slots", AK_KEY_SIZE, meta.get("ak_index"))
+            self.codes = Depot(code_meta, self.data_dir / "codes.blob")
+        except BaseException:
+            for pool in self._opened:
+                pool.close()  # nothing is dirty yet
+            raise
+        del self._opened
         # The committed components in ROOT_ORDER; each answers root(), flush() and close().
         stores = (self.balances, self.nonces, self.exists_flags, self.reincarnations, self.codes, self.values)
         self._components = (*stores, self.a_index, self.ak_index)
@@ -192,28 +201,20 @@ class LiveDb:
 
     # -- internals -----------------------------------------------------------
 
-    def _store(self, name: str, record_size: int, count: int) -> RecordStore:
-        return RecordStore.open(
-            self.data_dir / f"{name}.dat",
-            record_size,
-            count=count,
-            page_size=self.page_size,
-            capacity=POOL_CAPACITY,
-            tree_path=self.data_dir / f"{name}.tree",
-        )
+    def _store(self, name: str, record_size: int, count: int, file: str = "dat") -> RecordStore:
+        pool = self._pool(f"{name}.{file}")
+        tree = HashTree(self.data_dir / f"{name}.tree", leaf_count=pages_for(count, self.page_size // record_size))
+        return RecordStore(pool, record_size, count=count, tree=tree)
 
     def _index(self, name: str, key_width: int, state: dict | None) -> LinearHashIndex:
-        pool = PagePool(self.data_dir / f"{name}.buckets", page_size=self.page_size, capacity=POOL_CAPACITY)
-        count = state["count"] if state else 0
-        reverse = RecordStore.open(
-            self.data_dir / f"{name}.keys",
-            key_width,
-            count=count,
-            page_size=self.page_size,
-            capacity=POOL_CAPACITY,
-            tree_path=self.data_dir / f"{name}.tree",
-        )
+        pool = self._pool(f"{name}.buckets")
+        reverse = self._store(name, key_width, state["count"] if state else 0, file="keys")
         return LinearHashIndex(pool, reverse, key_width, state=state)
+
+    def _pool(self, file: str) -> PagePool:
+        pool = PagePool(self.data_dir / file, page_size=self.page_size, capacity=POOL_CAPACITY)
+        self._opened.append(pool)
+        return pool
 
     def _meta_path(self) -> Path:
         return self.data_dir / "meta.json"

@@ -3,8 +3,9 @@
 Pages are addressed by a dense id starting at 0. Page i lives at file
 offset ``i * page_size``. Up to ``capacity`` pages stay in memory;
 the least recently used page is evicted (written back first when dirty)
-when the pool is full. Reads past the end of the file yield zero-filled
-pages, matching the convention that the absent value is zero.
+when the pool is full. Only ``append_page`` adds a page; reading a page
+never extends the file. A page the file was cut short of after it was
+opened reads as zeros.
 """
 
 from __future__ import annotations
@@ -48,28 +49,30 @@ class PagePool:
         return len(self._pages)
 
     def get_page(self, page_id: int) -> bytearray:
-        """Return the bytes of page ``page_id``, loading or creating it as needed.
+        """Return the bytes of page ``page_id``, loading it as needed.
 
-        ``page_id == page_count`` extends the pool by one zeroed page;
-        anything beyond that is a bounds error. A caller that changes the
-        bytes must call ``mark_dirty`` before the next pool operation, or
-        the change may be lost on eviction.
+        A page at or beyond ``page_count`` is a bounds error. A caller that
+        changes the bytes must call ``mark_dirty`` before the next pool
+        operation, or the change may be lost on eviction.
         """
         data = self._pages.get(page_id)
         if data is not None:
             self._pages.move_to_end(page_id)
             return data
-        if page_id > self._page_count or page_id < 0:
+        if page_id >= self._page_count or page_id < 0:
             raise BoundsError(f"page {page_id} beyond pool end {self._page_count}")
-        if page_id == self._page_count:
-            self._page_count += 1
-            data = bytearray(self.page_size)
-            self._dirty.add(page_id)
-        else:
-            data = self._load(page_id)
-        self._pages[page_id] = data
+        data = self._pages[page_id] = self._load(page_id)
         self._evict_over_capacity()
         return data
+
+    def append_page(self) -> int:
+        """Add a zeroed page at the end of the pool and return its id; it stays dirty until written."""
+        page_id = self._page_count
+        self._page_count += 1
+        self._pages[page_id] = bytearray(self.page_size)
+        self._dirty.add(page_id)
+        self._evict_over_capacity()
+        return page_id
 
     def mark_dirty(self, page_id: int) -> None:
         if page_id not in self._pages:

@@ -34,6 +34,8 @@ class RecordStore:
         self.record_size = record_size
         self.slots_per_page = pool.page_size // record_size
         self.count = count
+        if pool.page_count != self.page_count:  # a file cut short, or one holding pages no record owns
+            raise CorruptionError(f"{pool.file_path} holds {pool.page_count} pages, {count} records take {self.page_count}")
         self.tree = tree if tree is not None else HashTree()
         if self.tree.leaf_count < self.page_count:
             self.tree.grow(self.page_count)
@@ -49,12 +51,16 @@ class RecordStore:
         tree_path: Path | None = None,
     ) -> "RecordStore":
         pool = PagePool(data_path, page_size=page_size, capacity=capacity)
-        tree = HashTree(tree_path, leaf_count=_pages_for(count, page_size // record_size))
-        return cls(pool, record_size, count=count, tree=tree)
+        try:
+            tree = HashTree(tree_path, leaf_count=pages_for(count, page_size // record_size))
+            return cls(pool, record_size, count=count, tree=tree)
+        except BaseException:
+            pool.close()  # nothing is dirty yet, so this writes nothing
+            raise
 
     @property
     def page_count(self) -> int:
-        return _pages_for(self.count, self.slots_per_page)
+        return pages_for(self.count, self.slots_per_page)
 
     def get(self, record: int) -> bytes:
         if record < 0 or record >= self.count:
@@ -104,9 +110,11 @@ class RecordStore:
             raise FormatError(f"record must be {self.record_size} bytes, got {len(data)}")
         if record < 0 or record > self.count:
             raise BoundsError(f"record {record} beyond append position {self.count}")
+        page_id, slot = divmod(record, self.slots_per_page)
         if record == self.count:
             self.count += 1
-        page_id, slot = divmod(record, self.slots_per_page)
+            if page_id == self.pool.page_count:
+                self.pool.append_page()
         return page_id, slot * self.record_size
 
 
@@ -166,5 +174,5 @@ class Depot:
         self.meta.close()
 
 
-def _pages_for(count: int, slots_per_page: int) -> int:
+def pages_for(count: int, slots_per_page: int) -> int:
     return (count + slots_per_page - 1) // slots_per_page

@@ -1,15 +1,24 @@
 """End-to-end checks of the command line surface and the query endpoint."""
 
+import contextlib
 import csv
+import errno
+import os
 import random
+import selectors
+import signal
 import socket
+import subprocess
+import sys
 import time
 
 import pytest
 
 from flatstate import bench, cli
+from flatstate import server as server_module
 from flatstate.archive import ArchiveDb
 from flatstate.cli import main
+from flatstate.errors import StorageError
 from flatstate.livedb import LiveDb
 from flatstate.oracle import ReferenceOracle
 from flatstate.server import MAX_CONNECTIONS, MAX_REQUEST_BYTES, QueryClient, QueryServer
@@ -301,11 +310,11 @@ def test_serve_refuses_connections_beyond_the_limit(tmp_path):
     try:
         for _ in range(MAX_CONNECTIONS):
             clients.append(QueryClient(host, port))
-            assert clients[-1].request("WATERMARK") == "OK 17"  # its handler thread is running
+            assert clients[-1].request("WATERMARK") == "OK 17"  # the server has accepted it
         assert refused_line() == (b"ERR unavailable too many connections\n", b"")
         for client in clients:
             assert client.request("WATERMARK") == "OK 17"
-        # A closed connection frees its slot once its handler returns.
+        # A closed connection frees its slot once the server reads its end.
         clients.pop().close()
         deadline = time.monotonic() + 10
         while True:
@@ -369,3 +378,167 @@ def test_serve_random_queries_match_oracle(tmp_path):
     finally:
         server.stop()
         archive.close()
+
+
+@pytest.mark.parametrize("failing_read", [1, 2], ids=["block-hash", "code-blob-header"])
+def test_archive_read_failure_on_open_is_a_storage_error(tmp_path, capsys, monkeypatch, failing_read):
+    from test_archive import diff
+
+    archive = ArchiveDb(tmp_path / "db" / "archive")
+    archive.append_block(diff(1, AccountUpdate(address=addr(1), created=True, code=b"\x60\x00")))
+    archive.close()
+    real_pread = os.pread
+    reads = []
+
+    def pread(*args):
+        reads.append(args)
+        if len(reads) == failing_read:
+            raise OSError(errno.EIO, "injected")
+        return real_pread(*args)
+
+    monkeypatch.setattr(os, "pread", pread)
+    with pytest.raises(StorageError, match="injected"):
+        ArchiveDb(tmp_path / "db" / "archive")
+    reads.clear()
+    assert main(["serve", "--db-dir", str(tmp_path / "db"), "--listen", "127.0.0.1:0"]) == 1
+    assert capsys.readouterr().err.startswith("error: read failed: [Errno 5] injected")
+
+
+def read_lines(sock, count):
+    """``count`` newline-terminated lines from a blocking socket."""
+    data = b""
+    while data.count(b"\n") < count:
+        chunk = sock.recv(4096)
+        assert chunk, f"connection closed after {data!r}"
+        data += chunk
+    return data.decode().splitlines()
+
+
+def test_serve_answers_pipelined_requests_in_order(tmp_path):
+    archive = serve_example_archive(tmp_path)
+    server = QueryServer(archive)
+    server.start()
+    balance = f"BALANCE 0x{addr(0x123).hex()} 17"
+    try:
+        with socket.create_connection(server.address, timeout=10) as sock:
+            sock.sendall(f"WATERMARK\nBLOCKHASH 17\nnonsense\n{balance}\nWATERMARK\n".encode())
+            assert read_lines(sock, 5) == [
+                "OK 17",
+                f"OK 0x{archive.block_hash(17).hex()}",
+                "ERR badrequest unknown command or arity: nonsense",
+                f"OK {archive.get_balance_at(addr(0x123), 17)}",
+                "OK 17",
+            ]
+    finally:
+        server.stop()
+        archive.close()
+
+
+def test_serve_answers_a_request_sent_byte_by_byte_once(tmp_path):
+    archive = serve_example_archive(tmp_path)
+    server = QueryServer(archive)
+    server.start()
+    try:
+        with socket.create_connection(server.address, timeout=10) as sock:
+            for byte in b"WATERMARK\n":
+                sock.sendall(bytes([byte]))
+                time.sleep(0.002)
+            sock.sendall(b"BLOCKHASH 17\n")
+            # Had the server answered a fragment, or the line twice, the second answer would differ.
+            assert read_lines(sock, 2) == ["OK 17", f"OK 0x{archive.block_hash(17).hex()}"]
+    finally:
+        server.stop()
+        archive.close()
+
+
+def test_serve_a_client_that_never_reads_delays_no_other_and_is_not_read(tmp_path, monkeypatch):
+    from test_archive import diff
+
+    archive = ArchiveDb(tmp_path / "db" / "archive")
+    code = bytes(range(256)) * 64  # each answer is 32 KiB of hex, so unread answers soon fill the socket buffers
+    archive.append_block(diff(1, AccountUpdate(address=addr(1), created=True, code=code)))
+    archive.flush()
+    handled = []
+    real_handle = server_module.handle_request
+    monkeypatch.setattr(server_module, "handle_request", lambda db, line: handled.append(line) or real_handle(db, line))
+    server = QueryServer(archive)
+    server.start()
+    flood = f"CODE 0x{addr(1).hex()} 1\n".encode() * 10_000
+    try:
+        with socket.create_connection(server.address, timeout=10) as sock:
+            sock.setblocking(False)
+            sent = 0
+            with contextlib.suppress(BlockingIOError):
+                while sent < len(flood):
+                    sent += sock.send(flood[sent:])
+            deadline = time.monotonic() + 10
+            while True:  # until the server stops answering: its output to this client is stuck
+                answered = len(handled)
+                time.sleep(0.2)
+                if len(handled) == answered:
+                    break
+                assert time.monotonic() < deadline, "the server kept answering a client that reads nothing"
+            assert 0 < answered < 10_000
+            (stuck,) = [key for key in list(server._selector.get_map().values()) if key.data is not None]
+            assert stuck.events == selectors.EVENT_WRITE  # not polled for input while its answer is unsent
+            assert stuck.data.outbox
+            assert len(stuck.data.inbox) < 2 * MAX_REQUEST_BYTES
+            with QueryClient(*server.address) as other:
+                started = time.monotonic()
+                assert other.request("WATERMARK") == "OK 1"
+                assert time.monotonic() - started < 1
+            assert len(handled) == answered + 1  # the other client's request only
+    finally:
+        server.stop()
+        archive.close()
+
+
+def test_stop_closes_open_connections_promptly(tmp_path):
+    archive = serve_example_archive(tmp_path)
+    server = QueryServer(archive)
+    server.start()
+    try:
+        with QueryClient(*server.address) as idle, socket.create_connection(server.address, timeout=10) as partial:
+            assert idle.request("WATERMARK") == "OK 17"
+            partial.sendall(b"WATER")  # half a request
+            time.sleep(0.05)
+            started = time.monotonic()
+            server.stop()
+            assert time.monotonic() - started < 1
+            assert partial.recv(100) == b""  # the server closed it
+            with pytest.raises(ConnectionError):
+                idle.request("WATERMARK")
+    finally:
+        archive.close()
+
+
+def test_serve_command_stops_on_sigint(tmp_path):
+    archive = serve_example_archive(tmp_path)
+    archive.close()
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "flatstate", "serve", "--db-dir", str(tmp_path / "db"), "--listen", "127.0.0.1:0"],
+        env=env,
+        stdin=subprocess.DEVNULL,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+        # A test run started in the background may ignore SIGINT; the child must not inherit that.
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+    )
+    try:
+        line = child.stderr.readline()
+        assert line.startswith("serving archive queries on "), line
+        host, _, port = line.rsplit(" ", 1)[1].strip().rpartition(":")
+        with QueryClient(host, int(port)) as client:
+            assert client.request("WATERMARK") == "OK 17"
+            child.send_signal(signal.SIGINT)
+            assert child.wait(timeout=5) == 0
+        assert child.stderr.read() == ""  # no traceback
+    finally:
+        if child.poll() is None:
+            child.kill()
+            child.wait()
+        child.stderr.close()
+    assert child.poll() == 0

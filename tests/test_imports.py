@@ -1,4 +1,4 @@
-"""Package imports: lazy exports, and a serving process that loads only the archive side."""
+"""Package imports: lazy exports, and a serving process that loads only the archive side and no socketserver."""
 
 import os
 import subprocess
@@ -19,6 +19,7 @@ import flatstate.cli, flatstate.server
 live_side = sys.argv[1:]
 loaded = [name for name in live_side if "flatstate." + name in sys.modules]
 assert not loaded, f"the serving side loaded {loaded}"
+assert "socketserver" not in sys.modules, "the serving side loaded socketserver"
 
 import flatstate
 

@@ -3,6 +3,7 @@
 import filecmp
 import hashlib
 import json
+import os
 import random
 from pathlib import Path
 
@@ -266,6 +267,29 @@ def test_missing_data_file_is_reported_and_never_created(tmp_path, name):
     with pytest.raises(CorruptionError, match=f"{name} is missing"):
         LiveDb(tmp_path / "db")
     assert sorted(path.name for path in (tmp_path / "db").iterdir()) == before
+
+
+CUT_SPEC = WorkloadSpec(seed=7, blocks=40, accounts=300, txs_per_block=20, slot_writes_per_tx=3, new_key_ratio=0.3, delete_ratio=0.02)
+
+
+@pytest.mark.parametrize(
+    "name, pages",
+    [("balances.dat", -1), ("values.dat", -1), ("slots.keys", -1), ("slots.buckets", None), ("balances.dat", 1)],
+    ids=["balances-cut", "values-cut", "slot-keys-cut", "slot-buckets-cut", "balances-grown"],
+)
+def test_page_file_of_the_wrong_length_is_reported_and_left_unchanged(tmp_path, name, pages):
+    db = LiveDb(tmp_path / "db", page_size=256)
+    for block_diff in generate(CUT_SPEC):
+        db.apply_block(block_diff)
+    last_bucket_page = max(db.ak_index.bucket_pages)
+    db.close()
+    path = tmp_path / "db" / name
+    # pages None cuts the bucket file just before its last listed bucket page.
+    os.truncate(path, last_bucket_page * 256 if pages is None else path.stat().st_size + pages * 256)
+    before = path.read_bytes()
+    with pytest.raises(CorruptionError, match=name):
+        LiveDb(tmp_path / "db", page_size=256)
+    assert path.read_bytes() == before
 
 
 def test_missing_tree_file_is_rebuilt_from_the_data(tmp_path):

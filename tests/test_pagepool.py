@@ -25,12 +25,15 @@ def open_pool(tmp_path):
 
 
 def write_page(pool, page_id, data):
+    if page_id == pool.page_count:
+        pool.append_page()
     pool.get_page(page_id)[:] = data
     pool.mark_dirty(page_id)
 
 
 def test_fresh_pool_first_page_is_zero(open_pool):
     pool = open_pool(page_size=4096)
+    assert pool.append_page() == 0
     assert bytes(pool.get_page(0)) == b"\x00" * 4096
 
 
@@ -59,9 +62,13 @@ def test_config_validation(tmp_path):
 def test_page_id_gap_rejected(open_pool):
     pool = open_pool()
     with pytest.raises(BoundsError):
+        pool.get_page(0)  # a read never extends the pool
+    assert pool.append_page() == 0
+    with pytest.raises(BoundsError):
         pool.get_page(1)
-    pool.get_page(0)
+    assert pool.append_page() == 1
     pool.get_page(1)
+    assert pool.page_count == 2
 
 
 def test_flush_is_idempotent_and_materializes_all_pages(open_pool, tmp_path):
@@ -69,7 +76,7 @@ def test_flush_is_idempotent_and_materializes_all_pages(open_pool, tmp_path):
     pool.flush()  # empty pool: no-op
     assert (tmp_path / "pool.dat").stat().st_size == 0
     for i in range(6):
-        pool.get_page(i)  # read-only touch still extends the pool
+        pool.append_page()  # written by flush even though its bytes never changed
     pool.flush()
     first = (tmp_path / "pool.dat").read_bytes()
     assert len(first) == 6 * 256
@@ -79,8 +86,8 @@ def test_flush_is_idempotent_and_materializes_all_pages(open_pool, tmp_path):
 
 def test_mark_dirty_requires_residency(open_pool):
     pool = open_pool(capacity=2)
-    for i in range(4):
-        pool.get_page(i)
+    for _ in range(4):
+        pool.append_page()
     evicted = next(i for i in range(4) if i not in pool._pages)
     with pytest.raises(BoundsError):
         pool.mark_dirty(evicted)
@@ -96,7 +103,7 @@ def test_random_schedule_matches_mirror_oracle(open_pool, tmp_path):
         action = rng.random()
         max_page = pool.page_count
         if action < 0.45:
-            page_id = rng.randint(0, max_page)  # may auto-extend by one
+            page_id = rng.randint(0, max_page)  # may append one
             data = rng.randbytes(page_size)
             write_page(pool, page_id, data)
             mirror[page_id] = data
