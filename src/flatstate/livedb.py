@@ -25,11 +25,10 @@ from pathlib import Path
 
 from .digest import digest
 from .errors import CorruptionError, SequenceError
-from .hashtree import HashTree
 from .index import LinearHashIndex
 from .metafile import read_meta, require, write_meta
 from .pagepool import PagePool
-from .store import Depot, RecordStore, DEPOT_META_SIZE, pages_for
+from .store import Depot, RecordStore, DEPOT_META_SIZE
 from .types import (
     ADDRESS_SIZE,
     BALANCE_SIZE,
@@ -202,19 +201,22 @@ class LiveDb:
     # -- internals -----------------------------------------------------------
 
     def _store(self, name: str, record_size: int, count: int, file: str = "dat") -> RecordStore:
-        pool = self._pool(f"{name}.{file}")
-        tree = HashTree(self.data_dir / f"{name}.tree", leaf_count=pages_for(count, self.page_size // record_size))
-        return RecordStore(pool, record_size, count=count, tree=tree)
+        store = RecordStore.open(
+            self.data_dir / f"{name}.{file}",
+            record_size,
+            count=count,
+            page_size=self.page_size,
+            capacity=POOL_CAPACITY,
+            tree_path=self.data_dir / f"{name}.tree",
+        )
+        self._opened.append(store.pool)
+        return store
 
     def _index(self, name: str, key_width: int, state: dict | None) -> LinearHashIndex:
-        pool = self._pool(f"{name}.buckets")
+        pool = PagePool(self.data_dir / f"{name}.buckets", page_size=self.page_size, capacity=POOL_CAPACITY)
+        self._opened.append(pool)
         reverse = self._store(name, key_width, state["count"] if state else 0, file="keys")
         return LinearHashIndex(pool, reverse, key_width, state=state)
-
-    def _pool(self, file: str) -> PagePool:
-        pool = PagePool(self.data_dir / file, page_size=self.page_size, capacity=POOL_CAPACITY)
-        self._opened.append(pool)
-        return pool
 
     def _meta_path(self) -> Path:
         return self.data_dir / "meta.json"

@@ -205,10 +205,13 @@ class QueryServer:
             if conn.outbox:
                 conn.outbox = _send(sock, conn.outbox)
             else:
-                chunk = sock.recv(MAX_REQUEST_BYTES)
+                try:
+                    chunk = sock.recv(MAX_REQUEST_BYTES)
+                except BlockingIOError:  # select reported readable, yet there is nothing to read
+                    chunk = None
                 if chunk:
                     conn.inbox += chunk
-                else:
+                elif chunk is not None:
                     conn.closing = True
             while not conn.outbox:
                 line = conn.next_line()

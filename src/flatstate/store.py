@@ -52,7 +52,7 @@ class RecordStore:
     ) -> "RecordStore":
         pool = PagePool(data_path, page_size=page_size, capacity=capacity)
         try:
-            tree = HashTree(tree_path, leaf_count=pages_for(count, page_size // record_size))
+            tree = HashTree(tree_path, leaf_count=_pages_for(count, page_size // record_size))
             return cls(pool, record_size, count=count, tree=tree)
         except BaseException:
             pool.close()  # nothing is dirty yet, so this writes nothing
@@ -60,7 +60,7 @@ class RecordStore:
 
     @property
     def page_count(self) -> int:
-        return pages_for(self.count, self.slots_per_page)
+        return _pages_for(self.count, self.slots_per_page)
 
     def get(self, record: int) -> bytes:
         if record < 0 or record >= self.count:
@@ -174,5 +174,5 @@ class Depot:
         self.meta.close()
 
 
-def pages_for(count: int, slots_per_page: int) -> int:
+def _pages_for(count: int, slots_per_page: int) -> int:
     return (count + slots_per_page - 1) // slots_per_page

@@ -451,6 +451,26 @@ def test_serve_answers_a_request_sent_byte_by_byte_once(tmp_path):
         archive.close()
 
 
+def test_serve_keeps_a_connection_that_was_reported_readable_with_nothing_to_read(tmp_path):
+    archive = serve_example_archive(tmp_path)
+    server = QueryServer(archive)  # not started: the test turns the loop's handler by hand
+    ours, theirs = socket.socketpair()
+    try:
+        ours.setblocking(False)
+        conn = server_module._Connection(ours)
+        server._selector.register(ours, selectors.EVENT_READ, conn)
+        server._serve(conn)  # select may report a socket readable whose recv then would block
+        assert ours.fileno() != -1 and not conn.closing
+        theirs.sendall(b"WATERMARK\n")
+        server._serve(conn)
+        theirs.settimeout(10)
+        assert read_lines(theirs, 1) == ["OK 17"]
+    finally:
+        server.server_close()
+        theirs.close()
+        archive.close()
+
+
 def test_serve_a_client_that_never_reads_delays_no_other_and_is_not_read(tmp_path, monkeypatch):
     from test_archive import diff
 
