@@ -13,6 +13,7 @@ from .archive import ArchiveDb
 from .errors import FlatStateError
 from .hashtree import HashTree
 from .livedb import LiveDb
+from .pagepool import PageCache
 from .store import RecordStore
 from .workload import read_spec, read_workload
 
@@ -232,13 +233,8 @@ def sweep_io(
     data_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for page_size in page_sizes:
-        capacity = max(2, cache_budget // page_size)
-        store = RecordStore.open(
-            data_dir / f"sweep-{page_size}.dat",
-            VALUE_RECORD,
-            page_size=page_size,
-            capacity=capacity,
-        )
+        cache = PageCache(page_size=page_size, budget_bytes=cache_budget)
+        store = RecordStore.open(data_dir / f"sweep-{page_size}.dat", VALUE_RECORD, cache)
         for i in range(keys):
             store.set(i, i.to_bytes(VALUE_RECORD, "big"))
         store.root()

@@ -12,6 +12,10 @@ The worldstate commitment is the digest of eight component roots in a
 fixed order (balance, nonce, exists, reincarnation, code, values,
 address index, slot index), each maintained lazily by the hash trees.
 
+The ten page files (six stores, two bucket files, two key files) share
+one page cache of ``CACHE_BYTES``, so one budget bounds their RAM and
+one eviction site writes their dirty pages back.
+
 One thread uses an instance at a time, readers included: every read
 reorders the least-recently-used page and key maps, so two threads must
 not share an instance without a lock of their own.
@@ -27,7 +31,7 @@ from .digest import digest
 from .errors import CorruptionError, SequenceError
 from .index import LinearHashIndex
 from .metafile import read_meta, require, write_meta
-from .pagepool import PagePool
+from .pagepool import PageCache, PagePool
 from .store import Depot, RecordStore, DEPOT_META_SIZE
 from .types import (
     ADDRESS_SIZE,
@@ -41,7 +45,7 @@ from .types import (
 )
 
 FORMAT_VERSION = 1
-POOL_CAPACITY = 1024  # pages each store, index and key file keeps in memory
+CACHE_BYTES = 10 << 20  # resident pages of all ten page files together
 ROOT_ORDER = ("balance", "nonce", "exists", "reinc", "code", "values", "a_index", "ak_index")
 
 AK_KEY_SIZE = ADDRESS_SIZE + REINC_SIZE + KEY_SIZE
@@ -65,7 +69,7 @@ class LiveDb:
         self.block = meta["block"]
         accounts = meta["accounts"]
         slots = meta["slots"]
-        self._opened: list[PagePool] = []  # closed again, unwritten, if a later file is damaged
+        self._cache = PageCache(page_size=page_size, budget_bytes=CACHE_BYTES)
         try:
             self.balances = self._store("balances", BALANCE_SIZE, accounts)
             self.nonces = self._store("nonces", NONCE_SIZE, accounts)
@@ -77,10 +81,8 @@ class LiveDb:
             self.ak_index = self._index("slots", AK_KEY_SIZE, meta.get("ak_index"))
             self.codes = Depot(code_meta, self.data_dir / "codes.blob")
         except BaseException:
-            for pool in self._opened:
-                pool.close()  # nothing is dirty yet
+            self._cache.close()  # nothing is dirty yet, so this only closes the files opened so far
             raise
-        del self._opened
         # The committed components in ROOT_ORDER; each answers root(), flush() and close().
         stores = (self.balances, self.nonces, self.exists_flags, self.reincarnations, self.codes, self.values)
         self._components = (*stores, self.a_index, self.ak_index)
@@ -193,28 +195,20 @@ class LiveDb:
         self._write_meta()
 
     def close(self) -> None:
-        """Persist and close every component once, then write the metadata file."""
+        """Persist and close every component once, drop the cached pages, then write the metadata file."""
         for component in self._components:
             component.close()
+        self._cache.close()
         self._write_meta()
 
     # -- internals -----------------------------------------------------------
 
     def _store(self, name: str, record_size: int, count: int, file: str = "dat") -> RecordStore:
-        store = RecordStore.open(
-            self.data_dir / f"{name}.{file}",
-            record_size,
-            count=count,
-            page_size=self.page_size,
-            capacity=POOL_CAPACITY,
-            tree_path=self.data_dir / f"{name}.tree",
-        )
-        self._opened.append(store.pool)
-        return store
+        path = self.data_dir / f"{name}.{file}"
+        return RecordStore.open(path, record_size, self._cache, count=count, tree_path=self.data_dir / f"{name}.tree")
 
     def _index(self, name: str, key_width: int, state: dict | None) -> LinearHashIndex:
-        pool = PagePool(self.data_dir / f"{name}.buckets", page_size=self.page_size, capacity=POOL_CAPACITY)
-        self._opened.append(pool)
+        pool = PagePool(self._cache, self.data_dir / f"{name}.buckets")
         reverse = self._store(name, key_width, state["count"] if state else 0, file="keys")
         return LinearHashIndex(pool, reverse, key_width, state=state)
 

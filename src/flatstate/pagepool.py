@@ -1,35 +1,88 @@
-"""Fixed-size binary pages over one backing file with a bounded resident set.
+"""Fixed-size binary pages over backing files, with one bounded resident set.
 
-Pages are addressed by a dense id starting at 0. Page i lives at file
-offset ``i * page_size``. Up to ``capacity`` pages stay in memory;
-the least recently used page is evicted (written back first when dirty)
-when the pool is full. Only ``append_page`` adds a page; reading a page
-never extends the file. A page the file was cut short of after it was
-opened reads as zeros.
+A ``PageCache`` holds the resident pages of every file opened through it,
+up to ``budget_bytes`` of them in one least-recently-used map; the least
+recently used page is evicted, written back to its own file first when
+dirty, once the cache is full. A ``PagePool`` is one file's view of the
+cache. Pages of a file are addressed by a dense id starting at 0, and
+page i lives at file offset ``i * page_size``. Only ``append_page`` adds
+a page; reading a page never extends the file. A page the file was cut
+short of after it was opened reads as zeros.
 """
 
 from __future__ import annotations
 
+import io
 import os
 from collections import OrderedDict
 from pathlib import Path
 
-from .errors import BoundsError, FormatError, StorageError
+from .errors import BoundsError, CorruptionError, FormatError, StorageError
 
 MIN_PAGE_SIZE = 64
+_FILE_BITS = 4  # a resident page's key is page_id << _FILE_BITS | file number
+_FILE_MASK = (1 << _FILE_BITS) - 1
+
+
+class PageCache:
+    """The resident pages of up to 16 files, bounded together by one byte budget."""
+
+    def __init__(self, *, page_size: int, budget_bytes: int):
+        if page_size < MIN_PAGE_SIZE or page_size & (page_size - 1):
+            raise FormatError(f"page_size must be a power of two >= {MIN_PAGE_SIZE}, got {page_size}")
+        self.page_size = page_size
+        self.capacity = max(2, budget_bytes // page_size)  # pages resident at most
+        self._pages: OrderedDict[int, bytearray] = OrderedDict()  # resident pages by key, oldest use first
+        self._dirty: set[int] = set()  # keys of resident pages that differ from their file
+        self._files: list[io.FileIO] = []  # by file number; files, not pools: a cycle would keep pages alive
+
+    @property
+    def resident_count(self) -> int:
+        return len(self._pages)
+
+    def evict_over_capacity(self) -> None:
+        pages = self._pages
+        while len(pages) > self.capacity:
+            key, data = pages.popitem(last=False)
+            if key in self._dirty:
+                self._dirty.remove(key)
+                self._write(key, data)
+
+    def flush(self) -> None:
+        """Persist all dirty pages; afterwards each file covers all its pages (a new page is dirty until written)."""
+        for key in sorted(self._dirty):
+            self._write(key, self._pages[key])
+        self._dirty.clear()
+
+    def close(self) -> None:
+        self.flush()
+        for fh in self._files:
+            fh.close()
+        self._pages.clear()
+
+    def _write(self, key: int, data: bytearray) -> None:
+        fh = self._files[key & _FILE_MASK]
+        offset = (key >> _FILE_BITS) * self.page_size
+        try:
+            written = os.pwrite(fh.fileno(), data, offset)
+        except OSError as exc:
+            raise StorageError(f"write failed: {exc}", path=Path(fh.name), offset=offset) from exc
+        if written != self.page_size:
+            raise StorageError(f"short write: {written} of {self.page_size} bytes", path=Path(fh.name), offset=offset)
 
 
 class PagePool:
-    def __init__(self, file_path: Path, *, page_size: int, capacity: int):
-        if page_size < MIN_PAGE_SIZE or page_size & (page_size - 1):
-            raise FormatError(f"page_size must be a power of two >= {MIN_PAGE_SIZE}, got {page_size}")
-        if capacity < 2:
-            raise FormatError(f"capacity must be >= 2, got {capacity}")
+    """One file's pages in a shared ``PageCache``."""
+
+    def __init__(self, cache: PageCache, file_path: Path):
+        self.cache = cache
         self.file_path = Path(file_path)
-        self.page_size = page_size
-        self.capacity = capacity
-        self._pages: OrderedDict[int, bytearray] = OrderedDict()  # resident pages, oldest use first
-        self._dirty: set[int] = set()  # resident pages that differ from the file
+        self.page_size = page_size = cache.page_size
+        self._file_no = len(cache._files)
+        if self._file_no > _FILE_MASK:
+            raise FormatError(f"a page cache holds at most {_FILE_MASK + 1} files")
+        self._pages = cache._pages
+        self._dirty = cache._dirty
         try:
             # Unbuffered: pages move by positional reads and writes only.
             self._fh = open(self.file_path, "r+b" if self.file_path.exists() else "w+b", buffering=0)
@@ -37,8 +90,10 @@ class PagePool:
         except OSError as exc:
             raise StorageError(f"cannot open pool file: {exc}", path=self.file_path) from exc
         if size % page_size:
-            raise FormatError(f"{self.file_path} size {size} is not a multiple of page_size {page_size}")
+            self._fh.close()
+            raise CorruptionError(f"{self.file_path} size {size} is not a multiple of page_size {page_size}")
         self._page_count = size // page_size
+        cache._files.append(self._fh)
 
     @property
     def page_count(self) -> int:
@@ -46,56 +101,50 @@ class PagePool:
 
     @property
     def resident_count(self) -> int:
-        return len(self._pages)
+        return sum(1 for key in self._pages if key & _FILE_MASK == self._file_no)
 
     def get_page(self, page_id: int) -> bytearray:
         """Return the bytes of page ``page_id``, loading it as needed.
 
         A page at or beyond ``page_count`` is a bounds error. A caller that
-        changes the bytes must call ``mark_dirty`` before the next pool
-        operation, or the change may be lost on eviction.
+        changes the bytes must call ``mark_dirty`` before the next cache
+        operation on any file, or the change may be lost on eviction.
         """
-        data = self._pages.get(page_id)
+        key = page_id << _FILE_BITS | self._file_no
+        data = self._pages.get(key)
         if data is not None:
-            self._pages.move_to_end(page_id)
+            self._pages.move_to_end(key)
             return data
         if page_id >= self._page_count or page_id < 0:
             raise BoundsError(f"page {page_id} beyond pool end {self._page_count}")
-        data = self._pages[page_id] = self._load(page_id)
-        self._evict_over_capacity()
+        data = self._pages[key] = self._load(page_id)
+        self.cache.evict_over_capacity()
         return data
 
     def append_page(self) -> int:
-        """Add a zeroed page at the end of the pool and return its id; it stays dirty until written."""
+        """Add a zeroed page at the end of the file and return its id; it stays dirty until written."""
         page_id = self._page_count
         self._page_count += 1
-        self._pages[page_id] = bytearray(self.page_size)
-        self._dirty.add(page_id)
-        self._evict_over_capacity()
+        key = page_id << _FILE_BITS | self._file_no
+        self._pages[key] = bytearray(self.page_size)
+        self._dirty.add(key)
+        self.cache.evict_over_capacity()
         return page_id
 
     def mark_dirty(self, page_id: int) -> None:
-        if page_id not in self._pages:
+        key = page_id << _FILE_BITS | self._file_no
+        if key not in self._pages:
             raise BoundsError(f"page {page_id} is not resident")
-        self._dirty.add(page_id)
+        self._dirty.add(key)
 
     def flush(self) -> None:
-        """Persist all dirty pages; afterwards the file covers every page (a new page is dirty until written)."""
-        for page_id in sorted(self._dirty):
-            self._write(page_id, self._pages[page_id])
-        self._dirty.clear()
+        """Persist every dirty page of the cache, this file's included."""
+        self.cache.flush()
 
     def close(self) -> None:
-        self.flush()
+        """Persist the cache's dirty pages and close the file; ``PageCache.close`` drops the pages."""
+        self.cache.flush()
         self._fh.close()
-        self._pages.clear()
-
-    def _evict_over_capacity(self) -> None:
-        while len(self._pages) > self.capacity:
-            page_id, data = self._pages.popitem(last=False)
-            if page_id in self._dirty:
-                self._dirty.remove(page_id)
-                self._write(page_id, data)
 
     def _load(self, page_id: int) -> bytearray:
         offset = page_id * self.page_size
@@ -105,12 +154,3 @@ class PagePool:
         except OSError as exc:
             raise StorageError(f"read failed: {exc}", path=self.file_path, offset=offset) from exc
         return data
-
-    def _write(self, page_id: int, data: bytearray) -> None:
-        offset = page_id * self.page_size
-        try:
-            written = os.pwrite(self._fh.fileno(), data, offset)
-        except OSError as exc:
-            raise StorageError(f"write failed: {exc}", path=self.file_path, offset=offset) from exc
-        if written != self.page_size:
-            raise StorageError(f"short write: {written} of {self.page_size} bytes", path=self.file_path, offset=offset)

@@ -1,4 +1,4 @@
-"""Constant-time record access over the page pool.
+"""Constant-time record access over a page file in the page cache.
 
 A RecordStore keeps fixed-length records addressed by a dense record
 number: record r lives in page ``r // slots_per_page`` at slot
@@ -20,7 +20,7 @@ from pathlib import Path
 from .digest import digest
 from .errors import BoundsError, CorruptionError, FormatError, StorageError
 from .hashtree import HashTree
-from .pagepool import PagePool
+from .pagepool import PageCache, PagePool
 from .types import MAX_CODE_SIZE
 
 DEPOT_META_SIZE = 8 + 4 + 32  # blob offset, length, code digest
@@ -42,17 +42,11 @@ class RecordStore:
 
     @classmethod
     def open(
-        cls,
-        data_path: Path,
-        record_size: int,
-        count: int = 0,
-        page_size: int = 4096,
-        capacity: int = 256,
-        tree_path: Path | None = None,
+        cls, data_path: Path, record_size: int, cache: PageCache, count: int = 0, tree_path: Path | None = None
     ) -> "RecordStore":
-        pool = PagePool(data_path, page_size=page_size, capacity=capacity)
+        pool = PagePool(cache, data_path)
         try:
-            tree = HashTree(tree_path, leaf_count=_pages_for(count, page_size // record_size))
+            tree = HashTree(tree_path, leaf_count=_pages_for(count, cache.page_size // record_size))
             return cls(pool, record_size, count=count, tree=tree)
         except BaseException:
             pool.close()  # nothing is dirty yet, so this writes nothing
@@ -89,7 +83,7 @@ class RecordStore:
             if page_id != current:
                 current = page_id
                 page = self.pool.get_page(page_id)
-                self.pool.mark_dirty(page_id)  # ahead of the write: no pool call comes between
+                self.pool.mark_dirty(page_id)  # ahead of the write: no cache call comes between
                 self.tree.mark_dirty(page_id)
             page[offset : offset + size] = data
 

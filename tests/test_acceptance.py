@@ -18,7 +18,7 @@ from flatstate.hashtree import HashTree
 from flatstate.index import LinearHashIndex
 from flatstate.livedb import LiveDb
 from flatstate.oracle import ReferenceOracle
-from flatstate.pagepool import PagePool
+from flatstate.pagepool import PageCache, PagePool
 from flatstate.store import RecordStore
 from flatstate.types import AccountUpdate, BlockDiff
 from flatstate.workload import WorkloadSpec, account_address, generate, slot_key, write_workload
@@ -267,8 +267,9 @@ def test_criterion_07_hash_tree_work_bound():
 
 def test_criterion_08_linear_hash_density(tmp_path):
     """100k random keys: dense ordinals, many splits, full retrievability."""
-    pool = PagePool(tmp_path / "buckets", page_size=4096, capacity=4096)
-    reverse = RecordStore.open(tmp_path / "keys", 20, page_size=4096, capacity=4096)
+    cache = PageCache(page_size=4096, budget_bytes=2 * 4096 * 4096)  # 4096 pages per file, as two pools had
+    pool = PagePool(cache, tmp_path / "buckets")
+    reverse = RecordStore.open(tmp_path / "keys", 20, cache)
     index = LinearHashIndex(pool, reverse, 20)
     try:
         rng = random.Random(808)

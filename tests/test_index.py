@@ -8,7 +8,7 @@ from flatstate import index as index_module
 from flatstate.digest import digest_count
 from flatstate.errors import BoundsError
 from flatstate.index import LinearHashIndex, bucket_hash
-from flatstate.pagepool import PagePool
+from flatstate.pagepool import PageCache, PagePool
 from flatstate.store import RecordStore
 
 
@@ -18,15 +18,10 @@ def open_index(tmp_path):
     opened = []
 
     def open_(key_width=20, page_size=256, name="idx", state=None, count=0):
-        pool = PagePool(tmp_path / f"{name}.buckets", page_size=page_size, capacity=64)
-        reverse = RecordStore.open(
-            tmp_path / f"{name}.keys",
-            key_width,
-            count=count,
-            page_size=page_size,
-            capacity=64,
-            tree_path=tmp_path / f"{name}.tree",
-        )
+        cache = PageCache(page_size=page_size, budget_bytes=128 * page_size)  # 64 pages per file, as two pools had
+        pool = PagePool(cache, tmp_path / f"{name}.buckets")
+        tree_path = tmp_path / f"{name}.tree"
+        reverse = RecordStore.open(tmp_path / f"{name}.keys", key_width, cache, count=count, tree_path=tree_path)
         opened.append(LinearHashIndex(pool, reverse, key_width, state=state))
         return opened[-1]
 

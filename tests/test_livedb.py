@@ -273,19 +273,26 @@ CUT_SPEC = WorkloadSpec(seed=7, blocks=40, accounts=300, txs_per_block=20, slot_
 
 
 @pytest.mark.parametrize(
-    "name, pages",
-    [("balances.dat", -1), ("values.dat", -1), ("slots.keys", -1), ("slots.buckets", None), ("balances.dat", 1)],
-    ids=["balances-cut", "values-cut", "slot-keys-cut", "slot-buckets-cut", "balances-grown"],
+    "name, change",
+    [
+        ("balances.dat", -256),
+        ("values.dat", -256),
+        ("slots.keys", -256),
+        ("slots.buckets", None),
+        ("balances.dat", 256),
+        ("values.dat", -1),
+    ],
+    ids=["balances-cut", "values-cut", "slot-keys-cut", "slot-buckets-cut", "balances-grown", "values-cut-by-one-byte"],
 )
-def test_page_file_of_the_wrong_length_is_reported_and_left_unchanged(tmp_path, name, pages):
+def test_page_file_of_the_wrong_length_is_reported_and_left_unchanged(tmp_path, name, change):
     db = LiveDb(tmp_path / "db", page_size=256)
     for block_diff in generate(CUT_SPEC):
         db.apply_block(block_diff)
     last_bucket_page = max(db.ak_index.bucket_pages)
     db.close()
     path = tmp_path / "db" / name
-    # pages None cuts the bucket file just before its last listed bucket page.
-    os.truncate(path, last_bucket_page * 256 if pages is None else path.stat().st_size + pages * 256)
+    # change None cuts the bucket file just before its last listed bucket page; else it is in bytes.
+    os.truncate(path, last_bucket_page * 256 if change is None else path.stat().st_size + change)
     before = path.read_bytes()
     with pytest.raises(CorruptionError, match=name):
         LiveDb(tmp_path / "db", page_size=256)
@@ -312,14 +319,27 @@ def tree_bytes(root_dir):
     return files
 
 
+def page_pools(db):
+    stores = (db.balances, db.nonces, db.exists_flags, db.reincarnations, db.codes.meta, db.values)
+    indexes = (db.a_index, db.ak_index)
+    return [store.pool for store in stores] + [pool for index in indexes for pool in (index.pool, index.reverse.pool)]
+
+
 def test_two_replicas_produce_identical_roots_and_files(tmp_path, monkeypatch):
     left = LiveDb(tmp_path / "left")
     monkeypatch.setattr(index_module, "KEYS_REMEMBERED", 16)  # memo size must not matter
+    monkeypatch.setattr(livedb_module, "CACHE_BYTES", 4 * 4096)  # nor the page budget
     right = LiveDb(tmp_path / "right")
     for block_diff in generate(SMALL_SPEC):
         left.apply_block(block_diff)
         right.apply_block(block_diff)
         assert left.state_root() == right.state_root()
+        for db in (left, right):
+            pools = page_pools(db)
+            cache = pools[0].cache
+            assert len({id(pool) for pool in pools}) == 10 and all(pool.cache is cache for pool in pools)
+            assert sum(pool.resident_count for pool in pools) == cache.resident_count
+        assert right.balances.pool.cache.resident_count <= 4 < left.balances.pool.cache.resident_count
     assert len(right.ak_index._known) == 16 < len(left.ak_index._known)
     left.close()
     right.close()
@@ -522,7 +542,7 @@ def batched_write_blocks():
 
 
 def test_batched_writes_match_record_by_record_writes_and_the_oracle(tmp_path, monkeypatch):
-    monkeypatch.setattr(livedb_module, "POOL_CAPACITY", 2)
+    monkeypatch.setattr(livedb_module, "CACHE_BYTES", 2 * 256)
     batched = LiveDb(tmp_path / "batched", page_size=256)
     single = LiveDb(tmp_path / "single", page_size=256)
     oracle = ReferenceOracle()

@@ -1,4 +1,4 @@
-"""Page pool behavior: transparency of eviction, durability of flush."""
+"""Page cache and pool behavior: transparency of eviction, durability of flush."""
 
 import os
 import random
@@ -6,22 +6,22 @@ import random
 import pytest
 
 from flatstate.errors import BoundsError, FormatError, StorageError
-from flatstate.pagepool import PagePool
+from flatstate.pagepool import PageCache, PagePool
 
 
 @pytest.fixture
 def open_pool(tmp_path):
-    """Opens pools under tmp_path and closes each one after the test."""
+    """Opens pools under tmp_path, each in a cache of its own, and closes each cache after the test."""
     opened = []
 
     def open_(page_size=256, capacity=4, name="pool.dat"):
-        pool = PagePool(tmp_path / name, page_size=page_size, capacity=capacity)
-        opened.append(pool)
-        return pool
+        cache = PageCache(page_size=page_size, budget_bytes=capacity * page_size)
+        opened.append(cache)
+        return PagePool(cache, tmp_path / name)
 
     yield open_
-    for pool in opened:
-        pool.close()
+    for cache in opened:
+        cache.close()
 
 
 def write_page(pool, page_id, data):
@@ -51,11 +51,16 @@ def test_eviction_roundtrip(open_pool):
 
 def test_config_validation(tmp_path):
     with pytest.raises(FormatError):
-        PagePool(tmp_path / "x", page_size=100, capacity=4)
+        PageCache(page_size=100, budget_bytes=4 * 256)
     with pytest.raises(FormatError):
-        PagePool(tmp_path / "x", page_size=32, capacity=4)
+        PageCache(page_size=32, budget_bytes=4 * 256)
+    assert PageCache(page_size=256, budget_bytes=256).capacity == 2  # the page in use and the one it loads
+    cache = PageCache(page_size=256, budget_bytes=4 * 256)
+    for n in range(16):
+        PagePool(cache, tmp_path / f"f{n}")
     with pytest.raises(FormatError):
-        PagePool(tmp_path / "x", page_size=256, capacity=1)
+        PagePool(cache, tmp_path / "x")
+    cache.close()
     assert not (tmp_path / "x").exists()  # rejected before the file is opened
 
 
@@ -88,9 +93,9 @@ def test_mark_dirty_requires_residency(open_pool):
     pool = open_pool(capacity=2)
     for _ in range(4):
         pool.append_page()
-    evicted = next(i for i in range(4) if i not in pool._pages)
+    assert pool.resident_count == 2  # pages 0 and 1, the least recently used, were evicted
     with pytest.raises(BoundsError):
-        pool.mark_dirty(evicted)
+        pool.mark_dirty(0)
 
 
 def test_random_schedule_matches_mirror_oracle(open_pool, tmp_path):
@@ -183,3 +188,25 @@ def test_only_dirty_pages_are_written_and_each_once(open_pool, monkeypatch):
     pool.flush()
     assert written == [0]  # the evicted page was written once, not again by flush
     assert bytes(pool.get_page(0)) == b"\x09" * 256
+
+
+def test_dirty_page_evicted_by_another_file_is_written_to_its_own_file(tmp_path, monkeypatch):
+    cache = PageCache(page_size=256, budget_bytes=2 * 256)
+    a = PagePool(cache, tmp_path / "a.dat")
+    b = PagePool(cache, tmp_path / "b.dat")
+    for pool, fill in ((a, 1), (a, 2), (b, 3), (b, 4)):
+        write_page(pool, pool.page_count, bytes([fill]) * 256)
+    cache.flush()
+    write_page(a, 1, b"\x09" * 256)
+    written = []
+    real_pwrite = os.pwrite
+    monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: written.append((fd, offset)) or real_pwrite(fd, data, offset))
+    b.get_page(0)
+    b.get_page(1)  # evicts a's dirty page 1
+    assert written == [(a._fh.fileno(), 256)]
+    assert a.resident_count == 0 and b.resident_count == cache.resident_count == 2
+    assert (tmp_path / "a.dat").read_bytes() == b"\x01" * 256 + b"\x09" * 256
+    cache.flush()
+    assert written == [(a._fh.fileno(), 256)]  # b's pages were only read, so b.dat is never written
+    assert (tmp_path / "b.dat").read_bytes() == b"\x03" * 256 + b"\x04" * 256
+    cache.close()

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from flatstate.errors import BoundsError, CorruptionError, FormatError
-from flatstate.pagepool import PagePool
+from flatstate.pagepool import PageCache, PagePool
 from flatstate.store import Depot, RecordStore
 
 
@@ -22,7 +22,7 @@ def opened():
 @pytest.fixture
 def open_store(tmp_path, opened):
     def open_(record_size, page_size=4096, capacity=8, name="store.dat"):
-        pool = PagePool(tmp_path / name, page_size=page_size, capacity=capacity)
+        pool = PagePool(PageCache(page_size=page_size, budget_bytes=capacity * page_size), tmp_path / name)
         opened.append(RecordStore(pool, record_size))
         return opened[-1]
 
@@ -151,7 +151,7 @@ def test_set_many_checks_each_write_like_set(open_store):
 @pytest.fixture
 def open_depot(tmp_path, opened):
     def open_():
-        meta = RecordStore(PagePool(tmp_path / "codes.meta", page_size=4096, capacity=8), 44)
+        meta = RecordStore(PagePool(PageCache(page_size=4096, budget_bytes=8 * 4096), tmp_path / "codes.meta"), 44)
         opened.append(Depot(meta, tmp_path / "codes.blob"))
         return opened[-1]
 
@@ -202,7 +202,7 @@ def test_depot_detects_blob_corruption(open_depot, opened, tmp_path):
     raw[10] ^= 0xFF
     blob.write_bytes(raw)
     fresh_meta = RecordStore(
-        PagePool(tmp_path / "codes.meta", page_size=4096, capacity=8), 44, count=1
+        PagePool(PageCache(page_size=4096, budget_bytes=8 * 4096), tmp_path / "codes.meta"), 44, count=1
     )
     tampered = Depot(fresh_meta, blob)
     opened.append(tampered)
