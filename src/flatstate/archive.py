@@ -38,8 +38,10 @@ import queue
 import struct
 import threading
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -61,9 +63,14 @@ from .types import (
 )
 
 FORMAT_VERSION = 1
-QUEUE_DEPTH = 256  # blocks queued before append_block blocks (backpressure)
 BATCH_BLOCKS = 16  # blocks persisted per commit batch; flush cuts a batch early
+# Blocks queued before append_block blocks (backpressure): one batch in the
+# appender and one filling, so queued diffs cannot outgrow two batches.
+QUEUE_DEPTH = 2 * BATCH_BLOCKS
 MERGE_FANOUT = 4  # runs on one level that trigger their merge into the next
+# A merge sorts and writes at most this many entries of each victim at a
+# time, so its memory is bounded by the chunk, not by the victims.
+MERGE_CHUNK = 4096
 # Every FENCE_STRIDE-th entry key of a run is kept in memory as a fence
 # pointer, so a search bisects the fences in C and then at most this many
 # entries in Python.
@@ -258,9 +265,38 @@ class _SortedTable:
                 hi = mid
         return data[(lo - 1) * size : lo * size]
 
-    def entries(self, run: RunRef) -> list[bytes]:
-        data, size = run.data, self.entry_size
-        return [data[at : at + size] for at in range(0, run.count * size, size)]
+    def merged_chunks(self, victims: list[RunRef]) -> Iterator[bytes]:
+        """The entries of ``victims`` in key order, cut into sorted byte strings.
+
+        Each chunk ends just below the lowest key that lies ``MERGE_CHUNK``
+        entries past some victim's cursor, so it holds at most that many
+        entries of each victim, and that victim's cursor moves by exactly
+        that many. Keys are unique across victims (each holds its own blocks).
+        """
+        size, key_size = self.entry_size, self.key_size
+
+        def key_at(run: RunRef, i: int) -> bytes:
+            return run.data[i * size : i * size + key_size]
+
+        starts = [0] * len(victims)
+        while True:
+            ahead = [
+                key_at(run, start + MERGE_CHUNK) for run, start in zip(victims, starts) if start + MERGE_CHUNK < run.count
+            ]
+            bound = min(ahead, default=None)
+            ends = [
+                run.count if bound is None else bisect_left(range(run.count), bound, start, key=partial(key_at, run))
+                for run, start in zip(victims, starts)
+            ]
+            rows: list[bytes] = []
+            for run, start, end in zip(victims, starts, ends):
+                data = run.data
+                rows += [data[at : at + size] for at in range(start * size, end * size, size)]
+            rows.sort()  # finds the victims' sorted stretches and merges them
+            yield b"".join(rows)
+            if bound is None:
+                return
+            starts = ends
 
 
 class ArchiveDb:
@@ -480,7 +516,7 @@ class ArchiveDb:
         new_runs: dict[str, RunRef] = {}
         for name, rows in entries.items():
             if rows:
-                new_runs[name] = self._write_run(name, sorted(rows), 0, diffs[0].block, diffs[-1].block)
+                new_runs[name] = self._write_run(name, [b"".join(sorted(rows))], 0, diffs[0].block, diffs[-1].block)
         _pwrite(self._blockhash_fh, b"".join(block_hashes), diffs[0].block * HASH_SIZE)
         self._last_block_hash = previous
         with self._lock:
@@ -492,7 +528,12 @@ class ArchiveDb:
         for name in new_runs:
             self._maybe_merge(name)
 
-    def _write_run(self, table: str, rows: list[bytes], level: int, first: int, last: int) -> RunRef:
+    def _write_run(self, table: str, chunks: Iterable[bytes], level: int, first: int, last: int) -> RunRef:
+        """A new run holding ``chunks`` (sorted entries, in order) back to back.
+
+        Each chunk is one ``pwrite``, which also lets other threads take the
+        GIL between chunks.
+        """
         # A run is reachable only once the metadata lists it, so a partial
         # file from a crash is just an ignored orphan; no rename dance needed.
         seq = self._next_seq
@@ -502,9 +543,14 @@ class ArchiveDb:
             fh = open(path, "wb", buffering=0)
         except OSError as exc:
             raise StorageError(f"cannot create run file: {exc}", path=path) from exc
+        size = 0
         with fh:
-            _pwrite(fh, b"".join(rows), 0)
-        return RunRef(path.name, level, len(rows), first, last, map_run(path, len(rows), TABLES[table].entry_size))
+            for chunk in chunks:
+                _pwrite(fh, chunk, size)
+                size += len(chunk)
+        entry_size = TABLES[table].entry_size
+        count = size // entry_size
+        return RunRef(path.name, level, count, first, last, map_run(path, count, entry_size))
 
     def _maybe_merge(self, table: str) -> None:
         while True:
@@ -522,13 +568,9 @@ class ArchiveDb:
                 return
             victims = by_level[target]
             sorted_table = self._tables[table]
-            merged: list[bytes] = []
-            for run in victims:
-                merged += sorted_table.entries(run)
-            merged.sort()  # finds the victims' sorted stretches and merges them
             first = min(run.first for run in victims)
             last = max(run.last for run in victims)
-            new_run = self._write_run(table, merged, target + 1, first, last)
+            new_run = self._write_run(table, sorted_table.merged_chunks(victims), target + 1, first, last)
             victim_files = {run.file for run in victims}
             with self._lock:
                 kept = [run for run in sorted_table.runs if run.file not in victim_files]

@@ -14,7 +14,10 @@ address index, slot index), each maintained lazily by the hash trees.
 
 The ten page files (six stores, two bucket files, two key files) share
 one page cache of ``CACHE_BYTES``, so one budget bounds their RAM and
-one eviction site writes their dirty pages back.
+one eviction site writes their dirty pages back. At 16 MiB (4,096 pages
+of 4 KiB) it holds most of the random page working set of a state that
+outgrows it (≈5,700 pages in the replay-cold benchmark's window), which
+halves that state's page loads and evicting writes against 10 MiB.
 
 One thread uses an instance at a time, readers included: every read
 reorders the least-recently-used page and key maps, so two threads must
@@ -45,7 +48,7 @@ from .types import (
 )
 
 FORMAT_VERSION = 1
-CACHE_BYTES = 10 << 20  # resident pages of all ten page files together
+CACHE_BYTES = 16 << 20  # resident pages of all ten page files together
 ROOT_ORDER = ("balance", "nonce", "exists", "reinc", "code", "values", "a_index", "ak_index")
 
 AK_KEY_SIZE = ADDRESS_SIZE + REINC_SIZE + KEY_SIZE

@@ -9,6 +9,7 @@ import random
 import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -217,6 +218,12 @@ def test_runs_are_immutable_and_grow_without_merging(tmp_path, monkeypatch):
     archive.close()
 
 
+def run_entries(table, run):
+    """Every entry of ``run``, in file order."""
+    size = table.entry_size
+    return [run.data[at : at + size] for at in range(0, len(run.data), size)]
+
+
 def test_merging_preserves_entries_and_answers(tmp_path, monkeypatch):
     spec = WorkloadSpec(seed=3, blocks=40, accounts=30, txs_per_block=4, slot_writes_per_tx=3, new_key_ratio=0.4, delete_ratio=0.04)
     diffs = list(generate(spec))
@@ -234,28 +241,95 @@ def test_merging_preserves_entries_and_answers(tmp_path, monkeypatch):
             changes["accthash"] += 1
             for slot_key, _ in update.slots:
                 touched.add((update.address, slot_key))
-    # Merges run only while appending, so each archive is fed under its own fanout.
-    monkeypatch.setattr(archive_module, "MERGE_FANOUT", 2)
-    merged = ArchiveDb(tmp_path / "merged")
-    feed(merged, diffs)
+    # Ten batches of four blocks: merges on three levels under fanout 2.
+    monkeypatch.setattr(archive_module, "BATCH_BLOCKS", 4)
+    # Merges run only while appending, so each archive is fed under its own fanout and chunk.
     monkeypatch.setattr(archive_module, "MERGE_FANOUT", NO_MERGE)
     plain = ArchiveDb(tmp_path / "plain")
     feed(plain, diffs)
-    # Entry counts equal change counts exactly: history grows with change
-    # volume, never with live-state size, and merging drops nothing.
-    for table, expected in changes.items():
-        assert merged.entry_count(table) == plain.entry_count(table) == expected, table
-    assert len(merged.run_files()["storage"]) < len(plain.run_files()["storage"])
-    rng = random.Random(0)
+    plain_entries = {
+        name: sorted(entry for run in table.runs for entry in run_entries(table, run)) for name, table in plain._tables.items()
+    }
     pairs = sorted(touched)
-    for _ in range(1_500):
-        address, slot_key = rng.choice(pairs)
-        block = rng.randint(0, spec.blocks)
-        expected = oracle.storage_at(address, slot_key, block)
-        assert merged.get_storage_at(address, slot_key, block) == expected
-        assert plain.get_storage_at(address, slot_key, block) == expected
-    merged.close()
+    monkeypatch.setattr(archive_module, "MERGE_FANOUT", 2)
+    for chunk in (1, 3, NO_MERGE):  # the last is larger than every victim: one chunk per merge
+        monkeypatch.setattr(archive_module, "MERGE_CHUNK", chunk)
+        merged = ArchiveDb(tmp_path / f"merged-{chunk}")
+        feed(merged, diffs)
+        # Entry counts equal change counts exactly: history grows with change
+        # volume, never with live-state size, and merging drops nothing.
+        for table, expected in changes.items():
+            assert merged.entry_count(table) == plain.entry_count(table) == expected, table
+        assert len(merged.run_files()["storage"]) < len(plain.run_files()["storage"])
+        assert max(run.level for run in merged._tables["storage"].runs) == 3
+        for name, table in merged._tables.items():
+            entries = []
+            for run in table.runs:
+                rows = run_entries(table, run)
+                run_keys = [entry[: table.key_size] for entry in rows]
+                assert all(a < b for a, b in zip(run_keys, run_keys[1:])), (chunk, run.file)
+                entries += rows
+            assert sorted(entries) == plain_entries[name], (chunk, name)
+        rng = random.Random(0)
+        for _ in range(1_500):
+            address, slot_key = rng.choice(pairs)
+            block = rng.randint(0, spec.blocks)
+            expected = oracle.storage_at(address, slot_key, block)
+            assert merged.get_storage_at(address, slot_key, block) == expected
+            assert plain.get_storage_at(address, slot_key, block) == expected
+        merged.close()
     plain.close()
+
+
+@pytest.mark.parametrize("layout", ["interleaved", "disjoint"])
+def test_merge_memory_is_bounded_by_the_chunk(tmp_path, monkeypatch, layout):
+    """Merging four runs of 5,000 storage entries holds a few chunks in memory, never the victims.
+
+    Interleaved runs write the same accounts; disjoint ones each write their
+    own, so every key of a later run sorts after every key of an earlier one.
+    """
+    chunk, fanout = 64, 4
+    patch_appender(monkeypatch, batch_blocks=1, merge_fanout=fanout)
+    monkeypatch.setattr(archive_module, "MERGE_CHUNK", chunk)
+    rng = random.Random(17)
+    diffs = []
+    for block in range(1, fanout + 1):
+        first = 1000 * block if layout == "disjoint" else 0
+        updates = (
+            AccountUpdate(
+                address=addr(first + account),
+                created=layout == "disjoint" or block == 1,
+                slots=tuple(sorted((key(rng.getrandbits(64)), val(block)) for _ in range(50))),
+            )
+            for account in range(100)
+        )
+        diffs.append(diff(block, *updates))
+    peaks = []
+    maybe_merge = ArchiveDb._maybe_merge
+
+    def measured_merge(self, table):
+        if table != "storage":
+            return maybe_merge(self, table)
+        tracemalloc.start()
+        try:
+            maybe_merge(self, table)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(ArchiveDb, "_maybe_merge", measured_merge)
+    archive = ArchiveDb(tmp_path / "archive")
+    feed(archive, diffs)
+    storage = archive._tables["storage"]
+    assert [(run.level, run.count) for run in storage.runs] == [(1, fanout * 5_000)]
+    victim_bytes = fanout * 5_000 * storage.entry_size
+    # A chunk holds at most `chunk` entries of each victim. The merge keeps
+    # their slices, the list of them, the sort's scratch space, their joined
+    # copy and the previous chunk's joined copy, each at most about that size.
+    bound = 6 * fanout * chunk * storage.entry_size
+    assert bound < victim_bytes / 8
+    assert len(peaks) == fanout and peaks[-1] < bound, (peaks, bound)
+    archive.close()
 
 
 def test_matches_oracle_on_random_history(tmp_path):
@@ -622,7 +696,7 @@ def assert_filters_admit_stored_prefixes(archive):
             search = run.search or table._build_search(run)
             assert len(search.words) == search.mask + 1 and search.mask & (search.mask + 1) == 0
             assert len(search.words) * 64 >= run.count * FILTER_BITS_PER_KEY
-            entries = table.entries(run)
+            entries = run_entries(table, run)
             assert search.fences == [entry[: table.key_size] for entry in entries[::FENCE_STRIDE]]
             for entry in entries:
                 prefix_hash = hash(entry[: table.spec.prefix_size])
@@ -941,6 +1015,71 @@ def test_failed_batch_stops_the_appender_for_good(tmp_path):
         assert reopened.block_hash(block) == clean.block_hash(block)
     reopened.close()
     clean.close()
+
+
+def test_merge_whose_second_chunk_write_fails_keeps_its_victims(tmp_path, monkeypatch):
+    """The failure is sticky, the manifest still lists the victims, and a reopened archive reuses the orphan's name."""
+    directory = tmp_path / "archive"
+    diffs = list(generate(SEARCH_SPEC))
+    oracle, addresses, pairs, _, _ = history_facts(diffs)
+    patch_appender(monkeypatch, batch_blocks=2, merge_fanout=2)
+    monkeypatch.setattr(archive_module, "MERGE_CHUNK", 1)
+    archive = ArchiveDb(directory)
+    feed(archive, diffs[:2])
+    merging = []
+    real_pwrite, maybe_merge = os.pwrite, ArchiveDb._maybe_merge
+
+    def pwrite_failing_in_merge(fd, data, offset):
+        if merging and offset > 0:  # the merged run's second chunk
+            raise OSError(errno.EIO, "injected")
+        return real_pwrite(fd, data, offset)
+
+    def flagged_merge(self, table):
+        merging.append(table)
+        try:
+            maybe_merge(self, table)
+        finally:
+            merging.pop()
+
+    monkeypatch.setattr(os, "pwrite", pwrite_failing_in_merge)
+    monkeypatch.setattr(ArchiveDb, "_maybe_merge", flagged_merge)
+    for block_diff in diffs[2:4]:
+        archive.append_block(block_diff)
+    with pytest.raises(StorageError, match="injected"):
+        archive.flush()
+    with pytest.raises(StorageError, match="injected"):
+        archive.append_block(diffs[4])
+    with pytest.raises(StorageError, match="injected"):
+        archive.flush()
+    assert archive.watermark == 4  # the batch was published before its runs merged
+    listed = run_ranges(directory)
+    assert listed["storage"] == [(1, 2), (3, 4)]  # both victims, still unmerged
+    with pytest.raises(StorageError, match="injected"):
+        archive.close()
+    monkeypatch.setattr(os, "pwrite", real_pwrite)
+    monkeypatch.setattr(ArchiveDb, "_maybe_merge", maybe_merge)
+
+    meta_files = {run["file"] for runs in json.loads((directory / "meta.json").read_text())["tables"].values() for run in runs}
+    orphans = {path.name for path in directory.glob("*.run")} - meta_files
+    assert len(orphans) == 1
+    orphan = orphans.pop()
+    assert orphan.startswith("storage-")
+    reopened = ArchiveDb(directory)
+    assert reopened.watermark == 4
+    assert_answers_match(reopened, oracle, addresses, pairs, range(5))
+    written, write_run = [], reopened._write_run
+
+    def recording_write_run(*args):
+        run = write_run(*args)
+        written.append(run.file)
+        return run
+
+    reopened._write_run = recording_write_run
+    feed(reopened, diffs[4:])
+    assert written[0] == orphan  # the first run written after the reopen overwrites the orphan
+    assert {path.name for path in directory.glob("*.run")} == set().union(*reopened.run_files().values())
+    assert_answers_match(reopened, oracle, addresses, pairs, range(SEARCH_SPEC.blocks + 1))
+    reopened.close()
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors through /proc")
