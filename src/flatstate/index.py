@@ -130,12 +130,8 @@ class LinearHashIndex:
         return self.reverse.root()
 
     def flush(self) -> None:
+        """Persist the reverse table's hash tree; the page cache writes the pages."""
         self.reverse.flush()
-        self.pool.flush()
-
-    def close(self) -> None:
-        self.reverse.close()
-        self.pool.close()
 
     def _remember(self, key: bytes, ordinal: int) -> None:
         known = self._known

@@ -14,10 +14,12 @@ address index, slot index), each maintained lazily by the hash trees.
 
 The ten page files (six stores, two bucket files, two key files) share
 one page cache of ``CACHE_BYTES``, so one budget bounds their RAM and
-one eviction site writes their dirty pages back. At 16 MiB (4,096 pages
-of 4 KiB) it holds most of the random page working set of a state that
-outgrows it (≈5,700 pages in the replay-cold benchmark's window), which
-halves that state's page loads and evicting writes against 10 MiB.
+one eviction site writes their dirty pages back. ``flush`` is the one
+commit site: the eight hash trees, then one ``PageCache.flush``, then
+``meta.json``. At 16 MiB (4,096 pages of 4 KiB) the cache holds most of
+the random page working set of a state that outgrows it (≈5,700 pages in
+the replay-cold benchmark's window), which halves that state's page
+loads and evicting writes against 10 MiB.
 
 One thread uses an instance at a time, readers included: every read
 reorders the least-recently-used page and key maps, so two threads must
@@ -84,9 +86,9 @@ class LiveDb:
             self.ak_index = self._index("slots", AK_KEY_SIZE, meta.get("ak_index"))
             self.codes = Depot(code_meta, self.data_dir / "codes.blob")
         except BaseException:
-            self._cache.close()  # nothing is dirty yet, so this only closes the files opened so far
+            self._cache.close()  # writes nothing, so a new database's appended bucket pages leave no bytes behind
             raise
-        # The committed components in ROOT_ORDER; each answers root(), flush() and close().
+        # The committed components in ROOT_ORDER; each answers root() and flush() (its hash tree).
         stores = (self.balances, self.nonces, self.exists_flags, self.reincarnations, self.codes, self.values)
         self._components = (*stores, self.a_index, self.ak_index)
         self._root_cache: bytes | None = None
@@ -188,21 +190,23 @@ class LiveDb:
     # -- lifecycle -----------------------------------------------------------
 
     def flush(self) -> None:
-        """Persist every component and the metadata file.
+        """Persist the hash trees in ROOT_ORDER, then every dirty page, then the metadata file.
 
         Hash trees are brought fully up to date first, so two replicas
         that applied the same diffs flush byte-identical directories.
         """
         for component in self._components:
             component.flush()
+        self._cache.flush()
         self._write_meta()
 
     def close(self) -> None:
-        """Persist and close every component once, drop the cached pages, then write the metadata file."""
-        for component in self._components:
-            component.close()
-        self._cache.close()
-        self._write_meta()
+        """Flush, then close the blob and page files, also when the flush fails."""
+        try:
+            self.flush()
+        finally:
+            self.codes.close()
+            self._cache.close()
 
     # -- internals -----------------------------------------------------------
 

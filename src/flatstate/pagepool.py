@@ -3,11 +3,13 @@
 A ``PageCache`` holds the resident pages of every file opened through it,
 up to ``budget_bytes`` of them in one least-recently-used map; the least
 recently used page is evicted, written back to its own file first when
-dirty, once the cache is full. A ``PagePool`` is one file's view of the
-cache. Pages of a file are addressed by a dense id starting at 0, and
-page i lives at file offset ``i * page_size``. Only ``append_page`` adds
-a page; reading a page never extends the file. A page the file was cut
-short of after it was opened reads as zeros.
+dirty, once the cache is full. The cache owns write-back and file
+lifetime: ``evict_over_capacity`` and ``flush`` are the only places a
+page is written, and ``close`` closes every file. A ``PagePool`` is one
+file's view of the cache. Pages of a file are addressed by a dense id
+starting at 0, and page i lives at file offset ``i * page_size``. Only
+``append_page`` adds a page; reading a page never extends the file. A
+page the file was cut short of after it was opened reads as zeros.
 """
 
 from __future__ import annotations
@@ -55,10 +57,11 @@ class PageCache:
         self._dirty.clear()
 
     def close(self) -> None:
-        self.flush()
+        """Close every file and drop the resident pages, writing none: callers ``flush()`` first."""
         for fh in self._files:
             fh.close()
         self._pages.clear()
+        self._dirty.clear()
 
     def _write(self, key: int, data: bytearray) -> None:
         fh = self._files[key & _FILE_MASK]
@@ -136,15 +139,6 @@ class PagePool:
         if key not in self._pages:
             raise BoundsError(f"page {page_id} is not resident")
         self._dirty.add(key)
-
-    def flush(self) -> None:
-        """Persist every dirty page of the cache, this file's included."""
-        self.cache.flush()
-
-    def close(self) -> None:
-        """Persist the cache's dirty pages and close the file; ``PageCache.close`` drops the pages."""
-        self.cache.flush()
-        self._fh.close()
 
     def _load(self, page_id: int) -> bytearray:
         offset = page_id * self.page_size

@@ -4,7 +4,9 @@ A RecordStore keeps fixed-length records addressed by a dense record
 number: record r lives in page ``r // slots_per_page`` at slot
 ``r % slots_per_page``, so one seek reaches any record. Records never
 straddle pages; trailing page bytes stay zero. Every store carries a
-hash tree over its pages for the component commitment.
+hash tree over its pages for the component commitment. A store's
+``flush`` persists that tree only: the page cache writes the pages
+(``PageCache.flush``) and closes their files.
 
 A Depot extends the scheme to variable-length payloads (contract code):
 fixed-length meta records (offset, length, digest) point into an
@@ -44,13 +46,9 @@ class RecordStore:
     def open(
         cls, data_path: Path, record_size: int, cache: PageCache, count: int = 0, tree_path: Path | None = None
     ) -> "RecordStore":
-        pool = PagePool(cache, data_path)
-        try:
-            tree = HashTree(tree_path, leaf_count=_pages_for(count, cache.page_size // record_size))
-            return cls(pool, record_size, count=count, tree=tree)
-        except BaseException:
-            pool.close()  # nothing is dirty yet, so this writes nothing
-            raise
+        pool = PagePool(cache, data_path)  # on failure below, closing the cache closes its file
+        tree = HashTree(tree_path, leaf_count=_pages_for(count, cache.page_size // record_size))
+        return cls(pool, record_size, count=count, tree=tree)
 
     @property
     def page_count(self) -> int:
@@ -92,11 +90,6 @@ class RecordStore:
 
     def flush(self) -> None:
         self.tree.flush(self.pool.get_page)
-        self.pool.flush()
-
-    def close(self) -> None:
-        self.flush()
-        self.pool.close()
 
     def _place(self, record: int, data: bytes) -> tuple[int, int]:
         """Check a write of ``data`` to ``record``, count an append, and return (page id, byte offset)."""
@@ -164,8 +157,8 @@ class Depot:
         self.meta.flush()
 
     def close(self) -> None:
+        """Close the blob file; the page cache closes the meta store's file."""
         self._blob.close()
-        self.meta.close()
 
 
 def _pages_for(count: int, slots_per_page: int) -> int:

@@ -282,7 +282,7 @@ def test_criterion_08_linear_hash_density(tmp_path):
         retrievable = sum(index.get(k) == o for k, o in zip(keys, ordinals))
         assert retrievable == 100_000
     finally:
-        index.close()
+        cache.close()
     report(8, f"100000 keys, {splits} splits, ordinals dense 0..99999, 100% retrievable")
 
 

@@ -195,10 +195,18 @@ def test_sweep_cli_io_mode(tmp_path):
     )
     assert code == 0
     with out.open() as fh:
-        rows = list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    assert reader.fieldnames == ["page_size", "mode", "ns_per_hash", "hashes_per_second"]
     assert [int(r["page_size"]) for r in rows] == [1024, 4096]  # paper's io optimum is reported
     for row in rows:
         assert row["mode"] == "io"
+        assert float(row["ns_per_hash"]) > 0
+    # The sweep flushes and closes its own page cache: each file holds exactly its 4,000 records' pages.
+    for page_size in (1024, 4096):
+        records_per_page = page_size // bench.VALUE_RECORD
+        pages = -(-4000 // records_per_page)
+        assert (tmp_path / "scratch" / f"sweep-{page_size}.dat").stat().st_size == pages * page_size
 
 
 def test_serve_refuses_a_missing_archive_and_creates_nothing(tmp_path, capsys, monkeypatch):

@@ -14,7 +14,7 @@ from flatstate.store import RecordStore
 
 @pytest.fixture
 def open_index(tmp_path):
-    """Opens indexes under tmp_path and closes each one after the test."""
+    """Opens indexes under tmp_path, each in a page cache of its own, and closes each cache after the test."""
     opened = []
 
     def open_(key_width=20, page_size=256, name="idx", state=None, count=0):
@@ -22,12 +22,19 @@ def open_index(tmp_path):
         pool = PagePool(cache, tmp_path / f"{name}.buckets")
         tree_path = tmp_path / f"{name}.tree"
         reverse = RecordStore.open(tmp_path / f"{name}.keys", key_width, cache, count=count, tree_path=tree_path)
-        opened.append(LinearHashIndex(pool, reverse, key_width, state=state))
-        return opened[-1]
+        opened.append(cache)
+        return LinearHashIndex(pool, reverse, key_width, state=state)
 
     yield open_
-    for index in opened:
-        index.close()
+    for cache in opened:
+        cache.close()
+
+
+def flush_and_close(index):
+    """Persist the index as ``LiveDb.flush`` does (tree, then pages), then close its cache."""
+    index.flush()
+    index.pool.cache.flush()
+    index.pool.cache.close()
 
 
 def k20(n: int) -> bytes:
@@ -75,7 +82,6 @@ def test_unaligned_match_in_bucket_is_not_a_hit(open_index):
     assert index.get_or_add(probe) == (1, True)
     assert index.get(probe) == 1
     assert index.get(stored) == 0
-    index.close()
 
 
 def test_dense_ordinals_across_many_splits(open_index):
@@ -174,8 +180,7 @@ def test_persistence_roundtrip(open_index):
         index.get_or_add(key)
     root = index.root()
     state = index.state()
-    index.flush()
-    index.close()
+    flush_and_close(index)
     reopened = open_index(name="persist", state=state, count=state["count"])
     assert reopened.root() == root
     for ordinal, key in enumerate(keys):
@@ -207,8 +212,8 @@ def test_remembered_misses_place_keys_as_a_plain_insert_does(open_index, tmp_pat
     assert probed.state() == plain.state()
     assert len(plain.bucket_pages) > 1000
     assert (len(plain._known), len(probed._known)) == (0, min(remembered, len(keys)))
-    plain.close()
-    probed.close()
+    flush_and_close(plain)
+    flush_and_close(probed)
     for suffix in ("buckets", "keys"):
         assert (tmp_path / f"probed.{suffix}").read_bytes() == (tmp_path / f"plain.{suffix}").read_bytes()
 
@@ -218,7 +223,7 @@ def test_repeated_hit_walks_no_page_and_computes_no_digest(open_index):
     for n in range(100):
         index.get_or_add(k20(n))
     state = index.state()
-    index.close()
+    flush_and_close(index)
     reopened = open_index(name="hits", state=state, count=state["count"])
     pages = []
     real_get_page = reopened.pool.get_page
@@ -251,7 +256,6 @@ def test_repeated_miss_walks_no_page_and_computes_no_digest(open_index):
     assert index.get(k20(1_000)) is None
     assert (pages, digest_count()) == ([], before)
     index.pool.get_page = real_get_page
-    index.close()
 
 
 def test_remembered_miss_is_found_after_insertion(open_index):
@@ -261,7 +265,6 @@ def test_remembered_miss_is_found_after_insertion(open_index):
     assert index.get(k20(9)) == 0
     assert index.get_or_add(k20(9)) == (0, False)
     assert index.count == 1
-    index.close()
 
 
 def test_remembered_misses_stay_bounded(open_index, monkeypatch):
@@ -278,7 +281,6 @@ def test_remembered_misses_stay_bounded(open_index, monkeypatch):
         assert index.get(k20(n)) == n
         sizes.add(len(index._known))
     assert max(sizes) == 8
-    index.close()
 
 
 def test_insert_after_a_miss_overwrites_the_remembered_miss(open_index):
@@ -290,4 +292,3 @@ def test_insert_after_a_miss_overwrites_the_remembered_miss(open_index):
     assert index.get_or_add(k20(10)) == (10, True)
     assert len(index._known) == remembered
     assert index.get(k20(10)) == 10
-    index.close()

@@ -1,5 +1,6 @@
 """Live database: reads, block application, commitments, determinism."""
 
+import errno
 import filecmp
 import hashlib
 import json
@@ -13,7 +14,7 @@ from flatstate import hashtree as hashtree_module
 from flatstate import index as index_module
 from flatstate import livedb as livedb_module
 from flatstate.digest import EMPTY_HASH, digest, digest_count
-from flatstate.errors import CorruptionError, SequenceError, ValidationError
+from flatstate.errors import CorruptionError, SequenceError, StorageError, ValidationError
 from flatstate.hashtree import HashTree
 from flatstate.livedb import LiveDb, ROOT_ORDER
 from flatstate.oracle import ReferenceOracle
@@ -326,29 +327,37 @@ def page_pools(db):
 
 
 def test_two_replicas_produce_identical_roots_and_files(tmp_path, monkeypatch):
+    # A replica whose first open failed (on slots.keys, after addr.buckets got its initial pages) must match too.
+    (tmp_path / "reborn" / "slots.keys").mkdir(parents=True)
+    with pytest.raises(StorageError, match="slots.keys"):
+        LiveDb(tmp_path / "reborn")
+    (tmp_path / "reborn" / "slots.keys").rmdir()
+    reborn = LiveDb(tmp_path / "reborn")
     left = LiveDb(tmp_path / "left")
     monkeypatch.setattr(index_module, "KEYS_REMEMBERED", 16)  # memo size must not matter
     monkeypatch.setattr(livedb_module, "CACHE_BYTES", 4 * 4096)  # nor the page budget
     right = LiveDb(tmp_path / "right")
+    replicas = (left, right, reborn)
     for block_diff in generate(SMALL_SPEC):
-        left.apply_block(block_diff)
-        right.apply_block(block_diff)
-        assert left.state_root() == right.state_root()
-        for db in (left, right):
+        for db in replicas:
+            db.apply_block(block_diff)
+        assert left.state_root() == right.state_root() == reborn.state_root()
+        for db in replicas:
             pools = page_pools(db)
             cache = pools[0].cache
             assert len({id(pool) for pool in pools}) == 10 and all(pool.cache is cache for pool in pools)
             assert sum(pool.resident_count for pool in pools) == cache.resident_count
         assert right.balances.pool.cache.resident_count <= 4 < left.balances.pool.cache.resident_count
     assert len(right.ak_index._known) == 16 < len(left.ak_index._known)
-    left.close()
-    right.close()
+    for db in replicas:
+        db.close()
     left_files = tree_bytes(tmp_path / "left")
-    right_files = tree_bytes(tmp_path / "right")
-    assert left_files.keys() == right_files.keys()
-    for name in left_files:
-        assert left_files[name] == right_files[name], f"file {name} differs"
-    assert not filecmp.dircmp(tmp_path / "left", tmp_path / "right").diff_files
+    for other in ("right", "reborn"):
+        other_files = tree_bytes(tmp_path / other)
+        assert left_files.keys() == other_files.keys()
+        for name in left_files:
+            assert left_files[name] == other_files[name], f"{other}: file {name} differs"
+        assert not filecmp.dircmp(tmp_path / "left", tmp_path / other).diff_files
 
 
 def test_root_invariant_under_within_block_input_order(open_db):
@@ -413,6 +422,24 @@ def test_close_after_flush_writes_each_tree_file_once(tmp_path, monkeypatch):
     assert reopened.get_storage(addr(1), key(3)) == val(4)
     assert reopened.get_code(addr(1)) == b"\x60"
     reopened.close()
+
+
+def test_close_whose_flush_fails_still_closes_every_file(tmp_path, monkeypatch):
+    db = LiveDb(tmp_path / "db")
+    db.apply_block(diff(1, AccountUpdate(address=addr(1), created=True, balance=5, code=b"\x60")))
+    db.flush()
+    meta_before = (tmp_path / "db" / "meta.json").read_bytes()
+    db.apply_block(diff(2, AccountUpdate(address=addr(1), balance=6)))
+
+    def no_space(fd, data, offset):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "pwrite", no_space)  # every page write fails
+    with pytest.raises(StorageError):
+        db.close()
+    assert len(db._cache._files) == 10 and all(fh.closed for fh in db._cache._files)
+    assert db.codes._blob.closed
+    assert (tmp_path / "db" / "meta.json").read_bytes() == meta_before
 
 
 def test_close_after_flush_opens_no_tree_file(tmp_path, monkeypatch):

@@ -1,4 +1,4 @@
-"""Page cache and pool behavior: transparency of eviction, durability of flush."""
+"""Page cache and pool behavior: transparency of eviction, durability of flush, a close that writes nothing."""
 
 import os
 import random
@@ -78,14 +78,14 @@ def test_page_id_gap_rejected(open_pool):
 
 def test_flush_is_idempotent_and_materializes_all_pages(open_pool, tmp_path):
     pool = open_pool(page_size=256, capacity=4)
-    pool.flush()  # empty pool: no-op
+    pool.cache.flush()  # empty pool: no-op
     assert (tmp_path / "pool.dat").stat().st_size == 0
     for i in range(6):
         pool.append_page()  # written by flush even though its bytes never changed
-    pool.flush()
+    pool.cache.flush()
     first = (tmp_path / "pool.dat").read_bytes()
     assert len(first) == 6 * 256
-    pool.flush()
+    pool.cache.flush()
     assert (tmp_path / "pool.dat").read_bytes() == first
 
 
@@ -117,12 +117,13 @@ def test_random_schedule_matches_mirror_oracle(open_pool, tmp_path):
             expected = mirror.get(page_id, b"\x00" * page_size)
             assert bytes(pool.get_page(page_id)) == expected
         elif action < 0.97:
-            pool.flush()
+            pool.cache.flush()
         else:
-            pool.close()
+            pool.cache.flush()
+            pool.cache.close()
             pool = open_pool(page_size=page_size, capacity=3)
         assert pool.resident_count <= 3
-    pool.flush()
+    pool.cache.flush()
     for page_id, expected in mirror.items():
         assert bytes(pool.get_page(page_id)) == expected
     stored = (tmp_path / "pool.dat").read_bytes()
@@ -137,7 +138,8 @@ def test_reopen_preserves_contents(open_pool):
     payloads = {i: bytes([i + 1]) * 256 for i in range(5)}
     for i, data in payloads.items():
         write_page(pool, i, data)
-    pool.close()
+    pool.cache.flush()
+    pool.cache.close()
     reopened = open_pool(page_size=256, capacity=4)
     for i, data in payloads.items():
         assert bytes(reopened.get_page(i)) == data
@@ -147,14 +149,13 @@ def test_page_past_end_of_file_reads_as_zeros(open_pool, tmp_path):
     pool = open_pool(capacity=2)
     for i in range(3):
         write_page(pool, i, bytes([i + 1]) * 256)
-    pool.flush()
-    pool.close()
+    pool.cache.flush()
+    pool.cache.close()
     pool = open_pool(capacity=2)
     os.truncate(tmp_path / "pool.dat", 256 + 100)  # page 1 torn, page 2 gone
     assert bytes(pool.get_page(0)) == b"\x01" * 256
     assert bytes(pool.get_page(1)) == b"\x02" * 100 + bytes(156)
     assert bytes(pool.get_page(2)) == bytes(256)
-    pool.close()
 
 
 def test_short_write_raises_storage_error(open_pool, tmp_path, monkeypatch):
@@ -163,9 +164,9 @@ def test_short_write_raises_storage_error(open_pool, tmp_path, monkeypatch):
     real_pwrite = os.pwrite
     monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: real_pwrite(fd, data[:100], offset))
     with pytest.raises(StorageError, match="short write"):
-        pool.flush()
+        pool.cache.flush()
     monkeypatch.undo()
-    pool.close()
+    pool.cache.flush()  # the page stayed dirty, so this writes it whole
     assert (tmp_path / "pool.dat").read_bytes() == b"\x07" * 256
 
 
@@ -173,19 +174,19 @@ def test_only_dirty_pages_are_written_and_each_once(open_pool, monkeypatch):
     pool = open_pool(page_size=256, capacity=2)
     for i in range(4):
         write_page(pool, i, bytes([i + 1]) * 256)
-    pool.flush()
+    pool.cache.flush()
     written = []
     real_pwrite = os.pwrite
     monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: written.append(offset // 256) or real_pwrite(fd, data, offset))
     for i in range(4):
         assert bytes(pool.get_page(i)) == bytes([i + 1]) * 256  # read only, evicting as it goes
-    pool.flush()
+    pool.cache.flush()
     assert written == []  # a page that was only read is written neither on eviction nor on flush
     write_page(pool, 0, b"\x09" * 256)
     pool.get_page(1)
     pool.get_page(2)  # evicts dirty page 0
     assert written == [0]
-    pool.flush()
+    pool.cache.flush()
     assert written == [0]  # the evicted page was written once, not again by flush
     assert bytes(pool.get_page(0)) == b"\x09" * 256
 
@@ -210,3 +211,21 @@ def test_dirty_page_evicted_by_another_file_is_written_to_its_own_file(tmp_path,
     assert written == [(a._fh.fileno(), 256)]  # b's pages were only read, so b.dat is never written
     assert (tmp_path / "b.dat").read_bytes() == b"\x03" * 256 + b"\x04" * 256
     cache.close()
+
+
+def test_close_closes_every_file_and_writes_no_page_dirtied_after_the_last_flush(tmp_path, monkeypatch):
+    cache = PageCache(page_size=256, budget_bytes=4 * 256)
+    a = PagePool(cache, tmp_path / "a.dat")
+    b = PagePool(cache, tmp_path / "b.dat")
+    write_page(a, 0, b"\x01" * 256)
+    cache.flush()
+    write_page(a, 0, b"\x02" * 256)  # a flushed page changed again
+    write_page(b, 0, b"\x03" * 256)  # a new page, dirty since it was appended
+    written = []
+    monkeypatch.setattr(os, "pwrite", lambda *args: written.append(args))
+    cache.close()
+    assert written == []
+    assert [fh.closed for fh in cache._files] == [True, True]
+    assert cache.resident_count == 0
+    assert (tmp_path / "a.dat").read_bytes() == b"\x01" * 256
+    assert (tmp_path / "b.dat").read_bytes() == b""

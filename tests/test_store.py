@@ -12,19 +12,19 @@ from flatstate.store import Depot, RecordStore
 
 @pytest.fixture
 def opened():
-    """Stores and depots a test opens, closed after it."""
+    """Page caches and depots a test opens, closed after it."""
     held = []
     yield held
-    for store in held:
-        store.close()
+    for item in held:
+        item.close()
 
 
 @pytest.fixture
 def open_store(tmp_path, opened):
     def open_(record_size, page_size=4096, capacity=8, name="store.dat"):
-        pool = PagePool(PageCache(page_size=page_size, budget_bytes=capacity * page_size), tmp_path / name)
-        opened.append(RecordStore(pool, record_size))
-        return opened[-1]
+        cache = PageCache(page_size=page_size, budget_bytes=capacity * page_size)
+        opened.append(cache)
+        return RecordStore(PagePool(cache, tmp_path / name), record_size)
 
     return open_
 
@@ -33,7 +33,7 @@ def test_slot_arithmetic_golden_case(open_store, tmp_path):
     store = open_store(record_size=32, page_size=4096)
     for r in range(129):
         store.set(r, r.to_bytes(32, "big"))
-    store.flush()
+    store.pool.cache.flush()
     data = (tmp_path / "store.dat").read_bytes()
     # 4096 / 32 = 128 slots per page: record 128 sits at page 1, slot 0.
     assert data[4096:4128] == (128).to_bytes(32, "big")
@@ -45,7 +45,7 @@ def test_record_placement_exhaustive(open_store, tmp_path, record_size, page_siz
     store = open_store(record_size, page_size=page_size, name=f"s{record_size}.dat")
     for r in range(count):
         store.set(r, (r % 251).to_bytes(1, "big") * record_size)
-    store.flush()
+    store.pool.cache.flush()
     data = (tmp_path / f"s{record_size}.dat").read_bytes()
     slots = page_size // record_size
     for r in range(count):
@@ -120,8 +120,8 @@ def test_set_many_matches_record_by_record_writes(open_store, tmp_path):
             single.set(r, writes[r])
         assert batched.count == single.count
         assert batched.root() == single.root()
-    batched.flush()
-    single.flush()
+    batched.pool.cache.flush()
+    single.pool.cache.flush()
     assert (tmp_path / "batched.dat").read_bytes() == (tmp_path / "single.dat").read_bytes()
 
 
@@ -151,8 +151,9 @@ def test_set_many_checks_each_write_like_set(open_store):
 @pytest.fixture
 def open_depot(tmp_path, opened):
     def open_():
-        meta = RecordStore(PagePool(PageCache(page_size=4096, budget_bytes=8 * 4096), tmp_path / "codes.meta"), 44)
-        opened.append(Depot(meta, tmp_path / "codes.blob"))
+        cache = PageCache(page_size=4096, budget_bytes=8 * 4096)
+        opened.append(cache)
+        opened.append(Depot(RecordStore(PagePool(cache, tmp_path / "codes.meta"), 44), tmp_path / "codes.blob"))
         return opened[-1]
 
     return open_
@@ -196,15 +197,14 @@ def test_depot_rejects_oversized_code(open_depot):
 def test_depot_detects_blob_corruption(open_depot, opened, tmp_path):
     depot = open_depot()
     depot.set(0, b"\xaa" * 100)
-    depot.flush()
+    depot.meta.pool.cache.flush()
     blob = tmp_path / "codes.blob"
     raw = bytearray(blob.read_bytes())
     raw[10] ^= 0xFF
     blob.write_bytes(raw)
-    fresh_meta = RecordStore(
-        PagePool(PageCache(page_size=4096, budget_bytes=8 * 4096), tmp_path / "codes.meta"), 44, count=1
-    )
-    tampered = Depot(fresh_meta, blob)
+    cache = PageCache(page_size=4096, budget_bytes=8 * 4096)
+    opened.append(cache)
+    tampered = Depot(RecordStore(PagePool(cache, tmp_path / "codes.meta"), 44, count=1), blob)
     opened.append(tampered)
     with pytest.raises(CorruptionError):
         tampered.get(0)
