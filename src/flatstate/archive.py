@@ -69,7 +69,9 @@ BATCH_BLOCKS = 16  # blocks persisted per commit batch; flush cuts a batch early
 QUEUE_DEPTH = 2 * BATCH_BLOCKS
 MERGE_FANOUT = 4  # runs on one level that trigger their merge into the next
 # A merge sorts and writes at most this many entries of each victim at a
-# time, so its memory is bounded by the chunk, not by the victims.
+# time, and then hands the victims' pages it has read back to the OS, so
+# its memory, mapped pages included, is bounded by the chunk, not by the
+# victims.
 MERGE_CHUNK = 4096
 # Every FENCE_STRIDE-th entry key of a run is kept in memory as a fence
 # pointer, so a search bisects the fences in C and then at most this many
@@ -272,8 +274,13 @@ class _SortedTable:
         entries past some victim's cursor, so it holds at most that many
         entries of each victim, and that victim's cursor moves by exactly
         that many. Keys are unique across victims (each holds its own blocks).
+
+        Once the caller has taken a chunk, the whole mapped pages of each
+        victim's entries up to its cursor are released (``MADV_DONTNEED``),
+        never the page holding its next entry. A reader of a pre-merge
+        snapshot refaults them from the file.
         """
-        size, key_size = self.entry_size, self.key_size
+        size, key_size, page = self.entry_size, self.key_size, mmap.PAGESIZE
 
         def key_at(run: RunRef, i: int) -> bytes:
             return run.data[i * size : i * size + key_size]
@@ -294,6 +301,10 @@ class _SortedTable:
                 rows += [data[at : at + size] for at in range(start * size, end * size, size)]
             rows.sort()  # finds the victims' sorted stretches and merges them
             yield b"".join(rows)
+            for run, start, end in zip(victims, starts, ends):
+                begin, stop = start * size // page * page, end * size // page * page
+                if stop > begin:
+                    run.data.madvise(mmap.MADV_DONTNEED, begin, stop - begin)
             if bound is None:
                 return
             starts = ends
@@ -703,6 +714,7 @@ class ArchiveDb:
             for addr, found in entry.iter_unpack(run.data):
                 if found > newest.get(addr, b""):
                     newest[addr] = found
+            run.data.madvise(mmap.MADV_DONTNEED)  # read once; a later search refaults what it needs
         return {addr: found[BLOCK_SIZE:] for addr, found in newest.items()}
 
     def _raise_pending_error(self) -> None:

@@ -233,26 +233,30 @@ def sweep_io(
     data_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for page_size in page_sizes:
+        path = data_dir / f"sweep-{page_size}.dat"
+        path.unlink(missing_ok=True)  # each sweep writes its records into a file of its own
         cache = PageCache(page_size=page_size, budget_bytes=cache_budget)
-        store = RecordStore.open(data_dir / f"sweep-{page_size}.dat", VALUE_RECORD, cache)
-        for i in range(keys):
-            store.set(i, i.to_bytes(VALUE_RECORD, "big"))
-        store.root()
-        hot = random.Random(seed).sample(range(keys), min(hot_set, keys))
-        fresh = keys
-        best_ns = None
-        for _ in range(rounds):
-            begin = time.perf_counter_ns()
-            for index in hot:
-                store.set(index, fresh.to_bytes(VALUE_RECORD, "big"))
-                fresh += 1
+        try:
+            store = RecordStore.open(path, VALUE_RECORD, cache)
+            for i in range(keys):
+                store.set(i, i.to_bytes(VALUE_RECORD, "big"))
             store.root()
-            store.flush()
-            cache.flush()
-            spent = time.perf_counter_ns() - begin
-            if best_ns is None or spent < best_ns:
-                best_ns = spent
-        cache.close()  # every round ended in a flush, so nothing is left unwritten
+            hot = random.Random(seed).sample(range(keys), min(hot_set, keys))
+            fresh = keys
+            best_ns = None
+            for _ in range(rounds):
+                begin = time.perf_counter_ns()
+                for index in hot:
+                    store.set(index, fresh.to_bytes(VALUE_RECORD, "big"))
+                    fresh += 1
+                store.root()
+                store.flush()
+                cache.flush()
+                spent = time.perf_counter_ns() - begin
+                if best_ns is None or spent < best_ns:
+                    best_ns = spent
+        finally:
+            cache.close()  # writes nothing; every round that finished ended in a flush
         rows.append(
             SweepRow(
                 page_size=page_size,

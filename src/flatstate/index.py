@@ -11,19 +11,24 @@ ordinal i). The table's commitment is the hash-tree root over the
 reverse table's pages only: bucket layout is an implementation detail
 and stays outside the commitment.
 
-Lookups remember what they learn in one least-recently-used memo of up
-to ``KEYS_REMEMBERED`` keys: a present key maps to its ordinal (>= 0), an
-absent key to ``~bucket_hash(key)`` (< 0). Asking again for a present key
-costs no digest and no chain walk, and since a validator reads every key
-before it writes it, the insert that follows a miss walks page headers
-only. Ordinals never change and only ``get_or_add`` adds keys, overwriting
-the key's miss entry as it does, so the memo needs no invalidation.
+Lookups remember what they learn in a memo of up to ``KEYS_REMEMBERED``
+keys: a present key maps to its ordinal (>= 0), an absent key to
+``~bucket_hash(key)`` (< 0). Asking again for a present key costs no
+digest and no chain walk, and since a validator reads every key before
+it writes it, the insert that follows a miss walks page headers only.
+The memo is two generations of plain dicts (the 2Q idea, Johnson and
+Shasha, VLDB 1994): new entries go to the young one, a lookup checks
+young then old and copies an old hit into young, and once young holds
+half the keys it becomes old and the old one is forgotten. So a hit
+reorders nothing, and a key looked up once per generation stays
+remembered. Ordinals never change and only ``get_or_add`` adds keys, writing young
+as it does, which shadows the key's miss entry in either generation, so
+the memo needs no invalidation.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
 
 from .digest import add_calls, digest
 from .errors import CorruptionError, FormatError
@@ -34,7 +39,7 @@ _HEADER_SIZE = 10  # u16 entry count, u64 overflow pointer (page id + 1; 0 = non
 _INITIAL_BUCKETS = 4
 _INITIAL_LEVEL = 2
 _LOAD_FACTOR = 0.75
-KEYS_REMEMBERED = 1 << 16  # found, added or missed keys the memo keeps; least recently used go first
+KEYS_REMEMBERED = 1 << 16  # found, added or missed keys the memo keeps, half of them in each generation
 
 
 def bucket_hash(key: bytes) -> int:
@@ -63,9 +68,10 @@ class LinearHashIndex:
             self.bucket_pages = list(state["bucket_pages"])
             if max(self.bucket_pages) >= pool.page_count:  # a file cut short
                 raise CorruptionError(f"{pool.file_path} holds {pool.page_count} pages, fewer than its bucket pages")
-        # present key -> ordinal, absent key -> ~bucket_hash(key); oldest use first
-        self._known: OrderedDict[bytes, int] = OrderedDict()
-        self._known_limit = KEYS_REMEMBERED
+        # Memo generations: present key -> ordinal, absent key -> ~bucket_hash(key).
+        self._young: dict[bytes, int] = {}
+        self._old: dict[bytes, int] = {}
+        self._generation_size = KEYS_REMEMBERED // 2
 
     def state(self) -> dict:
         return {
@@ -82,9 +88,10 @@ class LinearHashIndex:
         asking again costs no walk, and a ``get_or_add`` that follows a
         miss walks page headers only.
         """
-        known = self._known.get(key)
+        known = self._young.get(key)
+        if known is None:
+            known = self._recall_old(key)
         if known is not None:  # remembered keys have passed _check_key
-            self._known.move_to_end(key)
             return known if known >= 0 else None
         self._check_key(key)
         h = bucket_hash(key)
@@ -94,7 +101,9 @@ class LinearHashIndex:
 
     def get_or_add(self, key: bytes) -> tuple[int, bool]:
         """Return (ordinal, was_new); new keys get ordinal == previous count."""
-        known = self._known.get(key)
+        known = self._young.get(key)
+        if known is None:
+            known = self._recall_old(key)
         if known is None:
             self._check_key(key)
             found, insert_page, tail = self._walk(key, self._primary_page(bucket_hash(key)))
@@ -102,12 +111,11 @@ class LinearHashIndex:
                 self._remember(key, found)
                 return found, False
         elif known >= 0:
-            self._known.move_to_end(key)
             return known, False
         else:
-            # A remembered miss is still absent: only this method adds keys, and it
-            # overwrites the miss below. The bucket is recomputed from the hash at
-            # the current level, so splits since the miss change nothing.
+            # A remembered miss is still absent: only this method adds keys, and its
+            # young entry below shadows the miss. The bucket is recomputed from the
+            # hash at the current level, so splits since the miss change nothing.
             _, insert_page, tail = self._walk(None, self._primary_page(~known))
         ordinal = self.count
         if insert_page is None:
@@ -133,11 +141,19 @@ class LinearHashIndex:
         """Persist the reverse table's hash tree; the page cache writes the pages."""
         self.reverse.flush()
 
+    def _recall_old(self, key: bytes) -> int | None:
+        """The old generation's entry for ``key``, copied into the young one; None if it has none."""
+        known = self._old.get(key)
+        if known is not None:
+            self._remember(key, known)
+        return known
+
     def _remember(self, key: bytes, ordinal: int) -> None:
-        known = self._known
-        known[key] = ordinal
-        if len(known) > self._known_limit:
-            known.popitem(last=False)
+        young = self._young
+        young[key] = ordinal
+        if len(young) >= self._generation_size:  # young is full: it becomes old, and old is forgotten
+            self._old = young if self._generation_size else {}  # a memo of 0 or 1 keys remembers none
+            self._young = {}
 
     def _check_key(self, key: bytes) -> None:
         if len(key) != self.key_width:

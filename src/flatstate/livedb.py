@@ -16,14 +16,15 @@ The ten page files (six stores, two bucket files, two key files) share
 one page cache of ``CACHE_BYTES``, so one budget bounds their RAM and
 one eviction site writes their dirty pages back. ``flush`` is the one
 commit site: the eight hash trees, then one ``PageCache.flush``, then
-``meta.json``. At 16 MiB (4,096 pages of 4 KiB) the cache holds most of
-the random page working set of a state that outgrows it (≈5,700 pages in
-the replay-cold benchmark's window), which halves that state's page
-loads and evicting writes against 10 MiB.
+``meta.json``. At 24 MiB (6,144 pages of 4 KiB) the cache holds every
+page the replay-cold benchmark's 125-block window touches (≈6,100), so
+it evicts nothing between flushes: each dirty page is written once, by
+the flush, and no read waits for an evicted page to be written back.
 
 One thread uses an instance at a time, readers included: every read
-reorders the least-recently-used page and key maps, so two threads must
-not share an instance without a lock of their own.
+may load or reorder pages in the page cache and remember keys in the
+index memos, so two threads must not share an instance without a lock
+of their own.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .types import (
 )
 
 FORMAT_VERSION = 1
-CACHE_BYTES = 16 << 20  # resident pages of all ten page files together
+CACHE_BYTES = 24 << 20  # resident pages of all ten page files together
 ROOT_ORDER = ("balance", "nonce", "exists", "reinc", "code", "values", "a_index", "ak_index")
 
 AK_KEY_SIZE = ADDRESS_SIZE + REINC_SIZE + KEY_SIZE

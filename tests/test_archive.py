@@ -3,6 +3,7 @@
 import errno
 import hashlib
 import json
+import mmap
 import os
 import pathlib
 import random
@@ -14,7 +15,7 @@ import tracemalloc
 import pytest
 
 from flatstate import archive as archive_module
-from flatstate.archive import FENCE_STRIDE, FILTER_BITS_PER_KEY, MAX_BLOCK, ArchiveDb, filter_bits
+from flatstate.archive import FENCE_STRIDE, FILTER_BITS_PER_KEY, MAX_BLOCK, TABLES, ArchiveDb, RunRef, filter_bits
 from flatstate.errors import CorruptionError, SequenceError, StorageError, UnavailableError
 from flatstate.oracle import ReferenceOracle
 from flatstate.server import handle_request
@@ -28,6 +29,19 @@ NO_MERGE = 1 << 30  # a merge fanout no test reaches
 
 def diff(block, *updates):
     return BlockDiff(block=block, updates=tuple(updates))
+
+
+class ReleaseSpy(mmap.mmap):
+    """A run mapping that records each (start, length) it hands back to the OS."""
+
+    def __init__(self, *args, **kwargs):
+        self.released = []
+
+    def madvise(self, option, start=0, length=None):
+        assert option == mmap.MADV_DONTNEED
+        length = len(self) - start if length is None else length
+        self.released.append((start, length))
+        super().madvise(option, start, length)
 
 
 def patch_appender(monkeypatch, batch_blocks, merge_fanout):
@@ -281,6 +295,52 @@ def test_merging_preserves_entries_and_answers(tmp_path, monkeypatch):
     plain.close()
 
 
+@pytest.mark.parametrize("chunk", [7, 50])
+def test_merge_releases_only_whole_pages_of_consumed_entries(tmp_path, monkeypatch, chunk):
+    """After each chunk, a victim's pages up to its cursor are released, never the page of its next entry."""
+    monkeypatch.setattr(archive_module, "MERGE_CHUNK", chunk)
+    table = archive_module._SortedTable(TABLES["storage"])
+    size, key_size = table.entry_size, table.key_size
+    rng = random.Random(5)
+    victims, owner = [], {}
+    for block, count in ((1, 300), (2, 170), (3, 410)):
+        rows = sorted(
+            rng.randbytes(key_size - 8) + block.to_bytes(8, "big") + rng.randbytes(size - key_size) for _ in range(count)
+        )
+        owner.update((row, len(victims)) for row in rows)
+        path = tmp_path / f"storage-{block}.run"
+        path.write_bytes(b"".join(rows))
+        with open(path, "rb") as fh:
+            data = ReleaseSpy(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        assert len(data) > 3 * mmap.PAGESIZE
+        victims.append(RunRef(path.name, 0, count, block, block, data))
+    cursors = [0] * len(victims)
+
+    def check_released():
+        for run, cursor in zip(victims, cursors):
+            # Page-aligned, back to back from 0 up to the page that holds the victim's next entry.
+            expected_end = cursor * size // mmap.PAGESIZE * mmap.PAGESIZE
+            at = 0
+            for start, length in run.data.released:
+                assert start == at and length > 0 and length % mmap.PAGESIZE == 0
+                at += length
+            assert at == expected_end
+
+    merged = []
+    for piece in table.merged_chunks(victims):  # each step releases the previous chunk's pages first
+        check_released()
+        rows = [piece[at : at + size] for at in range(0, len(piece), size)]
+        for row in rows:
+            cursors[owner[row]] += 1
+        merged += rows
+    check_released()
+    assert cursors == [run.count for run in victims]
+    assert merged == sorted(owner)
+    assert sum(len(run.data.released) for run in victims) > len(victims)
+    for run in victims:
+        run.data.close()
+
+
 @pytest.mark.parametrize("layout", ["interleaved", "disjoint"])
 def test_merge_memory_is_bounded_by_the_chunk(tmp_path, monkeypatch, layout):
     """Merging four runs of 5,000 storage entries holds a few chunks in memory, never the victims.
@@ -401,6 +461,7 @@ def test_account_maps_are_built_by_the_first_append_only(tmp_path, monkeypatch):
         rebuild(self)
 
     monkeypatch.setattr(ArchiveDb, "_rebuild_account_maps", counting_rebuild)
+    monkeypatch.setattr(mmap, "mmap", ReleaseSpy)
     address, (slot_key, _) = next((u.address, u.slots[0]) for d in diffs[:12] for u in d.updates if u.slots)
     reader = ArchiveDb(tmp_path / "archive")
     for line in (
@@ -418,10 +479,15 @@ def test_account_maps_are_built_by_the_first_append_only(tmp_path, monkeypatch):
     reader.run_files()
     reader.close()
     assert calls == []
+    assert not [run.file for table in reader._tables.values() for run in table.runs if run.data.released]
 
     writer = ArchiveDb(tmp_path / "archive")
+    opened = {name: list(table.runs) for name, table in writer._tables.items()}
     feed(writer, diffs[12:13])
     assert calls == [writer]
+    for name, runs in opened.items():  # the scan released each run it read, whole; no merge ran
+        expected = [[(0, len(run.data))] if name in ("state", "accthash") else [] for run in runs]
+        assert [run.data.released for run in runs] == expected, name
     feed(writer, diffs[13:])
     assert calls == [writer]
     expected = scratch_block_hashes(diffs)
@@ -945,17 +1011,22 @@ def test_open_maps_each_listed_run_once(tmp_path, monkeypatch):
 
 
 def test_snapshot_from_before_a_merge_still_answers(tmp_path, monkeypatch):
-    spec = WorkloadSpec(seed=31, blocks=4, accounts=12, txs_per_block=4, slot_writes_per_tx=2, new_key_ratio=0.5, delete_ratio=0.0)
+    spec = WorkloadSpec(seed=31, blocks=4, accounts=60, txs_per_block=40, slot_writes_per_tx=4, new_key_ratio=0.5, delete_ratio=0.0)
     diffs = list(generate(spec))
     oracle, addresses, pairs, _, _ = history_facts(diffs)
     patch_appender(monkeypatch, batch_blocks=2, merge_fanout=2)
+    monkeypatch.setattr(archive_module, "MERGE_CHUNK", 16)
+    monkeypatch.setattr(mmap, "mmap", ReleaseSpy)
     archive = ArchiveDb(tmp_path / "archive")
     feed(archive, diffs[:2])
     storage, balance = archive._tables["storage"], archive._tables["balance"]
     snapshots = {"storage": storage.newest_first, "balance": balance.newest_first}
     victims = [run.file for runs in snapshots.values() for run in runs]
     assert len(victims) == 2
+    (storage_victim,) = snapshots["storage"]
+    assert storage_victim.count * storage.entry_size > 4 * mmap.PAGESIZE
     feed(archive, diffs[2:])  # the second batch run merges with the first, whose file is unlinked
+    assert storage_victim.data.released  # the merge released pages of the run the snapshot reads
     assert not any((tmp_path / "archive" / file).exists() for file in victims)
     assert not set(victims) & {file for files in archive.run_files().values() for file in files}
     reinc = (0).to_bytes(REINC_SIZE, "big")  # no deletions: every account keeps reincarnation 0

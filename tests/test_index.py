@@ -11,6 +11,8 @@ from flatstate.index import LinearHashIndex, bucket_hash
 from flatstate.pagepool import PageCache, PagePool
 from flatstate.store import RecordStore
 
+from util import remembered_keys
+
 
 @pytest.fixture
 def open_index(tmp_path):
@@ -211,7 +213,9 @@ def test_remembered_misses_place_keys_as_a_plain_insert_does(open_index, tmp_pat
         assert [probed.get_or_add(key) for key in batch] == [(n, False) for n in ordinals]
     assert probed.state() == plain.state()
     assert len(plain.bucket_pages) > 1000
-    assert (len(plain._known), len(probed._known)) == (0, min(remembered, len(keys)))
+    assert remembered_keys(plain) == 0
+    # At least one full generation and at most the bound; the default memo's young generation holds every key.
+    assert min(remembered // 2, len(keys)) <= remembered_keys(probed) <= min(remembered, len(keys))
     flush_and_close(plain)
     flush_and_close(probed)
     for suffix in ("buckets", "keys"):
@@ -270,17 +274,18 @@ def test_remembered_miss_is_found_after_insertion(open_index):
 def test_remembered_misses_stay_bounded(open_index, monkeypatch):
     monkeypatch.setattr(index_module, "KEYS_REMEMBERED", 8)
     index = open_index()
-    sizes = set()
+    generations = set()
     for n in range(100):
         assert index.get(k20(n)) is None
-        sizes.add(len(index._known))
-    assert max(sizes) == 8
+        generations.add((len(index._young), len(index._old)))
+    # Young flips to old at half the bound, so each generation holds at most 4 keys.
+    assert generations == {(1, 0), (2, 0), (3, 0), (0, 4), (1, 4), (2, 4), (3, 4)}
     for n in range(100):
         assert index.get(k20(n + 100)) is None  # misses and hits share the bound
         assert index.get_or_add(k20(n)) == (n, True)
         assert index.get(k20(n)) == n
-        sizes.add(len(index._known))
-    assert max(sizes) == 8
+        generations.add((len(index._young), len(index._old)))
+    assert max(young for young, _ in generations) == 3 and max(old for _, old in generations) == 4
 
 
 def test_insert_after_a_miss_overwrites_the_remembered_miss(open_index):
@@ -288,7 +293,54 @@ def test_insert_after_a_miss_overwrites_the_remembered_miss(open_index):
     for n in range(10):
         index.get_or_add(k20(n))
     assert index.get(k20(10)) is None
-    remembered = len(index._known)
+    remembered = remembered_keys(index)
     assert index.get_or_add(k20(10)) == (10, True)
-    assert len(index._known) == remembered
+    assert remembered_keys(index) == remembered
     assert index.get(k20(10)) == 10
+
+
+def test_hit_in_the_old_generation_walks_no_page_and_moves_to_young(open_index, monkeypatch):
+    monkeypatch.setattr(index_module, "KEYS_REMEMBERED", 8)
+    index = open_index()
+    for n in range(6):
+        index.get_or_add(k20(n))  # k20(0..3) fill young, which flips to old; k20(4..5) are young
+    assert (set(index._old), set(index._young)) == ({k20(n) for n in range(4)}, {k20(4), k20(5)})
+    pages = []
+    real_get_page = index.pool.get_page
+    index.pool.get_page = lambda page_id: pages.append(page_id) or real_get_page(page_id)
+    before = digest_count()
+    assert index.get(k20(1)) == 1
+    assert index.get_or_add(k20(2)) == (2, False)
+    assert (pages, digest_count()) == ([], before)
+    # The two hits were copied into young, whose fourth key flipped it to old.
+    assert not index._young and index._old == {k20(4): 4, k20(5): 5, k20(1): 1, k20(2): 2}
+    assert index.get(k20(3)) == 3  # forgotten with the old generation, so found by a walk
+    assert pages and digest_count() > before
+    index.pool.get_page = real_get_page
+
+
+def test_remembered_miss_survives_a_generation_flip_and_is_then_inserted(open_index, tmp_path, monkeypatch):
+    monkeypatch.setattr(index_module, "KEYS_REMEMBERED", 8)
+    index = open_index(name="flipped")
+    assert index.get(k20(9)) is None
+    for n in range(3):
+        assert index.get_or_add(k20(n)) == (n, True)
+    assert index._old == {k20(9): ~bucket_hash(k20(9)), k20(0): 0, k20(1): 1, k20(2): 2} and not index._young
+    before = digest_count()
+    assert index.get_or_add(k20(9)) == (3, True)  # placed from the remembered bucket hash
+    assert digest_count() == before
+    assert index._young[k20(9)] == 3  # shadows the miss still in old
+    assert index.get(k20(9)) == 3
+    assert index.get_or_add(k20(9)) == (3, False)
+    for n in range(3, 8):
+        index.get_or_add(k20(n + 10))  # two more flips drop the generation holding the miss
+    assert all(known >= 0 for known in (*index._young.values(), *index._old.values()))
+    assert index.get(k20(9)) == 3
+    plain = open_index(name="plain")
+    for key in (k20(0), k20(1), k20(2), k20(9), *(k20(n + 10) for n in range(3, 8))):
+        plain.get_or_add(key)
+    assert index.state() == plain.state()
+    flush_and_close(index)
+    flush_and_close(plain)
+    for suffix in ("buckets", "keys"):
+        assert (tmp_path / f"flipped.{suffix}").read_bytes() == (tmp_path / f"plain.{suffix}").read_bytes()

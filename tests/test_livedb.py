@@ -18,10 +18,11 @@ from flatstate.errors import CorruptionError, SequenceError, StorageError, Valid
 from flatstate.hashtree import HashTree
 from flatstate.livedb import LiveDb, ROOT_ORDER
 from flatstate.oracle import ReferenceOracle
+from flatstate.pagepool import PageCache
 from flatstate.types import AccountUpdate, BlockDiff, ZERO_VALUE
 from flatstate.workload import WorkloadSpec, generate
 
-from util import addr, key, val
+from util import addr, key, remembered_keys, val
 
 
 def diff(block, *updates):
@@ -326,6 +327,32 @@ def page_pools(db):
     return [store.pool for store in stores] + [pool for index in indexes for pool in (index.pool, index.reverse.pool)]
 
 
+def test_a_cache_that_holds_the_dirty_set_writes_no_page_before_flush(tmp_path, monkeypatch):
+    """Eviction is the only page write between flushes; a budget above the dirty set leaves every write to flush()."""
+    written = []
+    real_write = PageCache._write
+    monkeypatch.setattr(PageCache, "_write", lambda cache, key, data: written.append(key) or real_write(cache, key, data))
+    for name, budget in (("roomy", 1 << 30), ("tight", 4 * 4096)):
+        monkeypatch.setattr(livedb_module, "CACHE_BYTES", budget)
+        db = LiveDb(tmp_path / name)
+        for block_diff in generate(SMALL_SPEC):
+            for update in block_diff.updates:  # a validator reads what a block writes first
+                db.get_balance(update.address)
+                for slot_key, _ in update.slots:
+                    db.get_storage(update.address, slot_key)
+            db.apply_block(block_diff)
+            db.state_root()
+        before_flush = len(written)
+        db.flush()
+        if name == "roomy":
+            assert before_flush == 0 < len(written) == len(set(written))  # each dirty page written once, by flush
+        else:
+            assert before_flush > 0  # evictions wrote dirty pages between flushes
+        written.clear()
+        db.close()
+    assert tree_bytes(tmp_path / "roomy") == tree_bytes(tmp_path / "tight")
+
+
 def test_two_replicas_produce_identical_roots_and_files(tmp_path, monkeypatch):
     # A replica whose first open failed (on slots.keys, after addr.buckets got its initial pages) must match too.
     (tmp_path / "reborn" / "slots.keys").mkdir(parents=True)
@@ -348,7 +375,7 @@ def test_two_replicas_produce_identical_roots_and_files(tmp_path, monkeypatch):
             assert len({id(pool) for pool in pools}) == 10 and all(pool.cache is cache for pool in pools)
             assert sum(pool.resident_count for pool in pools) == cache.resident_count
         assert right.balances.pool.cache.resident_count <= 4 < left.balances.pool.cache.resident_count
-    assert len(right.ak_index._known) == 16 < len(left.ak_index._known)
+    assert len(right.ak_index._old) == 8 and remembered_keys(right.ak_index) <= 16 < remembered_keys(left.ak_index)
     for db in replicas:
         db.close()
     left_files = tree_bytes(tmp_path / "left")
@@ -498,7 +525,7 @@ def test_cache_transparency(open_db, monkeypatch):
         assert cached.get_balance(address) == uncached.get_balance(address)
     for address, slot_key in slot_pairs:
         assert cached.get_storage(address, slot_key) == uncached.get_storage(address, slot_key)
-    assert len(uncached.a_index._known) == len(uncached.ak_index._known) == 0 < len(cached.ak_index._known)
+    assert remembered_keys(uncached.a_index) == remembered_keys(uncached.ak_index) == 0 < remembered_keys(cached.ak_index)
 
 
 def test_bytearray_address_applies_like_bytes(open_db):

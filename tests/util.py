@@ -61,3 +61,8 @@ def random_diff(rng: random.Random, block: int, max_updates: int = 6) -> BlockDi
         seen.add(update.address)
         updates.append(update)
     return BlockDiff(block=block, updates=tuple(sorted(updates, key=lambda u: u.address)))
+
+
+def remembered_keys(index) -> int:
+    """Entries in a ``LinearHashIndex``'s key memo, both generations counted."""
+    return len(index._young) + len(index._old)
