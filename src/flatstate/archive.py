@@ -18,10 +18,13 @@ new watermark. Readers never see a partially written block. A failed
 batch stops the appender for good: every later append or flush raises
 that failure, and readers keep the last published watermark.
 
-Opening reads the run manifest, maps the runs and indexes the code blob;
-it scans no entry and creates or writes nothing in an existing archive.
-Only the appender writes: before its first batch it cuts a torn code-blob
-tail and builds its per-account state (newest hash, existence and
+Opening reads the run manifest and maps the runs, and reads one block
+hash; it scans no entry, reads no code-blob record and creates or writes
+nothing in an existing archive. The code blob's record headers are
+scanned once, by the first code read that needs a body or by the
+appender before its first batch, whichever comes first. Only the
+appender writes: before its first batch it cuts a torn code-blob tail
+and builds its per-account state (newest hash, existence and
 reincarnation) from the tables, so an archive that is only read, as by
 the query server, never pays for that scan.
 
@@ -40,27 +43,27 @@ import threading
 from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .digest import HASH_SIZE, ZERO_HASH, digest
 from .errors import BoundsError, CorruptionError, SequenceError, StorageError, UnavailableError
 from .metafile import read_meta, require, write_meta
-from .types import (
+from .widths import (
     ADDRESS_SIZE,
     BALANCE_SIZE,
     BLOCK_SIZE,
-    MAX_BLOCK,
-    BlockDiff,
     KEY_SIZE,
+    MAX_BLOCK,
     NONCE_SIZE,
     REINC_SIZE,
     VALUE_SIZE,
     ZERO_VALUE,
-    serialize_update,
 )
+
+if TYPE_CHECKING:  # the update classes load only in a process that appends (see _process_batch)
+    from .types import BlockDiff
 
 FORMAT_VERSION = 1
 BATCH_BLOCKS = 16  # blocks persisted per commit batch; flush cuts a batch early
@@ -88,8 +91,7 @@ _FLUSH = object()
 _CLOSE = object()
 
 
-@dataclass(frozen=True)
-class TableSpec:
+class TableSpec(NamedTuple):
     name: str
     prefix_size: int
     payload_size: int
@@ -117,15 +119,17 @@ class RunSearch(NamedTuple):
     mask: int  # len(words) - 1
 
 
-@dataclass
 class RunRef:
-    file: str
-    level: int
-    count: int
-    first: int  # lowest block the run may hold
-    last: int  # highest block the run may hold
-    data: mmap.mmap  # read-only mapping; stays readable after a merge unlinks the file
-    search: RunSearch | None = None  # published whole, so a racing reader sees all of it or none
+    __slots__ = ("file", "level", "count", "first", "last", "data", "search")
+
+    def __init__(self, file: str, level: int, count: int, first: int, last: int, data: mmap.mmap):
+        self.file = file
+        self.level = level
+        self.count = count
+        self.first = first  # lowest block the run may hold
+        self.last = last  # highest block the run may hold
+        self.data = data  # read-only mapping; stays readable after a merge unlinks the file
+        self.search: RunSearch | None = None  # published whole, so a racing reader sees all of it or none
 
 
 _BIT = tuple(1 << i for i in range(64))
@@ -159,17 +163,22 @@ def _pread(fh, length: int, offset: int) -> bytes:
         raise StorageError(f"read failed: {exc}", path=fh.name, offset=offset) from exc
 
 
-def map_run(path: Path, count: int, entry_size: int) -> mmap.mmap:
-    """Map a run file read-only after checking it holds exactly ``count`` entries."""
+def map_run(path: str | Path, count: int, entry_size: int) -> mmap.mmap:
+    """Map a run file read-only after checking it holds exactly ``count`` entries.
+
+    A bare descriptor, not a file object: an open maps every listed run.
+    """
     try:
-        fh = open(path, "rb")
+        fd = os.open(path, os.O_RDONLY)
     except FileNotFoundError as exc:
         raise CorruptionError(f"run file {path} is missing") from exc
-    with fh:
-        size = os.fstat(fh.fileno()).st_size
+    try:
+        size = os.fstat(fd).st_size
         if count < 1 or size != count * entry_size:
             raise CorruptionError(f"run file {path} has {size} bytes, expected {count} entries of {entry_size}")
-        return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        return mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
+    finally:
+        os.close(fd)
 
 
 class _SortedTable:
@@ -318,10 +327,10 @@ class ArchiveDb:
         self._tables = {name: _SortedTable(spec) for name, spec in TABLES.items()}
         self._next_seq = 0
         self.watermark = 0
-        self._load_meta()
-        self._open_blockhash_file()
+        self._load_meta()  # maps the listed runs; searching them builds their aids later
+        self._open_blockhash_file()  # reads the last block hash: the one read an open makes
         try:
-            self._open_code_blob()
+            self._open_code_blob()  # reads nothing; the blob is indexed on first need
         except BaseException:
             self._blockhash_fh.close()
             raise
@@ -475,6 +484,9 @@ class ArchiveDb:
                 commit()
 
     def _process_batch(self, diffs: list[BlockDiff]) -> None:
+        from .types import serialize_update  # loaded by the first batch, so a reading process never loads it
+
+        code_index = self._code_locations(reader=False)
         if self._account_state is None:  # the first batch
             # A code record cut short by a crash belongs to a batch that was
             # never published; drop it so its body is appended again in full.
@@ -509,7 +521,7 @@ class ArchiveDb:
                 if code is not None:
                     code_hash = digest(code)
                     entries["code"].append(addr + block_field + code_hash)
-                    if code and code_hash not in self._code_offsets:
+                    if code and code_hash not in code_index:
                         new_codes.setdefault(code_hash, code)
                 reinc_field = state[1:]
                 for key, value in update.slots:
@@ -597,12 +609,12 @@ class ArchiveDb:
         record = code_hash + len(code).to_bytes(4, "big") + code
         _pwrite(self._blob_fh, record, offset)
         self._blob_size += len(record)
-        self._code_offsets[code_hash] = (offset + HASH_SIZE + 4, len(code))
+        self._code_index[code_hash] = (offset + HASH_SIZE + 4, len(code))
 
     def _read_code(self, code_hash: bytes) -> bytes:
         if code_hash == EMPTY_CODE_HASH:
             return b""
-        located = self._code_offsets.get(code_hash)
+        located = self._code_locations(reader=True).get(code_hash)
         if located is None:
             raise CorruptionError(f"code body for digest {code_hash.hex()} is missing from the blob")
         offset, length = located
@@ -639,13 +651,15 @@ class ArchiveDb:
         self.watermark = meta["watermark"]
         self._next_seq = meta["next_seq"]
         require(meta["tables"], path, ())
+        directory = str(self.data_dir)
         for name, runs in meta["tables"].items():
             if name not in TABLES:
                 raise CorruptionError(f"metadata in {path} names unknown table {name!r}")
             loaded = []
+            entry_size = TABLES[name].entry_size
             for r in runs:
                 require(r, path, ("file", "level", "count"))
-                data = map_run(self.data_dir / r["file"], r["count"], TABLES[name].entry_size)
+                data = map_run(f"{directory}/{r['file']}", r["count"], entry_size)
                 # A run listed without a block range may hold any block.
                 first, last = r.get("first", 0), r.get("last", MAX_BLOCK)
                 loaded.append(RunRef(r["file"], r["level"], r["count"], first, last, data))
@@ -676,27 +690,49 @@ class ArchiveDb:
 
     def _open_code_blob(self) -> None:
         path = self.data_dir / "codeblob.dat"
+        new = not path.exists()
         try:
-            self._blob_fh = open(path, "r+b" if path.exists() else "w+b", buffering=0)
+            self._blob_fh = open(path, "w+b" if new else "r+b", buffering=0)
         except OSError as exc:
             raise StorageError(f"cannot open code blob: {exc}", path=path) from exc
-        self._code_offsets: dict[bytes, tuple[int, int]] = {}
-        try:
-            size = os.fstat(self._blob_fh.fileno()).st_size
-            offset = 0
-            while offset + HASH_SIZE + 4 <= size:
-                # Only the record headers are read; bodies are read on demand.
-                header = _pread(self._blob_fh, HASH_SIZE + 4, offset)
-                body_at = offset + HASH_SIZE + 4
-                length = int.from_bytes(header[HASH_SIZE:], "big")
-                if body_at + length > size:
-                    break
-                self._code_offsets[header[:HASH_SIZE]] = (body_at, length)
-                offset = body_at + length
-        except BaseException:
-            self._blob_fh.close()
-            raise
+        # Digest -> (body offset, length) of each whole record, and the end of
+        # the last one; an existing blob is indexed on first need.
+        self._code_index: dict[bytes, tuple[int, int]] | None = {} if new else None
+        self._blob_size = 0
+
+    def _code_locations(self, *, reader: bool) -> dict[bytes, tuple[int, int]]:
+        """The code index, built by the first caller that needs it.
+
+        The build runs under the archive lock, so racing readers and the
+        appender scan the blob once and see the finished index or none.
+        A reader scans only an open archive; the appender scans before
+        ``close()`` releases the blob, since close waits for it.
+        """
+        index = self._code_index
+        if index is None:
+            with self._lock:  # close() releases the blob under this lock
+                if reader:
+                    self._check_open()
+                index = self._code_index
+                if index is None:
+                    index = self._code_index = self._scan_code_blob()
+        return index
+
+    def _scan_code_blob(self) -> dict[bytes, tuple[int, int]]:
+        """Index every whole record of the blob from its headers alone; bodies are read on demand."""
+        index = {}
+        size = os.fstat(self._blob_fh.fileno()).st_size
+        offset = 0
+        while offset + HASH_SIZE + 4 <= size:
+            header = _pread(self._blob_fh, HASH_SIZE + 4, offset)
+            body_at = offset + HASH_SIZE + 4
+            length = int.from_bytes(header[HASH_SIZE:], "big")
+            if body_at + length > size:
+                break
+            index[header[:HASH_SIZE]] = (body_at, length)
+            offset = body_at + length
         self._blob_size = offset  # a torn tail after this is cut by the appender's first batch
+        return index
 
     def _rebuild_account_maps(self) -> None:
         self._account_state = self._newest_payloads("state")

@@ -25,7 +25,8 @@ answers and writes over non-blocking sockets. Requests sent back to back
 on one connection (pipelined) are answered in order. A query runs to its
 end before the loop turns to any other connection, so a slow one, such
 as the first search of a large run, which builds that run's search aids
-(about 55 ms for a 49k-entry run), delays every connection.
+(25 to 35 ms for a 49k-entry run on a 2-CPU x86 host), delays every
+connection.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import threading
 
 from .archive import ArchiveDb
 from .errors import BoundsError, UnavailableError
-from .types import ADDRESS_SIZE, KEY_SIZE
+from .widths import ADDRESS_SIZE, KEY_SIZE
 
 # The longest valid request (STORAGE with 0x-prefixed arguments and a
 # 20-digit block) is about 140 bytes.

@@ -13,22 +13,21 @@ from operator import attrgetter
 
 from .digest import digest
 from .errors import FormatError, ValidationError
-
-ADDRESS_SIZE = 20
-KEY_SIZE = 32
-VALUE_SIZE = 32
-BALANCE_SIZE = 16
-NONCE_SIZE = 8
-BLOCK_SIZE = 8
-REINC_SIZE = 4
-MAX_CODE_SIZE = 25600
-
-ZERO_VALUE = b"\x00" * VALUE_SIZE
-
-MAX_BALANCE = (1 << (BALANCE_SIZE * 8)) - 1
-MAX_NONCE = (1 << (NONCE_SIZE * 8)) - 1
-MAX_BLOCK = (1 << (BLOCK_SIZE * 8)) - 1
-MAX_REINC = (1 << (REINC_SIZE * 8)) - 1
+from .widths import (  # re-exported, so `from flatstate.types import KEY_SIZE` keeps working
+    ADDRESS_SIZE,
+    BALANCE_SIZE,
+    BLOCK_SIZE,
+    KEY_SIZE,
+    MAX_BALANCE,
+    MAX_BLOCK,
+    MAX_CODE_SIZE,
+    MAX_NONCE,
+    MAX_REINC,
+    NONCE_SIZE,
+    REINC_SIZE,
+    VALUE_SIZE,
+    ZERO_VALUE,
+)
 
 Address = bytes
 StorageKey = bytes

@@ -624,6 +624,124 @@ def test_damaged_code_body_is_reported_as_corruption(tmp_path):
     reopened.close()
 
 
+def code_history(directory, bodies):
+    """A closed archive whose block i + 1 gives addr(i + 1) the code ``bodies[i]``."""
+    archive = ArchiveDb(directory)
+    feed(archive, [diff(i + 1, AccountUpdate(address=addr(i + 1), code=body)) for i, body in enumerate(bodies)])
+    archive.close()
+
+
+def count_scans(monkeypatch, pause=0.0):
+    """The archives whose code blob is scanned from now on, one entry per scan; each scan first sleeps ``pause`` s."""
+    scans, scan = [], ArchiveDb._scan_code_blob
+
+    def counting_scan(self):
+        scans.append(self)
+        time.sleep(pause)  # lets a racing caller reach the index while the scan runs
+        return scan(self)
+
+    monkeypatch.setattr(ArchiveDb, "_scan_code_blob", counting_scan)
+    return scans
+
+
+def test_open_reads_one_block_hash_and_no_code_record(tmp_path, monkeypatch):
+    bodies = [bytes([i]) * (10 + i) for i in range(1, 6)]
+    code_history(tmp_path / "archive", bodies)
+    scans = count_scans(monkeypatch)
+    reads, real_pread = [], os.pread
+
+    def counting_pread(fd, length, offset):
+        reads.append((length, offset))
+        return real_pread(fd, length, offset)
+
+    monkeypatch.setattr(os, "pread", counting_pread)
+    archive = ArchiveDb(tmp_path / "archive")
+    assert reads == [(32, 5 * 32)]  # the hash of block 5, the last one
+    assert archive._code_index is None and scans == []
+    assert archive.get_balance_at(addr(1), 5) == 0 and archive.get_code_at(addr(9), 5) == b""
+    assert scans == []  # no query that needs no body scans the blob
+    assert archive.get_code_at(addr(2), 5) == bodies[1]
+    assert scans == [archive]
+    assert [archive.get_code_at(addr(i + 1), 5) for i in range(5)] == bodies
+    assert scans == [archive]
+    archive.close()
+
+
+def test_racing_first_code_reads_scan_the_blob_once(tmp_path, monkeypatch):
+    bodies = [bytes([i]) * (40 + i) for i in range(1, 9)]
+    code_history(tmp_path / "archive", bodies)
+    scans = count_scans(monkeypatch, pause=0.05)
+    archive = ArchiveDb(tmp_path / "archive")
+    start = threading.Barrier(2)
+    answers = [[], []]
+
+    def reader(n):
+        start.wait(timeout=10)
+        for i in range(len(bodies)):
+            answers[n].append(archive.get_code_at(addr((i + 4 * n) % len(bodies) + 1), len(bodies)))
+
+    threads = [threading.Thread(target=reader, args=(n,)) for n in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert answers == [bodies, bodies[4:] + bodies[:4]]
+    assert scans == [archive]
+    archive.close()
+
+
+def test_torn_tail_is_cut_by_the_first_batch_after_a_reader_indexed_the_blob(tmp_path, monkeypatch):
+    kept, lost = b"\x01" * 50, b"\x07" * 300
+    code_history(tmp_path / "archive", [kept])
+    blob = tmp_path / "archive" / "codeblob.dat"
+    complete = blob.read_bytes()
+    with blob.open("ab") as fh:
+        fh.write((sha(lost) + len(lost).to_bytes(4, "big") + lost)[:100])  # a crash mid-append
+    scans = count_scans(monkeypatch)
+    archive = ArchiveDb(tmp_path / "archive")
+    assert archive.get_code_at(addr(1), 1) == kept  # a reader indexes the blob first
+    assert scans == [archive] and len(blob.read_bytes()) == len(complete) + 100
+    short = b"\x02" * 10
+    feed(archive, [diff(2, AccountUpdate(address=addr(2), code=short))])
+    assert scans == [archive]  # the appender reuses the reader's index
+    assert blob.read_bytes() == complete + sha(short) + len(short).to_bytes(4, "big") + short
+    assert archive.get_code_at(addr(2), 2) == short
+    archive.close()
+
+
+def test_code_read_after_close_scans_nothing(tmp_path, monkeypatch):
+    code_history(tmp_path / "archive", [b"\x05" * 20])
+    scans = count_scans(monkeypatch)
+    archive = ArchiveDb(tmp_path / "archive")
+    archive.close()
+    with pytest.raises(StorageError, match="archive is closed"):
+        archive.get_code_at(addr(1), 1)
+    with pytest.raises(StorageError, match="archive is closed"):
+        archive._read_code(sha(b"\x05" * 20))  # past the floor search, which also refuses a closed archive
+    assert scans == []
+
+
+def test_close_right_after_an_append_indexes_the_blob_and_keeps_the_block(tmp_path, monkeypatch):
+    """The batch that close() cuts scans the blob although the archive already refuses queries."""
+    first, second = b"\x03" * 30, b"\x04" * 40
+    code_history(tmp_path / "archive", [first])
+    scans = count_scans(monkeypatch)
+    archive = ArchiveDb(tmp_path / "archive")
+    archive.append_block(diff(2, AccountUpdate(address=addr(2), code=second)))
+    archive.close()  # the queued block is the appender's first batch
+    assert scans == [archive]
+    reopened = ArchiveDb(tmp_path / "archive")
+    assert reopened.watermark == 2
+    assert [reopened.get_code_at(addr(1), 2), reopened.get_code_at(addr(2), 2)] == [first, second]
+    reopened.close()
+
+
 def test_archive_io_failures_raise_storage_errors(tmp_path, monkeypatch):
     directory = tmp_path / "archive"
     archive = ArchiveDb(directory)
@@ -970,7 +1088,7 @@ def test_open_maps_each_listed_run_once(tmp_path, monkeypatch):
     map_run, read_bytes = archive_module.map_run, pathlib.Path.read_bytes
 
     def counting_map_run(path, count, entry_size):
-        mapped.append(path.name)
+        mapped.append(os.path.basename(path))
         return map_run(path, count, entry_size)
 
     def counting_read_bytes(path):

@@ -387,7 +387,8 @@ def test_serve_random_queries_match_oracle(tmp_path):
         archive.close()
 
 
-@pytest.mark.parametrize("failing_read", [1, 2], ids=["block-hash", "code-blob-header"])
+# Opening reads one block hash and no code-blob record, so the open has one read to fail.
+@pytest.mark.parametrize("failing_read", [1], ids=["block-hash"])
 def test_archive_read_failure_on_open_is_a_storage_error(tmp_path, capsys, monkeypatch, failing_read):
     from test_archive import diff
 
@@ -409,6 +410,45 @@ def test_archive_read_failure_on_open_is_a_storage_error(tmp_path, capsys, monke
     reads.clear()
     assert main(["serve", "--db-dir", str(tmp_path / "db"), "--listen", "127.0.0.1:0"]) == 1
     assert capsys.readouterr().err.startswith("error: read failed: [Errno 5] injected")
+
+
+def test_code_blob_read_failure_fails_the_first_code_query_only(tmp_path, monkeypatch):
+    """A failed read of the blob's record headers reaches the first code query, not the open, nor other queries."""
+    from test_archive import diff
+
+    body = b"\x60\x00"
+    writer = ArchiveDb(tmp_path / "db" / "archive")
+    writer.append_block(diff(1, AccountUpdate(address=addr(1), created=True, balance=5, code=body)))
+    writer.close()
+    archive = ArchiveDb(tmp_path / "db" / "archive")
+    blob = archive._blob_fh.fileno()
+    real_pread = os.pread
+
+    def pread(fd, length, offset):
+        if fd == blob:
+            raise OSError(errno.EIO, "injected")
+        return real_pread(fd, length, offset)
+
+    monkeypatch.setattr(os, "pread", pread)
+    with pytest.raises(StorageError, match="injected") as failure:
+        archive.get_code_at(addr(1), 1)
+    assert (os.path.basename(failure.value.path), failure.value.offset) == ("codeblob.dat", 0)  # the first record header
+    server = QueryServer(archive)
+    server.start()
+    host, port = server.address
+    try:
+        with QueryClient(host, port) as client:
+            assert client.request(f"CODE 0x{addr(1).hex()} 1").startswith("ERR internal read failed: [Errno 5] injected")
+            assert client.request(f"BALANCE 0x{addr(1).hex()} 1") == "OK 5"
+            assert client.request(f"EXISTS 0x{addr(1).hex()} 1") == "OK true"
+            assert client.request(f"NONCE 0x{addr(1).hex()} 1") == "OK 0"
+            assert client.request(f"STORAGE 0x{addr(1).hex()} 0x{key(1).hex()} 1") == f"OK 0x{bytes(32).hex()}"
+            assert client.request("BLOCKHASH 1").startswith("OK 0x")
+            monkeypatch.setattr(os, "pread", real_pread)  # the next code query scans the blob again
+            assert client.request(f"CODE 0x{addr(1).hex()} 1") == f"OK 0x{body.hex()}"
+    finally:
+        server.stop()
+        archive.close()
 
 
 def read_lines(sock, count):

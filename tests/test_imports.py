@@ -1,4 +1,4 @@
-"""Package imports: lazy exports, and a serving process that loads only the archive side and no socketserver."""
+"""Package imports: lazy exports, and a serving process that loads only the archive side, no socketserver and no dataclasses."""
 
 import os
 import subprocess
@@ -20,6 +20,7 @@ live_side = sys.argv[1:]
 loaded = [name for name in live_side if "flatstate." + name in sys.modules]
 assert not loaded, f"the serving side loaded {loaded}"
 assert "socketserver" not in sys.modules, "the serving side loaded socketserver"
+assert "dataclasses" not in sys.modules, "the serving side loaded dataclasses"
 
 import flatstate
 
