@@ -18,15 +18,17 @@ new watermark. Readers never see a partially written block. A failed
 batch stops the appender for good: every later append or flush raises
 that failure, and readers keep the last published watermark.
 
-Opening reads the run manifest and maps the runs, and reads one block
-hash; it scans no entry, reads no code-blob record and creates or writes
-nothing in an existing archive. The code blob's record headers are
-scanned once, by the first code read that needs a body or by the
-appender before its first batch, whichever comes first. Only the
-appender writes: before its first batch it cuts a torn code-blob tail
-and builds its per-account state (newest hash, existence and
-reincarnation) from the tables, so an archive that is only read, as by
-the query server, never pays for that scan.
+Whether the archive is new is decided once, by the absence of
+``meta.json``: a new one creates (or truncates) its two flat files, an
+existing one requires both (``files.open_data``). Opening reads the run
+manifest and maps the runs, and reads one block hash; it scans no entry,
+reads no code-blob record and creates or writes nothing in an existing
+archive. The code blob's record headers are scanned once, by the first
+code read that needs a body or by the appender before its first batch,
+whichever comes first. Only the appender writes: before its first batch
+it cuts a torn code-blob tail and builds its per-account state (newest
+hash, existence and reincarnation) from the tables, so an archive that
+is only read, as by the query server, never pays for that scan.
 
 A query reaches the runs through one guarded floor search per table and
 the flat files through one locked positional read; a code body is served
@@ -47,9 +49,10 @@ from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
+from . import files
 from .digest import HASH_SIZE, ZERO_HASH, digest
 from .errors import BoundsError, CorruptionError, SequenceError, StorageError, UnavailableError
-from .metafile import read_meta, require, write_meta
+from .files import read_meta, require, write_meta
 from .widths import (
     ADDRESS_SIZE,
     BALANCE_SIZE,
@@ -145,24 +148,6 @@ def filter_bits(h: int) -> int:
     return _BIT[top & 63] | _BIT[top >> 6 & 63] | _BIT[top >> 12 & 63] | _BIT[top >> 18 & 63] | _BIT[top >> 24]
 
 
-def _pwrite(fh, data: bytes, offset: int) -> None:
-    """Write all of ``data`` at ``offset`` of the unbuffered file ``fh``."""
-    try:
-        written = os.pwrite(fh.fileno(), data, offset)
-    except OSError as exc:
-        raise StorageError(f"write failed: {exc}", path=fh.name, offset=offset) from exc
-    if written != len(data):
-        raise StorageError(f"short write: {written} of {len(data)} bytes", path=fh.name, offset=offset)
-
-
-def _pread(fh, length: int, offset: int) -> bytes:
-    """Up to ``length`` bytes at ``offset`` of the unbuffered file ``fh``."""
-    try:
-        return os.pread(fh.fileno(), length, offset)
-    except OSError as exc:
-        raise StorageError(f"read failed: {exc}", path=fh.name, offset=offset) from exc
-
-
 def map_run(path: str | Path, count: int, entry_size: int) -> mmap.mmap:
     """Map a run file read-only after checking it holds exactly ``count`` entries.
 
@@ -172,11 +157,15 @@ def map_run(path: str | Path, count: int, entry_size: int) -> mmap.mmap:
         fd = os.open(path, os.O_RDONLY)
     except FileNotFoundError as exc:
         raise CorruptionError(f"run file {path} is missing") from exc
+    except OSError as exc:
+        raise StorageError(f"cannot open run file: {exc}", path=path) from exc
     try:
         size = os.fstat(fd).st_size
         if count < 1 or size != count * entry_size:
             raise CorruptionError(f"run file {path} has {size} bytes, expected {count} entries of {entry_size}")
         return mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
+    except OSError as exc:
+        raise StorageError(f"cannot map run file: {exc}", path=path) from exc
     finally:
         os.close(fd)
 
@@ -327,13 +316,26 @@ class ArchiveDb:
         self._tables = {name: _SortedTable(spec) for name, spec in TABLES.items()}
         self._next_seq = 0
         self.watermark = 0
-        self._load_meta()  # maps the listed runs; searching them builds their aids later
-        self._open_blockhash_file()  # reads the last block hash: the one read an open makes
+        self._meta_path = self.data_dir / "meta.json"
+        new = not self._meta_path.exists()  # the one new-or-existing decision
+        if not new:
+            self._load_meta()  # maps the listed runs; searching them builds their aids later
+        self._blockhash_fh = files.open_data(self.data_dir / "blockhash.dat", create=new)
         try:
-            self._open_code_blob()  # reads nothing; the blob is indexed on first need
+            if new:  # a new archive: block 0 hashes to zero
+                files.pwrite(self._blockhash_fh, ZERO_HASH, 0)
+            if files.size(self._blockhash_fh) < (self.watermark + 1) * HASH_SIZE:
+                raise CorruptionError(f"block hash file shorter than watermark {self.watermark}")
+            # The appender chains each new block hash to the last published one: the one read an open makes.
+            self._last_block_hash = files.pread(self._blockhash_fh, HASH_SIZE, self.watermark * HASH_SIZE)
+            self._blob_fh = files.open_data(self.data_dir / "codeblob.dat", create=new)  # read on first need
         except BaseException:
             self._blockhash_fh.close()
             raise
+        # Digest -> (body offset, length) of each whole record, and the end of
+        # the last one; an existing blob is indexed on first need.
+        self._code_index: dict[bytes, tuple[int, int]] | None = {} if new else None
+        self._blob_size = 0
         # Appender-private running state: the payload of each account's newest
         # accthash and state entry (exists byte ++ reincarnation). The appender
         # builds both from the tables before its first batch, so an archive
@@ -445,7 +447,7 @@ class ArchiveDb:
         """Up to ``length`` bytes at ``offset`` of a flat file, once ``block`` is known to be published."""
         with self._lock:  # close() releases the descriptors under this lock
             self._check_open(block)
-            return _pread(fh, length, offset)
+            return files.pread(fh, length, offset)
 
     def _check_open(self, block: int = 0) -> None:
         """Raise unless the archive is open and ``block`` is published (block 0 always is)."""
@@ -490,10 +492,7 @@ class ArchiveDb:
         if self._account_state is None:  # the first batch
             # A code record cut short by a crash belongs to a batch that was
             # never published; drop it so its body is appended again in full.
-            try:
-                os.ftruncate(self._blob_fh.fileno(), self._blob_size)
-            except OSError as exc:
-                raise StorageError(f"truncate failed: {exc}", path=self._blob_fh.name, offset=self._blob_size) from exc
+            files.truncate(self._blob_fh, self._blob_size)
             self._rebuild_account_maps()
         never_created = bytes(1 + REINC_SIZE)  # state payload of an address no state entry names
         entries: dict[str, list[bytes]] = {name: [] for name in TABLES}
@@ -540,7 +539,7 @@ class ArchiveDb:
         for name, rows in entries.items():
             if rows:
                 new_runs[name] = self._write_run(name, [b"".join(sorted(rows))], 0, diffs[0].block, diffs[-1].block)
-        _pwrite(self._blockhash_fh, b"".join(block_hashes), diffs[0].block * HASH_SIZE)
+        files.pwrite(self._blockhash_fh, b"".join(block_hashes), diffs[0].block * HASH_SIZE)
         self._last_block_hash = previous
         with self._lock:
             for name, run in new_runs.items():
@@ -562,14 +561,10 @@ class ArchiveDb:
         seq = self._next_seq
         self._next_seq += 1
         path = self.data_dir / f"{table}-{seq:08d}.run"
-        try:
-            fh = open(path, "wb", buffering=0)
-        except OSError as exc:
-            raise StorageError(f"cannot create run file: {exc}", path=path) from exc
         size = 0
-        with fh:
+        with files.open_data(path, create=True) as fh:
             for chunk in chunks:
-                _pwrite(fh, chunk, size)
+                files.pwrite(fh, chunk, size)
                 size += len(chunk)
         entry_size = TABLES[table].entry_size
         count = size // entry_size
@@ -607,7 +602,7 @@ class ArchiveDb:
     def _append_code(self, code_hash: bytes, code: bytes) -> None:
         offset = self._blob_size
         record = code_hash + len(code).to_bytes(4, "big") + code
-        _pwrite(self._blob_fh, record, offset)
+        files.pwrite(self._blob_fh, record, offset)
         self._blob_size += len(record)
         self._code_index[code_hash] = (offset + HASH_SIZE + 4, len(code))
 
@@ -625,9 +620,6 @@ class ArchiveDb:
 
     # -- persistence -----------------------------------------------------
 
-    def _meta_path(self) -> Path:
-        return self.data_dir / "meta.json"
-
     def _write_meta(self) -> None:
         meta = {
             "format": FORMAT_VERSION,
@@ -641,12 +633,10 @@ class ArchiveDb:
                 for name, table in self._tables.items()
             },
         }
-        write_meta(self._meta_path(), meta)
+        write_meta(self._meta_path, meta)
 
     def _load_meta(self) -> None:
-        path = self._meta_path()
-        if not path.exists():
-            return
+        path = self._meta_path
         meta = read_meta(path, FORMAT_VERSION, ("watermark", "next_seq", "tables"))
         self.watermark = meta["watermark"]
         self._next_seq = meta["next_seq"]
@@ -664,41 +654,6 @@ class ArchiveDb:
                 first, last = r.get("first", 0), r.get("last", MAX_BLOCK)
                 loaded.append(RunRef(r["file"], r["level"], r["count"], first, last, data))
             self._tables[name].publish(loaded)
-        # Only a new archive creates the flat files; opening an existing one writes nothing.
-        for flat in (self.data_dir / "blockhash.dat", self.data_dir / "codeblob.dat"):
-            if not flat.exists():
-                raise CorruptionError(f"{flat} is missing from an archive at watermark {self.watermark}")
-
-    def _open_blockhash_file(self) -> None:
-        path = self.data_dir / "blockhash.dat"
-        new = not path.exists()
-        try:
-            # Unbuffered, like PagePool: hashes move by positional reads and writes only.
-            self._blockhash_fh = open(path, "w+b" if new else "r+b", buffering=0)
-        except OSError as exc:
-            raise StorageError(f"cannot open block hash file: {exc}", path=path) from exc
-        try:
-            if new:  # a new archive: block 0 hashes to zero
-                _pwrite(self._blockhash_fh, ZERO_HASH, 0)
-            if os.fstat(self._blockhash_fh.fileno()).st_size < (self.watermark + 1) * HASH_SIZE:
-                raise CorruptionError(f"block hash file shorter than watermark {self.watermark}")
-            # The appender chains each new block hash to the last published one.
-            self._last_block_hash = _pread(self._blockhash_fh, HASH_SIZE, self.watermark * HASH_SIZE)
-        except BaseException:
-            self._blockhash_fh.close()
-            raise
-
-    def _open_code_blob(self) -> None:
-        path = self.data_dir / "codeblob.dat"
-        new = not path.exists()
-        try:
-            self._blob_fh = open(path, "w+b" if new else "r+b", buffering=0)
-        except OSError as exc:
-            raise StorageError(f"cannot open code blob: {exc}", path=path) from exc
-        # Digest -> (body offset, length) of each whole record, and the end of
-        # the last one; an existing blob is indexed on first need.
-        self._code_index: dict[bytes, tuple[int, int]] | None = {} if new else None
-        self._blob_size = 0
 
     def _code_locations(self, *, reader: bool) -> dict[bytes, tuple[int, int]]:
         """The code index, built by the first caller that needs it.
@@ -721,10 +676,10 @@ class ArchiveDb:
     def _scan_code_blob(self) -> dict[bytes, tuple[int, int]]:
         """Index every whole record of the blob from its headers alone; bodies are read on demand."""
         index = {}
-        size = os.fstat(self._blob_fh.fileno()).st_size
+        size = files.size(self._blob_fh)
         offset = 0
         while offset + HASH_SIZE + 4 <= size:
-            header = _pread(self._blob_fh, HASH_SIZE + 4, offset)
+            header = files.pread(self._blob_fh, HASH_SIZE + 4, offset)
             body_at = offset + HASH_SIZE + 4
             length = int.from_bytes(header[HASH_SIZE:], "big")
             if body_at + length > size:

@@ -58,11 +58,12 @@ def replay_workload(
     live_dir = db_dir / "live"
     archive_dir = db_dir / "archive" if archive_mode == "custom" else None
     live = LiveDb(live_dir, page_size=page_size)
-    archive = ArchiveDb(archive_dir) if archive_dir is not None else None
+    archive = None
     samples: list[BenchSample] = []
     blocks = 0
     started = time.perf_counter()
     try:
+        archive = ArchiveDb(archive_dir) if archive_dir is not None else None
         for diff in read_workload(workload):
             live.apply_block(diff)
             live.state_root()
@@ -87,10 +88,12 @@ def replay_workload(
                 )
         final_root = live.state_root().root
         live.flush()
-    finally:
-        live.close()
-        if archive is not None:
-            archive.close()
+    finally:  # each database is closed, also when the other fails
+        try:
+            live.close()
+        finally:
+            if archive is not None:
+                archive.close()
     return ReplaySummary(
         blocks=blocks,
         final_root=final_root,
@@ -234,8 +237,7 @@ def sweep_io(
     rows = []
     for page_size in page_sizes:
         path = data_dir / f"sweep-{page_size}.dat"
-        path.unlink(missing_ok=True)  # each sweep writes its records into a file of its own
-        cache = PageCache(page_size=page_size, budget_bytes=cache_budget)
+        cache = PageCache(page_size=page_size, budget_bytes=cache_budget, create=True)  # truncates an earlier sweep's
         try:
             store = RecordStore.open(path, VALUE_RECORD, cache)
             for i in range(keys):

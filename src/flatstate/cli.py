@@ -93,7 +93,7 @@ def cmd_sweep(args) -> int:
 def cmd_serve(args) -> int:
     host, _, port = args.listen.rpartition(":")
     archive_dir = Path(args.db_dir) / "archive"
-    if not (archive_dir / "blockhash.dat").is_file():  # opening would create an empty archive, and serve only reads
+    if not (archive_dir / "meta.json").is_file():  # opening would create an empty archive, and serve only reads
         print(f"error: no archive at {archive_dir}", file=sys.stderr)
         return 1
     archive = ArchiveDb(archive_dir)

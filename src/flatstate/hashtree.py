@@ -19,8 +19,9 @@ from __future__ import annotations
 import hashlib
 from pathlib import Path
 
+from . import files
 from .digest import EMPTY_HASH, HASH_SIZE, add_calls, digest
-from .errors import BoundsError, CorruptionError, StorageError
+from .errors import BoundsError, CorruptionError
 
 # _PAD[h] is the hash of a height-h subtree whose leaves are all padding.
 _PAD = [EMPTY_HASH]
@@ -146,17 +147,13 @@ class HashTree:
         self.root(page_reader)
         if self.node_path is None or self._saved:
             return
-        try:
-            with open(self.node_path, "wb") as fh:
-                fh.writelines(reversed(self._levels))
-        except OSError as exc:
-            raise StorageError(f"cannot write tree nodes: {exc}", path=self.node_path) from exc
+        files.write_file(self.node_path, reversed(self._levels))
         self._saved = True
 
     def _load(self, leaf_count: int) -> None:
         capacity = _next_pow2(leaf_count)
         expected = (2 * capacity - 1) * HASH_SIZE
-        data = memoryview(self.node_path.read_bytes())
+        data = memoryview(files.read_file(self.node_path))
         if len(data) != expected:
             raise CorruptionError(
                 f"tree file {self.node_path} holds {len(data)} bytes, expected {expected} for {leaf_count} leaves"

@@ -12,6 +12,11 @@ The worldstate commitment is the digest of eight component roots in a
 fixed order (balance, nonce, exists, reincarnation, code, values,
 address index, slot index), each maintained lazily by the hash trees.
 
+Whether the database is new is decided once, by the absence of
+``meta.json``: a new one creates (or truncates) its eleven data files, an
+existing one requires each of them (``files.open_data``), so a first flush
+cut short before ``meta.json`` leaves a directory that opens as new.
+
 The ten page files (six stores, two bucket files, two key files) share
 one page cache of ``CACHE_BYTES``, so one budget bounds their RAM and
 one eviction site writes their dirty pages back. ``flush`` is the one
@@ -29,14 +34,13 @@ of their own.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
 from .digest import digest
 from .errors import CorruptionError, SequenceError
+from .files import read_meta, require, write_meta
 from .index import LinearHashIndex
-from .metafile import read_meta, require, write_meta
 from .pagepool import PageCache, PagePool
 from .store import Depot, RecordStore, DEPOT_META_SIZE
 from .types import (
@@ -71,11 +75,13 @@ class LiveDb:
         self.data_dir = Path(data_dir)
         self.data_dir.mkdir(parents=True, exist_ok=True)
         self.page_size = page_size  # fixed when the database is created; recorded in meta.json
-        meta = self._read_meta()
+        self._meta_path = self.data_dir / "meta.json"
+        new = not self._meta_path.exists()  # the one new-or-existing decision
+        meta = {"block": 0, "accounts": 0, "slots": 0} if new else self._read_meta()
         self.block = meta["block"]
         accounts = meta["accounts"]
         slots = meta["slots"]
-        self._cache = PageCache(page_size=page_size, budget_bytes=CACHE_BYTES)
+        self._cache = PageCache(page_size=page_size, budget_bytes=CACHE_BYTES, create=new)
         try:
             self.balances = self._store("balances", BALANCE_SIZE, accounts)
             self.nonces = self._store("nonces", NONCE_SIZE, accounts)
@@ -220,27 +226,14 @@ class LiveDb:
         reverse = self._store(name, key_width, state["count"] if state else 0, file="keys")
         return LinearHashIndex(pool, reverse, key_width, state=state)
 
-    def _meta_path(self) -> Path:
-        return self.data_dir / "meta.json"
-
     def _read_meta(self) -> dict:
-        path = self._meta_path()
-        if not path.exists():
-            return {"format": FORMAT_VERSION, "block": 0, "accounts": 0, "slots": 0}
-        meta = read_meta(path, FORMAT_VERSION, ("block", "accounts", "slots", "a_index", "ak_index"))
+        meta = read_meta(self._meta_path, FORMAT_VERSION, ("block", "accounts", "slots", "a_index", "ak_index"))
         for name in ("a_index", "ak_index"):
-            require(meta[name], path, ("count", "level", "split", "bucket_pages"))
+            require(meta[name], self._meta_path, ("count", "level", "split", "bucket_pages"))
         if meta.get("page_size", self.page_size) != self.page_size:
             raise CorruptionError(
                 f"database was created with page_size {meta.get('page_size')}, opened with {self.page_size}"
             )
-        # Only a new database creates its data files; a missing .tree is rebuilt from its data.
-        missing = {
-            "balances.dat", "nonces.dat", "exists.dat", "reincs.dat", "codes.dat", "codes.blob", "values.dat",
-            "addr.buckets", "addr.keys", "slots.buckets", "slots.keys",
-        }.difference(os.listdir(self.data_dir))
-        if missing:
-            raise CorruptionError(f"{self.data_dir / min(missing)} is missing from a database at block {meta['block']}")
         return meta
 
     def _write_meta(self) -> None:
@@ -253,4 +246,4 @@ class LiveDb:
             "a_index": self.a_index.state(),
             "ak_index": self.ak_index.state(),
         }
-        write_meta(self._meta_path(), meta)
+        write_meta(self._meta_path, meta)

@@ -10,16 +10,18 @@ file's view of the cache. Pages of a file are addressed by a dense id
 starting at 0, and page i lives at file offset ``i * page_size``. Only
 ``append_page`` adds a page; reading a page never extends the file. A
 page the file was cut short of after it was opened reads as zeros.
+A cache belongs to one database, whose ``create`` decides for each of its
+files whether it is created new or must exist (``files.open_data``).
 """
 
 from __future__ import annotations
 
 import io
-import os
 from collections import OrderedDict
 from pathlib import Path
 
-from .errors import BoundsError, CorruptionError, FormatError, StorageError
+from . import files
+from .errors import BoundsError, CorruptionError, FormatError
 
 MIN_PAGE_SIZE = 64
 _FILE_BITS = 4  # a resident page's key is page_id << _FILE_BITS | file number
@@ -29,10 +31,11 @@ _FILE_MASK = (1 << _FILE_BITS) - 1
 class PageCache:
     """The resident pages of up to 16 files, bounded together by one byte budget."""
 
-    def __init__(self, *, page_size: int, budget_bytes: int):
+    def __init__(self, *, page_size: int, budget_bytes: int, create: bool):
         if page_size < MIN_PAGE_SIZE or page_size & (page_size - 1):
             raise FormatError(f"page_size must be a power of two >= {MIN_PAGE_SIZE}, got {page_size}")
         self.page_size = page_size
+        self.create = create  # a new database: its files are created, else each must exist
         self.capacity = max(2, budget_bytes // page_size)  # pages resident at most
         self._pages: OrderedDict[int, bytearray] = OrderedDict()  # resident pages by key, oldest use first
         self._dirty: set[int] = set()  # keys of resident pages that differ from their file
@@ -64,14 +67,7 @@ class PageCache:
         self._dirty.clear()
 
     def _write(self, key: int, data: bytearray) -> None:
-        fh = self._files[key & _FILE_MASK]
-        offset = (key >> _FILE_BITS) * self.page_size
-        try:
-            written = os.pwrite(fh.fileno(), data, offset)
-        except OSError as exc:
-            raise StorageError(f"write failed: {exc}", path=Path(fh.name), offset=offset) from exc
-        if written != self.page_size:
-            raise StorageError(f"short write: {written} of {self.page_size} bytes", path=Path(fh.name), offset=offset)
+        files.pwrite(self._files[key & _FILE_MASK], data, (key >> _FILE_BITS) * self.page_size)
 
 
 class PagePool:
@@ -86,17 +82,12 @@ class PagePool:
             raise FormatError(f"a page cache holds at most {_FILE_MASK + 1} files")
         self._pages = cache._pages
         self._dirty = cache._dirty
-        try:
-            # Unbuffered: pages move by positional reads and writes only.
-            self._fh = open(self.file_path, "r+b" if self.file_path.exists() else "w+b", buffering=0)
-            size = os.fstat(self._fh.fileno()).st_size
-        except OSError as exc:
-            raise StorageError(f"cannot open pool file: {exc}", path=self.file_path) from exc
+        self._fh = files.open_data(self.file_path, create=cache.create)
+        cache._files.append(self._fh)  # closed with the cache, also when the checks below fail
+        size = files.size(self._fh)
         if size % page_size:
-            self._fh.close()
             raise CorruptionError(f"{self.file_path} size {size} is not a multiple of page_size {page_size}")
         self._page_count = size // page_size
-        cache._files.append(self._fh)
 
     @property
     def page_count(self) -> int:
@@ -141,10 +132,6 @@ class PagePool:
         self._dirty.add(key)
 
     def _load(self, page_id: int) -> bytearray:
-        offset = page_id * self.page_size
         data = bytearray(self.page_size)  # a read past the end of the file leaves zeros
-        try:
-            os.preadv(self._fh.fileno(), [data], offset)
-        except OSError as exc:
-            raise StorageError(f"read failed: {exc}", path=self.file_path, offset=offset) from exc
+        files.pread_into(self._fh, data, page_id * self.page_size)
         return data

@@ -11,16 +11,17 @@ hash tree over its pages for the component commitment. A store's
 A Depot extends the scheme to variable-length payloads (contract code):
 fixed-length meta records (offset, length, digest) point into an
 append-only blob file, and the digest inside the meta record is what the
-hash tree commits to.
+hash tree commits to. The blob is opened like the page files, through
+``files.open_data`` with its page cache's ``create``.
 """
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
+from . import files
 from .digest import digest
-from .errors import BoundsError, CorruptionError, FormatError, StorageError
+from .errors import BoundsError, CorruptionError, FormatError
 from .hashtree import HashTree
 from .pagepool import PageCache, PagePool
 from .types import MAX_CODE_SIZE
@@ -110,13 +111,8 @@ class Depot:
 
     def __init__(self, meta: RecordStore, blob_path: Path):
         self.meta = meta
-        self.blob_path = Path(blob_path)
-        try:
-            # Unbuffered, like PagePool: bodies move by positional reads and writes only.
-            self._blob = open(self.blob_path, "r+b" if self.blob_path.exists() else "w+b", buffering=0)
-            self._blob_size = os.fstat(self._blob.fileno()).st_size
-        except OSError as exc:
-            raise StorageError(f"cannot open blob file: {exc}", path=blob_path) from exc
+        self._blob = files.open_data(blob_path, create=meta.pool.cache.create)
+        self._blob_size = files.size(self._blob)
 
     def set(self, record: int, code: bytes) -> None:
         """Store ``code`` under ``record``; old blob bytes become garbage."""
@@ -124,12 +120,7 @@ class Depot:
             raise FormatError(f"code length {len(code)} exceeds {MAX_CODE_SIZE}")
         offset = self._blob_size
         if code:
-            try:
-                written = os.pwrite(self._blob.fileno(), code, offset)
-            except OSError as exc:
-                raise StorageError(f"blob write failed: {exc}", path=self.blob_path, offset=offset) from exc
-            if written != len(code):
-                raise StorageError(f"short blob write: {written} of {len(code)} bytes", path=self.blob_path, offset=offset)
+            files.pwrite(self._blob, code, offset)
             self._blob_size += len(code)
         meta = offset.to_bytes(8, "big") + len(code).to_bytes(4, "big") + digest(code)
         self.meta.set(record, meta)
@@ -139,13 +130,7 @@ class Depot:
         offset = int.from_bytes(meta[0:8], "big")
         length = int.from_bytes(meta[8:12], "big")
         stored_hash = meta[12:44]
-        if length == 0:
-            code = b""
-        else:
-            try:
-                code = os.pread(self._blob.fileno(), length, offset)
-            except OSError as exc:
-                raise StorageError(f"blob read failed: {exc}", path=self.blob_path, offset=offset) from exc
+        code = files.pread(self._blob, length, offset) if length else b""
         if digest(code) != stored_hash:
             raise CorruptionError(f"code record {record} does not match its stored digest")
         return code

@@ -267,7 +267,7 @@ def test_criterion_07_hash_tree_work_bound():
 
 def test_criterion_08_linear_hash_density(tmp_path):
     """100k random keys: dense ordinals, many splits, full retrievability."""
-    cache = PageCache(page_size=4096, budget_bytes=2 * 4096 * 4096)  # 4096 pages per file, as two pools had
+    cache = PageCache(page_size=4096, budget_bytes=2 * 4096 * 4096, create=True)  # 4096 pages per file, as two pools had
     pool = PagePool(cache, tmp_path / "buckets")
     reverse = RecordStore.open(tmp_path / "keys", 20, cache)
     index = LinearHashIndex(pool, reverse, 20)

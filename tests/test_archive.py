@@ -543,7 +543,7 @@ def test_short_block_hash_file_is_reported_as_corruption(tmp_path, monkeypatch):
     with pytest.raises(CorruptionError, match="watermark 4"):
         ArchiveDb(tmp_path / "archive")
     hashes.unlink()
-    with pytest.raises(CorruptionError, match="watermark 4"):
+    with pytest.raises(CorruptionError, match="blockhash.dat is missing"):
         ArchiveDb(tmp_path / "archive")
     assert not hashes.exists()  # an existing archive never recreates it
 
@@ -559,6 +559,36 @@ def test_missing_flat_file_is_reported_and_never_created(tmp_path, name):
     with pytest.raises(CorruptionError, match=f"{name} is missing"):
         ArchiveDb(directory)
     assert sorted(path.name for path in directory.iterdir()) == before
+
+
+def test_first_batch_cut_short_before_meta_reopens_as_new(tmp_path, monkeypatch):
+    diffs = list(generate(SEARCH_SPEC))[:5]
+    clean = ArchiveDb(tmp_path / "clean")
+    feed(clean, diffs)
+    clean.close()
+
+    def killed(path, meta):  # the batch's files are written; the process dies before meta.json
+        raise StorageError("killed")
+
+    monkeypatch.setattr(archive_module, "write_meta", killed)
+    cut = ArchiveDb(tmp_path / "cut")
+    for block_diff in diffs:
+        cut.append_block(block_diff)
+    with pytest.raises(StorageError, match="killed"):
+        cut.flush()
+    with pytest.raises(StorageError, match="killed"):
+        cut.close()
+    monkeypatch.undo()
+    assert not (tmp_path / "cut" / "meta.json").exists() and list((tmp_path / "cut").glob("*.run"))
+    assert (tmp_path / "cut" / "codeblob.dat").stat().st_size > 0
+    reopened = ArchiveDb(tmp_path / "cut")
+    assert reopened.watermark == 0
+    feed(reopened, diffs)
+    expected = scratch_block_hashes(diffs)
+    assert [reopened.block_hash(block) for block in range(6)] == [expected[block] for block in range(6)]
+    reopened.close()
+    for name in ("blockhash.dat", "codeblob.dat", "meta.json"):
+        assert (tmp_path / "cut" / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
 
 
 def test_code_bodies_are_deduplicated(tmp_path):

@@ -20,7 +20,8 @@ def open_index(tmp_path):
     opened = []
 
     def open_(key_width=20, page_size=256, name="idx", state=None, count=0):
-        cache = PageCache(page_size=page_size, budget_bytes=128 * page_size)  # 64 pages per file, as two pools had
+        # 64 pages per file, as two pools had; an index reopened from its state opens existing files
+        cache = PageCache(page_size=page_size, budget_bytes=128 * page_size, create=state is None)
         pool = PagePool(cache, tmp_path / f"{name}.buckets")
         tree_path = tmp_path / f"{name}.tree"
         reverse = RecordStore.open(tmp_path / f"{name}.keys", key_width, cache, count=count, tree_path=tree_path)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from flatstate import hashtree as hashtree_module
+from flatstate import files as files_module
 from flatstate import index as index_module
 from flatstate import livedb as livedb_module
 from flatstate.digest import EMPTY_HASH, digest, digest_count
@@ -259,16 +259,49 @@ def test_damaged_meta_fields_are_reported_as_corruption(tmp_path, field):
         LiveDb(tmp_path / "db")
 
 
-@pytest.mark.parametrize("name", ["balances.dat", "addr.buckets", "slots.keys", "codes.blob"])
+DATA_FILES = (
+    "balances.dat", "nonces.dat", "exists.dat", "reincs.dat", "codes.dat", "codes.blob", "values.dat",
+    "addr.buckets", "addr.keys", "slots.buckets", "slots.keys",
+)
+
+
+@pytest.mark.parametrize("name", DATA_FILES)
 def test_missing_data_file_is_reported_and_never_created(tmp_path, name):
     db = LiveDb(tmp_path / "db")
     replay_workload_into(db, ReferenceOracle(), SMALL_SPEC)
     db.close()
+    names = {path.name for path in (tmp_path / "db").iterdir() if path.suffix != ".tree"}
+    assert names == {*DATA_FILES, "meta.json"}  # so every data file has its case
     (tmp_path / "db" / name).unlink()
     before = sorted(path.name for path in (tmp_path / "db").iterdir())
     with pytest.raises(CorruptionError, match=f"{name} is missing"):
         LiveDb(tmp_path / "db")
     assert sorted(path.name for path in (tmp_path / "db").iterdir()) == before
+
+
+def test_first_flush_cut_short_before_meta_reopens_as_new(tmp_path):
+    diffs = list(generate(SMALL_SPEC))[:5]
+    clean = LiveDb(tmp_path / "clean")
+    for block_diff in diffs:
+        clean.apply_block(block_diff)
+    expected = clean.state_root().root
+    clean.close()
+    cut = LiveDb(tmp_path / "cut")
+    for block_diff in diffs:
+        cut.apply_block(block_diff)
+    for component in cut._components:  # LiveDb.flush up to meta.json, where a killed process stops
+        component.flush()
+    cut._cache.flush()
+    cut.codes.close()
+    cut._cache.close()
+    assert not (tmp_path / "cut" / "meta.json").exists() and (tmp_path / "cut" / "balances.dat").stat().st_size > 0
+    reopened = LiveDb(tmp_path / "cut")
+    assert reopened.block == 0 and reopened.get_balance(diffs[0].updates[0].address) == 0
+    for block_diff in diffs:
+        reopened.apply_block(block_diff)
+    assert reopened.state_root().root == expected
+    reopened.close()
+    assert tree_bytes(tmp_path / "cut") == tree_bytes(tmp_path / "clean")
 
 
 CUT_SPEC = WorkloadSpec(seed=7, blocks=40, accounts=300, txs_per_block=20, slot_writes_per_tx=3, new_key_ratio=0.3, delete_ratio=0.02)
@@ -477,10 +510,11 @@ def test_close_after_flush_opens_no_tree_file(tmp_path, monkeypatch):
     opened = []
 
     def counting_open(file, mode="r", *args, **kwargs):
-        opened.append((Path(file).name, mode))
+        if Path(file).suffix == ".tree":  # files.open also opens the data files and meta.tmp
+            opened.append((Path(file).name, mode))
         return open(file, mode, *args, **kwargs)
 
-    monkeypatch.setattr(hashtree_module, "open", counting_open, raising=False)
+    monkeypatch.setattr(files_module, "open", counting_open, raising=False)
     db.close()
     assert opened == []
     reopened = LiveDb(tmp_path / "db")

@@ -14,8 +14,8 @@ def open_pool(tmp_path):
     """Opens pools under tmp_path, each in a cache of its own, and closes each cache after the test."""
     opened = []
 
-    def open_(page_size=256, capacity=4, name="pool.dat"):
-        cache = PageCache(page_size=page_size, budget_bytes=capacity * page_size)
+    def open_(page_size=256, capacity=4, name="pool.dat", create=True):
+        cache = PageCache(page_size=page_size, budget_bytes=capacity * page_size, create=create)
         opened.append(cache)
         return PagePool(cache, tmp_path / name)
 
@@ -51,11 +51,11 @@ def test_eviction_roundtrip(open_pool):
 
 def test_config_validation(tmp_path):
     with pytest.raises(FormatError):
-        PageCache(page_size=100, budget_bytes=4 * 256)
+        PageCache(page_size=100, budget_bytes=4 * 256, create=True)
     with pytest.raises(FormatError):
-        PageCache(page_size=32, budget_bytes=4 * 256)
-    assert PageCache(page_size=256, budget_bytes=256).capacity == 2  # the page in use and the one it loads
-    cache = PageCache(page_size=256, budget_bytes=4 * 256)
+        PageCache(page_size=32, budget_bytes=4 * 256, create=True)
+    assert PageCache(page_size=256, budget_bytes=256, create=True).capacity == 2  # the page in use and the one it loads
+    cache = PageCache(page_size=256, budget_bytes=4 * 256, create=True)
     for n in range(16):
         PagePool(cache, tmp_path / f"f{n}")
     with pytest.raises(FormatError):
@@ -121,7 +121,7 @@ def test_random_schedule_matches_mirror_oracle(open_pool, tmp_path):
         else:
             pool.cache.flush()
             pool.cache.close()
-            pool = open_pool(page_size=page_size, capacity=3)
+            pool = open_pool(page_size=page_size, capacity=3, create=False)
         assert pool.resident_count <= 3
     pool.cache.flush()
     for page_id, expected in mirror.items():
@@ -140,7 +140,7 @@ def test_reopen_preserves_contents(open_pool):
         write_page(pool, i, data)
     pool.cache.flush()
     pool.cache.close()
-    reopened = open_pool(page_size=256, capacity=4)
+    reopened = open_pool(page_size=256, capacity=4, create=False)
     for i, data in payloads.items():
         assert bytes(reopened.get_page(i)) == data
 
@@ -151,7 +151,7 @@ def test_page_past_end_of_file_reads_as_zeros(open_pool, tmp_path):
         write_page(pool, i, bytes([i + 1]) * 256)
     pool.cache.flush()
     pool.cache.close()
-    pool = open_pool(capacity=2)
+    pool = open_pool(capacity=2, create=False)
     os.truncate(tmp_path / "pool.dat", 256 + 100)  # page 1 torn, page 2 gone
     assert bytes(pool.get_page(0)) == b"\x01" * 256
     assert bytes(pool.get_page(1)) == b"\x02" * 100 + bytes(156)
@@ -192,7 +192,7 @@ def test_only_dirty_pages_are_written_and_each_once(open_pool, monkeypatch):
 
 
 def test_dirty_page_evicted_by_another_file_is_written_to_its_own_file(tmp_path, monkeypatch):
-    cache = PageCache(page_size=256, budget_bytes=2 * 256)
+    cache = PageCache(page_size=256, budget_bytes=2 * 256, create=True)
     a = PagePool(cache, tmp_path / "a.dat")
     b = PagePool(cache, tmp_path / "b.dat")
     for pool, fill in ((a, 1), (a, 2), (b, 3), (b, 4)):
@@ -214,7 +214,7 @@ def test_dirty_page_evicted_by_another_file_is_written_to_its_own_file(tmp_path,
 
 
 def test_close_closes_every_file_and_writes_no_page_dirtied_after_the_last_flush(tmp_path, monkeypatch):
-    cache = PageCache(page_size=256, budget_bytes=4 * 256)
+    cache = PageCache(page_size=256, budget_bytes=4 * 256, create=True)
     a = PagePool(cache, tmp_path / "a.dat")
     b = PagePool(cache, tmp_path / "b.dat")
     write_page(a, 0, b"\x01" * 256)

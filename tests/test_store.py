@@ -22,7 +22,7 @@ def opened():
 @pytest.fixture
 def open_store(tmp_path, opened):
     def open_(record_size, page_size=4096, capacity=8, name="store.dat"):
-        cache = PageCache(page_size=page_size, budget_bytes=capacity * page_size)
+        cache = PageCache(page_size=page_size, budget_bytes=capacity * page_size, create=True)
         opened.append(cache)
         return RecordStore(PagePool(cache, tmp_path / name), record_size)
 
@@ -151,7 +151,7 @@ def test_set_many_checks_each_write_like_set(open_store):
 @pytest.fixture
 def open_depot(tmp_path, opened):
     def open_():
-        cache = PageCache(page_size=4096, budget_bytes=8 * 4096)
+        cache = PageCache(page_size=4096, budget_bytes=8 * 4096, create=True)
         opened.append(cache)
         opened.append(Depot(RecordStore(PagePool(cache, tmp_path / "codes.meta"), 44), tmp_path / "codes.blob"))
         return opened[-1]
@@ -202,7 +202,7 @@ def test_depot_detects_blob_corruption(open_depot, opened, tmp_path):
     raw = bytearray(blob.read_bytes())
     raw[10] ^= 0xFF
     blob.write_bytes(raw)
-    cache = PageCache(page_size=4096, budget_bytes=8 * 4096)
+    cache = PageCache(page_size=4096, budget_bytes=8 * 4096, create=False)
     opened.append(cache)
     tampered = Depot(RecordStore(PagePool(cache, tmp_path / "codes.meta"), 44, count=1), blob)
     opened.append(tampered)
