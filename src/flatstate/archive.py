@@ -13,10 +13,11 @@ anything newer than the best match so far.
 
 Ingestion is asynchronous: callers enqueue a block diff and return; a
 background appender converts it to entries, computes the per-account
-and per-block hashes, persists everything, and only then publishes the
-new watermark. Readers never see a partially written block. A failed
-batch stops the appender for good: every later append or flush raises
-that failure, and readers keep the last published watermark.
+and per-block hashes and writes them. Each batch, then each merge it
+triggers, commits in ``_commit``: ``meta.json`` lists the new runs and
+watermark before readers see them. A failed batch or merge stops the
+appender for good: every later append or flush raises that failure, and
+readers keep the last published watermark.
 
 Whether the archive is new is decided once, by the absence of
 ``meta.json``: a new one creates (or truncates) its two flat files, an
@@ -346,6 +347,7 @@ class ArchiveDb:
         self._next_block = self.watermark
         self._error: Exception | None = None
         self._closed = False
+        self._intake = threading.Lock()  # close() queues _CLOSE under it, so nothing is queued after _CLOSE
         self._appender = threading.Thread(target=self._appender_loop, name="archive-appender", daemon=True)
         self._appender.start()
 
@@ -361,15 +363,18 @@ class ArchiveDb:
         whole batch is on disk.
         """
         self._raise_pending_error()
-        self._check_open()
-        if diff.block != self._next_block + 1:
-            raise SequenceError(f"expected block {self._next_block + 1}, got {diff.block}")
-        self._next_block = diff.block
-        self._queue.put(diff)
+        with self._intake:
+            self._check_open()
+            if diff.block != self._next_block + 1:
+                raise SequenceError(f"expected block {self._next_block + 1}, got {diff.block}")
+            self._next_block = diff.block
+            self._queue.put(diff)
 
     def flush(self) -> None:
-        """Cut the current commit batch and wait until it is published."""
-        self._queue.put(_FLUSH)
+        """Cut the current commit batch and wait until it is published; a closed archive raises ``StorageError``."""
+        with self._intake:  # a _FLUSH queued ahead of _CLOSE is always taken by the appender
+            self._check_open()
+            self._queue.put(_FLUSH)
         self._queue.join()
         self._raise_pending_error()
 
@@ -378,10 +383,11 @@ class ArchiveDb:
 
         Afterwards each query raises ``StorageError``.
         """
-        if self._closed:
-            return
-        self._closed = True
-        self._queue.put(_CLOSE)
+        with self._intake:
+            if self._closed:
+                return
+            self._closed = True
+            self._queue.put(_CLOSE)
         self._appender.join()
         with self._lock:  # readers take descriptors and run snapshots under this lock
             self._blockhash_fh.close()
@@ -540,13 +546,8 @@ class ArchiveDb:
             if rows:
                 new_runs[name] = self._write_run(name, [b"".join(sorted(rows))], 0, diffs[0].block, diffs[-1].block)
         files.pwrite(self._blockhash_fh, b"".join(block_hashes), diffs[0].block * HASH_SIZE)
+        self._commit({name: self._tables[name].runs + [run] for name, run in new_runs.items()}, diffs[-1].block)
         self._last_block_hash = previous
-        with self._lock:
-            for name, run in new_runs.items():
-                table = self._tables[name]
-                table.publish(table.runs + [run])
-            self.watermark = diffs[-1].block
-            self._write_meta()
         for name in new_runs:
             self._maybe_merge(name)
 
@@ -571,33 +572,24 @@ class ArchiveDb:
         return RunRef(path.name, level, count, first, last, map_run(path, count, entry_size))
 
     def _maybe_merge(self, table: str) -> None:
+        sorted_table = self._tables[table]
         while True:
-            with self._lock:
-                runs = list(self._tables[table].runs)
+            runs = sorted_table.runs  # only the appender changes run lists, so it reads them unlocked
             by_level: dict[int, list[RunRef]] = {}
             for run in runs:
                 by_level.setdefault(run.level, []).append(run)
-            target = None
-            for level in sorted(by_level):
-                if len(by_level[level]) >= MERGE_FANOUT:
-                    target = level
-                    break
+            target = next((level for level in sorted(by_level) if len(by_level[level]) >= MERGE_FANOUT), None)
             if target is None:
                 return
             victims = by_level[target]
-            sorted_table = self._tables[table]
             first = min(run.first for run in victims)
             last = max(run.last for run in victims)
             new_run = self._write_run(table, sorted_table.merged_chunks(victims), target + 1, first, last)
-            victim_files = {run.file for run in victims}
-            with self._lock:
-                kept = [run for run in sorted_table.runs if run.file not in victim_files]
-                sorted_table.publish(kept + [new_run])
-                self._write_meta()
+            self._commit({table: [run for run in runs if run.level != target] + [new_run]}, self.watermark)
             # Readers holding a pre-merge snapshot keep reading the victims'
             # mappings, which outlive the unlinked files.
-            for file in victim_files:
-                (self.data_dir / file).unlink(missing_ok=True)
+            for run in victims:
+                (self.data_dir / run.file).unlink(missing_ok=True)
 
     def _append_code(self, code_hash: bytes, code: bytes) -> None:
         offset = self._blob_size
@@ -620,20 +612,31 @@ class ArchiveDb:
 
     # -- persistence -----------------------------------------------------
 
-    def _write_meta(self) -> None:
+    def _commit(self, changed: dict[str, list[RunRef]], watermark: int) -> None:
+        """The one commit site: ``meta.json`` lists ``changed`` (each list ends with its one new run) and
+        ``watermark``, and only then do readers see them."""
         meta = {
             "format": FORMAT_VERSION,
-            "watermark": self.watermark,
+            "watermark": watermark,
             "next_seq": self._next_seq,
             "tables": {
                 name: [
                     {"file": run.file, "level": run.level, "count": run.count, "first": run.first, "last": run.last}
-                    for run in table.runs
+                    for run in changed.get(name, table.runs)  # only the appender commits, so no lock
                 ]
                 for name, table in self._tables.items()
             },
         }
-        write_meta(self._meta_path, meta)
+        try:
+            write_meta(self._meta_path, meta)
+        except BaseException:
+            for runs in changed.values():
+                runs[-1].data.close()  # no reader has seen it, and close() releases only published runs
+            raise
+        with self._lock:
+            for name, runs in changed.items():
+                self._tables[name].publish(runs)
+            self.watermark = watermark
 
     def _load_meta(self) -> None:
         path = self._meta_path

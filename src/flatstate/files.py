@@ -7,7 +7,8 @@ uncommitted first attempt left behind; an existing one opens them as
 they are, and a missing file is corruption. ``meta.json`` is canonical
 JSON (FORMATS.md), replaced through a temporary file and a rename, so a
 crash leaves the old or the new metadata, never a torn mix. Every
-``OSError`` becomes a ``StorageError`` that names the file and offset.
+``OSError`` becomes a ``StorageError`` that names the file and offset,
+as does a positional access to a file its database has closed.
 """
 
 from __future__ import annotations
@@ -29,10 +30,18 @@ def open_data(path: Path, *, create: bool):
         raise StorageError(f"cannot open: {exc}", path=path) from exc
 
 
+def _fd(fh) -> int:
+    """The descriptor of ``fh``; a file its database closed raises StorageError, not ValueError."""
+    try:
+        return fh.fileno()
+    except ValueError as exc:
+        raise StorageError("file is closed", path=fh.name) from exc
+
+
 def pread(fh, length: int, offset: int) -> bytes:
     """Up to ``length`` bytes at ``offset``; fewer at the end of the file."""
     try:
-        return os.pread(fh.fileno(), length, offset)
+        return os.pread(_fd(fh), length, offset)
     except OSError as exc:
         raise StorageError(f"read failed: {exc}", path=fh.name, offset=offset) from exc
 
@@ -40,7 +49,7 @@ def pread(fh, length: int, offset: int) -> bytes:
 def pread_into(fh, buffer: bytearray, offset: int) -> None:
     """Fill ``buffer`` from ``offset``; bytes past the end of the file keep their value."""
     try:
-        os.preadv(fh.fileno(), [buffer], offset)
+        os.preadv(_fd(fh), [buffer], offset)
     except OSError as exc:
         raise StorageError(f"read failed: {exc}", path=fh.name, offset=offset) from exc
 
@@ -48,7 +57,7 @@ def pread_into(fh, buffer: bytearray, offset: int) -> None:
 def pwrite(fh, data, offset: int) -> None:
     """Write all of ``data`` at ``offset``."""
     try:
-        written = os.pwrite(fh.fileno(), data, offset)
+        written = os.pwrite(_fd(fh), data, offset)
     except OSError as exc:
         raise StorageError(f"write failed: {exc}", path=fh.name, offset=offset) from exc
     if written != len(data):
@@ -57,14 +66,14 @@ def pwrite(fh, data, offset: int) -> None:
 
 def truncate(fh, size: int) -> None:
     try:
-        os.ftruncate(fh.fileno(), size)
+        os.ftruncate(_fd(fh), size)
     except OSError as exc:
         raise StorageError(f"truncate failed: {exc}", path=fh.name, offset=size) from exc
 
 
 def size(fh) -> int:
     try:
-        return os.fstat(fh.fileno()).st_size
+        return os.fstat(_fd(fh)).st_size
     except OSError as exc:
         raise StorageError(f"cannot stat: {exc}", path=fh.name) from exc
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .digest import digest
-from .errors import CorruptionError, SequenceError
+from .errors import CorruptionError, SequenceError, StorageError
 from .files import read_meta, require, write_meta
 from .index import LinearHashIndex
 from .pagepool import PageCache, PagePool
@@ -99,6 +99,7 @@ class LiveDb:
         stores = (self.balances, self.nonces, self.exists_flags, self.reincarnations, self.codes, self.values)
         self._components = (*stores, self.a_index, self.ak_index)
         self._root_cache: bytes | None = None
+        self._closed = False
 
     # -- reads ---------------------------------------------------------------
 
@@ -202,16 +203,21 @@ class LiveDb:
         Hash trees are brought fully up to date first, so two replicas
         that applied the same diffs flush byte-identical directories.
         """
+        if self._closed:
+            raise StorageError("database is closed", path=self.data_dir)
         for component in self._components:
             component.flush()
         self._cache.flush()
         self._write_meta()
 
     def close(self) -> None:
-        """Flush, then close the blob and page files, also when the flush fails."""
+        """Flush, then close the blob and page files, also when the flush fails; a second close does nothing."""
+        if self._closed:
+            return
         try:
             self.flush()
         finally:
+            self._closed = True
             self.codes.close()
             self._cache.close()
 

@@ -4,8 +4,9 @@ A RecordStore keeps fixed-length records addressed by a dense record
 number: record r lives in page ``r // slots_per_page`` at slot
 ``r % slots_per_page``, so one seek reaches any record. Records never
 straddle pages; trailing page bytes stay zero. Every store carries a
-hash tree over its pages for the component commitment. A store's
-``flush`` persists that tree only: the page cache writes the pages
+hash tree over its pages for the component commitment. ``set_many``
+writes every record (``set`` is a batch of one); a store's ``flush``
+persists that tree only: the page cache writes the pages
 (``PageCache.flush``) and closes their files.
 
 A Depot extends the scheme to variable-length payloads (contract code):
@@ -64,46 +65,38 @@ class RecordStore:
 
     def set(self, record: int, data: bytes) -> None:
         """Write record ``record``; ``record == count`` appends."""
-        page_id, offset = self._place(record, data)
-        self.pool.get_page(page_id)[offset : offset + self.record_size] = data
-        self.pool.mark_dirty(page_id)
-        self.tree.mark_dirty(page_id)
+        self.set_many({record: data})
 
     def set_many(self, writes: dict[int, bytes]) -> None:
         """Write every ``{record: data}`` pair in record order, touching each page once.
 
         Records from ``count`` on append, so they must follow on without a gap.
         """
-        size = self.record_size
+        size, per_page, pool = self.record_size, self.slots_per_page, self.pool
         current = -1
         for record in sorted(writes):
             data = writes[record]
-            page_id, offset = self._place(record, data)
+            if len(data) != size:
+                raise FormatError(f"record must be {size} bytes, got {len(data)}")
+            if record < 0 or record > self.count:
+                raise BoundsError(f"record {record} beyond append position {self.count}")
+            page_id, slot = divmod(record, per_page)
+            if record == self.count:
+                self.count += 1
+                if page_id == pool.page_count:
+                    pool.append_page()
             if page_id != current:
                 current = page_id
-                page = self.pool.get_page(page_id)
-                self.pool.mark_dirty(page_id)  # ahead of the write: no cache call comes between
+                page = pool.get_page(page_id)
+                pool.mark_dirty(page_id)  # ahead of the write: no cache call comes between
                 self.tree.mark_dirty(page_id)
-            page[offset : offset + size] = data
+            page[slot * size : slot * size + size] = data
 
     def root(self) -> bytes:
         return self.tree.root(self.pool.get_page)
 
     def flush(self) -> None:
         self.tree.flush(self.pool.get_page)
-
-    def _place(self, record: int, data: bytes) -> tuple[int, int]:
-        """Check a write of ``data`` to ``record``, count an append, and return (page id, byte offset)."""
-        if len(data) != self.record_size:
-            raise FormatError(f"record must be {self.record_size} bytes, got {len(data)}")
-        if record < 0 or record > self.count:
-            raise BoundsError(f"record {record} beyond append position {self.count}")
-        page_id, slot = divmod(record, self.slots_per_page)
-        if record == self.count:
-            self.count += 1
-            if page_id == self.pool.page_count:
-                self.pool.append_page()
-        return page_id, slot * self.record_size
 
 
 class Depot:

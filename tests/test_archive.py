@@ -19,10 +19,10 @@ from flatstate.archive import FENCE_STRIDE, FILTER_BITS_PER_KEY, MAX_BLOCK, TABL
 from flatstate.errors import CorruptionError, SequenceError, StorageError, UnavailableError
 from flatstate.oracle import ReferenceOracle
 from flatstate.server import handle_request
-from flatstate.types import REINC_SIZE, AccountUpdate, BlockDiff, ZERO_VALUE, serialize_update
+from flatstate.types import REINC_SIZE, AccountUpdate, BlockDiff, ZERO_VALUE
 from flatstate.workload import WorkloadSpec, generate
 
-from util import addr, key, sha, val
+from util import addr, key, scratch_block_hashes, sha, val
 
 NO_MERGE = 1 << 30  # a merge fanout no test reaches
 
@@ -135,23 +135,6 @@ def test_deletion_masks_history_and_recreation_starts_clean(tmp_path):
     assert archive.account_exists_at(addr(1), 2) is False
     assert archive.account_exists_at(addr(1), 3) is True
     archive.close()
-
-
-def scratch_block_hashes(diffs):
-    """Independent recomputation of the per-block hash chain."""
-    account_hash = {}
-    hashes = {0: b"\x00" * 32}
-    prev = b"\x00" * 32
-    for block_diff in diffs:
-        parts = []
-        for update in block_diff.updates:
-            update_hash = sha(serialize_update(update))
-            combined = sha(account_hash.get(update.address, b"\x00" * 32) + update_hash)
-            account_hash[update.address] = combined
-            parts.append(combined)
-        prev = sha(prev + b"".join(parts))
-        hashes[block_diff.block] = prev
-    return hashes
 
 
 def test_block_hashes_match_scratch_recomputation(tmp_path):
@@ -1299,6 +1282,132 @@ def test_merge_whose_second_chunk_write_fails_keeps_its_victims(tmp_path, monkey
     assert {path.name for path in directory.glob("*.run")} == set().union(*reopened.run_files().values())
     assert_answers_match(reopened, oracle, addresses, pairs, range(SEARCH_SPEC.blocks + 1))
     reopened.close()
+
+
+def test_batch_whose_meta_replace_fails_publishes_nothing(tmp_path):
+    """Readers see a block only once meta.json lists it, so the instance and a reopen agree."""
+    account = addr(1)
+    archive = ArchiveDb(tmp_path / "archive")
+    feed(archive, [diff(1, AccountUpdate(address=account, created=True, balance=10))])
+    (tmp_path / "archive" / "meta.tmp").mkdir()  # the meta.json replace of the next commit fails
+    archive.append_block(diff(2, AccountUpdate(address=account, balance=20)))
+    with pytest.raises(StorageError, match="meta.tmp"):
+        archive.flush()
+    assert archive.watermark == 1
+    assert archive.get_balance_at(account, 1) == 10
+    with pytest.raises(UnavailableError):
+        archive.get_balance_at(account, 2)
+    with pytest.raises(StorageError, match="meta.tmp"):
+        archive.close()
+    reopened = ArchiveDb(tmp_path / "archive")
+    assert reopened.watermark == 1
+    assert reopened.get_balance_at(account, 1) == 10
+    reopened.close()
+
+
+def fail_meta_replace(monkeypatch, when):
+    """The archive's meta.json replace raises StorageError("injected") for each metadata ``when`` accepts."""
+    real_write_meta = archive_module.write_meta
+
+    def write_meta(path, meta):
+        if when(meta):
+            raise StorageError("injected", path=path)
+        real_write_meta(path, meta)
+
+    monkeypatch.setattr(archive_module, "write_meta", write_meta)
+
+
+# With one block per batch and a merge of every 2 runs: the second batch's commit, and the merge it triggers.
+FAILING_COMMIT = {
+    "batch": lambda meta: meta["watermark"] == 2,
+    "merge": lambda meta: any(run["level"] > 0 for runs in meta["tables"].values() for run in runs),
+}
+
+
+def test_merge_whose_meta_replace_fails_keeps_its_victims_published(tmp_path, monkeypatch):
+    """The batch stays published, readers answer from the victims, and a reopen lists the same runs."""
+    directory = tmp_path / "archive"
+    diffs = list(generate(SEARCH_SPEC))[:2]
+    oracle, addresses, pairs, _, _ = history_facts(diffs)
+    patch_appender(monkeypatch, batch_blocks=1, merge_fanout=2)
+    fail_meta_replace(monkeypatch, FAILING_COMMIT["merge"])
+    archive = ArchiveDb(directory)
+    for block_diff in diffs:
+        archive.append_block(block_diff)
+    with pytest.raises(StorageError, match="injected"):
+        archive.flush()
+    assert archive.watermark == 2  # the batch was published before its runs merged
+    listed = archive.run_files()
+    assert run_ranges(directory)["storage"] == [(1, 1), (2, 2)]  # the first merge's victims, unmerged
+    assert listed == {name: [run["file"] for run in runs] for name, runs in json.loads((directory / "meta.json").read_text())["tables"].items()}
+    assert_answers_match(archive, oracle, addresses, pairs, range(3))
+    with pytest.raises(StorageError, match="injected"):
+        archive.close()
+    monkeypatch.undo()
+    reopened = ArchiveDb(directory)
+    assert reopened.watermark == 2
+    assert reopened.run_files() == listed
+    assert_answers_match(reopened, oracle, addresses, pairs, range(3))
+    reopened.close()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors through /proc")
+@pytest.mark.parametrize("commit", ["batch", "merge"])
+def test_failed_commit_leaves_no_run_mapped_after_close(tmp_path, monkeypatch, commit):
+    patch_appender(monkeypatch, batch_blocks=1, merge_fanout=2)
+    fail_meta_replace(monkeypatch, FAILING_COMMIT[commit])
+    before = len(os.listdir("/proc/self/fd"))
+    archive = ArchiveDb(tmp_path / "archive")
+    archive.append_block(diff(1, AccountUpdate(address=addr(1), created=True, balance=5)))
+    archive.append_block(diff(2, AccountUpdate(address=addr(1), balance=6)))
+    with pytest.raises(StorageError, match="injected"):
+        archive.close()
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
+def test_flush_after_close_raises(tmp_path):
+    archive = ArchiveDb(tmp_path / "archive")
+    feed(archive, [diff(1, AccountUpdate(address=addr(1), created=True, balance=5))])
+    archive.close()
+    outcome = run_with_timeout(archive.flush)
+    assert isinstance(outcome, StorageError) and "archive is closed" in str(outcome)
+
+
+def test_flush_racing_close_returns(tmp_path):
+    """close() arriving between flush's check that the archive is open and its queueing of the cut."""
+    archive = ArchiveDb(tmp_path / "archive")
+    archive.append_block(diff(1, AccountUpdate(address=addr(1), created=True, balance=5)))
+    put, closer = archive._queue.put, []
+
+    def put_after_close_started(item):
+        if item is archive_module._FLUSH and not closer:
+            closer.append(threading.Thread(target=archive.close))
+            closer[0].start()
+            closer[0].join(0.2)  # close runs on as far as it can before the cut is queued
+        put(item)
+
+    archive._queue.put = put_after_close_started
+    assert run_with_timeout(archive.flush) is None
+    closer[0].join(10)
+    assert not closer[0].is_alive()
+    assert archive.watermark == 1
+
+
+def run_with_timeout(call, seconds=10):
+    """What ``call()`` returned or raised, run on a daemon thread that must finish within ``seconds``."""
+    outcome = []
+
+    def target():
+        try:
+            outcome.append(call())
+        except Exception as exc:
+            outcome.append(exc)
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"{call.__name__} still blocked after {seconds} s"
+    return outcome[0]
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors through /proc")

@@ -1,4 +1,5 @@
-"""The one disk seam: only ``files.py`` reads, writes and replaces files, and every OSError becomes a StorageError."""
+"""The one disk seam: only ``files.py`` reads, writes and replaces files, and every OSError becomes a StorageError;
+and one write path per database: one commit site each, and one record writer in the stores."""
 
 import ast
 import json
@@ -66,6 +67,51 @@ def test_each_database_decides_new_or_existing_once():
         calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)]
         counts[module] = sum(call.func.attr in ("exists", "is_file", "listdir") for call in calls)
     assert counts == {"pagepool": 0, "store": 0, "hashtree": 1, "index": 0, "livedb": 1, "archive": 1}
+
+
+def functions_that(module: str, does) -> set[str]:
+    """Names of the functions of ``module`` holding a node for which ``does(node)`` is true."""
+    tree = ast.parse((Path(flatstate.__file__).parent / f"{module}.py").read_text())
+    return {
+        function.name
+        for function in ast.walk(tree)
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(does(node) for node in ast.walk(function))
+    }
+
+
+def calls(*names):
+    """A test for calls of any of ``names``, plain (``write_meta(``) or as an attribute (``.publish(``)."""
+
+    def does(node):
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        return (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) in names
+
+    return does
+
+
+def places_a_record(node) -> bool:
+    """A call that adds or marks a page, a write into a page slice, or a change of the record count."""
+    if calls("append_page", "mark_dirty")(node):
+        return True
+    if isinstance(node, ast.Assign):
+        return any(isinstance(target, ast.Subscript) and isinstance(target.slice, ast.Slice) for target in node.targets)
+    return isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute) and node.target.attr == "count"
+
+
+def test_one_commit_site_and_one_record_writer():
+    """A second commit site or record writer cannot return unseen.
+
+    The archive replaces meta.json only in its commit function, which alone
+    publishes a run list besides the open; LiveDb replaces it only in
+    ``_write_meta`` (called by ``flush``); only ``set_many`` places records.
+    """
+    assert functions_that("archive", calls("write_meta")) == {"_commit"}
+    assert functions_that("archive", calls("publish")) == {"_commit", "_load_meta"}
+    assert functions_that("livedb", calls("write_meta")) == {"_write_meta"}
+    assert functions_that("livedb", calls("_write_meta")) == {"flush"}
+    assert functions_that("store", places_a_record) == {"set_many"}
 
 
 SPEC = WorkloadSpec(seed=5, blocks=20, accounts=40, txs_per_block=4, slot_writes_per_tx=2, new_key_ratio=0.4, delete_ratio=0.05)

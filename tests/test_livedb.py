@@ -502,6 +502,40 @@ def test_close_whose_flush_fails_still_closes_every_file(tmp_path, monkeypatch):
     assert (tmp_path / "db" / "meta.json").read_bytes() == meta_before
 
 
+def closed_db(directory):
+    db = LiveDb(directory)
+    db.apply_block(diff(1, AccountUpdate(address=addr(1), created=True, balance=5, slots=((key(1), val(2)),))))
+    db.close()
+    return db
+
+
+def test_read_after_close_raises_storage_error(tmp_path):
+    db = closed_db(tmp_path / "db")
+    with pytest.raises(StorageError, match="file is closed"):
+        db.get_balance(addr(1))
+
+
+def test_apply_block_after_close_raises_storage_error(tmp_path):
+    db = closed_db(tmp_path / "db")
+    with pytest.raises(StorageError, match="file is closed"):
+        db.apply_block(diff(2, AccountUpdate(address=addr(1), balance=6)))
+
+
+def test_flush_after_close_raises_and_writes_nothing(tmp_path):
+    db = closed_db(tmp_path / "db")
+    (tmp_path / "db" / "meta.json").unlink()
+    with pytest.raises(StorageError, match="database is closed"):
+        db.flush()
+    assert not (tmp_path / "db" / "meta.json").exists()
+
+
+def test_second_close_does_nothing(tmp_path):
+    db = closed_db(tmp_path / "db")
+    (tmp_path / "db" / "meta.json").unlink()
+    db.close()
+    assert not (tmp_path / "db" / "meta.json").exists()
+
+
 def test_close_after_flush_opens_no_tree_file(tmp_path, monkeypatch):
     db = LiveDb(tmp_path / "db")
     db.apply_block(diff(1, AccountUpdate(address=addr(1), created=True, balance=5, slots=((key(1), val(2)),))))

@@ -1,0 +1,127 @@
+"""LiveDb and ArchiveDb driven together through random schedules against the reference oracle.
+
+Every size constant sits at an extreme at once: a page cache of two
+pages, a key memo of 0 or 8 keys, commit batches of 1 or 3 blocks, a
+merge of every 2 runs that writes one entry of each victim at a time,
+and pages of 256 or 4096 bytes. Each step, drawn with stdlib ``random``
+from a fixed seed, applies the next block to both databases, reads at
+the head, reads history, flushes, or closes both cleanly and reopens
+them. Every read must equal the oracle's, and every reopen must
+reproduce the root and the block hash recorded at its block.
+"""
+
+import random
+
+import pytest
+
+from flatstate import archive as archive_module
+from flatstate import index as index_module
+from flatstate import livedb as livedb_module
+from flatstate.archive import ArchiveDb
+from flatstate.livedb import LiveDb
+from flatstate.oracle import ReferenceOracle
+from flatstate.types import VALUE_SIZE, ZERO_VALUE, AccountUpdate, BlockDiff
+
+from util import addr, key, scratch_block_hashes
+
+ADDRESSES = [addr(n) for n in range(1, 13)]  # few, so accounts are deleted, re-created and overwritten
+KEYS = [key(n) for n in range(1, 9)]
+STEPS = 50
+STEP_WEIGHTS = {"apply": 5, "head": 2, "history": 2, "flush": 1, "reopen": 1}
+# (seed, page size, index.KEYS_REMEMBERED, archive.BATCH_BLOCKS)
+SCHEDULES = [(1, 256, 0, 1), (2, 4096, 8, 3)]
+
+
+def random_block(rng: random.Random, block: int) -> BlockDiff:
+    updates = []
+    for address in rng.sample(ADDRESSES, rng.randint(0, 4)):
+        deleted = rng.random() < 0.15
+        slots = {slot_key: ZERO_VALUE if rng.random() < 0.2 else rng.randbytes(VALUE_SIZE) for slot_key in rng.sample(KEYS, rng.randint(0, 3))}
+        updates.append(
+            AccountUpdate(
+                address=address,
+                created=not deleted and rng.random() < 0.3,
+                deleted=deleted,
+                balance=rng.getrandbits(64) if rng.random() < 0.6 else None,
+                nonce=rng.getrandbits(32) if rng.random() < 0.4 else None,
+                code=rng.randbytes(rng.randint(0, 40)) if rng.random() < 0.15 else None,
+                slots=tuple(slots.items()),
+            )
+        )
+    return BlockDiff(block=block, updates=tuple(updates))
+
+
+def check_reads(rng: random.Random, read, oracle: ReferenceOracle, block: int) -> None:
+    """``read(kind, *args)`` answers like the oracle at ``block`` for a few random accounts and slots."""
+    for address in rng.sample(ADDRESSES, 3):
+        assert read("balance", address) == oracle.balance_at(address, block)
+        assert read("nonce", address) == oracle.nonce_at(address, block)
+        assert read("code", address) == oracle.code_at(address, block)
+        assert read("exists", address) == oracle.exists_at(address, block)
+        for slot_key in rng.sample(KEYS, 2):
+            assert read("storage", address, slot_key) == oracle.storage_at(address, slot_key, block)
+
+
+def live_reader(live: LiveDb):
+    reads = {"balance": live.get_balance, "nonce": live.get_nonce, "code": live.get_code, "exists": live.account_exists, "storage": live.get_storage}
+    return lambda kind, *args: reads[kind](*args)
+
+
+def archive_reader(archive: ArchiveDb, block: int):
+    reads = {
+        "balance": archive.get_balance_at,
+        "nonce": archive.get_nonce_at,
+        "code": archive.get_code_at,
+        "exists": archive.account_exists_at,
+        "storage": archive.get_storage_at,
+    }
+    return lambda kind, *args: reads[kind](*args, block)
+
+
+@pytest.mark.parametrize("seed, page_size, keys_remembered, batch_blocks", SCHEDULES)
+def test_both_databases_match_the_oracle_through_a_random_schedule(tmp_path, monkeypatch, seed, page_size, keys_remembered, batch_blocks):
+    monkeypatch.setattr(livedb_module, "CACHE_BYTES", 2 * page_size)
+    monkeypatch.setattr(index_module, "KEYS_REMEMBERED", keys_remembered)
+    monkeypatch.setattr(archive_module, "BATCH_BLOCKS", batch_blocks)
+    monkeypatch.setattr(archive_module, "MERGE_FANOUT", 2)
+    monkeypatch.setattr(archive_module, "MERGE_CHUNK", 1)
+    rng = random.Random(seed)
+    oracle = ReferenceOracle()
+    diffs: list[BlockDiff] = []
+    live = LiveDb(tmp_path / "live", page_size=page_size)
+    archive = ArchiveDb(tmp_path / "archive")
+    roots = {0: live.state_root().root}  # block -> root, recorded when the block is applied
+    try:
+        for _ in range(STEPS):
+            step = rng.choices(list(STEP_WEIGHTS), weights=list(STEP_WEIGHTS.values()))[0]
+            if step == "apply":
+                block_diff = random_block(rng, oracle.block + 1)
+                live.apply_block(block_diff)
+                archive.append_block(block_diff)
+                oracle.apply_block(block_diff)
+                diffs.append(block_diff)
+                roots[block_diff.block] = live.state_root().root
+            elif step == "head":
+                check_reads(rng, live_reader(live), oracle, oracle.block)
+            elif step == "history":
+                block = rng.randint(0, archive.watermark)  # the appender may have published more since
+                check_reads(rng, archive_reader(archive, block), oracle, block)
+            elif step == "flush":
+                live.flush()
+                archive.flush()
+                assert archive.watermark == oracle.block
+            else:
+                live.close()
+                archive.close()
+                live = LiveDb(tmp_path / "live", page_size=page_size)
+                archive = ArchiveDb(tmp_path / "archive")
+                assert live.block == archive.watermark == oracle.block
+                assert live.state_root().root == roots[oracle.block]
+                hashes = scratch_block_hashes(diffs)
+                assert [archive.block_hash(block) for block in range(oracle.block + 1)] == [hashes[block] for block in range(oracle.block + 1)]
+        archive.flush()
+        for block in range(oracle.block + 1):
+            check_reads(rng, archive_reader(archive, block), oracle, block)
+    finally:
+        live.close()
+        archive.close()

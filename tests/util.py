@@ -12,6 +12,7 @@ from flatstate.types import (
     VALUE_SIZE,
     AccountUpdate,
     BlockDiff,
+    serialize_update,
 )
 
 
@@ -66,3 +67,20 @@ def random_diff(rng: random.Random, block: int, max_updates: int = 6) -> BlockDi
 def remembered_keys(index) -> int:
     """Entries in a ``LinearHashIndex``'s key memo, both generations counted."""
     return len(index._young) + len(index._old)
+
+
+def scratch_block_hashes(diffs):
+    """Independent recomputation of the per-block hash chain."""
+    account_hash = {}
+    hashes = {0: b"\x00" * 32}
+    prev = b"\x00" * 32
+    for block_diff in diffs:
+        parts = []
+        for update in block_diff.updates:
+            update_hash = sha(serialize_update(update))
+            combined = sha(account_hash.get(update.address, b"\x00" * 32) + update_hash)
+            account_hash[update.address] = combined
+            parts.append(combined)
+        prev = sha(prev + b"".join(parts))
+        hashes[block_diff.block] = prev
+    return hashes
