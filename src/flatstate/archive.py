@@ -15,9 +15,11 @@ Ingestion is asynchronous: callers enqueue a block diff and return; a
 background appender converts it to entries, computes the per-account
 and per-block hashes and writes them. Each batch, then each merge it
 triggers, commits in ``_commit``: ``meta.json`` lists the new runs and
-watermark before readers see them. A failed batch or merge stops the
-appender for good: every later append or flush raises that failure, and
-readers keep the last published watermark.
+watermark before readers see them; it maps each run it lists (as an
+open does) and deletes a merge's victims last. A failed batch or merge
+stops the appender for good: every later append or flush raises that
+failure, readers keep the last published watermark, and the runs it
+wrote stay unlisted, unmapped orphan files.
 
 Whether the archive is new is decided once, by the absence of
 ``meta.json``: a new one creates (or truncates) its two flat files, an
@@ -45,7 +47,7 @@ import struct
 import threading
 from array import array
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
@@ -132,7 +134,7 @@ class RunRef:
         self.count = count
         self.first = first  # lowest block the run may hold
         self.last = last  # highest block the run may hold
-        self.data = data  # read-only mapping; stays readable after a merge unlinks the file
+        self.data = data  # read-only mapping; stays readable after the commit that drops the run unlinks its file
         self.search: RunSearch | None = None  # published whole, so a racing reader sees all of it or none
 
 
@@ -541,18 +543,18 @@ class ArchiveDb:
 
         for code_hash, code in new_codes.items():
             self._append_code(code_hash, code)
-        new_runs: dict[str, RunRef] = {}
+        new_runs: dict[str, dict] = {}
         for name, rows in entries.items():
             if rows:
                 new_runs[name] = self._write_run(name, [b"".join(sorted(rows))], 0, diffs[0].block, diffs[-1].block)
         files.pwrite(self._blockhash_fh, b"".join(block_hashes), diffs[0].block * HASH_SIZE)
-        self._commit({name: self._tables[name].runs + [run] for name, run in new_runs.items()}, diffs[-1].block)
+        self._commit(new_runs, diffs[-1].block)
         self._last_block_hash = previous
         for name in new_runs:
             self._maybe_merge(name)
 
-    def _write_run(self, table: str, chunks: Iterable[bytes], level: int, first: int, last: int) -> RunRef:
-        """A new run holding ``chunks`` (sorted entries, in order) back to back.
+    def _write_run(self, table: str, chunks: Iterable[bytes], level: int, first: int, last: int) -> dict:
+        """Write a run file of ``chunks`` (sorted entries, in order) back to back; return its meta record.
 
         Each chunk is one ``pwrite``, which also lets other threads take the
         GIL between chunks.
@@ -561,15 +563,13 @@ class ArchiveDb:
         # file from a crash is just an ignored orphan; no rename dance needed.
         seq = self._next_seq
         self._next_seq += 1
-        path = self.data_dir / f"{table}-{seq:08d}.run"
+        name = f"{table}-{seq:08d}.run"
         size = 0
-        with files.open_data(path, create=True) as fh:
+        with files.open_data(self.data_dir / name, create=True) as fh:
             for chunk in chunks:
                 files.pwrite(fh, chunk, size)
                 size += len(chunk)
-        entry_size = TABLES[table].entry_size
-        count = size // entry_size
-        return RunRef(path.name, level, count, first, last, map_run(path, count, entry_size))
+        return {"file": name, "level": level, "count": size // TABLES[table].entry_size, "first": first, "last": last}
 
     def _maybe_merge(self, table: str) -> None:
         sorted_table = self._tables[table]
@@ -585,11 +585,7 @@ class ArchiveDb:
             first = min(run.first for run in victims)
             last = max(run.last for run in victims)
             new_run = self._write_run(table, sorted_table.merged_chunks(victims), target + 1, first, last)
-            self._commit({table: [run for run in runs if run.level != target] + [new_run]}, self.watermark)
-            # Readers holding a pre-merge snapshot keep reading the victims'
-            # mappings, which outlive the unlinked files.
-            for run in victims:
-                (self.data_dir / run.file).unlink(missing_ok=True)
+            self._commit({table: new_run}, self.watermark, victims)
 
     def _append_code(self, code_hash: bytes, code: bytes) -> None:
         offset = self._blob_size
@@ -612,31 +608,39 @@ class ArchiveDb:
 
     # -- persistence -----------------------------------------------------
 
-    def _commit(self, changed: dict[str, list[RunRef]], watermark: int) -> None:
-        """The one commit site: ``meta.json`` lists ``changed`` (each list ends with its one new run) and
-        ``watermark``, and only then do readers see them."""
-        meta = {
-            "format": FORMAT_VERSION,
-            "watermark": watermark,
-            "next_seq": self._next_seq,
-            "tables": {
-                name: [
-                    {"file": run.file, "level": run.level, "count": run.count, "first": run.first, "last": run.last}
-                    for run in changed.get(name, table.runs)  # only the appender commits, so no lock
-                ]
-                for name, table in self._tables.items()
-            },
-        }
+    def _commit(self, new_runs: dict[str, dict], watermark: int, victims: Sequence[RunRef] = ()) -> None:
+        """The one commit site: map the new run recorded for each table, list it and ``watermark`` in
+        ``meta.json`` in place of ``victims``, publish, and only then delete the victims' files."""
+        lists: dict[str, list[RunRef]] = {}
         try:
+            for name, new in new_runs.items():
+                data = map_run(self.data_dir / new["file"], new["count"], TABLES[name].entry_size)
+                lists[name] = [run for run in self._tables[name].runs if run not in victims] + [RunRef(**new, data=data)]
+            meta = {
+                "format": FORMAT_VERSION,
+                "watermark": watermark,
+                "next_seq": self._next_seq,
+                "tables": {
+                    name: [
+                        {"file": run.file, "level": run.level, "count": run.count, "first": run.first, "last": run.last}
+                        for run in lists.get(name, table.runs)  # only the appender commits, so no lock
+                    ]
+                    for name, table in self._tables.items()
+                },
+            }
             write_meta(self._meta_path, meta)
         except BaseException:
-            for runs in changed.values():
-                runs[-1].data.close()  # no reader has seen it, and close() releases only published runs
+            for runs in lists.values():
+                runs[-1].data.close()  # close() releases only published runs
             raise
         with self._lock:
-            for name, runs in changed.items():
+            for name, runs in lists.items():
                 self._tables[name].publish(runs)
             self.watermark = watermark
+        # Readers holding a pre-merge snapshot keep reading the victims'
+        # mappings, which outlive the unlinked files.
+        for run in victims:
+            (self.data_dir / run.file).unlink(missing_ok=True)
 
     def _load_meta(self) -> None:
         path = self._meta_path

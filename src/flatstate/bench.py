@@ -138,8 +138,8 @@ def du_bytes(root: Path) -> int:
 # -- page-size sweep ---------------------------------------------------------
 #
 # Shape of the experiment: load a key population into value pages, then
-# repeatedly rewrite a small fixed hot set and time how long it takes to
-# bring the hash tree root up to date again.
+# repeatedly rewrite a small fixed hot set (drawn with seed 0) and time how
+# long it takes to bring the hash tree root up to date again.
 
 VALUE_RECORD = 32
 
@@ -155,7 +155,7 @@ class SweepRow:
 class _MemorySetup:
     """One key population packed into pages of a single size, plus its tree."""
 
-    def __init__(self, page_size: int, keys: int, hot_set: int, seed: int):
+    def __init__(self, page_size: int, keys: int, hot_set: int):
         self.page_size = page_size
         self.slots = page_size // VALUE_RECORD
         page_count = -(-keys // self.slots)
@@ -163,10 +163,9 @@ class _MemorySetup:
         for i in range(keys):
             offset = (i % self.slots) * VALUE_RECORD
             self.pages[i // self.slots][offset : offset + VALUE_RECORD] = i.to_bytes(VALUE_RECORD, "big")
-        self.tree = HashTree()
-        self.tree.grow(page_count)
+        self.tree = HashTree(leaf_count=page_count)
         self.tree.root(self.read)
-        self.hot = random.Random(seed).sample(range(keys), min(hot_set, keys))
+        self.hot = random.Random(0).sample(range(keys), min(hot_set, keys))
         self.fresh = keys
         self.best_ns: int | None = None
 
@@ -193,7 +192,6 @@ def sweep_memory(
     keys: int = 160_000,
     hot_set: int = 100,
     rounds: int = 7,
-    seed: int = 0,
     passes: int = 3,
 ) -> list[SweepRow]:
     """Time the root recomputation after rewriting the hot set, per page size.
@@ -201,7 +199,7 @@ def sweep_memory(
     Page sizes are measured in interleaved passes and the per-size minimum
     is kept, so slow machine-wide drift cannot skew the comparison.
     """
-    setups = [_MemorySetup(page_size, keys, hot_set, seed) for page_size in page_sizes]
+    setups = [_MemorySetup(page_size, keys, hot_set) for page_size in page_sizes]
     was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -230,7 +228,6 @@ def sweep_io(
     hot_set: int = 100,
     rounds: int = 5,
     cache_budget: int = 1 << 22,
-    seed: int = 0,
 ) -> list[SweepRow]:
     data_dir = Path(data_dir)
     data_dir.mkdir(parents=True, exist_ok=True)
@@ -239,11 +236,11 @@ def sweep_io(
         path = data_dir / f"sweep-{page_size}.dat"
         cache = PageCache(page_size=page_size, budget_bytes=cache_budget, create=True)  # truncates an earlier sweep's
         try:
-            store = RecordStore.open(path, VALUE_RECORD, cache)
+            store = RecordStore(cache, path, VALUE_RECORD)
             for i in range(keys):
                 store.set(i, i.to_bytes(VALUE_RECORD, "big"))
             store.root()
-            hot = random.Random(seed).sample(range(keys), min(hot_set, keys))
+            hot = random.Random(0).sample(range(keys), min(hot_set, keys))
             fresh = keys
             best_ns = None
             for _ in range(rounds):

@@ -49,10 +49,6 @@ class HashTree:
                 self.grow(leaf_count)
 
     @property
-    def leaf_count(self) -> int:
-        return self._leaf_count
-
-    @property
     def inner_node_count(self) -> int:
         """Nodes above the leaf level; capacity - 1 for the current shape."""
         return max(self._capacity - 1, 0)

@@ -130,6 +130,10 @@ class LinearHashIndex:
         self._remember(key, ordinal)
         return ordinal, True
 
+    def forget(self) -> None:
+        """Empty the memo, so every later lookup reads the pages."""
+        self._young, self._old = {}, {}
+
     def key_at(self, ordinal: int) -> bytes:
         return self.reverse.get(ordinal)
 

@@ -187,10 +187,12 @@ class LiveDb:
     # -- commitment ----------------------------------------------------------
 
     def component_roots(self) -> dict[str, bytes]:
+        if self._closed:  # a clean tree would answer from memory
+            raise StorageError("database is closed", path=self.data_dir)
         return dict(zip(ROOT_ORDER, (component.root() for component in self._components)))
 
     def state_root(self) -> WorldstateRoot:
-        """Composite commitment; cached until the next write."""
+        """Composite commitment; cached until the next write or ``close()``."""
         if self._root_cache is None:
             self._root_cache = digest(b"".join(self.component_roots().values()))  # in ROOT_ORDER
         return WorldstateRoot(root=self._root_cache, block=self.block)
@@ -211,7 +213,7 @@ class LiveDb:
         self._write_meta()
 
     def close(self) -> None:
-        """Flush, then close the blob and page files, also when the flush fails; a second close does nothing."""
+        """Flush, then close every file and forget the memos and root, also when the flush fails; once only."""
         if self._closed:
             return
         try:
@@ -220,12 +222,15 @@ class LiveDb:
             self._closed = True
             self.codes.close()
             self._cache.close()
+            self.a_index.forget()
+            self.ak_index.forget()
+            self._root_cache = None
 
     # -- internals -----------------------------------------------------------
 
     def _store(self, name: str, record_size: int, count: int, file: str = "dat") -> RecordStore:
         path = self.data_dir / f"{name}.{file}"
-        return RecordStore.open(path, record_size, self._cache, count=count, tree_path=self.data_dir / f"{name}.tree")
+        return RecordStore(self._cache, path, record_size, count=count, tree_path=self.data_dir / f"{name}.tree")
 
     def _index(self, name: str, key_width: int, state: dict | None) -> LinearHashIndex:
         pool = PagePool(self._cache, self.data_dir / f"{name}.buckets")
@@ -234,8 +239,10 @@ class LiveDb:
 
     def _read_meta(self) -> dict:
         meta = read_meta(self._meta_path, FORMAT_VERSION, ("block", "accounts", "slots", "a_index", "ak_index"))
-        for name in ("a_index", "ak_index"):
+        for name, count in (("a_index", "accounts"), ("ak_index", "slots")):
             require(meta[name], self._meta_path, ("count", "level", "split", "bucket_pages"))
+            if meta[count] != meta[name]["count"]:
+                raise CorruptionError(f"{self._meta_path} counts {meta[count]} {count}, {name} {meta[name]['count']}")
         if meta.get("page_size", self.page_size) != self.page_size:
             raise CorruptionError(
                 f"database was created with page_size {meta.get('page_size')}, opened with {self.page_size}"

@@ -4,7 +4,9 @@ A RecordStore keeps fixed-length records addressed by a dense record
 number: record r lives in page ``r // slots_per_page`` at slot
 ``r % slots_per_page``, so one seek reaches any record. Records never
 straddle pages; trailing page bytes stay zero. Every store carries a
-hash tree over its pages for the component commitment. ``set_many``
+hash tree over its pages for the component commitment. The one
+constructor opens the page file in a page cache, checks its page count
+against the record count and loads or rebuilds the tree. ``set_many``
 writes every record (``set`` is a batch of one); a store's ``flush``
 persists that tree only: the page cache writes the pages
 (``PageCache.flush``) and closes their files.
@@ -31,30 +33,23 @@ DEPOT_META_SIZE = 8 + 4 + 32  # blob offset, length, code digest
 
 
 class RecordStore:
-    def __init__(self, pool: PagePool, record_size: int, count: int = 0, tree: HashTree | None = None):
-        if record_size <= 0 or record_size > pool.page_size:
-            raise FormatError(f"record_size {record_size} must be in 1..{pool.page_size}")
-        self.pool = pool
+    def __init__(
+        self, cache: PageCache, data_path: Path, record_size: int, count: int = 0, tree_path: Path | None = None
+    ):
+        """``count`` records in ``data_path``; the tree is loaded from ``tree_path`` if it exists, else rebuilt."""
+        if record_size <= 0 or record_size > cache.page_size:
+            raise FormatError(f"record_size {record_size} must be in 1..{cache.page_size}")
+        self.pool = pool = PagePool(cache, data_path)  # on failure below, closing the cache closes its file
         self.record_size = record_size
-        self.slots_per_page = pool.page_size // record_size
+        self.slots_per_page = cache.page_size // record_size
         self.count = count
         if pool.page_count != self.page_count:  # a file cut short, or one holding pages no record owns
             raise CorruptionError(f"{pool.file_path} holds {pool.page_count} pages, {count} records take {self.page_count}")
-        self.tree = tree if tree is not None else HashTree()
-        if self.tree.leaf_count < self.page_count:
-            self.tree.grow(self.page_count)
-
-    @classmethod
-    def open(
-        cls, data_path: Path, record_size: int, cache: PageCache, count: int = 0, tree_path: Path | None = None
-    ) -> "RecordStore":
-        pool = PagePool(cache, data_path)  # on failure below, closing the cache closes its file
-        tree = HashTree(tree_path, leaf_count=_pages_for(count, cache.page_size // record_size))
-        return cls(pool, record_size, count=count, tree=tree)
+        self.tree = HashTree(tree_path, leaf_count=self.page_count)
 
     @property
     def page_count(self) -> int:
-        return _pages_for(self.count, self.slots_per_page)
+        return -(-self.count // self.slots_per_page)
 
     def get(self, record: int) -> bytes:
         if record < 0 or record >= self.count:
@@ -137,7 +132,3 @@ class Depot:
     def close(self) -> None:
         """Close the blob file; the page cache closes the meta store's file."""
         self._blob.close()
-
-
-def _pages_for(count: int, slots_per_page: int) -> int:
-    return (count + slots_per_page - 1) // slots_per_page

@@ -269,7 +269,7 @@ def test_criterion_08_linear_hash_density(tmp_path):
     """100k random keys: dense ordinals, many splits, full retrievability."""
     cache = PageCache(page_size=4096, budget_bytes=2 * 4096 * 4096, create=True)  # 4096 pages per file, as two pools had
     pool = PagePool(cache, tmp_path / "buckets")
-    reverse = RecordStore.open(tmp_path / "keys", 20, cache)
+    reverse = RecordStore(cache, tmp_path / "keys", 20)
     index = LinearHashIndex(pool, reverse, 20)
     try:
         rng = random.Random(808)

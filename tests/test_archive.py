@@ -1273,7 +1273,7 @@ def test_merge_whose_second_chunk_write_fails_keeps_its_victims(tmp_path, monkey
 
     def recording_write_run(*args):
         run = write_run(*args)
-        written.append(run.file)
+        written.append(run["file"])
         return run
 
     reopened._write_run = recording_write_run
@@ -1362,6 +1362,31 @@ def test_failed_commit_leaves_no_run_mapped_after_close(tmp_path, monkeypatch, c
     archive.append_block(diff(2, AccountUpdate(address=addr(1), balance=6)))
     with pytest.raises(StorageError, match="injected"):
         archive.close()
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors through /proc")
+def test_batch_whose_third_run_write_fails_leaves_no_descriptor_after_close(tmp_path):
+    """Runs are mapped only by the commit that lists them, so the two runs written first hold nothing."""
+    before = len(os.listdir("/proc/self/fd"))
+    archive = ArchiveDb(tmp_path / "archive")
+    write_run, written = archive._write_run, []
+
+    def write_run_failing_third(*args):
+        written.append(args[0])
+        if len(written) == 3:
+            raise OSError("injected write failure")
+        return write_run(*args)
+
+    archive._write_run = write_run_failing_third
+    update = AccountUpdate(address=addr(1), created=True, balance=5, slots=((key(1), val(1)),))
+    archive.append_block(diff(1, update))  # storage, balance, state and accthash runs, in that order
+    with pytest.raises(OSError, match="injected"):
+        archive.flush()
+    with pytest.raises(OSError, match="injected"):
+        archive.close()
+    assert written == ["storage", "balance", "state"]
+    assert len(list((tmp_path / "archive").glob("*.run"))) == 2  # unlisted orphans
     assert len(os.listdir("/proc/self/fd")) == before
 
 

@@ -11,17 +11,18 @@ import flatstate
 from flatstate import bench
 from flatstate.cli import main
 from flatstate.errors import StorageError
+from flatstate.store import RecordStore
 from flatstate.workload import WorkloadSpec, write_workload
 
 DATABASE_MODULES = ("pagepool", "store", "hashtree", "index", "livedb", "archive")
 OS_CALLS = {"pread", "preadv", "pwrite", "pwritev", "ftruncate", "truncate", "replace", "rename", "open", "fstat", "unlink"}
 PATH_CALLS = {"read_bytes", "read_text", "write_bytes", "write_text", "unlink"}
 # (module, enclosing function, call) that may stay outside files.py: a run is mapped
-# through a bare descriptor, and a merge deletes its victims.
+# through a bare descriptor, and the commit that drops a merge's victims deletes them.
 ALLOWED = {
     ("archive", "map_run", "os.open"),
     ("archive", "map_run", "os.fstat"),
-    ("archive", "_maybe_merge", ".unlink"),
+    ("archive", "_commit", ".unlink"),
 }
 
 
@@ -101,14 +102,17 @@ def places_a_record(node) -> bool:
 
 
 def test_one_commit_site_and_one_record_writer():
-    """A second commit site or record writer cannot return unseen.
+    """A second commit site, record writer or store constructor cannot return unseen.
 
     The archive replaces meta.json only in its commit function, which alone
-    publishes a run list besides the open; LiveDb replaces it only in
-    ``_write_meta`` (called by ``flush``); only ``set_many`` places records.
+    maps and publishes a run besides the open; LiveDb replaces it only in
+    ``_write_meta`` (called by ``flush``); only ``set_many`` places records,
+    and a RecordStore is built only by its constructor.
     """
     assert functions_that("archive", calls("write_meta")) == {"_commit"}
     assert functions_that("archive", calls("publish")) == {"_commit", "_load_meta"}
+    assert functions_that("archive", calls("map_run")) == {"_commit", "_load_meta"}
+    assert not hasattr(RecordStore, "open")
     assert functions_that("livedb", calls("write_meta")) == {"_write_meta"}
     assert functions_that("livedb", calls("_write_meta")) == {"flush"}
     assert functions_that("store", places_a_record) == {"set_many"}

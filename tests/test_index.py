@@ -24,7 +24,7 @@ def open_index(tmp_path):
         cache = PageCache(page_size=page_size, budget_bytes=128 * page_size, create=state is None)
         pool = PagePool(cache, tmp_path / f"{name}.buckets")
         tree_path = tmp_path / f"{name}.tree"
-        reverse = RecordStore.open(tmp_path / f"{name}.keys", key_width, cache, count=count, tree_path=tree_path)
+        reverse = RecordStore(cache, tmp_path / f"{name}.keys", key_width, count=count, tree_path=tree_path)
         opened.append(cache)
         return LinearHashIndex(pool, reverse, key_width, state=state)
 

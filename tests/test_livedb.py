@@ -238,7 +238,10 @@ def test_torn_meta_is_reported_as_corruption(tmp_path):
         LiveDb(tmp_path / "db")
 
 
-@pytest.mark.parametrize("field", ["format", "block", "accounts", "slots", "a_index", "ak_index.count", "not-an-object"])
+@pytest.mark.parametrize(
+    "field",
+    ["format", "block", "accounts", "slots", "a_index", "ak_index.count", "not-an-object", "accounts=2", "slots=1"],
+)
 def test_damaged_meta_fields_are_reported_as_corruption(tmp_path, field):
     db = LiveDb(tmp_path / "db")
     db.apply_block(diff(1, AccountUpdate(address=addr(1), created=True, balance=5)))
@@ -247,6 +250,10 @@ def test_damaged_meta_fields_are_reported_as_corruption(tmp_path, field):
     meta = json.loads(path.read_text())
     if field == "not-an-object":
         meta, message = [meta], "meta.json holds"
+    elif "=" in field:  # a count that disagrees with its index's, though the files hold that many records
+        name, value = field.split("=")
+        meta[name] = int(value)
+        message = "meta.json counts"
     else:
         *outer, name = field.split(".")
         holder = meta
@@ -519,6 +526,26 @@ def test_apply_block_after_close_raises_storage_error(tmp_path):
     db = closed_db(tmp_path / "db")
     with pytest.raises(StorageError, match="file is closed"):
         db.apply_block(diff(2, AccountUpdate(address=addr(1), balance=6)))
+
+
+def test_nothing_answers_from_memory_after_close(tmp_path):
+    """A remembered miss, a remembered hit, a storage read and the root all raise once the files are closed."""
+    db = LiveDb(tmp_path / "db")
+    db.apply_block(diff(1, AccountUpdate(address=addr(1), created=True, balance=5, slots=((key(1), val(2)),))))
+    assert db.get_balance(addr(9)) == 0 and not db.account_exists(addr(9))  # the index memo remembers the miss
+    assert db.get_storage(addr(1), key(1)) == val(2)
+    db.state_root()
+    db.close()
+    for read in (
+        lambda: db.get_balance(addr(9)),
+        lambda: db.account_exists(addr(9)),
+        lambda: db.get_nonce(addr(1)),
+        lambda: db.get_storage(addr(1), key(1)),
+    ):
+        with pytest.raises(StorageError, match="file is closed"):
+            read()
+    with pytest.raises(StorageError, match="database is closed"):
+        db.state_root()
 
 
 def test_flush_after_close_raises_and_writes_nothing(tmp_path):

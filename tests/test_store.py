@@ -6,7 +6,7 @@ import random
 import pytest
 
 from flatstate.errors import BoundsError, CorruptionError, FormatError
-from flatstate.pagepool import PageCache, PagePool
+from flatstate.pagepool import PageCache
 from flatstate.store import Depot, RecordStore
 
 
@@ -24,7 +24,7 @@ def open_store(tmp_path, opened):
     def open_(record_size, page_size=4096, capacity=8, name="store.dat"):
         cache = PageCache(page_size=page_size, budget_bytes=capacity * page_size, create=True)
         opened.append(cache)
-        return RecordStore(PagePool(cache, tmp_path / name), record_size)
+        return RecordStore(cache, tmp_path / name, record_size)
 
     return open_
 
@@ -153,7 +153,7 @@ def open_depot(tmp_path, opened):
     def open_():
         cache = PageCache(page_size=4096, budget_bytes=8 * 4096, create=True)
         opened.append(cache)
-        opened.append(Depot(RecordStore(PagePool(cache, tmp_path / "codes.meta"), 44), tmp_path / "codes.blob"))
+        opened.append(Depot(RecordStore(cache, tmp_path / "codes.meta", 44), tmp_path / "codes.blob"))
         return opened[-1]
 
     return open_
@@ -204,7 +204,7 @@ def test_depot_detects_blob_corruption(open_depot, opened, tmp_path):
     blob.write_bytes(raw)
     cache = PageCache(page_size=4096, budget_bytes=8 * 4096, create=False)
     opened.append(cache)
-    tampered = Depot(RecordStore(PagePool(cache, tmp_path / "codes.meta"), 44, count=1), blob)
+    tampered = Depot(RecordStore(cache, tmp_path / "codes.meta", 44, count=1), blob)
     opened.append(tampered)
     with pytest.raises(CorruptionError):
         tampered.get(0)
