@@ -640,7 +640,7 @@ class ArchiveDb:
         # Readers holding a pre-merge snapshot keep reading the victims'
         # mappings, which outlive the unlinked files.
         for run in victims:
-            (self.data_dir / run.file).unlink(missing_ok=True)
+            files.remove(self.data_dir / run.file)
 
     def _load_meta(self) -> None:
         path = self._meta_path

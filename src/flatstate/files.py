@@ -94,6 +94,14 @@ def write_file(path: Path, chunks) -> None:
         raise StorageError(f"write failed: {exc}", path=path, offset=0) from exc
 
 
+def remove(path: Path) -> None:
+    """Delete ``path``; one already gone is fine."""
+    try:
+        path.unlink(missing_ok=True)
+    except OSError as exc:
+        raise StorageError(f"cannot delete: {exc}", path=path) from exc
+
+
 def write_meta(path: Path, meta: dict) -> None:
     tmp = path.with_suffix(".tmp")
     write_file(tmp, [json.dumps(meta, sort_keys=True, separators=(",", ":")).encode() + b"\n"])

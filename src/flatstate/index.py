@@ -120,8 +120,7 @@ class LinearHashIndex:
         ordinal = self.count
         if insert_page is None:
             insert_page = self.pool.append_page()
-            self.pool.get_page(tail)[2:10] = (insert_page + 1).to_bytes(8, "big")
-            self.pool.mark_dirty(tail)
+            self.pool.write_page(tail)[2:10] = (insert_page + 1).to_bytes(8, "big")
         self._append_entry(insert_page, key, ordinal)
         self.reverse.set(ordinal, key)
         self.count += 1
@@ -196,12 +195,11 @@ class LinearHashIndex:
             page_id = nxt - 1
 
     def _append_entry(self, page_id: int, key: bytes, ordinal: int) -> None:
-        data = self.pool.get_page(page_id)
+        data = self.pool.write_page(page_id)
         n = int.from_bytes(data[0:2], "big")
         offset = _HEADER_SIZE + n * self.entry_size
         data[offset : offset + self.entry_size] = key + ordinal.to_bytes(8, "big")
         data[0:2] = (n + 1).to_bytes(2, "big")
-        self.pool.mark_dirty(page_id)
 
     def _split(self) -> None:
         source = self.split_ptr
@@ -244,7 +242,6 @@ class LinearHashIndex:
             batch = entries[idx * per_page : (idx + 1) * per_page]
             nxt = chain[idx + 1] + 1 if (idx + 1) * per_page < len(entries) else 0
             used = _HEADER_SIZE + len(batch) * self.entry_size
-            self.pool.get_page(page_id)[:] = b"".join(
+            self.pool.write_page(page_id)[:] = b"".join(
                 (len(batch).to_bytes(2, "big"), nxt.to_bytes(8, "big"), *batch, bytes(page_size - used))
             )
-            self.pool.mark_dirty(page_id)

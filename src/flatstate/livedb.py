@@ -18,13 +18,12 @@ existing one requires each of them (``files.open_data``), so a first flush
 cut short before ``meta.json`` leaves a directory that opens as new.
 
 The ten page files (six stores, two bucket files, two key files) share
-one page cache of ``CACHE_BYTES``, so one budget bounds their RAM and
-one eviction site writes their dirty pages back. ``flush`` is the one
-commit site: the eight hash trees, then one ``PageCache.flush``, then
-``meta.json``. At 24 MiB (6,144 pages of 4 KiB) the cache holds every
-page the replay-cold benchmark's 125-block window touches (≈6,100), so
-it evicts nothing between flushes: each dirty page is written once, by
-the flush, and no read waits for an evicted page to be written back.
+one page cache of ``CACHE_BYTES``. ``flush`` is the one commit site and
+the only time a page is written: the eight hash trees, one
+``PageCache.flush``, then ``meta.json``. Dirty pages stay resident until
+then, so the page files hold the last commit; a block that leaves them
+filling the cache commits, so RAM stays within the budget plus one
+block's pages (replay-cold's window dirties up to ≈6,000 of 6,144).
 
 One thread uses an instance at a time, readers included: every read
 may load or reorder pages in the page cache and remember keys in the
@@ -132,8 +131,10 @@ class LiveDb:
         """Apply one block's updates; each plain store then takes the block's writes in one pass.
 
         The writes collect per store as ``{record: bytes}`` (a later write to
-        a record wins), so each page is fetched and marked dirty once per
-        block. Index keys and code records are written as they come.
+        a record wins), so each page is taken to write once per block. Index
+        keys and code records are written as they come. A block that fills
+        the page cache with dirty pages ends in ``flush()``, whose failure
+        raises with the block applied in memory.
         """
         if diff.block != self.block + 1:
             raise SequenceError(f"expected block {self.block + 1}, got {diff.block}")
@@ -178,6 +179,8 @@ class LiveDb:
         self.values.set_many(values)
         self.block = diff.block
         self._root_cache = None
+        if self._cache.full:
+            self.flush()
 
     def _reinc(self, pending: dict[int, bytes], ordinal: int) -> bytes:
         """The account's reincarnation counter, as written earlier in this block or else as stored."""

@@ -1,13 +1,13 @@
 """Fixed-size binary pages over backing files, with one bounded resident set.
 
-A ``PageCache`` holds the resident pages of every file opened through it,
-up to ``budget_bytes`` of them in one least-recently-used map; the least
-recently used page is evicted, written back to its own file first when
-dirty, once the cache is full. The cache owns write-back and file
-lifetime: ``evict_over_capacity`` and ``flush`` are the only places a
-page is written, and ``close`` closes every file. A ``PagePool`` is one
-file's view of the cache. Pages of a file are addressed by a dense id
-starting at 0, and page i lives at file offset ``i * page_size``. Only
+A ``PageCache`` holds the resident pages of every file opened through it
+under one budget of ``budget_bytes``. A dirty page stays resident until
+``flush``, the only place a page is written, writes it to its own file;
+clean pages fill the room the dirty ones leave, in one least-recently-used
+map whose eviction writes nothing. The owner flushes once the dirty pages
+fill the budget (``full``), and ``close`` closes every file. A ``PagePool``
+is one file's view of the cache. Pages of a file are addressed by a dense
+id starting at 0, and page i lives at file offset ``i * page_size``. Only
 ``append_page`` adds a page; reading a page never extends the file. A
 page the file was cut short of after it was opened reads as zeros.
 A cache belongs to one database, whose ``create`` decides for each of its
@@ -36,28 +36,30 @@ class PageCache:
             raise FormatError(f"page_size must be a power of two >= {MIN_PAGE_SIZE}, got {page_size}")
         self.page_size = page_size
         self.create = create  # a new database: its files are created, else each must exist
-        self.capacity = max(2, budget_bytes // page_size)  # pages resident at most
-        self._pages: OrderedDict[int, bytearray] = OrderedDict()  # resident pages by key, oldest use first
-        self._dirty: set[int] = set()  # keys of resident pages that differ from their file
+        self.capacity = max(2, budget_bytes // page_size)  # the page budget; clean pages fill what dirty ones leave
+        self._pages: OrderedDict[int, bytearray] = OrderedDict()  # clean pages by key, oldest use first
+        self._dirty: dict[int, bytearray] = {}  # pages that differ from their file, resident until flush
         self._files: list[io.FileIO] = []  # by file number; files, not pools: a cycle would keep pages alive
 
     @property
     def resident_count(self) -> int:
-        return len(self._pages)
+        return len(self._pages) + len(self._dirty)
+
+    @property
+    def full(self) -> bool:  # the dirty pages alone fill the budget, leaving no room for a clean page
+        return len(self._dirty) >= self.capacity
 
     def evict_over_capacity(self) -> None:
-        pages = self._pages
-        while len(pages) > self.capacity:
-            key, data = pages.popitem(last=False)
-            if key in self._dirty:
-                self._dirty.remove(key)
-                self._write(key, data)
+        while self._pages and len(self._pages) + len(self._dirty) > self.capacity:  # oldest clean pages go, unwritten
+            self._pages.popitem(last=False)
 
     def flush(self) -> None:
-        """Persist all dirty pages; afterwards each file covers all its pages (a new page is dirty until written)."""
+        """Write each dirty page to its own file once, then keep it as clean; a new page is dirty until written."""
         for key in sorted(self._dirty):
-            self._write(key, self._pages[key])
+            self._write(key, self._dirty[key])
+        self._pages.update(self._dirty)
         self._dirty.clear()
+        self.evict_over_capacity()
 
     def close(self) -> None:
         """Close every file and drop the resident pages, writing none: callers ``flush()`` first."""
@@ -95,16 +97,17 @@ class PagePool:
 
     @property
     def resident_count(self) -> int:
-        return sum(1 for key in self._pages if key & _FILE_MASK == self._file_no)
+        return sum(1 for pages in (self._pages, self._dirty) for key in pages if key & _FILE_MASK == self._file_no)
 
     def get_page(self, page_id: int) -> bytearray:
-        """Return the bytes of page ``page_id``, loading it as needed.
+        """Return the bytes of page ``page_id`` to read, loading it as needed; a write goes through ``write_page``.
 
-        A page at or beyond ``page_count`` is a bounds error. A caller that
-        changes the bytes must call ``mark_dirty`` before the next cache
-        operation on any file, or the change may be lost on eviction.
+        A page at or beyond ``page_count`` is a bounds error.
         """
         key = page_id << _FILE_BITS | self._file_no
+        data = self._dirty.get(key)
+        if data is not None:
+            return data
         data = self._pages.get(key)
         if data is not None:
             self._pages.move_to_end(key)
@@ -120,16 +123,16 @@ class PagePool:
         page_id = self._page_count
         self._page_count += 1
         key = page_id << _FILE_BITS | self._file_no
-        self._pages[key] = bytearray(self.page_size)
-        self._dirty.add(key)
+        self._dirty[key] = bytearray(self.page_size)
         self.cache.evict_over_capacity()
         return page_id
 
-    def mark_dirty(self, page_id: int) -> None:
+    def write_page(self, page_id: int) -> bytearray:
+        """Return the bytes of page ``page_id`` to change; the page stays resident, dirty, until the next flush."""
         key = page_id << _FILE_BITS | self._file_no
-        if key not in self._pages:
-            raise BoundsError(f"page {page_id} is not resident")
-        self._dirty.add(key)
+        self._dirty[key] = data = self.get_page(page_id)
+        self._pages.pop(key, None)  # a clean page moves; one dropped as soon as it was loaded is not there
+        return data
 
     def _load(self, page_id: int) -> bytearray:
         data = bytearray(self.page_size)  # a read past the end of the file leaves zeros

@@ -7,9 +7,9 @@ straddle pages; trailing page bytes stay zero. Every store carries a
 hash tree over its pages for the component commitment. The one
 constructor opens the page file in a page cache, checks its page count
 against the record count and loads or rebuilds the tree. ``set_many``
-writes every record (``set`` is a batch of one); a store's ``flush``
-persists that tree only: the page cache writes the pages
-(``PageCache.flush``) and closes their files.
+writes every record (``set`` is a batch of one) into pages it takes with
+``write_page``, which only the commit's ``PageCache.flush`` writes; a
+store's ``flush`` persists its tree only.
 
 A Depot extends the scheme to variable-length payloads (contract code):
 fixed-length meta records (offset, length, digest) point into an
@@ -82,8 +82,7 @@ class RecordStore:
                     pool.append_page()
             if page_id != current:
                 current = page_id
-                page = pool.get_page(page_id)
-                pool.mark_dirty(page_id)  # ahead of the write: no cache call comes between
+                page = pool.write_page(page_id)
                 self.tree.mark_dirty(page_id)
             page[slot * size : slot * size + size] = data
 

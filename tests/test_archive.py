@@ -16,7 +16,7 @@ import pytest
 
 from flatstate import archive as archive_module
 from flatstate.archive import FENCE_STRIDE, FILTER_BITS_PER_KEY, MAX_BLOCK, TABLES, ArchiveDb, RunRef, filter_bits
-from flatstate.errors import CorruptionError, SequenceError, StorageError, UnavailableError
+from flatstate.errors import BoundsError, CorruptionError, SequenceError, StorageError, UnavailableError
 from flatstate.oracle import ReferenceOracle
 from flatstate.server import handle_request
 from flatstate.types import REINC_SIZE, AccountUpdate, BlockDiff, ZERO_VALUE
@@ -188,6 +188,8 @@ def test_sequencing_and_watermark_errors(tmp_path):
         archive.get_storage_at(addr(1), key(1), 2)
     with pytest.raises(UnavailableError):
         archive.block_hash(2)
+    with pytest.raises(BoundsError, match="negative block -1"):
+        archive.get_balance_at(addr(1), -1)
     archive.close()
     with pytest.raises(StorageError, match="closed"):
         archive.block_hash(1)
@@ -634,6 +636,18 @@ def test_damaged_code_body_is_reported_as_corruption(tmp_path):
     reopened = ArchiveDb(tmp_path / "archive")
     with pytest.raises(CorruptionError, match="damaged"):
         reopened.get_code_at(addr(1), 1)
+    reopened.close()
+
+
+def test_code_body_missing_from_the_blob_is_reported_as_corruption(tmp_path):
+    archive = ArchiveDb(tmp_path / "archive")
+    feed(archive, [diff(1, AccountUpdate(address=addr(1), created=True, code=bytes.fromhex("600060ff")))])
+    archive.close()
+    (tmp_path / "archive" / "codeblob.dat").write_bytes(b"")  # the code entry names a body the blob lost
+    reopened = ArchiveDb(tmp_path / "archive")
+    with pytest.raises(CorruptionError, match="missing from the blob"):
+        reopened.get_code_at(addr(1), 1)
+    assert reopened.get_code_at(addr(1), 0) == b""
     reopened.close()
 
 
@@ -1351,6 +1365,30 @@ def test_merge_whose_meta_replace_fails_keeps_its_victims_published(tmp_path, mo
     reopened.close()
 
 
+def test_merge_whose_victim_cannot_be_deleted_commits_and_reports_the_file(tmp_path, monkeypatch):
+    """Victims are deleted after the commit that drops them, so a failed delete leaves the merge committed."""
+    directory = tmp_path / "archive"
+    patch_appender(monkeypatch, batch_blocks=1, merge_fanout=2)
+    archive = ArchiveDb(directory)
+    feed(archive, [diff(1, AccountUpdate(address=addr(1), created=True, balance=5))])
+    victim = directory / archive.run_files()["balance"][0]
+    victim.unlink()  # the run stays readable through its mapping
+    (victim / "entry").mkdir(parents=True)  # a non-empty directory cannot be deleted as a file
+    archive.append_block(diff(2, AccountUpdate(address=addr(1), balance=6)))
+    with pytest.raises(StorageError, match="cannot delete") as failure:
+        archive.flush()
+    assert pathlib.Path(failure.value.path) == victim
+    listed = json.loads((directory / "meta.json").read_text())
+    assert listed["watermark"] == archive.watermark == 2
+    assert [run["level"] for run in listed["tables"]["balance"]] == [1]  # the merge committed
+    assert [archive.get_balance_at(addr(1), block) for block in range(3)] == [0, 5, 6]
+    with pytest.raises(StorageError, match="cannot delete"):
+        archive.close()
+    reopened = ArchiveDb(directory)
+    assert [reopened.get_balance_at(addr(1), block) for block in range(3)] == [0, 5, 6]
+    reopened.close()
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors through /proc")
 @pytest.mark.parametrize("commit", ["batch", "merge"])
 def test_failed_commit_leaves_no_run_mapped_after_close(tmp_path, monkeypatch, commit):
@@ -1489,6 +1527,7 @@ def without(*steps):
 ARCHIVE_META_DAMAGE = {
     "not-an-object": (lambda meta: [meta], "meta.json holds"),
     "no-format": (without("format"), "meta.json lacks field 'format'"),
+    "format-2": (lambda meta: {**meta, "format": 2}, "unsupported metadata format in .*meta.json: 2"),
     "no-watermark": (without("watermark"), "meta.json lacks field 'watermark'"),
     "no-next_seq": (without("next_seq"), "meta.json lacks field 'next_seq'"),
     "no-tables": (without("tables"), "meta.json lacks field 'tables'"),

@@ -481,6 +481,21 @@ def test_serve_answers_pipelined_requests_in_order(tmp_path):
         archive.close()
 
 
+def test_serve_answers_an_empty_line_a_short_address_and_an_unterminated_last_line(tmp_path):
+    archive = serve_example_archive(tmp_path)
+    server = QueryServer(archive)
+    server.start()
+    try:
+        with socket.create_connection(server.address, timeout=10) as sock:
+            sock.sendall(f"\nBALANCE 0x{bytes(19).hex()} 17\nWATERMARK".encode())
+            sock.shutdown(socket.SHUT_WR)  # the last request has no newline when the input ends
+            assert read_lines(sock, 3) == ["ERR badrequest empty request", "ERR badrequest expected 20 bytes, got 19", "OK 17"]
+            assert sock.recv(4096) == b""
+    finally:
+        server.stop()
+        archive.close()
+
+
 def test_serve_answers_a_request_sent_byte_by_byte_once(tmp_path):
     archive = serve_example_archive(tmp_path)
     server = QueryServer(archive)

@@ -18,11 +18,10 @@ DATABASE_MODULES = ("pagepool", "store", "hashtree", "index", "livedb", "archive
 OS_CALLS = {"pread", "preadv", "pwrite", "pwritev", "ftruncate", "truncate", "replace", "rename", "open", "fstat", "unlink"}
 PATH_CALLS = {"read_bytes", "read_text", "write_bytes", "write_text", "unlink"}
 # (module, enclosing function, call) that may stay outside files.py: a run is mapped
-# through a bare descriptor, and the commit that drops a merge's victims deletes them.
+# through a bare descriptor.
 ALLOWED = {
     ("archive", "map_run", "os.open"),
     ("archive", "map_run", "os.fstat"),
-    ("archive", "_commit", ".unlink"),
 }
 
 
@@ -57,7 +56,7 @@ def test_only_files_py_touches_the_disk():
     assert found - ALLOWED == set()
     assert ALLOWED <= found  # an exception nobody needs any more is dropped from the list
     seam = {call for _, _, call in disk_calls("files")}
-    assert {"open", "os.pread", "os.preadv", "os.pwrite", "os.ftruncate", "os.replace", ".read_bytes"} <= seam
+    assert {"open", "os.pread", "os.preadv", "os.pwrite", "os.ftruncate", "os.replace", ".unlink", ".read_bytes"} <= seam
 
 
 def test_each_database_decides_new_or_existing_once():
@@ -93,8 +92,8 @@ def calls(*names):
 
 
 def places_a_record(node) -> bool:
-    """A call that adds or marks a page, a write into a page slice, or a change of the record count."""
-    if calls("append_page", "mark_dirty")(node):
+    """A call that adds a page or takes one to write, a write into a page slice, or a change of the record count."""
+    if calls("append_page", "write_page")(node):
         return True
     if isinstance(node, ast.Assign):
         return any(isinstance(target, ast.Subscript) and isinstance(target.slice, ast.Slice) for target in node.targets)
@@ -107,7 +106,8 @@ def test_one_commit_site_and_one_record_writer():
     The archive replaces meta.json only in its commit function, which alone
     maps and publishes a run besides the open; LiveDb replaces it only in
     ``_write_meta`` (called by ``flush``); only ``set_many`` places records,
-    and a RecordStore is built only by its constructor.
+    a RecordStore is built only by its constructor, and only ``PageCache.flush``
+    writes a page.
     """
     assert functions_that("archive", calls("write_meta")) == {"_commit"}
     assert functions_that("archive", calls("publish")) == {"_commit", "_load_meta"}
@@ -116,6 +116,9 @@ def test_one_commit_site_and_one_record_writer():
     assert functions_that("livedb", calls("write_meta")) == {"_write_meta"}
     assert functions_that("livedb", calls("_write_meta")) == {"flush"}
     assert functions_that("store", places_a_record) == {"set_many"}
+    # Only a commit writes a page: no read or eviction of LiveDb's page cache does.
+    writers = {module: functions_that(module, calls("_write")) for module in DATABASE_MODULES}
+    assert writers == {module: {"flush"} if module == "pagepool" else set() for module in DATABASE_MODULES}
 
 
 SPEC = WorkloadSpec(seed=5, blocks=20, accounts=40, txs_per_block=4, slot_writes_per_tx=2, new_key_ratio=0.4, delete_ratio=0.05)

@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ from flatstate.errors import CorruptionError, SequenceError, StorageError, Valid
 from flatstate.hashtree import HashTree
 from flatstate.livedb import LiveDb, ROOT_ORDER
 from flatstate.oracle import ReferenceOracle
-from flatstate.pagepool import PageCache
+from flatstate.pagepool import PageCache, PagePool
 from flatstate.types import AccountUpdate, BlockDiff, ZERO_VALUE
 from flatstate.workload import WorkloadSpec, generate
 
@@ -240,7 +241,7 @@ def test_torn_meta_is_reported_as_corruption(tmp_path):
 
 @pytest.mark.parametrize(
     "field",
-    ["format", "block", "accounts", "slots", "a_index", "ak_index.count", "not-an-object", "accounts=2", "slots=1"],
+    ["format", "block", "accounts", "slots", "a_index", "ak_index.count", "not-an-object", "accounts=2", "slots=1", "page_size=256"],
 )
 def test_damaged_meta_fields_are_reported_as_corruption(tmp_path, field):
     db = LiveDb(tmp_path / "db")
@@ -248,8 +249,11 @@ def test_damaged_meta_fields_are_reported_as_corruption(tmp_path, field):
     db.close()
     path = tmp_path / "db" / "meta.json"
     meta = json.loads(path.read_text())
+    page_size = 4096
     if field == "not-an-object":
         meta, message = [meta], "meta.json holds"
+    elif field == "page_size=256":  # the meta is whole; the database is opened with another page size
+        page_size, message = 256, "created with page_size 4096, opened with 256"
     elif "=" in field:  # a count that disagrees with its index's, though the files hold that many records
         name, value = field.split("=")
         meta[name] = int(value)
@@ -263,7 +267,7 @@ def test_damaged_meta_fields_are_reported_as_corruption(tmp_path, field):
         message = f"meta.json lacks field '{name}'"
     path.write_text(json.dumps(meta))
     with pytest.raises(CorruptionError, match=message):
-        LiveDb(tmp_path / "db")
+        LiveDb(tmp_path / "db", page_size=page_size)
 
 
 DATA_FILES = (
@@ -323,8 +327,12 @@ CUT_SPEC = WorkloadSpec(seed=7, blocks=40, accounts=300, txs_per_block=20, slot_
         ("slots.buckets", None),
         ("balances.dat", 256),
         ("values.dat", -1),
+        ("balances.tree", 1),
     ],
-    ids=["balances-cut", "values-cut", "slot-keys-cut", "slot-buckets-cut", "balances-grown", "values-cut-by-one-byte"],
+    ids=[
+        "balances-cut", "values-cut", "slot-keys-cut", "slot-buckets-cut", "balances-grown", "values-cut-by-one-byte",
+        "balances-tree-grown-by-one-byte",
+    ],
 )
 def test_page_file_of_the_wrong_length_is_reported_and_left_unchanged(tmp_path, name, change):
     db = LiveDb(tmp_path / "db", page_size=256)
@@ -368,7 +376,7 @@ def page_pools(db):
 
 
 def test_a_cache_that_holds_the_dirty_set_writes_no_page_before_flush(tmp_path, monkeypatch):
-    """Eviction is the only page write between flushes; a budget above the dirty set leaves every write to flush()."""
+    """A budget above the dirty set leaves every page write to flush(); a tight one commits at the ends of blocks."""
     written = []
     real_write = PageCache._write
     monkeypatch.setattr(PageCache, "_write", lambda cache, key, data: written.append(key) or real_write(cache, key, data))
@@ -387,10 +395,114 @@ def test_a_cache_that_holds_the_dirty_set_writes_no_page_before_flush(tmp_path, 
         if name == "roomy":
             assert before_flush == 0 < len(written) == len(set(written))  # each dirty page written once, by flush
         else:
-            assert before_flush > 0  # evictions wrote dirty pages between flushes
+            assert before_flush > 0  # blocks that filled the cache with dirty pages committed
         written.clear()
         db.close()
     assert tree_bytes(tmp_path / "roomy") == tree_bytes(tmp_path / "tight")
+
+
+def balance_blocks(db, first, last):
+    """Blocks ``first``..``last``, each setting a new balance on every account ``db`` has indexed."""
+    known = [db.a_index.key_at(ordinal) for ordinal in range(db.a_index.count)]
+    for block in range(first, last + 1):
+        yield diff(block, *(AccountUpdate(address=address, balance=block * 1000 + n) for n, address in enumerate(known)))
+
+
+@pytest.mark.parametrize("cache_bytes, reopened_at", [(2 * 256, 35), (1 << 20, 30)], ids=["small-cache", "roomy-cache"])
+def test_unclean_close_reopens_at_the_last_commit_with_its_data(tmp_path, monkeypatch, cache_bytes, reopened_at):
+    """A process killed between commits leaves the files of the last commit: its block, its root and its balances.
+
+    The small cache fills with dirty pages in each block, so each block
+    commits; the roomy one holds blocks 31..35, so the files stay at block 30.
+    """
+    monkeypatch.setattr(livedb_module, "CACHE_BYTES", cache_bytes)
+    db = LiveDb(tmp_path / "db", page_size=256)
+    oracle = ReferenceOracle()
+    roots = {}
+    for block_diff in generate(CUT_SPEC):
+        if block_diff.block > 30:
+            break
+        db.apply_block(block_diff)
+        oracle.apply_block(block_diff)
+        roots[block_diff.block] = db.state_root().root
+    db.flush()
+    addresses = [db.a_index.key_at(ordinal) for ordinal in range(db.a_index.count)]
+    assert len(addresses) == 148
+    for block_diff in balance_blocks(db, 31, 35):
+        db.apply_block(block_diff)
+        oracle.apply_block(block_diff)
+        roots[block_diff.block] = db.state_root().root
+    db.codes.close()
+    db._cache.close()  # as a killed process would: no flush
+    reopened = LiveDb(tmp_path / "db", page_size=256)
+    try:
+        committed = reopened.block
+        wrong = [address for address in addresses if reopened.get_balance(address) != oracle.balance_at(address, committed)]
+        assert len(wrong) == 0
+        assert reopened.state_root().root == roots[committed]
+        assert committed == reopened_at
+    finally:
+        reopened.close()
+
+
+def test_a_small_cache_commits_at_block_ends_and_bounds_resident_pages(tmp_path, monkeypatch):
+    """Without a flush() call, a full cache commits at the end of a block, and only a commit writes a page.
+
+    Resident pages never exceed the budget plus the pages the current
+    block dirtied, and meta.json follows the commits.
+    """
+    monkeypatch.setattr(livedb_module, "CACHE_BYTES", 64 * 256)  # a few blocks of dirty pages
+    touched = set()  # (file path, page id) the current block took to write or appended
+    peak = [0]
+    real_write, real_write_page, real_append, real_evict = PageCache._write, PagePool.write_page, PagePool.append_page, PageCache.evict_over_capacity
+
+    def write(cache, key, data):
+        assert sys._getframe(1).f_code is PageCache.flush.__code__
+        real_write(cache, key, data)
+
+    def write_page(pool, page_id):
+        touched.add((pool.file_path, page_id))
+        return real_write_page(pool, page_id)
+
+    def append_page(pool):
+        page_id = real_append(pool)
+        touched.add((pool.file_path, page_id))
+        return page_id
+
+    def evict(cache):  # every load and append ends here
+        real_evict(cache)
+        peak[0] = max(peak[0], cache.resident_count)
+
+    monkeypatch.setattr(PageCache, "_write", write)
+    monkeypatch.setattr(PagePool, "write_page", write_page)
+    monkeypatch.setattr(PagePool, "append_page", append_page)
+    monkeypatch.setattr(PageCache, "evict_over_capacity", evict)
+    db = LiveDb(tmp_path / "db", page_size=256)
+    meta_path = tmp_path / "db" / "meta.json"
+    oracle = ReferenceOracle()
+    commits = 0
+    committed = 0  # the block meta.json names
+    for block_diff in generate(SMALL_SPEC):
+        touched.clear()
+        peak[0] = 0
+        db.apply_block(block_diff)
+        oracle.apply_block(block_diff)
+        assert peak[0] <= db._cache.capacity + len(touched)
+        assert db._cache.resident_count <= db._cache.capacity
+        if meta_path.exists() and json.loads(meta_path.read_text())["block"] != committed:
+            committed = json.loads(meta_path.read_text())["block"]
+            assert committed == block_diff.block  # a commit is of the block just applied
+            commits += 1
+    assert 10 < commits < db.block  # blocks commit, and not every one
+    db._cache.close()
+    db.codes.close()
+    reopened = LiveDb(tmp_path / "db", page_size=256)
+    try:
+        assert reopened.block == committed
+        for address in {update.address for block_diff in generate(SMALL_SPEC) for update in block_diff.updates}:
+            assert reopened.get_balance(address) == oracle.balance_at(address, reopened.block)
+    finally:
+        reopened.close()
 
 
 def test_two_replicas_produce_identical_roots_and_files(tmp_path, monkeypatch):

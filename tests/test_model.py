@@ -1,13 +1,18 @@
 """LiveDb and ArchiveDb driven together through random schedules against the reference oracle.
 
 Every size constant sits at an extreme at once: a page cache of two
-pages, a key memo of 0 or 8 keys, commit batches of 1 or 3 blocks, a
-merge of every 2 runs that writes one entry of each victim at a time,
-and pages of 256 or 4096 bytes. Each step, drawn with stdlib ``random``
-from a fixed seed, applies the next block to both databases, reads at
-the head, reads history, flushes, or closes both cleanly and reopens
-them. Every read must equal the oracle's, and every reopen must
-reproduce the root and the block hash recorded at its block.
+pages (one schedule: 64, more than a block dirties, so LiveDb commits
+only every few blocks), a key memo of 0, 2 or 8 keys, commit batches of
+1 or 3 blocks, a merge of every 2 runs that writes one entry of each
+victim at a time, and pages of 256 or 4096 bytes. Each step, drawn with
+stdlib ``random`` from a fixed seed, applies the next block to both
+databases, reads at the head, reads history, flushes, closes both
+cleanly and reopens them, or closes LiveDb uncleanly (no flush, as a
+killed process would) and reopens it. Every read must equal the
+oracle's, and every reopen must reproduce the root and the block hash
+recorded at its block. An unclean reopen must land on a committed block
+B, no older than the last flush, whose reads all equal the oracle's at
+B; the blocks after B are then fed again.
 """
 
 import random
@@ -27,9 +32,13 @@ from util import addr, key, scratch_block_hashes
 ADDRESSES = [addr(n) for n in range(1, 13)]  # few, so accounts are deleted, re-created and overwritten
 KEYS = [key(n) for n in range(1, 9)]
 STEPS = 50
-STEP_WEIGHTS = {"apply": 5, "head": 2, "history": 2, "flush": 1, "reopen": 1}
-# (seed, page size, index.KEYS_REMEMBERED, archive.BATCH_BLOCKS)
-SCHEDULES = [(1, 256, 0, 1), (2, 4096, 8, 3)]
+STEP_WEIGHTS = {"apply": 5, "head": 2, "history": 2, "flush": 1, "reopen": 1, "unclean": 1}
+# (seed, page size, index.KEYS_REMEMBERED, archive.BATCH_BLOCKS, page-cache pages); an id names the cache if not 2 pages
+SCHEDULES = [
+    pytest.param(1, 256, 0, 1, 2, id="1-256-0-1"),
+    pytest.param(2, 4096, 8, 3, 2, id="2-4096-8-3"),
+    pytest.param(3, 256, 2, 1, 64, id="3-256-2-1-64"),
+]
 
 
 def random_block(rng: random.Random, block: int) -> BlockDiff:
@@ -51,14 +60,14 @@ def random_block(rng: random.Random, block: int) -> BlockDiff:
     return BlockDiff(block=block, updates=tuple(updates))
 
 
-def check_reads(rng: random.Random, read, oracle: ReferenceOracle, block: int) -> None:
+def check_reads(rng: random.Random, read, oracle: ReferenceOracle, block: int, addresses: int = 3, keys: int = 2) -> None:
     """``read(kind, *args)`` answers like the oracle at ``block`` for a few random accounts and slots."""
-    for address in rng.sample(ADDRESSES, 3):
+    for address in rng.sample(ADDRESSES, addresses):
         assert read("balance", address) == oracle.balance_at(address, block)
         assert read("nonce", address) == oracle.nonce_at(address, block)
         assert read("code", address) == oracle.code_at(address, block)
         assert read("exists", address) == oracle.exists_at(address, block)
-        for slot_key in rng.sample(KEYS, 2):
+        for slot_key in rng.sample(KEYS, keys):
             assert read("storage", address, slot_key) == oracle.storage_at(address, slot_key, block)
 
 
@@ -78,9 +87,11 @@ def archive_reader(archive: ArchiveDb, block: int):
     return lambda kind, *args: reads[kind](*args, block)
 
 
-@pytest.mark.parametrize("seed, page_size, keys_remembered, batch_blocks", SCHEDULES)
-def test_both_databases_match_the_oracle_through_a_random_schedule(tmp_path, monkeypatch, seed, page_size, keys_remembered, batch_blocks):
-    monkeypatch.setattr(livedb_module, "CACHE_BYTES", 2 * page_size)
+@pytest.mark.parametrize("seed, page_size, keys_remembered, batch_blocks, cache_pages", SCHEDULES)
+def test_both_databases_match_the_oracle_through_a_random_schedule(
+    tmp_path, monkeypatch, seed, page_size, keys_remembered, batch_blocks, cache_pages
+):
+    monkeypatch.setattr(livedb_module, "CACHE_BYTES", cache_pages * page_size)
     monkeypatch.setattr(index_module, "KEYS_REMEMBERED", keys_remembered)
     monkeypatch.setattr(archive_module, "BATCH_BLOCKS", batch_blocks)
     monkeypatch.setattr(archive_module, "MERGE_FANOUT", 2)
@@ -91,6 +102,8 @@ def test_both_databases_match_the_oracle_through_a_random_schedule(tmp_path, mon
     live = LiveDb(tmp_path / "live", page_size=page_size)
     archive = ArchiveDb(tmp_path / "archive")
     roots = {0: live.state_root().root}  # block -> root, recorded when the block is applied
+    flushed = 0  # the block of the last flush
+    behind = 0  # unclean reopens that landed before the current block
     try:
         for _ in range(STEPS):
             step = rng.choices(list(STEP_WEIGHTS), weights=list(STEP_WEIGHTS.values()))[0]
@@ -110,11 +123,28 @@ def test_both_databases_match_the_oracle_through_a_random_schedule(tmp_path, mon
                 live.flush()
                 archive.flush()
                 assert archive.watermark == oracle.block
+                flushed = oracle.block
+            elif step == "unclean":
+                live.codes.close()
+                live._cache.close()  # the files hold the last commit
+                live = LiveDb(tmp_path / "live", page_size=page_size)
+                committed = live.block
+                assert flushed <= committed <= oracle.block
+                behind += committed < oracle.block
+                assert live.state_root().root == roots[committed]
+                check_reads(rng, live_reader(live), oracle, committed, len(ADDRESSES), len(KEYS))
+                # The blob keeps the code bodies of the blocks after B, so a re-fed body lands
+                # at another offset: its depot record, and the root, may differ from the first feed's.
+                for block_diff in diffs[committed:]:
+                    live.apply_block(block_diff)
+                    roots[block_diff.block] = live.state_root().root
+                check_reads(rng, live_reader(live), oracle, oracle.block, len(ADDRESSES), len(KEYS))
             else:
                 live.close()
                 archive.close()
                 live = LiveDb(tmp_path / "live", page_size=page_size)
                 archive = ArchiveDb(tmp_path / "archive")
+                flushed = oracle.block
                 assert live.block == archive.watermark == oracle.block
                 assert live.state_root().root == roots[oracle.block]
                 hashes = scratch_block_hashes(diffs)
@@ -122,6 +152,7 @@ def test_both_databases_match_the_oracle_through_a_random_schedule(tmp_path, mon
         archive.flush()
         for block in range(oracle.block + 1):
             check_reads(rng, archive_reader(archive, block), oracle, block)
+        assert behind or cache_pages == 2  # a roomy cache leaves blocks uncommitted
     finally:
         live.close()
         archive.close()

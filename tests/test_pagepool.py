@@ -1,4 +1,4 @@
-"""Page cache and pool behavior: transparency of eviction, durability of flush, a close that writes nothing."""
+"""Page cache and pool behavior: eviction drops clean pages only, flush alone writes, a close that writes nothing."""
 
 import os
 import random
@@ -27,8 +27,7 @@ def open_pool(tmp_path):
 def write_page(pool, page_id, data):
     if page_id == pool.page_count:
         pool.append_page()
-    pool.get_page(page_id)[:] = data
-    pool.mark_dirty(page_id)
+    pool.write_page(page_id)[:] = data
 
 
 def test_fresh_pool_first_page_is_zero(open_pool):
@@ -37,15 +36,19 @@ def test_fresh_pool_first_page_is_zero(open_pool):
     assert bytes(pool.get_page(0)) == b"\x00" * 4096
 
 
-def test_eviction_roundtrip(open_pool):
+def test_eviction_roundtrip(open_pool, tmp_path):
+    """Dirty pages outlast the budget until flush; then clean pages are evicted unwritten and read back from the file."""
     pool = open_pool(page_size=256, capacity=2)
     payload = bytes(range(256))
     for i in range(8):
         write_page(pool, i, payload if i == 7 else bytes([i]) * 256)
-    # Touch other pages until page 7 must have been evicted.
-    pool.get_page(0)
-    pool.get_page(1)
-    assert pool.resident_count <= 2
+    assert pool.resident_count == 8  # dirty pages are never evicted
+    assert (tmp_path / "pool.dat").read_bytes() == b""  # nor written before flush
+    pool.cache.flush()
+    assert pool.resident_count == 2  # the flushed pages became clean, and the oldest were evicted
+    for i in range(7):  # touch other pages until page 7 must have been evicted
+        assert bytes(pool.get_page(i)) == bytes([i]) * 256
+        assert pool.resident_count <= 2
     assert bytes(pool.get_page(7)) == payload
 
 
@@ -89,21 +92,52 @@ def test_flush_is_idempotent_and_materializes_all_pages(open_pool, tmp_path):
     assert (tmp_path / "pool.dat").read_bytes() == first
 
 
-def test_mark_dirty_requires_residency(open_pool):
-    pool = open_pool(capacity=2)
-    for _ in range(4):
-        pool.append_page()
-    assert pool.resident_count == 2  # pages 0 and 1, the least recently used, were evicted
-    with pytest.raises(BoundsError):
-        pool.mark_dirty(0)
+def test_dirty_pages_leave_clean_pages_only_the_room_they_leave(open_pool):
+    """Clean pages never exceed the budget left by the dirty pages, and a dirty page is never evicted."""
+    pool = open_pool(capacity=4)
+    for i in range(4):
+        write_page(pool, i, bytes([i + 1]) * 256)
+    pool.cache.flush()
+    assert (pool.resident_count, len(pool.cache._dirty)) == (4, 0)
+    write_page(pool, 0, b"\x09" * 256)
+    write_page(pool, 1, b"\x0a" * 256)
+    assert (len(pool.cache._pages), len(pool.cache._dirty)) == (2, 2)
+    assert not pool.cache.full
+    pool.append_page()  # a third dirty page leaves room for one clean page: page 2, used before page 3, goes
+    assert sorted(key >> 4 for key in pool.cache._pages) == [3]
+    pool.append_page()
+    assert pool.cache.full and len(pool.cache._pages) == 0
+    assert bytes(pool.get_page(2)) == b"\x03" * 256  # loaded, returned and dropped at once
+    assert pool.resident_count == 4
+    assert bytes(pool.write_page(3)) == b"\x04" * 256  # a page loaded to be written stays, dirty
+    assert pool.resident_count == 5 and sorted(key >> 4 for key in pool.cache._dirty) == [0, 1, 3, 4, 5]
 
 
-def test_random_schedule_matches_mirror_oracle(open_pool, tmp_path):
-    """10^4 random write/read/evict/flush/reopen steps against a dict mirror."""
+def test_random_schedule_matches_mirror_oracle(open_pool, tmp_path, monkeypatch):
+    """10^4 random write/read/flush/reopen steps against two dict mirrors: the pages, and the file as last flushed.
+
+    Clean pages never take more than the room the dirty pages leave, the
+    file changes only at a flush, and a flush writes each dirty page once.
+    """
     rng = random.Random(1234)
     page_size = 128
     pool = open_pool(page_size=page_size, capacity=3)
-    mirror = {}
+    mirror = {}  # page id -> bytes as last written
+    flushed = b""  # the file as the last flush left it
+    dirty = set()
+    written = []
+    real_write = PageCache._write
+    monkeypatch.setattr(PageCache, "_write", lambda cache, key, data: written.append(key >> 4) or real_write(cache, key, data))
+
+    def flush():
+        nonlocal flushed
+        assert (tmp_path / "pool.dat").read_bytes() == flushed and written == []
+        pool.cache.flush()
+        assert sorted(written) == sorted(dirty)
+        written.clear()
+        dirty.clear()
+        flushed = b"".join(mirror.get(page_id, bytes(page_size)) for page_id in range(pool.page_count))
+
     for step in range(10_000):
         action = rng.random()
         max_page = pool.page_count
@@ -112,18 +146,20 @@ def test_random_schedule_matches_mirror_oracle(open_pool, tmp_path):
             data = rng.randbytes(page_size)
             write_page(pool, page_id, data)
             mirror[page_id] = data
+            dirty.add(page_id)
         elif action < 0.9 and max_page:
             page_id = rng.randrange(max_page)
             expected = mirror.get(page_id, b"\x00" * page_size)
             assert bytes(pool.get_page(page_id)) == expected
         elif action < 0.97:
-            pool.cache.flush()
+            flush()
         else:
-            pool.cache.flush()
+            flush()
             pool.cache.close()
             pool = open_pool(page_size=page_size, capacity=3, create=False)
-        assert pool.resident_count <= 3
-    pool.cache.flush()
+        cache = pool.cache
+        assert len(cache._dirty) == len(dirty) and len(cache._pages) <= max(0, 3 - len(dirty))
+    flush()
     for page_id, expected in mirror.items():
         assert bytes(pool.get_page(page_id)) == expected
     stored = (tmp_path / "pool.dat").read_bytes()
@@ -172,26 +208,30 @@ def test_short_write_raises_storage_error(open_pool, tmp_path, monkeypatch):
 
 def test_only_dirty_pages_are_written_and_each_once(open_pool, monkeypatch):
     pool = open_pool(page_size=256, capacity=2)
-    for i in range(4):
-        write_page(pool, i, bytes([i + 1]) * 256)
-    pool.cache.flush()
     written = []
     real_pwrite = os.pwrite
     monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: written.append(offset // 256) or real_pwrite(fd, data, offset))
+    for i in range(4):
+        write_page(pool, i, bytes([i + 1]) * 256)
+    assert written == []  # four dirty pages in a budget of two: none is written before flush
+    pool.cache.flush()
+    assert written == [0, 1, 2, 3]
+    written.clear()
     for i in range(4):
         assert bytes(pool.get_page(i)) == bytes([i + 1]) * 256  # read only, evicting as it goes
     pool.cache.flush()
     assert written == []  # a page that was only read is written neither on eviction nor on flush
     write_page(pool, 0, b"\x09" * 256)
     pool.get_page(1)
-    pool.get_page(2)  # evicts dirty page 0
-    assert written == [0]
+    pool.get_page(2)  # evicts clean page 1, never dirty page 0
+    assert written == []
     pool.cache.flush()
-    assert written == [0]  # the evicted page was written once, not again by flush
+    pool.cache.flush()
+    assert written == [0]  # written once, by the first flush
     assert bytes(pool.get_page(0)) == b"\x09" * 256
 
 
-def test_dirty_page_evicted_by_another_file_is_written_to_its_own_file(tmp_path, monkeypatch):
+def test_flush_writes_each_dirty_page_to_its_own_file_once(tmp_path, monkeypatch):
     cache = PageCache(page_size=256, budget_bytes=2 * 256, create=True)
     a = PagePool(cache, tmp_path / "a.dat")
     b = PagePool(cache, tmp_path / "b.dat")
@@ -203,12 +243,14 @@ def test_dirty_page_evicted_by_another_file_is_written_to_its_own_file(tmp_path,
     real_pwrite = os.pwrite
     monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: written.append((fd, offset)) or real_pwrite(fd, data, offset))
     b.get_page(0)
-    b.get_page(1)  # evicts a's dirty page 1
-    assert written == [(a._fh.fileno(), 256)]
-    assert a.resident_count == 0 and b.resident_count == cache.resident_count == 2
-    assert (tmp_path / "a.dat").read_bytes() == b"\x01" * 256 + b"\x09" * 256
+    b.get_page(1)  # evicts b's clean page 0, not a's dirty page 1
+    assert written == []
+    assert a.resident_count == b.resident_count == 1 and cache.resident_count == 2
+    assert (tmp_path / "a.dat").read_bytes() == b"\x01" * 256 + b"\x02" * 256
+    cache.flush()
     cache.flush()
     assert written == [(a._fh.fileno(), 256)]  # b's pages were only read, so b.dat is never written
+    assert (tmp_path / "a.dat").read_bytes() == b"\x01" * 256 + b"\x09" * 256
     assert (tmp_path / "b.dat").read_bytes() == b"\x03" * 256 + b"\x04" * 256
     cache.close()
 
