@@ -45,6 +45,7 @@ import os
 import queue
 import struct
 import threading
+import traceback
 from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator, Sequence
@@ -476,6 +477,10 @@ class ArchiveDb:
                 try:
                     self._process_batch(batch)
                 except Exception as exc:  # raised by every later call; no later batch runs
+                    # The kept traceback must not pin the batch's locals: its frames
+                    # reference the archive, and through that cycle a merge's victim
+                    # mappings would stay open until the garbage collector runs.
+                    traceback.clear_frames(exc.__traceback__)
                     self._error = exc
             for _ in batch:
                 self._queue.task_done()

@@ -1,6 +1,7 @@
 """Archive database: floor queries, incremental hashes, concurrency, merging."""
 
 import errno
+import gc
 import hashlib
 import json
 import mmap
@@ -1387,6 +1388,29 @@ def test_merge_whose_victim_cannot_be_deleted_commits_and_reports_the_file(tmp_p
     reopened = ArchiveDb(directory)
     assert [reopened.get_balance_at(addr(1), block) for block in range(3)] == [0, 5, 6]
     reopened.close()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors through /proc")
+def test_merge_whose_victim_cannot_be_deleted_releases_every_descriptor_without_the_collector(tmp_path, monkeypatch):
+    """The kept appender error holds no frame locals, so the victims' mappings close once unreferenced."""
+    directory = tmp_path / "archive"
+    patch_appender(monkeypatch, batch_blocks=1, merge_fanout=2)
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(os.listdir("/proc/self/fd"))
+        archive = ArchiveDb(directory)
+        feed(archive, [diff(1, AccountUpdate(address=addr(1), created=True, balance=5))])
+        victim = directory / archive.run_files()["balance"][0]
+        victim.unlink()
+        (victim / "entry").mkdir(parents=True)  # a non-empty directory cannot be deleted as a file
+        archive.append_block(diff(2, AccountUpdate(address=addr(1), balance=6)))
+        with pytest.raises(StorageError, match="cannot delete"):
+            archive.close()
+        del archive
+        assert len(os.listdir("/proc/self/fd")) == before
+    finally:
+        gc.enable()
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors through /proc")
