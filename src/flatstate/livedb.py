@@ -17,13 +17,15 @@ Whether the database is new is decided once, by the absence of
 existing one requires each of them (``files.open_data``), so a first flush
 cut short before ``meta.json`` leaves a directory that opens as new.
 
-The ten page files (six stores, two bucket files, two key files) share
-one page cache of ``CACHE_BYTES``. ``flush`` is the one commit site and
-the only time a page is written: the eight hash trees, one
-``PageCache.flush``, then ``meta.json``. Dirty pages stay resident until
-then, so the page files hold the last commit; a block that leaves them
-filling the cache commits, so RAM stays within the budget plus one
-block's pages (replay-cold's window dirties up to ≈6,000 of 6,144).
+The eleven data files (six stores, two bucket files, two key files and
+the code blob) are opened and closed by one page cache of
+``CACHE_BYTES``. ``flush`` is the one commit site and the only time any
+of them is written: the eight hash trees (the code depot appends its
+pending bodies first), one ``PageCache.flush``, then ``meta.json``.
+Dirty pages and code bodies stay in memory until then, so every file
+holds the last commit; a block that leaves them filling the cache
+commits, so RAM stays within the budget plus one block's pages and
+bodies (replay-cold's window dirties up to ≈6,000 of 6,144 pages).
 
 One thread uses an instance at a time, readers included: every read
 may load or reorder pages in the page cache and remember keys in the
@@ -54,7 +56,7 @@ from .types import (
 )
 
 FORMAT_VERSION = 1
-CACHE_BYTES = 24 << 20  # resident pages of all ten page files together
+CACHE_BYTES = 24 << 20  # resident pages of all ten page files and the pending code bodies together
 ROOT_ORDER = ("balance", "nonce", "exists", "reinc", "code", "values", "a_index", "ak_index")
 
 AK_KEY_SIZE = ADDRESS_SIZE + REINC_SIZE + KEY_SIZE
@@ -132,9 +134,9 @@ class LiveDb:
 
         The writes collect per store as ``{record: bytes}`` (a later write to
         a record wins), so each page is taken to write once per block. Index
-        keys and code records are written as they come. A block that fills
-        the page cache with dirty pages ends in ``flush()``, whose failure
-        raises with the block applied in memory.
+        keys and code records are written as they come. A block whose dirty
+        pages and pending code bodies fill the page cache ends in
+        ``flush()``, whose failure raises with the block applied in memory.
         """
         if diff.block != self.block + 1:
             raise SequenceError(f"expected block {self.block + 1}, got {diff.block}")
@@ -179,7 +181,7 @@ class LiveDb:
         self.values.set_many(values)
         self.block = diff.block
         self._root_cache = None
-        if self._cache.full:
+        if self._cache.full(len(self.codes.pending)):
             self.flush()
 
     def _reinc(self, pending: dict[int, bytes], ordinal: int) -> bytes:
@@ -216,14 +218,13 @@ class LiveDb:
         self._write_meta()
 
     def close(self) -> None:
-        """Flush, then close every file and forget the memos and root, also when the flush fails; once only."""
+        """Flush, then close the cache (all eleven files) and forget the memos and root, even if the flush fails; once only."""
         if self._closed:
             return
         try:
             self.flush()
         finally:
             self._closed = True
-            self.codes.close()
             self._cache.close()
             self.a_index.forget()
             self.ak_index.forget()

@@ -4,14 +4,14 @@ A ``PageCache`` holds the resident pages of every file opened through it
 under one budget of ``budget_bytes``. A dirty page stays resident until
 ``flush``, the only place a page is written, writes it to its own file;
 clean pages fill the room the dirty ones leave, in one least-recently-used
-map whose eviction writes nothing. The owner flushes once the dirty pages
-fill the budget (``full``), and ``close`` closes every file. A ``PagePool``
-is one file's view of the cache. Pages of a file are addressed by a dense
-id starting at 0, and page i lives at file offset ``i * page_size``. Only
-``append_page`` adds a page; reading a page never extends the file. A
-page the file was cut short of after it was opened reads as zeros.
-A cache belongs to one database, whose ``create`` decides for each of its
-files whether it is created new or must exist (``files.open_data``).
+map whose eviction writes nothing. The owner commits once its dirty pages
+and the bytes it keeps for the commit fill the budget (``full``). A
+``PagePool`` is one file's view of the cache; its pages are addressed by
+a dense id from 0, page i at offset ``i * page_size``. Only ``append_page``
+adds a page; reading never extends the file, and a page the file was cut
+short of after it was opened reads as zeros. A cache belongs to one
+database: ``open`` opens each of its data files, page files or not, new or
+existing as its ``create`` decided (``files.open_data``); ``close`` closes all.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ class PageCache:
         if page_size < MIN_PAGE_SIZE or page_size & (page_size - 1):
             raise FormatError(f"page_size must be a power of two >= {MIN_PAGE_SIZE}, got {page_size}")
         self.page_size = page_size
-        self.create = create  # a new database: its files are created, else each must exist
+        self._create = create  # a new database: its files are created, else each must exist
         self.capacity = max(2, budget_bytes // page_size)  # the page budget; clean pages fill what dirty ones leave
         self._pages: OrderedDict[int, bytearray] = OrderedDict()  # clean pages by key, oldest use first
         self._dirty: dict[int, bytearray] = {}  # pages that differ from their file, resident until flush
@@ -45,9 +45,13 @@ class PageCache:
     def resident_count(self) -> int:
         return len(self._pages) + len(self._dirty)
 
-    @property
-    def full(self) -> bool:  # the dirty pages alone fill the budget, leaving no room for a clean page
-        return len(self._dirty) >= self.capacity
+    def full(self, pending_bytes: int) -> bool:  # dirty pages and the owner's pending bytes leave no room for a clean page
+        return len(self._dirty) + pending_bytes // self.page_size >= self.capacity
+
+    def open(self, path: Path) -> io.FileIO:
+        """The database's data file ``path``, created new or required to exist; ``close`` closes it."""
+        self._files.append(files.open_data(path, create=self._create))
+        return self._files[-1]
 
     def evict_over_capacity(self) -> None:
         while self._pages and len(self._pages) + len(self._dirty) > self.capacity:  # oldest clean pages go, unwritten
@@ -84,8 +88,7 @@ class PagePool:
             raise FormatError(f"a page cache holds at most {_FILE_MASK + 1} files")
         self._pages = cache._pages
         self._dirty = cache._dirty
-        self._fh = files.open_data(self.file_path, create=cache.create)
-        cache._files.append(self._fh)  # closed with the cache, also when the checks below fail
+        self._fh = cache.open(self.file_path)  # closed with the cache, also when the checks below fail
         size = files.size(self._fh)
         if size % page_size:
             raise CorruptionError(f"{self.file_path} size {size} is not a multiple of page_size {page_size}")

@@ -14,8 +14,9 @@ store's ``flush`` persists its tree only.
 A Depot extends the scheme to variable-length payloads (contract code):
 fixed-length meta records (offset, length, digest) point into an
 append-only blob file, and the digest inside the meta record is what the
-hash tree commits to. The blob is opened like the page files, through
-``files.open_data`` with its page cache's ``create``.
+hash tree commits to. Bodies wait in memory at the offsets they will take
+until ``flush`` appends them, so the blob, opened and closed by the page
+cache like the page files, changes only at a commit.
 """
 
 from __future__ import annotations
@@ -94,21 +95,20 @@ class RecordStore:
 
 
 class Depot:
-    """Variable-length payloads behind a fixed-record meta store."""
+    """Variable-length payloads behind a fixed-record meta store; ``pending`` holds the bodies set since the last commit."""
 
     def __init__(self, meta: RecordStore, blob_path: Path):
         self.meta = meta
-        self._blob = files.open_data(blob_path, create=meta.pool.cache.create)
-        self._blob_size = files.size(self._blob)
+        self._blob = meta.pool.cache.open(blob_path)
+        self._committed = files.size(self._blob)  # the blob's end; pending bodies follow it
+        self.pending = bytearray()
 
     def set(self, record: int, code: bytes) -> None:
         """Store ``code`` under ``record``; old blob bytes become garbage."""
         if len(code) > MAX_CODE_SIZE:
             raise FormatError(f"code length {len(code)} exceeds {MAX_CODE_SIZE}")
-        offset = self._blob_size
-        if code:
-            files.pwrite(self._blob, code, offset)
-            self._blob_size += len(code)
+        offset = self._committed + len(self.pending)
+        self.pending += code
         meta = offset.to_bytes(8, "big") + len(code).to_bytes(4, "big") + digest(code)
         self.meta.set(record, meta)
 
@@ -117,7 +117,8 @@ class Depot:
         offset = int.from_bytes(meta[0:8], "big")
         length = int.from_bytes(meta[8:12], "big")
         stored_hash = meta[12:44]
-        code = files.pread(self._blob, length, offset) if length else b""
+        start = offset - self._committed  # from 0 on, a body set since the last commit, still pending; empty reads nothing
+        code = files.pread(self._blob, length, offset) if start < 0 < length else bytes(self.pending[start : start + length])
         if digest(code) != stored_hash:
             raise CorruptionError(f"code record {record} does not match its stored digest")
         return code
@@ -126,8 +127,9 @@ class Depot:
         return self.meta.root()
 
     def flush(self) -> None:
+        """Append the pending bodies to the blob in one write, then persist the meta store's tree."""
+        if self.pending:
+            files.pwrite(self._blob, self.pending, self._committed)
+            self._committed += len(self.pending)
+            self.pending.clear()
         self.meta.flush()
-
-    def close(self) -> None:
-        """Close the blob file; the page cache closes the meta store's file."""
-        self._blob.close()

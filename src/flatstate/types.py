@@ -32,7 +32,6 @@ from .widths import (  # re-exported, so `from flatstate.types import KEY_SIZE` 
 Address = bytes
 StorageKey = bytes
 StorageValue = bytes
-Hash32 = bytes
 
 
 def _check_width(name: str, value: bytes, width: int) -> None:

@@ -60,6 +60,26 @@ def test_gen_is_deterministic(tmp_path):
     assert direct.read_bytes() == (tmp_path / "a.wl").read_bytes()
 
 
+# (arguments, what the error line says); run in a directory that holds a valid small.wl
+BAD_INPUTS = {
+    "negative-blocks": (["gen", "w.wl", "--blocks", "-1"], "invalid workload spec"),
+    "ratio-above-one": (["gen", "w.wl", "--delete-ratio", "1.5"], "ratios must lie in [0, 1], got 1.5"),
+    "page-too-small": (["replay", "small.wl", "--db-dir", "db", "--page-size", "64"], "page size 64 too small for 56-byte keys"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_bad_input_is_one_error_line_and_exit_1(tmp_path, capsys, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    write_workload(tmp_path / "small.wl", WorkloadSpec(seed=1, blocks=3, accounts=10, txs_per_block=2, slot_writes_per_tx=1, new_key_ratio=0.5, delete_ratio=0.0))
+    args, message = BAD_INPUTS[case]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+    assert not (tmp_path / "w.wl").exists()  # gen checks its spec before it writes
+
+
 def test_replay_with_and_without_archive(tmp_path):
     workload = tmp_path / "w.wl"
     write_workload(workload, SPEC)

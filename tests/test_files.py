@@ -121,6 +121,17 @@ def test_one_commit_site_and_one_record_writer():
     assert writers == {module: {"flush"} if module == "pagepool" else set() for module in DATABASE_MODULES}
 
 
+LIVE_MODULES = ("pagepool", "store", "index", "hashtree", "livedb")
+
+
+def test_the_page_cache_opens_every_livedb_file_and_only_a_commit_appends_code():
+    """Only ``PageCache.open`` opens a LiveDb data file, so its ``close`` closes all eleven; in the stores only
+    ``flush`` writes, so code bodies reach ``codes.blob`` only at a commit."""
+    openers = {module: functions_that(module, calls("open_data")) for module in LIVE_MODULES}
+    assert openers == {module: {"open"} if module == "pagepool" else set() for module in LIVE_MODULES}
+    assert functions_that("store", calls("pwrite")) == {"flush"}
+
+
 SPEC = WorkloadSpec(seed=5, blocks=20, accounts=40, txs_per_block=4, slot_writes_per_tx=2, new_key_ratio=0.4, delete_ratio=0.05)
 
 

@@ -20,7 +20,7 @@ from flatstate.hashtree import HashTree
 from flatstate.livedb import LiveDb, ROOT_ORDER
 from flatstate.oracle import ReferenceOracle
 from flatstate.pagepool import PageCache, PagePool
-from flatstate.types import AccountUpdate, BlockDiff, ZERO_VALUE
+from flatstate.types import MAX_CODE_SIZE, AccountUpdate, BlockDiff, ZERO_VALUE
 from flatstate.workload import WorkloadSpec, generate
 
 from util import addr, key, remembered_keys, val
@@ -303,7 +303,6 @@ def test_first_flush_cut_short_before_meta_reopens_as_new(tmp_path):
     for component in cut._components:  # LiveDb.flush up to meta.json, where a killed process stops
         component.flush()
     cut._cache.flush()
-    cut.codes.close()
     cut._cache.close()
     assert not (tmp_path / "cut" / "meta.json").exists() and (tmp_path / "cut" / "balances.dat").stat().st_size > 0
     reopened = LiveDb(tmp_path / "cut")
@@ -432,7 +431,6 @@ def test_unclean_close_reopens_at_the_last_commit_with_its_data(tmp_path, monkey
         db.apply_block(block_diff)
         oracle.apply_block(block_diff)
         roots[block_diff.block] = db.state_root().root
-    db.codes.close()
     db._cache.close()  # as a killed process would: no flush
     reopened = LiveDb(tmp_path / "db", page_size=256)
     try:
@@ -445,20 +443,10 @@ def test_unclean_close_reopens_at_the_last_commit_with_its_data(tmp_path, monkey
         reopened.close()
 
 
-def test_a_small_cache_commits_at_block_ends_and_bounds_resident_pages(tmp_path, monkeypatch):
-    """Without a flush() call, a full cache commits at the end of a block, and only a commit writes a page.
-
-    Resident pages never exceed the budget plus the pages the current
-    block dirtied, and meta.json follows the commits.
-    """
-    monkeypatch.setattr(livedb_module, "CACHE_BYTES", 64 * 256)  # a few blocks of dirty pages
-    touched = set()  # (file path, page id) the current block took to write or appended
-    peak = [0]
-    real_write, real_write_page, real_append, real_evict = PageCache._write, PagePool.write_page, PagePool.append_page, PageCache.evict_over_capacity
-
-    def write(cache, key, data):
-        assert sys._getframe(1).f_code is PageCache.flush.__code__
-        real_write(cache, key, data)
+def touched_pages(monkeypatch) -> set:
+    """The (file path, page id) pairs taken to write or appended since the caller last cleared the set."""
+    touched = set()
+    real_write_page, real_append = PagePool.write_page, PagePool.append_page
 
     def write_page(pool, page_id):
         touched.add((pool.file_path, page_id))
@@ -469,13 +457,31 @@ def test_a_small_cache_commits_at_block_ends_and_bounds_resident_pages(tmp_path,
         touched.add((pool.file_path, page_id))
         return page_id
 
+    monkeypatch.setattr(PagePool, "write_page", write_page)
+    monkeypatch.setattr(PagePool, "append_page", append_page)
+    return touched
+
+
+def test_a_small_cache_commits_at_block_ends_and_bounds_resident_pages(tmp_path, monkeypatch):
+    """Without a flush() call, a full cache commits at the end of a block, and only a commit writes a page.
+
+    Resident pages never exceed the budget plus the pages the current
+    block dirtied, and meta.json follows the commits.
+    """
+    monkeypatch.setattr(livedb_module, "CACHE_BYTES", 64 * 256)  # a few blocks of dirty pages
+    touched = touched_pages(monkeypatch)
+    peak = [0]
+    real_write, real_evict = PageCache._write, PageCache.evict_over_capacity
+
+    def write(cache, key, data):
+        assert sys._getframe(1).f_code is PageCache.flush.__code__
+        real_write(cache, key, data)
+
     def evict(cache):  # every load and append ends here
         real_evict(cache)
         peak[0] = max(peak[0], cache.resident_count)
 
     monkeypatch.setattr(PageCache, "_write", write)
-    monkeypatch.setattr(PagePool, "write_page", write_page)
-    monkeypatch.setattr(PagePool, "append_page", append_page)
     monkeypatch.setattr(PageCache, "evict_over_capacity", evict)
     db = LiveDb(tmp_path / "db", page_size=256)
     meta_path = tmp_path / "db" / "meta.json"
@@ -495,7 +501,6 @@ def test_a_small_cache_commits_at_block_ends_and_bounds_resident_pages(tmp_path,
             commits += 1
     assert 10 < commits < db.block  # blocks commit, and not every one
     db._cache.close()
-    db.codes.close()
     reopened = LiveDb(tmp_path / "db", page_size=256)
     try:
         assert reopened.block == committed
@@ -503,6 +508,67 @@ def test_a_small_cache_commits_at_block_ends_and_bounds_resident_pages(tmp_path,
             assert reopened.get_balance(address) == oracle.balance_at(address, reopened.block)
     finally:
         reopened.close()
+
+
+def code_blocks(first, last, accounts=1, size=MAX_CODE_SIZE):
+    """Blocks ``first``..``last``, each creating ``accounts`` new accounts that each deploy a distinct ``size``-byte body."""
+    for block in range(first, last + 1):
+        yield diff(block, *(
+            AccountUpdate(address=addr(block * 1000 + n), created=True, balance=n + 1, code=bytes([block % 256, n]) * (size // 2))
+            for n in range(accounts)
+        ))
+
+
+def test_unclean_close_leaves_the_blob_at_the_last_commit_and_a_refeed_matches(tmp_path):
+    """Code bodies reach codes.blob only at a commit, so a killed process leaves the blob at its committed size,
+    and re-feeding the blocks after the commit gives the bytes and the root of an uninterrupted feed."""
+    blocks = list(code_blocks(1, 10, accounts=3, size=300))
+    clean = LiveDb(tmp_path / "clean")
+    for block_diff in blocks:
+        clean.apply_block(block_diff)
+    expected = clean.state_root().root
+    clean.close()
+    cut = LiveDb(tmp_path / "cut")
+    for block_diff in blocks[:5]:
+        cut.apply_block(block_diff)
+    cut.flush()
+    blob = tmp_path / "cut" / "codes.blob"
+    assert blob.stat().st_size == 5 * 3 * 300
+    for block_diff in blocks[5:]:
+        cut.apply_block(block_diff)
+    assert cut.get_code(addr(10_002)) == bytes([10, 2]) * 150  # served from the pending bodies
+    cut._cache.close()  # as a killed process would: no flush
+    assert blob.stat().st_size == 5 * 3 * 300
+    reopened = LiveDb(tmp_path / "cut")
+    try:
+        assert reopened.block == 5
+        for block_diff in blocks[5:]:
+            reopened.apply_block(block_diff)
+        assert reopened.state_root().root == expected
+    finally:
+        reopened.close()
+    assert tree_bytes(tmp_path / "cut") == tree_bytes(tmp_path / "clean")
+
+
+def test_pending_code_bodies_count_against_the_cache_budget(tmp_path, monkeypatch):
+    """Bodies wait for the commit inside the page budget: after each block, dirty pages and pending bodies stay
+    within CACHE_BYTES plus that block's own pages and bodies, so code-heavy blocks commit by themselves."""
+    budget = 32 * 4096
+    monkeypatch.setattr(livedb_module, "CACHE_BYTES", budget)
+    touched = touched_pages(monkeypatch)
+    db = LiveDb(tmp_path / "db")
+    meta_path = tmp_path / "db" / "meta.json"
+    commits = []
+    for block_diff in code_blocks(1, 30):
+        touched.clear()
+        db.apply_block(block_diff)
+        bodies = sum(len(update.code) for update in block_diff.updates)
+        assert len(db._cache._dirty) * 4096 + len(db.codes.pending) <= budget + len(touched) * 4096 + bodies
+        if meta_path.exists() and json.loads(meta_path.read_text())["block"] not in commits:
+            commits.append(json.loads(meta_path.read_text())["block"])
+            assert commits[-1] == block_diff.block and not db.codes.pending
+    assert len(commits) >= 5  # about one commit per five 25,600-byte bodies
+    db.close()
 
 
 def test_two_replicas_produce_identical_roots_and_files(tmp_path, monkeypatch):
@@ -616,8 +682,7 @@ def test_close_whose_flush_fails_still_closes_every_file(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "pwrite", no_space)  # every page write fails
     with pytest.raises(StorageError):
         db.close()
-    assert len(db._cache._files) == 10 and all(fh.closed for fh in db._cache._files)
-    assert db.codes._blob.closed
+    assert len(db._cache._files) == 11 and all(fh.closed for fh in db._cache._files)  # the blob among them
     assert (tmp_path / "db" / "meta.json").read_bytes() == meta_before
 
 

@@ -1,27 +1,25 @@
 """LiveDb and ArchiveDb driven together through random schedules against the reference oracle.
 
 Every size constant sits at an extreme at once: a page cache of two
-pages (one schedule: 64, more than a block dirties, so LiveDb commits
+pages (two schedules: 64, more than a block dirties, so LiveDb commits
 only every few blocks), a key memo of 0, 2 or 8 keys, commit batches of
-1 or 3 blocks, a merge of every 2 runs that writes one entry of each
-victim at a time, and pages of 256 or 4096 bytes. Each step, drawn with
-stdlib ``random`` from a fixed seed, applies the next block to both
-databases, reads at the head, reads history, flushes, closes both
-cleanly and reopens them, or closes LiveDb uncleanly (no flush, as a
-killed process would) and reopens it. Every read must equal the
-oracle's, and every reopen must reproduce the root and the block hash
-recorded at its block. An unclean reopen must land on a committed block
-B, no older than the last flush, whose reads all equal the oracle's at
-B; the blocks after B are then fed again.
+1 or 3 blocks, a merge of every 2 runs that writes 1 or 3 entries of
+each victim at a time, a fence at every run entry (one schedule), and
+pages of 256 or 4096 bytes. Each step, drawn with stdlib ``random`` from
+a fixed seed, applies the next block to both databases, reads at the
+head, reads history, flushes, closes both cleanly and reopens them, or
+closes LiveDb uncleanly (no flush, as a killed process would) and
+reopens it. Every read must equal the oracle's, and every reopen must
+reproduce the root and the block hash recorded at its block. An unclean
+reopen must land on a committed block B, no older than the last flush,
+whose reads all equal the oracle's at B; the blocks after B are then fed
+again, each to the root it had at its first feed.
 """
 
 import random
 
 import pytest
 
-from flatstate import archive as archive_module
-from flatstate import index as index_module
-from flatstate import livedb as livedb_module
 from flatstate.archive import ArchiveDb
 from flatstate.livedb import LiveDb
 from flatstate.oracle import ReferenceOracle
@@ -33,11 +31,21 @@ ADDRESSES = [addr(n) for n in range(1, 13)]  # few, so accounts are deleted, re-
 KEYS = [key(n) for n in range(1, 9)]
 STEPS = 50
 STEP_WEIGHTS = {"apply": 5, "head": 2, "history": 2, "flush": 1, "reopen": 1, "unclean": 1}
-# (seed, page size, index.KEYS_REMEMBERED, archive.BATCH_BLOCKS, page-cache pages); an id names the cache if not 2 pages
+# The constants every schedule sets, unless it names a value of its own.
+SHARED = {"archive.MERGE_FANOUT": 2, "archive.MERGE_CHUNK": 1}
+# (seed, page size, page-cache pages, the flatstate constants it sets); an id names the cache if not 2 pages,
+# then any constant beyond the memo and the batch
 SCHEDULES = [
-    pytest.param(1, 256, 0, 1, 2, id="1-256-0-1"),
-    pytest.param(2, 4096, 8, 3, 2, id="2-4096-8-3"),
-    pytest.param(3, 256, 2, 1, 64, id="3-256-2-1-64"),
+    pytest.param(1, 256, 2, {"index.KEYS_REMEMBERED": 0, "archive.BATCH_BLOCKS": 1}, id="1-256-0-1"),
+    pytest.param(2, 4096, 2, {"index.KEYS_REMEMBERED": 8, "archive.BATCH_BLOCKS": 3}, id="2-4096-8-3"),
+    pytest.param(3, 256, 64, {"index.KEYS_REMEMBERED": 2, "archive.BATCH_BLOCKS": 1}, id="3-256-2-1-64"),
+    pytest.param(
+        4,
+        4096,
+        64,
+        {"index.KEYS_REMEMBERED": 2, "archive.BATCH_BLOCKS": 3, "archive.MERGE_CHUNK": 3, "archive.FENCE_STRIDE": 1},
+        id="4-4096-2-3-64-chunk3-fence1",
+    ),
 ]
 
 
@@ -87,15 +95,11 @@ def archive_reader(archive: ArchiveDb, block: int):
     return lambda kind, *args: reads[kind](*args, block)
 
 
-@pytest.mark.parametrize("seed, page_size, keys_remembered, batch_blocks, cache_pages", SCHEDULES)
-def test_both_databases_match_the_oracle_through_a_random_schedule(
-    tmp_path, monkeypatch, seed, page_size, keys_remembered, batch_blocks, cache_pages
-):
-    monkeypatch.setattr(livedb_module, "CACHE_BYTES", cache_pages * page_size)
-    monkeypatch.setattr(index_module, "KEYS_REMEMBERED", keys_remembered)
-    monkeypatch.setattr(archive_module, "BATCH_BLOCKS", batch_blocks)
-    monkeypatch.setattr(archive_module, "MERGE_FANOUT", 2)
-    monkeypatch.setattr(archive_module, "MERGE_CHUNK", 1)
+@pytest.mark.parametrize("seed, page_size, cache_pages, constants", SCHEDULES)
+def test_both_databases_match_the_oracle_through_a_random_schedule(tmp_path, monkeypatch, seed, page_size, cache_pages, constants):
+    monkeypatch.setattr("flatstate.livedb.CACHE_BYTES", cache_pages * page_size)
+    for name, value in {**SHARED, **constants}.items():
+        monkeypatch.setattr(f"flatstate.{name}", value)
     rng = random.Random(seed)
     oracle = ReferenceOracle()
     diffs: list[BlockDiff] = []
@@ -125,19 +129,16 @@ def test_both_databases_match_the_oracle_through_a_random_schedule(
                 assert archive.watermark == oracle.block
                 flushed = oracle.block
             elif step == "unclean":
-                live.codes.close()
-                live._cache.close()  # the files hold the last commit
+                live._cache.close()  # every file holds the last commit
                 live = LiveDb(tmp_path / "live", page_size=page_size)
                 committed = live.block
                 assert flushed <= committed <= oracle.block
                 behind += committed < oracle.block
                 assert live.state_root().root == roots[committed]
                 check_reads(rng, live_reader(live), oracle, committed, len(ADDRESSES), len(KEYS))
-                # The blob keeps the code bodies of the blocks after B, so a re-fed body lands
-                # at another offset: its depot record, and the root, may differ from the first feed's.
                 for block_diff in diffs[committed:]:
                     live.apply_block(block_diff)
-                    roots[block_diff.block] = live.state_root().root
+                    assert live.state_root().root == roots[block_diff.block]
                 check_reads(rng, live_reader(live), oracle, oracle.block, len(ADDRESSES), len(KEYS))
             else:
                 live.close()

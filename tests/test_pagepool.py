@@ -102,11 +102,12 @@ def test_dirty_pages_leave_clean_pages_only_the_room_they_leave(open_pool):
     write_page(pool, 0, b"\x09" * 256)
     write_page(pool, 1, b"\x0a" * 256)
     assert (len(pool.cache._pages), len(pool.cache._dirty)) == (2, 2)
-    assert not pool.cache.full
+    assert not pool.cache.full(0)
+    assert not pool.cache.full(511) and pool.cache.full(512)  # the owner's pending bytes count in whole pages
     pool.append_page()  # a third dirty page leaves room for one clean page: page 2, used before page 3, goes
     assert sorted(key >> 4 for key in pool.cache._pages) == [3]
     pool.append_page()
-    assert pool.cache.full and len(pool.cache._pages) == 0
+    assert pool.cache.full(0) and len(pool.cache._pages) == 0
     assert bytes(pool.get_page(2)) == b"\x03" * 256  # loaded, returned and dropped at once
     assert pool.resident_count == 4
     assert bytes(pool.write_page(3)) == b"\x04" * 256  # a page loaded to be written stays, dirty

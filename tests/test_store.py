@@ -12,7 +12,7 @@ from flatstate.store import Depot, RecordStore
 
 @pytest.fixture
 def opened():
-    """Page caches and depots a test opens, closed after it."""
+    """Page caches a test opens, closed after it with every file they opened."""
     held = []
     yield held
     for item in held:
@@ -153,8 +153,7 @@ def open_depot(tmp_path, opened):
     def open_():
         cache = PageCache(page_size=4096, budget_bytes=8 * 4096, create=True)
         opened.append(cache)
-        opened.append(Depot(RecordStore(cache, tmp_path / "codes.meta", 44), tmp_path / "codes.blob"))
-        return opened[-1]
+        return Depot(RecordStore(cache, tmp_path / "codes.meta", 44), tmp_path / "codes.blob")
 
     return open_
 
@@ -172,7 +171,9 @@ def test_depot_roundtrip_and_oracle(open_depot):
     rng = random.Random(9)
     depot = open_depot()
     oracle: list[bytes] = []
-    for _ in range(800):
+    for step in range(800):
+        if step % 100 == 99:
+            depot.flush()  # later reads mix committed bodies with pending ones
         if rng.random() < 0.6 or not oracle:
             r = rng.randint(0, len(oracle))
             code = rng.randbytes(rng.randint(0, 600))
@@ -197,6 +198,7 @@ def test_depot_rejects_oversized_code(open_depot):
 def test_depot_detects_blob_corruption(open_depot, opened, tmp_path):
     depot = open_depot()
     depot.set(0, b"\xaa" * 100)
+    depot.flush()  # the body reaches the blob only at a commit
     depot.meta.pool.cache.flush()
     blob = tmp_path / "codes.blob"
     raw = bytearray(blob.read_bytes())
@@ -205,7 +207,6 @@ def test_depot_detects_blob_corruption(open_depot, opened, tmp_path):
     cache = PageCache(page_size=4096, budget_bytes=8 * 4096, create=False)
     opened.append(cache)
     tampered = Depot(RecordStore(cache, tmp_path / "codes.meta", 44, count=1), blob)
-    opened.append(tampered)
     with pytest.raises(CorruptionError):
         tampered.get(0)
 

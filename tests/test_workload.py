@@ -121,11 +121,28 @@ def test_deletions_and_recreations_occur():
     assert recreations >= 10
 
 
-def test_bad_magic_rejected(tmp_path):
-    (tmp_path / "junk.wl").write_bytes(b"JUNKJUNKJUNK" + b"\x00" * 64)
-    with pytest.raises(FormatError):
-        read_spec(tmp_path / "junk.wl")
-    with pytest.raises(FormatError):
+# A workload file spoilt one way each: (its bytes, made from a good file's, and what the FormatError says).
+# A bad header fails read_spec and read_workload alike; a cut in the stream fails read_workload only.
+SPOILT = {
+    "bad-magic": (lambda good: b"JUNKJUNKJUNK" + b"\x00" * 64, "bad magic"),
+    "short-header": (lambda good: good[:49], "too short to be a workload file"),
+    "version-9": (lambda good: good[:4] + (9).to_bytes(2, "big") + good[6:], "unsupported workload version 9"),
+    "record-cut-short": (lambda good: good[:-1], "truncated diff record"),
+    "prefix-cut-short": (lambda good: good[: 54 + int.from_bytes(good[50:54], "big") + 2], "truncated length prefix"),
+}
+
+
+@pytest.mark.parametrize("case", SPOILT)
+def test_bad_magic_rejected(tmp_path, case):
+    write_workload(tmp_path / "good.wl", SPEC)
+    spoil, message = SPOILT[case]
+    (tmp_path / "junk.wl").write_bytes(spoil((tmp_path / "good.wl").read_bytes()))
+    if "cut" in case:
+        assert read_spec(tmp_path / "junk.wl") == SPEC
+    else:
+        with pytest.raises(FormatError, match=message):
+            read_spec(tmp_path / "junk.wl")
+    with pytest.raises(FormatError, match=message):
         list(read_workload(tmp_path / "junk.wl"))
 
 
