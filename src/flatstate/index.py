@@ -5,11 +5,11 @@ bits as it passes each power of two, so growth never rebuilds the whole
 table. Collisions within a bucket are resolved by scanning its slots in
 order; a full bucket chains an overflow page in the same file.
 
-Ordinals are handed out densely in insertion order, and every assigned
-key is appended to a reverse lookup table (record i holds the key with
-ordinal i). The table's commitment is the hash-tree root over the
-reverse table's pages only: bucket layout is an implementation detail
-and stays outside the commitment.
+Ordinals are handed out densely in insertion order, and ``write_keys``
+appends the keys added since its last call to a reverse lookup table
+(record i holds the key with ordinal i). The table's commitment is the
+hash-tree root over the reverse table's pages only: bucket layout is an
+implementation detail and stays outside the commitment.
 
 Lookups remember what they learn in a memo of up to ``KEYS_REMEMBERED``
 keys: a present key maps to its ordinal (>= 0), an absent key to
@@ -72,6 +72,7 @@ class LinearHashIndex:
         self._young: dict[bytes, int] = {}
         self._old: dict[bytes, int] = {}
         self._generation_size = KEYS_REMEMBERED // 2
+        self._new_keys: dict[int, bytes] = {}  # keys added since the last write_keys, by ordinal
 
     def state(self) -> dict:
         return {
@@ -122,7 +123,7 @@ class LinearHashIndex:
             insert_page = self.pool.append_page()
             self.pool.write_page(tail)[2:10] = (insert_page + 1).to_bytes(8, "big")
         self._append_entry(insert_page, key, ordinal)
-        self.reverse.set(ordinal, key)
+        self._new_keys[ordinal] = key
         self.count += 1
         if self.count > _LOAD_FACTOR * len(self.bucket_pages) * self.slots_per_page:
             self._split()
@@ -133,15 +134,23 @@ class LinearHashIndex:
         """Empty the memo, so every later lookup reads the pages."""
         self._young, self._old = {}, {}
 
+    def write_keys(self) -> None:
+        """Append the keys added since the last call to the reverse table in one batch; reads of it call this first."""
+        self.reverse.set_many(self._new_keys)
+        self._new_keys = {}
+
     def key_at(self, ordinal: int) -> bytes:
+        self.write_keys()
         return self.reverse.get(ordinal)
 
     def root(self) -> bytes:
         """Commitment over the assigned key sequence (reverse table pages)."""
+        self.write_keys()
         return self.reverse.root()
 
     def flush(self) -> None:
         """Persist the reverse table's hash tree; the page cache writes the pages."""
+        self.write_keys()
         self.reverse.flush()
 
     def _recall_old(self, key: bytes) -> int | None:

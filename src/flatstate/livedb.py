@@ -28,7 +28,7 @@ commits, so RAM stays within the budget plus one block's pages and
 bodies (replay-cold's window dirties up to ≈6,000 of 6,144 pages).
 
 One thread uses an instance at a time, readers included: every read
-may load or reorder pages in the page cache and remember keys in the
+may load or evict pages in the page cache and remember keys in the
 index memos, so two threads must not share an instance without a lock
 of their own.
 """
@@ -133,10 +133,11 @@ class LiveDb:
         """Apply one block's updates; each plain store then takes the block's writes in one pass.
 
         The writes collect per store as ``{record: bytes}`` (a later write to
-        a record wins), so each page is taken to write once per block. Index
-        keys and code records are written as they come. A block whose dirty
-        pages and pending code bodies fill the page cache ends in
-        ``flush()``, whose failure raises with the block applied in memory.
+        a record wins), and each index's new keys until ``write_keys``, so
+        each page is taken to write once per block; code records are written
+        as they come. A block whose dirty pages and pending code bodies fill
+        the page cache ends in ``flush()``, whose failure raises with the
+        block applied in memory.
         """
         if diff.block != self.block + 1:
             raise SequenceError(f"expected block {self.block + 1}, got {diff.block}")
@@ -179,6 +180,8 @@ class LiveDb:
         self.exists_flags.set_many(exists)
         self.reincarnations.set_many(reincs)
         self.values.set_many(values)
+        self.a_index.write_keys()
+        self.ak_index.write_keys()
         self.block = diff.block
         self._root_cache = None
         if self._cache.full(len(self.codes.pending)):

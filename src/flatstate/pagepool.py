@@ -3,15 +3,16 @@
 A ``PageCache`` holds the resident pages of every file opened through it
 under one budget of ``budget_bytes``. A dirty page stays resident until
 ``flush``, the only place a page is written, writes it to its own file;
-clean pages fill the room the dirty ones leave, in one least-recently-used
-map whose eviction writes nothing. The owner commits once its dirty pages
-and the bytes it keeps for the commit fill the budget (``full``). A
-``PagePool`` is one file's view of the cache; its pages are addressed by
-a dense id from 0, page i at offset ``i * page_size``. Only ``append_page``
-adds a page; reading never extends the file, and a page the file was cut
-short of after it was opened reads as zeros. A cache belongs to one
-database: ``open`` opens each of its data files, page files or not, new or
-existing as its ``create`` decided (``files.open_data``); ``close`` closes all.
+clean pages fill the room the dirty ones leave and leave, unwritten, in
+load order. The owner commits once its dirty pages and the bytes it keeps
+for the commit fill the budget (``full``). A ``PagePool`` is one file's
+view of the cache, page i at offset ``i * page_size``; its page table, a
+list by page id of each resident page (clean or dirty) or ``None``, makes
+a hit one list index that reorders nothing. Only ``append_page`` adds a
+page; reading never extends the file, and a page the file was cut short
+of after it was opened reads as zeros. A cache belongs to one database:
+``open`` opens each of its data files, page files or not, new or existing
+as its ``create`` decided (``files.open_data``); ``close`` closes all.
 """
 
 from __future__ import annotations
@@ -37,9 +38,10 @@ class PageCache:
         self.page_size = page_size
         self._create = create  # a new database: its files are created, else each must exist
         self.capacity = max(2, budget_bytes // page_size)  # the page budget; clean pages fill what dirty ones leave
-        self._pages: OrderedDict[int, bytearray] = OrderedDict()  # clean pages by key, oldest use first
+        self._pages: OrderedDict[int, bytearray] = OrderedDict()  # clean pages by key, first loaded first
         self._dirty: dict[int, bytearray] = {}  # pages that differ from their file, resident until flush
         self._files: list[io.FileIO] = []  # by file number; files, not pools: a cycle would keep pages alive
+        self._tables: list[list[bytearray | None]] = []  # by file number, each pool's page table
 
     @property
     def resident_count(self) -> int:
@@ -51,11 +53,13 @@ class PageCache:
     def open(self, path: Path) -> io.FileIO:
         """The database's data file ``path``, created new or required to exist; ``close`` closes it."""
         self._files.append(files.open_data(path, create=self._create))
+        self._tables.append([])  # a page file's pool fills it; the code blob's stays empty
         return self._files[-1]
 
     def evict_over_capacity(self) -> None:
-        while self._pages and len(self._pages) + len(self._dirty) > self.capacity:  # oldest clean pages go, unwritten
-            self._pages.popitem(last=False)
+        while self._pages and len(self._pages) + len(self._dirty) > self.capacity:  # first-loaded clean pages go, unwritten
+            key = self._pages.popitem(last=False)[0]
+            self._tables[key & _FILE_MASK][key >> _FILE_BITS] = None
 
     def flush(self) -> None:
         """Write each dirty page to its own file once, then keep it as clean; a new page is dirty until written."""
@@ -69,6 +73,8 @@ class PageCache:
         """Close every file and drop the resident pages, writing none: callers ``flush()`` first."""
         for fh in self._files:
             fh.close()
+        for table in self._tables:  # as long as before, so a later read still reaches the closed file
+            table[:] = [None] * len(table)
         self._pages.clear()
         self._dirty.clear()
 
@@ -77,7 +83,7 @@ class PageCache:
 
 
 class PagePool:
-    """One file's pages in a shared ``PageCache``."""
+    """One file's pages in a shared ``PageCache``, reached through its page table."""
 
     def __init__(self, cache: PageCache, file_path: Path):
         self.cache = cache
@@ -89,51 +95,46 @@ class PagePool:
         self._pages = cache._pages
         self._dirty = cache._dirty
         self._fh = cache.open(self.file_path)  # closed with the cache, also when the checks below fail
+        self._table = cache._tables[self._file_no]  # page id -> resident page or None; its length is page_count
         size = files.size(self._fh)
         if size % page_size:
             raise CorruptionError(f"{self.file_path} size {size} is not a multiple of page_size {page_size}")
-        self._page_count = size // page_size
+        self._table += [None] * (size // page_size)
 
     @property
     def page_count(self) -> int:
-        return self._page_count
+        return len(self._table)
 
     @property
     def resident_count(self) -> int:
-        return sum(1 for pages in (self._pages, self._dirty) for key in pages if key & _FILE_MASK == self._file_no)
+        return len(self._table) - self._table.count(None)
 
     def get_page(self, page_id: int) -> bytearray:
         """Return the bytes of page ``page_id`` to read, loading it as needed; a write goes through ``write_page``.
 
-        A page at or beyond ``page_count`` is a bounds error.
+        A page at or beyond ``page_count``, or below 0, is a bounds error.
         """
-        key = page_id << _FILE_BITS | self._file_no
-        data = self._dirty.get(key)
-        if data is not None:
-            return data
-        data = self._pages.get(key)
-        if data is not None:
-            self._pages.move_to_end(key)
-            return data
-        if page_id >= self._page_count or page_id < 0:
-            raise BoundsError(f"page {page_id} beyond pool end {self._page_count}")
-        data = self._pages[key] = self._load(page_id)
-        self.cache.evict_over_capacity()
+        table = self._table
+        if not 0 <= page_id < len(table):  # before the index: a list takes -1 as its last item
+            raise BoundsError(f"page {page_id} beyond pool end {len(table)}")
+        data = table[page_id]
+        if data is None:  # loaded clean; with the cache full of dirty pages it leaves the table at once
+            data = table[page_id] = self._pages[page_id << _FILE_BITS | self._file_no] = self._load(page_id)
+            self.cache.evict_over_capacity()
         return data
 
     def append_page(self) -> int:
         """Add a zeroed page at the end of the file and return its id; it stays dirty until written."""
-        page_id = self._page_count
-        self._page_count += 1
-        key = page_id << _FILE_BITS | self._file_no
-        self._dirty[key] = bytearray(self.page_size)
+        page_id = len(self._table)
+        self._dirty[page_id << _FILE_BITS | self._file_no] = data = bytearray(self.page_size)
+        self._table.append(data)
         self.cache.evict_over_capacity()
         return page_id
 
     def write_page(self, page_id: int) -> bytearray:
         """Return the bytes of page ``page_id`` to change; the page stays resident, dirty, until the next flush."""
         key = page_id << _FILE_BITS | self._file_no
-        self._dirty[key] = data = self.get_page(page_id)
+        self._dirty[key] = self._table[page_id] = data = self.get_page(page_id)  # back in the table if it left at once
         self._pages.pop(key, None)  # a clean page moves; one dropped as soon as it was loaded is not there
         return data
 

@@ -6,7 +6,8 @@ number: record r lives in page ``r // slots_per_page`` at slot
 straddle pages; trailing page bytes stay zero. Every store carries a
 hash tree over its pages for the component commitment. The one
 constructor opens the page file in a page cache, checks its page count
-against the record count and loads or rebuilds the tree. ``set_many``
+against the record count and loads or rebuilds the tree. ``get`` copies a
+record out of its page once, with one ``struct`` unpack. ``set_many``
 writes every record (``set`` is a batch of one) into pages it takes with
 ``write_page``, which only the commit's ``PageCache.flush`` writes; a
 store's ``flush`` persists its tree only.
@@ -21,6 +22,7 @@ cache like the page files, changes only at a commit.
 
 from __future__ import annotations
 
+import struct
 from pathlib import Path
 
 from . import files
@@ -42,6 +44,7 @@ class RecordStore:
             raise FormatError(f"record_size {record_size} must be in 1..{cache.page_size}")
         self.pool = pool = PagePool(cache, data_path)  # on failure below, closing the cache closes its file
         self.record_size = record_size
+        self._unpack = struct.Struct(f"{record_size}s").unpack_from  # one record's bytes, copied once
         self.slots_per_page = cache.page_size // record_size
         self.count = count
         if pool.page_count != self.page_count:  # a file cut short, or one holding pages no record owns
@@ -56,8 +59,7 @@ class RecordStore:
         if record < 0 or record >= self.count:
             raise BoundsError(f"record {record} out of range 0..{self.count - 1}")
         page_id, slot = divmod(record, self.slots_per_page)
-        offset = slot * self.record_size
-        return bytes(self.pool.get_page(page_id)[offset : offset + self.record_size])
+        return self._unpack(self.pool.get_page(page_id), slot * self.record_size)[0]
 
     def set(self, record: int, data: bytes) -> None:
         """Write record ``record``; ``record == count`` appends."""

@@ -132,6 +132,24 @@ def test_the_page_cache_opens_every_livedb_file_and_only_a_commit_appends_code()
     assert functions_that("store", calls("pwrite")) == {"flush"}
 
 
+def test_only_pagepool_names_the_resident_pages_and_page_tables():
+    """The page tables stay in step with the resident pages in one module: of the modules that import a page cache,
+    directly or not, only ``pagepool`` names ``_pages``, ``_dirty``, ``_table`` or ``_tables`` (the archive, which
+    imports none, keeps its run tables in a ``_tables`` of its own)."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in Path(flatstate.__file__).parent.glob("*.py")}
+    imports = {
+        name: {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 1}
+        for name, tree in trees.items()
+    }
+    reach = {"pagepool"}
+    while grown := {name for name, used in imports.items() if used & reach} - reach:
+        reach |= grown
+    internals = {"_pages", "_dirty", "_table", "_tables"}
+    named = {name for name, tree in trees.items() if any(getattr(node, "attr", None) in internals for node in ast.walk(tree))}
+    assert reach >= {"store", "index", "livedb", "bench"}
+    assert named & reach == {"pagepool"}
+
+
 SPEC = WorkloadSpec(seed=5, blocks=20, accounts=40, txs_per_block=4, slot_writes_per_tx=2, new_key_ratio=0.4, delete_ratio=0.05)
 
 

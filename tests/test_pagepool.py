@@ -72,6 +72,9 @@ def test_page_id_gap_rejected(open_pool):
     with pytest.raises(BoundsError):
         pool.get_page(0)  # a read never extends the pool
     assert pool.append_page() == 0
+    for take in (pool.get_page, pool.write_page):
+        with pytest.raises(BoundsError):
+            take(-1)  # not the last page, as a list index would have it
     with pytest.raises(BoundsError):
         pool.get_page(1)
     assert pool.append_page() == 1
@@ -104,7 +107,8 @@ def test_dirty_pages_leave_clean_pages_only_the_room_they_leave(open_pool):
     assert (len(pool.cache._pages), len(pool.cache._dirty)) == (2, 2)
     assert not pool.cache.full(0)
     assert not pool.cache.full(511) and pool.cache.full(512)  # the owner's pending bytes count in whole pages
-    pool.append_page()  # a third dirty page leaves room for one clean page: page 2, used before page 3, goes
+    assert bytes(pool.get_page(2)) == b"\x03" * 256  # a hit reorders nothing
+    pool.append_page()  # a third dirty page leaves room for one clean page: page 2, loaded before page 3, goes
     assert sorted(key >> 4 for key in pool.cache._pages) == [3]
     pool.append_page()
     assert pool.cache.full(0) and len(pool.cache._pages) == 0
@@ -160,6 +164,9 @@ def test_random_schedule_matches_mirror_oracle(open_pool, tmp_path, monkeypatch)
             pool = open_pool(page_size=page_size, capacity=3, create=False)
         cache = pool.cache
         assert len(cache._dirty) == len(dirty) and len(cache._pages) <= max(0, 3 - len(dirty))
+        held = {**cache._pages, **cache._dirty}  # the page table holds exactly the resident pages
+        assert all(data is None or held.get(page_id << 4) is data for page_id, data in enumerate(pool._table))
+        assert pool.resident_count == cache.resident_count
     flush()
     for page_id, expected in mirror.items():
         assert bytes(pool.get_page(page_id)) == expected
@@ -270,5 +277,7 @@ def test_close_closes_every_file_and_writes_no_page_dirtied_after_the_last_flush
     assert written == []
     assert [fh.closed for fh in cache._files] == [True, True]
     assert cache.resident_count == 0
+    with pytest.raises(StorageError):
+        a.get_page(0)  # the page table keeps its length, so a read after close reaches the closed file
     assert (tmp_path / "a.dat").read_bytes() == b"\x01" * 256
     assert (tmp_path / "b.dat").read_bytes() == b""

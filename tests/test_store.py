@@ -1,6 +1,7 @@
 """Record store and depot: seek arithmetic, oracle equivalence, hashing."""
 
 import hashlib
+import os
 import random
 
 import pytest
@@ -59,6 +60,19 @@ def test_set_get_roundtrip_and_overwrite(open_store):
     assert store.get(0) == b"a" * 16
     store.set(0, b"b" * 16)
     assert store.get(0) == b"b" * 16
+
+
+def test_get_returns_bytes_from_dirty_clean_and_cut_off_pages(open_store, tmp_path):
+    store = open_store(record_size=16, page_size=256, capacity=2)
+    store.set_many({r: bytes([r]) * 16 for r in range(48)})  # pages 0..2
+    store.pool.cache.flush()  # page 0, the first loaded, leaves
+    store.set(0, b"\xff" * 16)  # page 0 comes back dirty, and page 1 leaves
+    cache = store.pool.cache
+    assert [key >> 4 for key in cache._dirty] == [0] and [key >> 4 for key in cache._pages] == [2]
+    os.truncate(tmp_path / "store.dat", 256)  # page 1 is no longer in the file
+    for record, expected in ((0, b"\xff" * 16), (32, bytes([32]) * 16), (16, bytes(16))):
+        got = store.get(record)
+        assert type(got) is bytes and got == expected
 
 
 def test_bounds_and_format_errors(open_store):
