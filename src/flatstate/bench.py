@@ -11,6 +11,7 @@ from pathlib import Path
 
 from .archive import ArchiveDb
 from .errors import FlatStateError
+from .files import commit
 from .hashtree import HashTree
 from .livedb import LiveDb
 from .pagepool import PageCache
@@ -249,8 +250,8 @@ def sweep_io(
                     store.set(index, fresh.to_bytes(VALUE_RECORD, "big"))
                     fresh += 1
                 store.root()
-                store.flush()
-                cache.flush()
+                commit(cache.page_writes())  # the store has no tree file: its commit is its pages
+                cache.mark_written()
                 spent = time.perf_counter_ns() - begin
                 if best_ns is None or spent < best_ns:
                     best_ns = spent

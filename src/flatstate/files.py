@@ -111,6 +111,18 @@ def write_meta(path: Path, meta: dict) -> None:
         raise StorageError(f"cannot replace metadata: {exc}", path=path) from exc
 
 
+def commit(writes) -> None:
+    """Apply one commit's ``(file, offset, data)`` writes in order: ``data`` at ``offset`` of an open file or, with
+    offset ``None``, the path ``file`` replaced by the chunks ``data`` or, for a dict, by that metadata."""
+    for target, offset, data in writes:
+        if offset is not None:
+            pwrite(target, data, offset)
+        elif isinstance(data, dict):
+            write_meta(target, data)
+        else:
+            write_file(target, data)
+
+
 def read_meta(path: Path, version: int, fields: tuple[str, ...]) -> dict:
     """The metadata in ``path``; CorruptionError unless it is a JSON object
     of format ``version`` that holds every one of ``fields``."""

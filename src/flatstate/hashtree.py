@@ -40,7 +40,7 @@ class HashTree:
         # _levels[h] holds the nodes of height h; _levels[-1] is the root.
         self._levels: list[bytearray] = []
         self._dirty_leaves: set[int] = set()
-        self._saved = False  # the node file holds exactly _levels
+        self.saved = False  # the node file holds exactly _levels; its owner sets this once it has written them
         if leaf_count > 0:
             if self.node_path is not None and self.node_path.exists():
                 self._load(leaf_count)
@@ -87,7 +87,7 @@ class HashTree:
                 levels.append(bytearray(_PAD[height] * (capacity >> height)))
         self._dirty_leaves.update(range(self._leaf_count, new_leaf_count))
         self._leaf_count = new_leaf_count
-        self._saved = False
+        self.saved = False
 
     def root(self, page_reader) -> bytes:
         """Current root hash; recomputes only dirty leaves and their ancestors.
@@ -135,16 +135,12 @@ class HashTree:
                 view.release()
         add_calls(calls)
         self._dirty_leaves = set()
-        self._saved = False
+        self.saved = False
         return root
 
-    def flush(self, page_reader) -> None:
-        """Bring the tree up to date and persist the node file unless it already matches."""
-        self.root(page_reader)
-        if self.node_path is None or self._saved:
-            return
-        files.write_file(self.node_path, reversed(self._levels))
-        self._saved = True
+    def node_file(self) -> list[bytearray]:
+        """The node file as of the last ``root``, for the owner's commit to write whole: the levels, by reference, root first."""
+        return self._levels[::-1]
 
     def _load(self, leaf_count: int) -> None:
         capacity = _next_pow2(leaf_count)
@@ -160,4 +156,4 @@ class HashTree:
             self._levels.append(bytearray(data[start : start + (HASH_SIZE << depth)]))
         self._levels.reverse()
         self._leaf_count = leaf_count
-        self._saved = True
+        self.saved = True

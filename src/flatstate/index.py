@@ -148,11 +148,6 @@ class LinearHashIndex:
         self.write_keys()
         return self.reverse.root()
 
-    def flush(self) -> None:
-        """Persist the reverse table's hash tree; the page cache writes the pages."""
-        self.write_keys()
-        self.reverse.flush()
-
     def _recall_old(self, key: bytes) -> int | None:
         """The old generation's entry for ``key``, copied into the young one; None if it has none."""
         known = self._old.get(key)

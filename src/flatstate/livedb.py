@@ -20,12 +20,12 @@ cut short before ``meta.json`` leaves a directory that opens as new.
 The eleven data files (six stores, two bucket files, two key files and
 the code blob) are opened and closed by one page cache of
 ``CACHE_BYTES``. ``flush`` is the one commit site and the only time any
-of them is written: the eight hash trees (the code depot appends its
-pending bodies first), one ``PageCache.flush``, then ``meta.json``.
-Dirty pages and code bodies stay in memory until then, so every file
-holds the last commit; a block that leaves them filling the cache
-commits, so RAM stays within the budget plus one block's pages and
-bodies (replay-cold's window dirties up to ≈6,000 of 6,144 pages).
+of them is written: it lists the commit's writes (``commit_writes``)
+and applies the list with the one writer, ``files.commit``. Dirty pages
+and code bodies stay in memory until then, so every file holds the last
+commit; a block that leaves them filling the cache commits, so RAM stays
+within the budget plus one block's pages and bodies (replay-cold's
+window dirties up to ≈6,000 of 6,144 pages).
 
 One thread uses an instance at a time, readers included: every read
 may load or evict pages in the page cache and remember keys in the
@@ -40,7 +40,7 @@ from pathlib import Path
 
 from .digest import digest
 from .errors import CorruptionError, SequenceError, StorageError
-from .files import read_meta, require, write_meta
+from .files import commit, read_meta, require
 from .index import LinearHashIndex
 from .pagepool import PageCache, PagePool
 from .store import Depot, RecordStore, DEPOT_META_SIZE
@@ -96,9 +96,9 @@ class LiveDb:
         except BaseException:
             self._cache.close()  # writes nothing, so a new database's appended bucket pages leave no bytes behind
             raise
-        # The committed components in ROOT_ORDER; each answers root() and flush() (its hash tree).
-        stores = (self.balances, self.nonces, self.exists_flags, self.reincarnations, self.codes, self.values)
-        self._components = (*stores, self.a_index, self.ak_index)
+        # The eight committed stores in ROOT_ORDER; the indexes commit to their reverse tables.
+        self._stores = (self.balances, self.nonces, self.exists_flags, self.reincarnations, code_meta, self.values,
+                        self.a_index.reverse, self.ak_index.reverse)
         self._root_cache: bytes | None = None
         self._closed = False
 
@@ -133,11 +133,10 @@ class LiveDb:
         """Apply one block's updates; each plain store then takes the block's writes in one pass.
 
         The writes collect per store as ``{record: bytes}`` (a later write to
-        a record wins), and each index's new keys until ``write_keys``, so
-        each page is taken to write once per block; code records are written
-        as they come. A block whose dirty pages and pending code bodies fill
-        the page cache ends in ``flush()``, whose failure raises with the
-        block applied in memory.
+        a record wins), code bodies included, and each index's new keys until
+        ``write_keys``, so each page is taken to write once per block. A block
+        whose dirty pages and pending code bodies fill the page cache ends in
+        ``flush()``, whose failure raises with the block applied in memory.
         """
         if diff.block != self.block + 1:
             raise SequenceError(f"expected block {self.block + 1}, got {diff.block}")
@@ -146,6 +145,7 @@ class LiveDb:
         exists: dict[int, bytes] = {}
         reincs: dict[int, bytes] = {}
         values: dict[int, bytes] = {}
+        codes: dict[int, bytes] = {}  # in the order set, which is the order the depot appends the bodies
         add_address = self.a_index.get_or_add
         add_slot = self.ak_index.get_or_add
         for update in diff.updates:
@@ -155,14 +155,14 @@ class LiveDb:
                 nonces[ordinal] = _ZERO_NONCE
                 exists[ordinal] = b"\x00"
                 reincs[ordinal] = _ZERO_REINC
-                self.codes.set(ordinal, b"")
+                codes[ordinal] = b""
             if update.deleted:
                 reinc = int.from_bytes(self._reinc(reincs, ordinal), "big") + 1
                 reincs[ordinal] = reinc.to_bytes(REINC_SIZE, "big")
                 exists[ordinal] = b"\x00"
                 balances[ordinal] = _ZERO_BALANCE
                 nonces[ordinal] = _ZERO_NONCE
-                self.codes.set(ordinal, b"")
+                codes[ordinal] = b""
             if update.created:
                 exists[ordinal] = b"\x01"
             if update.balance is not None:
@@ -170,7 +170,7 @@ class LiveDb:
             if update.nonce is not None:
                 nonces[ordinal] = update.nonce.to_bytes(NONCE_SIZE, "big")
             if update.code is not None:
-                self.codes.set(ordinal, update.code)
+                codes[ordinal] = update.code
             if update.slots:
                 prefix = update.address + self._reinc(reincs, ordinal)
                 for key, value in update.slots:
@@ -180,6 +180,7 @@ class LiveDb:
         self.exists_flags.set_many(exists)
         self.reincarnations.set_many(reincs)
         self.values.set_many(values)
+        self.codes.set_many(codes)
         self.a_index.write_keys()
         self.ak_index.write_keys()
         self.block = diff.block
@@ -197,7 +198,7 @@ class LiveDb:
     def component_roots(self) -> dict[str, bytes]:
         if self._closed:  # a clean tree would answer from memory
             raise StorageError("database is closed", path=self.data_dir)
-        return dict(zip(ROOT_ORDER, (component.root() for component in self._components)))
+        return dict(zip(ROOT_ORDER, (store.root() for store in self._stores)))
 
     def state_root(self) -> WorldstateRoot:
         """Composite commitment; cached until the next write or ``close()``."""
@@ -208,17 +209,33 @@ class LiveDb:
     # -- lifecycle -----------------------------------------------------------
 
     def flush(self) -> None:
-        """Persist the hash trees in ROOT_ORDER, then every dirty page, then the metadata file.
+        """Apply ``commit_writes()``, then mark it written; a failed commit marks nothing, so a retry writes it all."""
+        commit(self.commit_writes())
+        for store in self._stores:
+            store.tree.saved = True
+        self.codes.mark_written()
+        self._cache.mark_written()
 
-        Hash trees are brought fully up to date first, so two replicas
-        that applied the same diffs flush byte-identical directories.
+    def commit_writes(self) -> list[tuple]:
+        """The next commit's ``files.commit`` writes in order, tree levels, bodies and pages by reference: each changed
+        ``.tree`` file whole in ROOT_ORDER, the pending code bodies' append, each dirty page in key order, ``meta.json``.
+
+        Hash trees are brought up to date first, so two replicas that applied the same diffs flush byte-identical
+        directories.
         """
-        if self._closed:
-            raise StorageError("database is closed", path=self.data_dir)
-        for component in self._components:
-            component.flush()
-        self._cache.flush()
-        self._write_meta()
+        self.component_roots()  # raises once the database is closed
+        writes = [(store.tree.node_path, None, store.tree.node_file()) for store in self._stores if not store.tree.saved]
+        writes += self.codes.blob_writes() + self._cache.page_writes()
+        meta = {
+            "format": FORMAT_VERSION,
+            "page_size": self.page_size,
+            "block": self.block,
+            "accounts": self.a_index.count,
+            "slots": self.ak_index.count,
+            "a_index": self.a_index.state(),
+            "ak_index": self.ak_index.state(),
+        }
+        return writes + [(self._meta_path, None, meta)]
 
     def close(self) -> None:
         """Flush, then close the cache (all eleven files) and forget the memos and root, even if the flush fails; once only."""
@@ -255,15 +272,3 @@ class LiveDb:
                 f"database was created with page_size {meta.get('page_size')}, opened with {self.page_size}"
             )
         return meta
-
-    def _write_meta(self) -> None:
-        meta = {
-            "format": FORMAT_VERSION,
-            "page_size": self.page_size,
-            "block": self.block,
-            "accounts": self.a_index.count,
-            "slots": self.ak_index.count,
-            "a_index": self.a_index.state(),
-            "ak_index": self.ak_index.state(),
-        }
-        write_meta(self._meta_path, meta)

@@ -2,17 +2,19 @@
 
 A ``PageCache`` holds the resident pages of every file opened through it
 under one budget of ``budget_bytes``. A dirty page stays resident until
-``flush``, the only place a page is written, writes it to its own file;
-clean pages fill the room the dirty ones leave and leave, unwritten, in
-load order. The owner commits once its dirty pages and the bytes it keeps
-for the commit fill the budget (``full``). A ``PagePool`` is one file's
-view of the cache, page i at offset ``i * page_size``; its page table, a
-list by page id of each resident page (clean or dirty) or ``None``, makes
-a hit one list index that reorders nothing. Only ``append_page`` adds a
-page; reading never extends the file, and a page the file was cut short
-of after it was opened reads as zeros. A cache belongs to one database:
-``open`` opens each of its data files, page files or not, new or existing
-as its ``create`` decided (``files.open_data``); ``close`` closes all.
+its owner's commit writes it: the cache writes nothing itself but lists
+the commit's page writes (``page_writes``), and ``mark_written`` then
+keeps the pages as clean. Clean pages fill the room the dirty ones leave
+and leave, unwritten, in load order. The owner commits once its dirty
+pages and the bytes it keeps for the commit fill the budget (``full``).
+A ``PagePool`` is one file's view of the cache, page i at offset
+``i * page_size``; its page table, a list by page id of each resident
+page (clean or dirty) or ``None``, makes a hit one list index that
+reorders nothing. Only ``append_page`` adds a page; reading never extends the
+file, and a page the file was cut short of after it was opened reads as
+zeros. A cache belongs to one database: ``open`` opens each of its data
+files, page files or not, new or existing as its ``create`` decided
+(``files.open_data``); ``close`` closes all.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ class PageCache:
         self._create = create  # a new database: its files are created, else each must exist
         self.capacity = max(2, budget_bytes // page_size)  # the page budget; clean pages fill what dirty ones leave
         self._pages: OrderedDict[int, bytearray] = OrderedDict()  # clean pages by key, first loaded first
-        self._dirty: dict[int, bytearray] = {}  # pages that differ from their file, resident until flush
+        self._dirty: dict[int, bytearray] = {}  # pages that differ from their file, resident until written
         self._files: list[io.FileIO] = []  # by file number; files, not pools: a cycle would keep pages alive
         self._tables: list[list[bytearray | None]] = []  # by file number, each pool's page table
 
@@ -61,25 +63,25 @@ class PageCache:
             key = self._pages.popitem(last=False)[0]
             self._tables[key & _FILE_MASK][key >> _FILE_BITS] = None
 
-    def flush(self) -> None:
-        """Write each dirty page to its own file once, then keep it as clean; a new page is dirty until written."""
-        for key in sorted(self._dirty):
-            self._write(key, self._dirty[key])
+    def page_writes(self) -> list[tuple]:
+        """The commit's write of each dirty page, by reference, at its place in its own file, in key order."""
+        fhs, size = self._files, self.page_size
+        return [(fhs[key & _FILE_MASK], (key >> _FILE_BITS) * size, self._dirty[key]) for key in sorted(self._dirty)]
+
+    def mark_written(self) -> None:
+        """The commit wrote every dirty page: each stays resident as clean; a new page is dirty until then."""
         self._pages.update(self._dirty)
         self._dirty.clear()
         self.evict_over_capacity()
 
     def close(self) -> None:
-        """Close every file and drop the resident pages, writing none: callers ``flush()`` first."""
+        """Close every file and drop the resident pages, writing none: callers commit first."""
         for fh in self._files:
             fh.close()
         for table in self._tables:  # as long as before, so a later read still reaches the closed file
             table[:] = [None] * len(table)
         self._pages.clear()
         self._dirty.clear()
-
-    def _write(self, key: int, data: bytearray) -> None:
-        files.pwrite(self._files[key & _FILE_MASK], data, (key >> _FILE_BITS) * self.page_size)
 
 
 class PagePool:
@@ -132,7 +134,7 @@ class PagePool:
         return page_id
 
     def write_page(self, page_id: int) -> bytearray:
-        """Return the bytes of page ``page_id`` to change; the page stays resident, dirty, until the next flush."""
+        """Return the bytes of page ``page_id`` to change; the page stays resident, dirty, until the next commit."""
         key = page_id << _FILE_BITS | self._file_no
         self._dirty[key] = self._table[page_id] = data = self.get_page(page_id)  # back in the table if it left at once
         self._pages.pop(key, None)  # a clean page moves; one dropped as soon as it was loaded is not there

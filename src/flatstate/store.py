@@ -9,15 +9,16 @@ constructor opens the page file in a page cache, checks its page count
 against the record count and loads or rebuilds the tree. ``get`` copies a
 record out of its page once, with one ``struct`` unpack. ``set_many``
 writes every record (``set`` is a batch of one) into pages it takes with
-``write_page``, which only the commit's ``PageCache.flush`` writes; a
-store's ``flush`` persists its tree only.
+``write_page``. A store writes no file: its owner's commit lists the dirty
+pages (``PageCache.page_writes``) and the tree's node file
+(``HashTree.node_file``) for ``files.commit``.
 
 A Depot extends the scheme to variable-length payloads (contract code):
 fixed-length meta records (offset, length, digest) point into an
 append-only blob file, and the digest inside the meta record is what the
 hash tree commits to. Bodies wait in memory at the offsets they will take
-until ``flush`` appends them, so the blob, opened and closed by the page
-cache like the page files, changes only at a commit.
+until the commit appends them (``blob_writes``), so the blob, opened and
+closed by the page cache like the page files, changes only at a commit.
 """
 
 from __future__ import annotations
@@ -92,9 +93,6 @@ class RecordStore:
     def root(self) -> bytes:
         return self.tree.root(self.pool.get_page)
 
-    def flush(self) -> None:
-        self.tree.flush(self.pool.get_page)
-
 
 class Depot:
     """Variable-length payloads behind a fixed-record meta store; ``pending`` holds the bodies set since the last commit."""
@@ -105,14 +103,16 @@ class Depot:
         self._committed = files.size(self._blob)  # the blob's end; pending bodies follow it
         self.pending = bytearray()
 
-    def set(self, record: int, code: bytes) -> None:
-        """Store ``code`` under ``record``; old blob bytes become garbage."""
-        if len(code) > MAX_CODE_SIZE:
-            raise FormatError(f"code length {len(code)} exceeds {MAX_CODE_SIZE}")
-        offset = self._committed + len(self.pending)
-        self.pending += code
-        meta = offset.to_bytes(8, "big") + len(code).to_bytes(4, "big") + digest(code)
-        self.meta.set(record, meta)
+    def set_many(self, codes: dict[int, bytes]) -> None:
+        """Store each ``{record: code}``, its body appended to ``pending`` in dict order; old blob bytes become garbage."""
+        metas = {}
+        for record, code in codes.items():
+            if len(code) > MAX_CODE_SIZE:
+                raise FormatError(f"code length {len(code)} exceeds {MAX_CODE_SIZE}")
+            offset = self._committed + len(self.pending)
+            self.pending += code
+            metas[record] = offset.to_bytes(8, "big") + len(code).to_bytes(4, "big") + digest(code)
+        self.meta.set_many(metas)
 
     def get(self, record: int) -> bytes:
         meta = self.meta.get(record)
@@ -125,13 +125,11 @@ class Depot:
             raise CorruptionError(f"code record {record} does not match its stored digest")
         return code
 
-    def root(self) -> bytes:
-        return self.meta.root()
+    def blob_writes(self) -> list[tuple]:
+        """The commit's append of the pending bodies, by reference, at the blob's committed end; none without bodies."""
+        return [(self._blob, self._committed, self.pending)] if self.pending else []
 
-    def flush(self) -> None:
-        """Append the pending bodies to the blob in one write, then persist the meta store's tree."""
-        if self.pending:
-            files.pwrite(self._blob, self.pending, self._committed)
-            self._committed += len(self.pending)
-            self.pending.clear()
-        self.meta.flush()
+    def mark_written(self) -> None:
+        """The commit appended the pending bodies: the blob's committed end moves past them."""
+        self._committed += len(self.pending)
+        self.pending = bytearray()

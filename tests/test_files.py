@@ -100,36 +100,35 @@ def places_a_record(node) -> bool:
     return isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute) and node.target.attr == "count"
 
 
+LIVE_MODULES = ("pagepool", "store", "index", "hashtree", "livedb")
+WRITERS = ("pwrite", "write_file", "write_meta", "truncate", "remove", "commit")  # every files.py function that writes
+
+
 def test_one_commit_site_and_one_record_writer():
     """A second commit site, record writer or store constructor cannot return unseen.
 
     The archive replaces meta.json only in its commit function, which alone
-    maps and publishes a run besides the open; LiveDb replaces it only in
-    ``_write_meta`` (called by ``flush``); only ``set_many`` places records,
-    a RecordStore is built only by its constructor, and only ``PageCache.flush``
-    writes a page.
+    maps and publishes a run besides the open; only ``set_many`` places
+    records, and a RecordStore is built only by its constructor. One writer
+    per LiveDb commit: of the LiveDb modules only ``LiveDb.flush`` calls a
+    ``files.py`` writer (``files.commit``, which applies the commit's list),
+    so no read, eviction, store, index or tree writes a LiveDb file; outside
+    them only ``bench.sweep_io`` does, through the same ``files.commit``.
     """
     assert functions_that("archive", calls("write_meta")) == {"_commit"}
     assert functions_that("archive", calls("publish")) == {"_commit", "_load_meta"}
     assert functions_that("archive", calls("map_run")) == {"_commit", "_load_meta"}
     assert not hasattr(RecordStore, "open")
-    assert functions_that("livedb", calls("write_meta")) == {"_write_meta"}
-    assert functions_that("livedb", calls("_write_meta")) == {"flush"}
     assert functions_that("store", places_a_record) == {"set_many"}
-    # Only a commit writes a page: no read or eviction of LiveDb's page cache does.
-    writers = {module: functions_that(module, calls("_write")) for module in DATABASE_MODULES}
-    assert writers == {module: {"flush"} if module == "pagepool" else set() for module in DATABASE_MODULES}
-
-
-LIVE_MODULES = ("pagepool", "store", "index", "hashtree", "livedb")
+    writers = {module: functions_that(module, calls(*WRITERS)) for module in (*LIVE_MODULES, "bench")}
+    assert writers == {**{module: set() for module in LIVE_MODULES}, "livedb": {"flush"}, "bench": {"sweep_io"}}
 
 
 def test_the_page_cache_opens_every_livedb_file_and_only_a_commit_appends_code():
-    """Only ``PageCache.open`` opens a LiveDb data file, so its ``close`` closes all eleven; in the stores only
-    ``flush`` writes, so code bodies reach ``codes.blob`` only at a commit."""
+    """Only ``PageCache.open`` opens a LiveDb data file, so its ``close`` closes all eleven; code bodies reach
+    ``codes.blob`` only at a commit, since the stores write no file (``test_one_commit_site_and_one_record_writer``)."""
     openers = {module: functions_that(module, calls("open_data")) for module in LIVE_MODULES}
     assert openers == {module: {"open"} if module == "pagepool" else set() for module in LIVE_MODULES}
-    assert functions_that("store", calls("pwrite")) == {"flush"}
 
 
 def test_only_pagepool_names_the_resident_pages_and_page_tables():

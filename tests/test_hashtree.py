@@ -3,6 +3,7 @@
 import hashlib
 import random
 
+from flatstate import files
 from flatstate.digest import EMPTY_HASH, digest_count
 from flatstate.hashtree import HashTree
 
@@ -221,7 +222,7 @@ def test_persistence_roundtrip(tmp_path):
     for i in range(11):
         store.write(i, tree, rng)
     root = tree.root(store.read)
-    tree.flush(store.read)
+    files.commit([(path, None, tree.node_file())])
     reopened = HashTree(path, leaf_count=11)
     before = digest_count()
     assert reopened.root(store.read) == root
@@ -237,7 +238,8 @@ def test_node_file_is_heap_array_after_multi_level_growth(tmp_path):
     tree.grow(4)
     tree.root(lambda i: pages[i])
     tree.grow(40)
-    tree.flush(lambda i: pages[i])
+    tree.root(lambda i: pages[i])
+    files.commit([(path, None, tree.node_file())])
     # Heap order: level d (root = 0) starts at array index 2^d - 1.
     heap = b"".join(b"".join(level) for level in reversed(eager_levels(pages)))
     assert len(heap) == (2 * 64 - 1) * 32

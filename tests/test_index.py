@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from flatstate import index as index_module
+from flatstate import files, index as index_module
 from flatstate.digest import digest_count
 from flatstate.errors import BoundsError
 from flatstate.index import LinearHashIndex, bucket_hash
@@ -34,9 +34,11 @@ def open_index(tmp_path):
 
 
 def flush_and_close(index):
-    """Persist the index as ``LiveDb.flush`` does (tree, then pages), then close its cache."""
-    index.flush()
-    index.pool.cache.flush()
+    """Persist the index as ``LiveDb.flush`` does (its tree file, then its pages, through ``files.commit``), then close
+    its cache."""
+    index.root()  # writes the new keys and brings the tree up to date
+    tree = index.reverse.tree
+    files.commit([(tree.node_path, None, tree.node_file()), *index.pool.cache.page_writes()])
     index.pool.cache.close()
 
 

@@ -16,13 +16,13 @@ from flatstate import index as index_module
 from flatstate import livedb as livedb_module
 from flatstate.digest import EMPTY_HASH, digest, digest_count
 from flatstate.errors import CorruptionError, SequenceError, StorageError, ValidationError
-from flatstate.hashtree import HashTree
 from flatstate.livedb import LiveDb, ROOT_ORDER
 from flatstate.oracle import ReferenceOracle
 from flatstate.pagepool import PageCache, PagePool
 from flatstate.types import MAX_CODE_SIZE, AccountUpdate, BlockDiff, ZERO_VALUE
 from flatstate.workload import WorkloadSpec, generate
 
+from test_golden import SPEC as GOLDEN_SPEC
 from util import addr, key, remembered_keys, val
 
 
@@ -300,9 +300,9 @@ def test_first_flush_cut_short_before_meta_reopens_as_new(tmp_path):
     cut = LiveDb(tmp_path / "cut")
     for block_diff in diffs:
         cut.apply_block(block_diff)
-    for component in cut._components:  # LiveDb.flush up to meta.json, where a killed process stops
-        component.flush()
-    cut._cache.flush()
+    writes = cut.commit_writes()
+    assert writes[-1][0] == tmp_path / "cut" / "meta.json"
+    files_module.commit(writes[:-1])  # LiveDb.flush up to meta.json, where a killed process stops
     cut._cache.close()
     assert not (tmp_path / "cut" / "meta.json").exists() and (tmp_path / "cut" / "balances.dat").stat().st_size > 0
     reopened = LiveDb(tmp_path / "cut")
@@ -312,6 +312,50 @@ def test_first_flush_cut_short_before_meta_reopens_as_new(tmp_path):
     assert reopened.state_root().root == expected
     reopened.close()
     assert tree_bytes(tmp_path / "cut") == tree_bytes(tmp_path / "clean")
+
+
+def test_a_failed_commit_that_is_retried_matches_an_uninterrupted_run(tmp_path, monkeypatch):
+    """The k-th write of one commit fails with ENOSPC, for every k; flush() again, close and reopen: the root and every
+    file equal a clean run's. A tree, body or page marked written before its write returned would be skipped."""
+    diffs = list(generate(GOLDEN_SPEC))[:5]
+    clean = LiveDb(tmp_path / "clean")
+    for block_diff in diffs:
+        clean.apply_block(block_diff)
+    expected = clean.state_root().root
+    writes = []  # the file name of each write, in order
+    fail_at = [None]
+
+    def writer(real, name_of):
+        def write(target, *args):
+            writes.append(Path(name_of(target)).name)
+            if len(writes) - 1 == fail_at[0]:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real(target, *args)
+
+        return write
+
+    monkeypatch.setattr(files_module, "pwrite", writer(files_module.pwrite, lambda fh: fh.name))
+    monkeypatch.setattr(files_module, "write_file", writer(files_module.write_file, str))
+    monkeypatch.setattr(os, "replace", writer(os.replace, str))  # write_meta's rename of meta.tmp
+    clean.close()
+    suffixes = [Path(name).suffix for name in writes]  # 8 trees, 1 blob append, 17 pages, meta.tmp written and renamed
+    assert (suffixes.count(".tree"), suffixes.count(".blob"), writes[-2:]) == (8, 1, ["meta.tmp", "meta.tmp"])
+    assert {".dat", ".keys", ".buckets"} <= set(suffixes) and len(writes) == 28
+    for k in range(len(writes)):
+        cut = LiveDb(tmp_path / f"cut{k}")
+        for block_diff in diffs:
+            cut.apply_block(block_diff)
+        writes.clear()
+        fail_at[0] = k
+        with pytest.raises((OSError, StorageError), match=os.strerror(errno.ENOSPC)):  # write_meta wraps the rename's
+            cut.flush()
+        fail_at[0] = None
+        cut.flush()
+        cut.close()
+        assert tree_bytes(tmp_path / f"cut{k}") == tree_bytes(tmp_path / "clean"), f"write {k}"  # before open rebuilds a tree
+        reopened = LiveDb(tmp_path / f"cut{k}")
+        assert (reopened.block, reopened.state_root().root) == (5, expected), f"write {k}"
+        reopened.close()
 
 
 CUT_SPEC = WorkloadSpec(seed=7, blocks=40, accounts=300, txs_per_block=20, slot_writes_per_tx=3, new_key_ratio=0.3, delete_ratio=0.02)
@@ -377,8 +421,8 @@ def page_pools(db):
 def test_a_cache_that_holds_the_dirty_set_writes_no_page_before_flush(tmp_path, monkeypatch):
     """A budget above the dirty set leaves every page write to flush(); a tight one commits at the ends of blocks."""
     written = []
-    real_write = PageCache._write
-    monkeypatch.setattr(PageCache, "_write", lambda cache, key, data: written.append(key) or real_write(cache, key, data))
+    real_pwrite = files_module.pwrite  # pages and the code blob; no page is written elsewhere
+    monkeypatch.setattr(files_module, "pwrite", lambda fh, data, offset: written.append((fh.name, offset)) or real_pwrite(fh, data, offset))
     for name, budget in (("roomy", 1 << 30), ("tight", 4 * 4096)):
         monkeypatch.setattr(livedb_module, "CACHE_BYTES", budget)
         db = LiveDb(tmp_path / name)
@@ -471,17 +515,18 @@ def test_a_small_cache_commits_at_block_ends_and_bounds_resident_pages(tmp_path,
     monkeypatch.setattr(livedb_module, "CACHE_BYTES", 64 * 256)  # a few blocks of dirty pages
     touched = touched_pages(monkeypatch)
     peak = [0]
-    real_write, real_evict = PageCache._write, PageCache.evict_over_capacity
+    real_pwrite, real_evict = files_module.pwrite, PageCache.evict_over_capacity
 
-    def write(cache, key, data):
-        assert sys._getframe(1).f_code is PageCache.flush.__code__
-        real_write(cache, key, data)
+    def pwrite(fh, data, offset):  # the one writer, applying LiveDb.flush's list
+        assert sys._getframe(1).f_code is files_module.commit.__code__
+        assert sys._getframe(2).f_code is LiveDb.flush.__code__
+        real_pwrite(fh, data, offset)
 
     def evict(cache):  # every load and append ends here
         real_evict(cache)
         peak[0] = max(peak[0], cache.resident_count)
 
-    monkeypatch.setattr(PageCache, "_write", write)
+    monkeypatch.setattr(files_module, "pwrite", pwrite)
     monkeypatch.setattr(PageCache, "evict_over_capacity", evict)
     db = LiveDb(tmp_path / "db", page_size=256)
     meta_path = tmp_path / "db" / "meta.json"
@@ -649,17 +694,17 @@ def test_close_after_flush_writes_each_tree_file_once(tmp_path, monkeypatch):
     db = LiveDb(tmp_path / "db")
     slots = tuple((key(i), val(i + 1)) for i in range(8))
     db.apply_block(diff(1, AccountUpdate(address=addr(1), created=True, balance=5, code=b"\x60", slots=slots)))
-    db.flush()
     written = []
-    real_flush = HashTree.flush
+    real_commit = livedb_module.commit
 
-    def counting_flush(tree, page_reader):
-        written.append(tree.node_path.name)
-        real_flush(tree, page_reader)
+    def counting_commit(writes):  # the .tree entries of each commit's list
+        written.extend(target.name for target, _, _ in writes if isinstance(target, Path) and target.suffix == ".tree")
+        real_commit(writes)
 
-    monkeypatch.setattr(HashTree, "flush", counting_flush)
+    monkeypatch.setattr(livedb_module, "commit", counting_commit)
+    db.flush()
     meta_before = (tmp_path / "db" / "meta.json").read_bytes()
-    db.close()
+    db.close()  # every tree is saved: its commit lists no tree file
     assert sorted(written) == sorted(path.name for path in (tmp_path / "db").glob("*.tree"))
     assert len(written) == 8
     assert (tmp_path / "db" / "meta.json").read_bytes() == meta_before
@@ -822,14 +867,14 @@ def apply_record_by_record(db, block_diff):
             db.nonces.set(ordinal, bytes(8))
             db.exists_flags.set(ordinal, b"\x00")
             db.reincarnations.set(ordinal, bytes(4))
-            db.codes.set(ordinal, b"")
+            db.codes.set_many({ordinal: b""})
         if update.deleted:
             reinc = int.from_bytes(db.reincarnations.get(ordinal), "big") + 1
             db.reincarnations.set(ordinal, reinc.to_bytes(4, "big"))
             db.exists_flags.set(ordinal, b"\x00")
             db.balances.set(ordinal, bytes(16))
             db.nonces.set(ordinal, bytes(8))
-            db.codes.set(ordinal, b"")
+            db.codes.set_many({ordinal: b""})
         if update.created:
             db.exists_flags.set(ordinal, b"\x01")
         if update.balance is not None:
@@ -837,10 +882,12 @@ def apply_record_by_record(db, block_diff):
         if update.nonce is not None:
             db.nonces.set(ordinal, update.nonce.to_bytes(8, "big"))
         if update.code is not None:
-            db.codes.set(ordinal, update.code)
+            db.codes.set_many({ordinal: update.code})
         prefix = update.address + db.reincarnations.get(ordinal)
         for slot_key, value in update.slots:
             db.values.set(db.ak_index.get_or_add(prefix + slot_key)[0], value)
+    db.a_index.write_keys()  # as apply_block ends: LiveDb's roots are its stores' roots
+    db.ak_index.write_keys()
     db.block = block_diff.block
 
 

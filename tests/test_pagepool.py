@@ -1,12 +1,15 @@
-"""Page cache and pool behavior: eviction drops clean pages only, flush alone writes, a close that writes nothing."""
+"""Page cache and pool behavior: eviction drops clean pages only, a commit alone writes, a close that writes nothing."""
 
 import os
 import random
 
 import pytest
 
+from flatstate import files
 from flatstate.errors import BoundsError, FormatError, StorageError
 from flatstate.pagepool import PageCache, PagePool
+
+from util import commit
 
 
 @pytest.fixture
@@ -37,15 +40,15 @@ def test_fresh_pool_first_page_is_zero(open_pool):
 
 
 def test_eviction_roundtrip(open_pool, tmp_path):
-    """Dirty pages outlast the budget until flush; then clean pages are evicted unwritten and read back from the file."""
+    """Dirty pages outlast the budget until a commit; then clean pages are evicted unwritten and read back from the file."""
     pool = open_pool(page_size=256, capacity=2)
     payload = bytes(range(256))
     for i in range(8):
         write_page(pool, i, payload if i == 7 else bytes([i]) * 256)
     assert pool.resident_count == 8  # dirty pages are never evicted
-    assert (tmp_path / "pool.dat").read_bytes() == b""  # nor written before flush
-    pool.cache.flush()
-    assert pool.resident_count == 2  # the flushed pages became clean, and the oldest were evicted
+    assert (tmp_path / "pool.dat").read_bytes() == b""  # nor written before a commit
+    commit(pool.cache)
+    assert pool.resident_count == 2  # the committed pages became clean, and the oldest were evicted
     for i in range(7):  # touch other pages until page 7 must have been evicted
         assert bytes(pool.get_page(i)) == bytes([i]) * 256
         assert pool.resident_count <= 2
@@ -84,14 +87,14 @@ def test_page_id_gap_rejected(open_pool):
 
 def test_flush_is_idempotent_and_materializes_all_pages(open_pool, tmp_path):
     pool = open_pool(page_size=256, capacity=4)
-    pool.cache.flush()  # empty pool: no-op
+    commit(pool.cache)  # empty pool: no-op
     assert (tmp_path / "pool.dat").stat().st_size == 0
     for i in range(6):
-        pool.append_page()  # written by flush even though its bytes never changed
-    pool.cache.flush()
+        pool.append_page()  # written by the commit even though its bytes never changed
+    commit(pool.cache)
     first = (tmp_path / "pool.dat").read_bytes()
     assert len(first) == 6 * 256
-    pool.cache.flush()
+    commit(pool.cache)
     assert (tmp_path / "pool.dat").read_bytes() == first
 
 
@@ -100,7 +103,7 @@ def test_dirty_pages_leave_clean_pages_only_the_room_they_leave(open_pool):
     pool = open_pool(capacity=4)
     for i in range(4):
         write_page(pool, i, bytes([i + 1]) * 256)
-    pool.cache.flush()
+    commit(pool.cache)
     assert (pool.resident_count, len(pool.cache._dirty)) == (4, 0)
     write_page(pool, 0, b"\x09" * 256)
     write_page(pool, 1, b"\x0a" * 256)
@@ -119,10 +122,10 @@ def test_dirty_pages_leave_clean_pages_only_the_room_they_leave(open_pool):
 
 
 def test_random_schedule_matches_mirror_oracle(open_pool, tmp_path, monkeypatch):
-    """10^4 random write/read/flush/reopen steps against two dict mirrors: the pages, and the file as last flushed.
+    """10^4 random write/read/commit/reopen steps against two dict mirrors: the pages, and the file as last committed.
 
     Clean pages never take more than the room the dirty pages leave, the
-    file changes only at a flush, and a flush writes each dirty page once.
+    file changes only at a commit, and a commit writes each dirty page once.
     """
     rng = random.Random(1234)
     page_size = 128
@@ -131,13 +134,13 @@ def test_random_schedule_matches_mirror_oracle(open_pool, tmp_path, monkeypatch)
     flushed = b""  # the file as the last flush left it
     dirty = set()
     written = []
-    real_write = PageCache._write
-    monkeypatch.setattr(PageCache, "_write", lambda cache, key, data: written.append(key >> 4) or real_write(cache, key, data))
+    real_pwrite = files.pwrite
+    monkeypatch.setattr(files, "pwrite", lambda fh, data, offset: written.append(offset // page_size) or real_pwrite(fh, data, offset))
 
     def flush():
         nonlocal flushed
         assert (tmp_path / "pool.dat").read_bytes() == flushed and written == []
-        pool.cache.flush()
+        commit(pool.cache)
         assert sorted(written) == sorted(dirty)
         written.clear()
         dirty.clear()
@@ -182,7 +185,7 @@ def test_reopen_preserves_contents(open_pool):
     payloads = {i: bytes([i + 1]) * 256 for i in range(5)}
     for i, data in payloads.items():
         write_page(pool, i, data)
-    pool.cache.flush()
+    commit(pool.cache)
     pool.cache.close()
     reopened = open_pool(page_size=256, capacity=4, create=False)
     for i, data in payloads.items():
@@ -193,7 +196,7 @@ def test_page_past_end_of_file_reads_as_zeros(open_pool, tmp_path):
     pool = open_pool(capacity=2)
     for i in range(3):
         write_page(pool, i, bytes([i + 1]) * 256)
-    pool.cache.flush()
+    commit(pool.cache)
     pool.cache.close()
     pool = open_pool(capacity=2, create=False)
     os.truncate(tmp_path / "pool.dat", 256 + 100)  # page 1 torn, page 2 gone
@@ -208,9 +211,9 @@ def test_short_write_raises_storage_error(open_pool, tmp_path, monkeypatch):
     real_pwrite = os.pwrite
     monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: real_pwrite(fd, data[:100], offset))
     with pytest.raises(StorageError, match="short write"):
-        pool.cache.flush()
+        commit(pool.cache)
     monkeypatch.undo()
-    pool.cache.flush()  # the page stayed dirty, so this writes it whole
+    commit(pool.cache)  # the page stayed dirty, so this writes it whole
     assert (tmp_path / "pool.dat").read_bytes() == b"\x07" * 256
 
 
@@ -221,21 +224,21 @@ def test_only_dirty_pages_are_written_and_each_once(open_pool, monkeypatch):
     monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: written.append(offset // 256) or real_pwrite(fd, data, offset))
     for i in range(4):
         write_page(pool, i, bytes([i + 1]) * 256)
-    assert written == []  # four dirty pages in a budget of two: none is written before flush
-    pool.cache.flush()
+    assert written == []  # four dirty pages in a budget of two: none is written before a commit
+    commit(pool.cache)
     assert written == [0, 1, 2, 3]
     written.clear()
     for i in range(4):
         assert bytes(pool.get_page(i)) == bytes([i + 1]) * 256  # read only, evicting as it goes
-    pool.cache.flush()
-    assert written == []  # a page that was only read is written neither on eviction nor on flush
+    commit(pool.cache)
+    assert written == []  # a page that was only read is written neither on eviction nor at a commit
     write_page(pool, 0, b"\x09" * 256)
     pool.get_page(1)
     pool.get_page(2)  # evicts clean page 1, never dirty page 0
     assert written == []
-    pool.cache.flush()
-    pool.cache.flush()
-    assert written == [0]  # written once, by the first flush
+    commit(pool.cache)
+    commit(pool.cache)
+    assert written == [0]  # written once, by the first commit
     assert bytes(pool.get_page(0)) == b"\x09" * 256
 
 
@@ -245,7 +248,7 @@ def test_flush_writes_each_dirty_page_to_its_own_file_once(tmp_path, monkeypatch
     b = PagePool(cache, tmp_path / "b.dat")
     for pool, fill in ((a, 1), (a, 2), (b, 3), (b, 4)):
         write_page(pool, pool.page_count, bytes([fill]) * 256)
-    cache.flush()
+    commit(cache)
     write_page(a, 1, b"\x09" * 256)
     written = []
     real_pwrite = os.pwrite
@@ -255,8 +258,8 @@ def test_flush_writes_each_dirty_page_to_its_own_file_once(tmp_path, monkeypatch
     assert written == []
     assert a.resident_count == b.resident_count == 1 and cache.resident_count == 2
     assert (tmp_path / "a.dat").read_bytes() == b"\x01" * 256 + b"\x02" * 256
-    cache.flush()
-    cache.flush()
+    commit(cache)
+    commit(cache)
     assert written == [(a._fh.fileno(), 256)]  # b's pages were only read, so b.dat is never written
     assert (tmp_path / "a.dat").read_bytes() == b"\x01" * 256 + b"\x09" * 256
     assert (tmp_path / "b.dat").read_bytes() == b"\x03" * 256 + b"\x04" * 256
@@ -268,8 +271,8 @@ def test_close_closes_every_file_and_writes_no_page_dirtied_after_the_last_flush
     a = PagePool(cache, tmp_path / "a.dat")
     b = PagePool(cache, tmp_path / "b.dat")
     write_page(a, 0, b"\x01" * 256)
-    cache.flush()
-    write_page(a, 0, b"\x02" * 256)  # a flushed page changed again
+    commit(cache)
+    write_page(a, 0, b"\x02" * 256)  # a committed page changed again
     write_page(b, 0, b"\x03" * 256)  # a new page, dirty since it was appended
     written = []
     monkeypatch.setattr(os, "pwrite", lambda *args: written.append(args))

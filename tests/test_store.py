@@ -10,6 +10,8 @@ from flatstate.errors import BoundsError, CorruptionError, FormatError
 from flatstate.pagepool import PageCache
 from flatstate.store import Depot, RecordStore
 
+from util import commit
+
 
 @pytest.fixture
 def opened():
@@ -34,7 +36,7 @@ def test_slot_arithmetic_golden_case(open_store, tmp_path):
     store = open_store(record_size=32, page_size=4096)
     for r in range(129):
         store.set(r, r.to_bytes(32, "big"))
-    store.pool.cache.flush()
+    commit(store.pool.cache)
     data = (tmp_path / "store.dat").read_bytes()
     # 4096 / 32 = 128 slots per page: record 128 sits at page 1, slot 0.
     assert data[4096:4128] == (128).to_bytes(32, "big")
@@ -46,7 +48,7 @@ def test_record_placement_exhaustive(open_store, tmp_path, record_size, page_siz
     store = open_store(record_size, page_size=page_size, name=f"s{record_size}.dat")
     for r in range(count):
         store.set(r, (r % 251).to_bytes(1, "big") * record_size)
-    store.pool.cache.flush()
+    commit(store.pool.cache)
     data = (tmp_path / f"s{record_size}.dat").read_bytes()
     slots = page_size // record_size
     for r in range(count):
@@ -65,7 +67,7 @@ def test_set_get_roundtrip_and_overwrite(open_store):
 def test_get_returns_bytes_from_dirty_clean_and_cut_off_pages(open_store, tmp_path):
     store = open_store(record_size=16, page_size=256, capacity=2)
     store.set_many({r: bytes([r]) * 16 for r in range(48)})  # pages 0..2
-    store.pool.cache.flush()  # page 0, the first loaded, leaves
+    commit(store.pool.cache)  # page 0, the first loaded, leaves
     store.set(0, b"\xff" * 16)  # page 0 comes back dirty, and page 1 leaves
     cache = store.pool.cache
     assert [key >> 4 for key in cache._dirty] == [0] and [key >> 4 for key in cache._pages] == [2]
@@ -134,8 +136,8 @@ def test_set_many_matches_record_by_record_writes(open_store, tmp_path):
             single.set(r, writes[r])
         assert batched.count == single.count
         assert batched.root() == single.root()
-    batched.pool.cache.flush()
-    single.pool.cache.flush()
+    commit(batched.pool.cache)
+    commit(single.pool.cache)
     assert (tmp_path / "batched.dat").read_bytes() == (tmp_path / "single.dat").read_bytes()
 
 
@@ -174,7 +176,7 @@ def open_depot(tmp_path, opened):
 
 def test_depot_empty_code(open_depot):
     depot = open_depot()
-    depot.set(0, b"")
+    depot.set_many({0: b""})
     assert depot.get(0) == b""
     meta = depot.meta.get(0)
     assert int.from_bytes(meta[8:12], "big") == 0
@@ -187,11 +189,11 @@ def test_depot_roundtrip_and_oracle(open_depot):
     oracle: list[bytes] = []
     for step in range(800):
         if step % 100 == 99:
-            depot.flush()  # later reads mix committed bodies with pending ones
+            commit(depot.meta.pool.cache, depot)  # later reads mix committed bodies with pending ones
         if rng.random() < 0.6 or not oracle:
             r = rng.randint(0, len(oracle))
             code = rng.randbytes(rng.randint(0, 600))
-            depot.set(r, code)
+            depot.set_many({r: code})
             if r == len(oracle):
                 oracle.append(code)
             else:
@@ -203,17 +205,28 @@ def test_depot_roundtrip_and_oracle(open_depot):
         assert depot.get(r) == expected
 
 
+def test_depot_appends_bodies_in_the_order_they_were_set(open_depot):
+    depot = open_depot()
+    depot.set_many({0: b"a"})
+    depot.set_many({2: b"ccc", 1: b"dd"})  # record 2 first: its body goes first, though records are written in order
+    assert depot.pending == b"acccdd"
+    commit(depot.meta.pool.cache, depot)
+    depot.set_many({0: b"ee"})  # after the commit, at the blob's committed end
+    assert depot.pending == b"ee" and depot.blob_writes() == [(depot._blob, 6, depot.pending)]
+    assert [int.from_bytes(depot.meta.get(r)[0:8], "big") for r in range(3)] == [6, 4, 1]
+    assert [depot.get(r) for r in range(3)] == [b"ee", b"dd", b"ccc"]
+
+
 def test_depot_rejects_oversized_code(open_depot):
     depot = open_depot()
     with pytest.raises(FormatError):
-        depot.set(0, b"\x00" * 25601)
+        depot.set_many({0: b"\x00" * 25601})
 
 
 def test_depot_detects_blob_corruption(open_depot, opened, tmp_path):
     depot = open_depot()
-    depot.set(0, b"\xaa" * 100)
-    depot.flush()  # the body reaches the blob only at a commit
-    depot.meta.pool.cache.flush()
+    depot.set_many({0: b"\xaa" * 100})
+    commit(depot.meta.pool.cache, depot)  # the body reaches the blob only at a commit
     blob = tmp_path / "codes.blob"
     raw = bytearray(blob.read_bytes())
     raw[10] ^= 0xFF
@@ -227,7 +240,7 @@ def test_depot_detects_blob_corruption(open_depot, opened, tmp_path):
 
 def test_depot_root_changes_with_code_content(open_depot):
     depot = open_depot()
-    depot.set(0, b"one")
-    first = depot.root()
-    depot.set(0, b"two")
-    assert depot.root() != first
+    depot.set_many({0: b"one"})
+    first = depot.meta.root()
+    depot.set_many({0: b"two"})
+    assert depot.meta.root() != first

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import random
 
+from flatstate import files
 from flatstate.types import (
     ADDRESS_SIZE,
     KEY_SIZE,
@@ -84,3 +85,12 @@ def scratch_block_hashes(diffs):
         prev = sha(prev + b"".join(parts))
         hashes[block_diff.block] = prev
     return hashes
+
+
+def commit(cache, depot=None) -> None:
+    """Commit as ``LiveDb.flush`` does, less trees and metadata: ``depot``'s pending bodies, then every dirty page of
+    ``cache``, through ``files.commit``; only then are they marked written."""
+    files.commit((depot.blob_writes() if depot else []) + cache.page_writes())
+    if depot:
+        depot.mark_written()
+    cache.mark_written()
