@@ -12,26 +12,28 @@ above the requested block and stops at the first run that cannot hold
 anything newer than the best match so far.
 
 Ingestion is asynchronous: callers enqueue a block diff and return; a
-background appender converts it to entries, computes the per-account
-and per-block hashes and writes them. Each batch, then each merge it
-triggers, commits in ``_commit``: ``meta.json`` lists the new runs and
-watermark before readers see them; it maps each run it lists (as an
-open does) and deletes a merge's victims last. A failed batch or merge
-stops the appender for good: every later append or flush raises that
-failure, readers keep the last published watermark, and the runs it
-wrote stay unlisted, unmapped orphan files.
+background appender converts it to entries, computes the per-account and
+per-block hashes and commits them. Each batch, then each merge it
+triggers, is one list of writes that ``_commit`` applies through
+``files.commit``: one code-blob append, each new run, the block hashes,
+then ``meta.json``, which lists the new runs (mapped just before it) and
+the watermark before readers see them; a merge's victims are deleted
+last. A failed batch or merge stops the appender for good: every later
+append or flush raises that failure, readers keep the last published
+watermark, and the runs it wrote stay unlisted, unmapped orphan files.
 
 Whether the archive is new is decided once, by the absence of
-``meta.json``: a new one creates (or truncates) its two flat files, an
-existing one requires both (``files.open_data``). Opening reads the run
-manifest and maps the runs, and reads one block hash; it scans no entry,
-reads no code-blob record and creates or writes nothing in an existing
-archive. The code blob's record headers are scanned once, by the first
-code read that needs a body or by the appender before its first batch,
-whichever comes first. Only the appender writes: before its first batch
-it cuts a torn code-blob tail and builds its per-account state (newest
-hash, existence and reincarnation) from the tables, so an archive that
-is only read, as by the query server, never pays for that scan.
+``meta.json``: a new one creates (or truncates) its two flat files and
+writes block 0's hash, an existing one requires both
+(``files.open_data``). Opening reads the run manifest, maps the runs and
+reads one block hash; it scans no entry, reads no code-blob record and
+writes nothing in an existing archive. The code blob's record headers
+are scanned once, by the first code read that needs a body or by the
+appender before its first batch, whichever comes first. That first batch
+also cuts a torn code-blob tail and builds the appender's per-account
+state (newest hash, existence and reincarnation) from the tables, so an
+archive that is only read, as by the query server, never pays for that
+scan.
 
 A query reaches the runs through one guarded floor search per table and
 the flat files through one locked positional read; a code body is served
@@ -41,14 +43,13 @@ only after it matches its digest.
 from __future__ import annotations
 
 import mmap
-import os
 import queue
 import struct
 import threading
 import traceback
 from array import array
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
@@ -56,7 +57,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from . import files
 from .digest import HASH_SIZE, ZERO_HASH, digest
 from .errors import BoundsError, CorruptionError, SequenceError, StorageError, UnavailableError
-from .files import read_meta, require, write_meta
+from .files import read_meta, require
 from .widths import (
     ADDRESS_SIZE,
     BALANCE_SIZE,
@@ -153,25 +154,13 @@ def filter_bits(h: int) -> int:
 
 
 def map_run(path: str | Path, count: int, entry_size: int) -> mmap.mmap:
-    """Map a run file read-only after checking it holds exactly ``count`` entries.
-
-    A bare descriptor, not a file object: an open maps every listed run.
-    """
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except FileNotFoundError as exc:
-        raise CorruptionError(f"run file {path} is missing") from exc
-    except OSError as exc:
-        raise StorageError(f"cannot open run file: {exc}", path=path) from exc
-    try:
-        size = os.fstat(fd).st_size
-        if count < 1 or size != count * entry_size:
-            raise CorruptionError(f"run file {path} has {size} bytes, expected {count} entries of {entry_size}")
-        return mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
-    except OSError as exc:
-        raise StorageError(f"cannot map run file: {exc}", path=path) from exc
-    finally:
-        os.close(fd)
+    """Map a run file read-only after checking it holds exactly ``count`` entries."""
+    data = files.map_file(path)
+    size = len(data)
+    if count < 1 or size != count * entry_size:
+        data.close()
+        raise CorruptionError(f"run file {path} has {size} bytes, expected {count} entries of {entry_size}")
+    return data
 
 
 class _SortedTable:
@@ -472,7 +461,7 @@ class ArchiveDb:
     def _appender_loop(self) -> None:
         batch: list[BlockDiff] = []
 
-        def commit() -> None:
+        def end_batch() -> None:
             if batch and self._error is None:
                 try:
                     self._process_batch(batch)
@@ -489,14 +478,14 @@ class ArchiveDb:
         while True:
             item = self._queue.get()
             if item is _FLUSH or item is _CLOSE:
-                commit()
+                end_batch()
                 self._queue.task_done()
                 if item is _CLOSE:
                     return
                 continue
             batch.append(item)
             if len(batch) >= BATCH_BLOCKS:
-                commit()
+                end_batch()
 
     def _process_batch(self, diffs: list[BlockDiff]) -> None:
         from .types import serialize_update  # loaded by the first batch, so a reading process never loads it
@@ -510,7 +499,7 @@ class ArchiveDb:
         never_created = bytes(1 + REINC_SIZE)  # state payload of an address no state entry names
         entries: dict[str, list[bytes]] = {name: [] for name in TABLES}
         block_hashes: list[bytes] = []
-        new_codes: dict[bytes, bytes] = {}  # digest -> body of each code the blob lacks
+        blob = bytearray()  # a record of each code the blob lacks, for one append at its end
         previous = self._last_block_hash
         for diff in diffs:
             block_field = diff.block.to_bytes(BLOCK_SIZE, "big")
@@ -534,7 +523,9 @@ class ArchiveDb:
                     code_hash = digest(code)
                     entries["code"].append(addr + block_field + code_hash)
                     if code and code_hash not in code_index:
-                        new_codes.setdefault(code_hash, code)
+                        blob += code_hash + len(code).to_bytes(4, "big")
+                        code_index[code_hash] = (self._blob_size + len(blob), len(code))
+                        blob += code
                 reinc_field = state[1:]
                 for key, value in update.slots:
                     entries["storage"].append(addr + reinc_field + key + block_field + value)
@@ -546,35 +537,24 @@ class ArchiveDb:
             previous = digest(previous + b"".join(account_hashes))
             block_hashes.append(previous)
 
-        for code_hash, code in new_codes.items():
-            self._append_code(code_hash, code)
+        writes = [(self._blob_fh, self._blob_size, blob)] if blob else []
+        self._blob_size += len(blob)
         new_runs: dict[str, dict] = {}
         for name, rows in entries.items():
             if rows:
-                new_runs[name] = self._write_run(name, [b"".join(sorted(rows))], 0, diffs[0].block, diffs[-1].block)
-        files.pwrite(self._blockhash_fh, b"".join(block_hashes), diffs[0].block * HASH_SIZE)
-        self._commit(new_runs, diffs[-1].block)
+                new_runs[name] = self._new_run(name, 0, len(rows), diffs[0].block, diffs[-1].block)
+                writes.append((self.data_dir / new_runs[name]["file"], None, [b"".join(sorted(rows))]))
+        writes.append((self._blockhash_fh, diffs[0].block * HASH_SIZE, b"".join(block_hashes)))
+        self._commit(writes, new_runs, diffs[-1].block)
         self._last_block_hash = previous
         for name in new_runs:
             self._maybe_merge(name)
 
-    def _write_run(self, table: str, chunks: Iterable[bytes], level: int, first: int, last: int) -> dict:
-        """Write a run file of ``chunks`` (sorted entries, in order) back to back; return its meta record.
-
-        Each chunk is one ``pwrite``, which also lets other threads take the
-        GIL between chunks.
-        """
-        # A run is reachable only once the metadata lists it, so a partial
-        # file from a crash is just an ignored orphan; no rename dance needed.
-        seq = self._next_seq
+    def _new_run(self, table: str, level: int, count: int, first: int, last: int) -> dict:
+        """The meta record of a new run of ``table``, named by the next sequence number. A run is reachable only once
+        the metadata lists it, so a partial file from a crash is just an ignored orphan; no rename dance needed."""
         self._next_seq += 1
-        name = f"{table}-{seq:08d}.run"
-        size = 0
-        with files.open_data(self.data_dir / name, create=True) as fh:
-            for chunk in chunks:
-                files.pwrite(fh, chunk, size)
-                size += len(chunk)
-        return {"file": name, "level": level, "count": size // TABLES[table].entry_size, "first": first, "last": last}
+        return {"file": f"{table}-{self._next_seq - 1:08d}.run", "level": level, "count": count, "first": first, "last": last}
 
     def _maybe_merge(self, table: str) -> None:
         sorted_table = self._tables[table]
@@ -589,15 +569,9 @@ class ArchiveDb:
             victims = by_level[target]
             first = min(run.first for run in victims)
             last = max(run.last for run in victims)
-            new_run = self._write_run(table, sorted_table.merged_chunks(victims), target + 1, first, last)
-            self._commit({table: new_run}, self.watermark, victims)
-
-    def _append_code(self, code_hash: bytes, code: bytes) -> None:
-        offset = self._blob_size
-        record = code_hash + len(code).to_bytes(4, "big") + code
-        files.pwrite(self._blob_fh, record, offset)
-        self._blob_size += len(record)
-        self._code_index[code_hash] = (offset + HASH_SIZE + 4, len(code))
+            new_run = self._new_run(table, target + 1, sum(run.count for run in victims), first, last)
+            writes = [(self.data_dir / new_run["file"], None, sorted_table.merged_chunks(victims))]  # streamed chunk by chunk
+            self._commit(writes, {table: new_run}, self.watermark, victims)
 
     def _read_code(self, code_hash: bytes) -> bytes:
         if code_hash == EMPTY_CODE_HASH:
@@ -613,11 +587,13 @@ class ArchiveDb:
 
     # -- persistence -----------------------------------------------------
 
-    def _commit(self, new_runs: dict[str, dict], watermark: int, victims: Sequence[RunRef] = ()) -> None:
-        """The one commit site: map the new run recorded for each table, list it and ``watermark`` in
-        ``meta.json`` in place of ``victims``, publish, and only then delete the victims' files."""
+    def _commit(self, writes: list[tuple], new_runs: dict[str, dict], watermark: int, victims: Sequence[RunRef] = ()) -> None:
+        """The one commit site: apply ``writes`` (a batch's blob append, runs and block hashes, or a merge's run), map the
+        new run recorded for each table, then apply the commit's last write, ``meta.json``, which lists it and ``watermark``
+        in place of ``victims``; publish, and only then delete the victims' files."""
         lists: dict[str, list[RunRef]] = {}
         try:
+            files.commit(writes)
             for name, new in new_runs.items():
                 data = map_run(self.data_dir / new["file"], new["count"], TABLES[name].entry_size)
                 lists[name] = [run for run in self._tables[name].runs if run not in victims] + [RunRef(**new, data=data)]
@@ -633,7 +609,7 @@ class ArchiveDb:
                     for name, table in self._tables.items()
                 },
             }
-            write_meta(self._meta_path, meta)
+            files.commit([(self._meta_path, None, meta)])
         except BaseException:
             for runs in lists.values():
                 runs[-1].data.close()  # close() releases only published runs

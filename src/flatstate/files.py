@@ -14,6 +14,7 @@ as does a positional access to a file its database has closed.
 from __future__ import annotations
 
 import json
+import mmap
 import os
 from pathlib import Path
 
@@ -28,6 +29,22 @@ def open_data(path: Path, *, create: bool):
         if not create and isinstance(exc, FileNotFoundError):
             raise CorruptionError(f"{path} is missing from an existing database") from exc
         raise StorageError(f"cannot open: {exc}", path=path) from exc
+
+
+def map_file(path: Path) -> mmap.mmap:
+    """All of ``path`` mapped read-only through a bare descriptor; a missing or empty file is corruption."""
+    try:
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            if os.fstat(fd).st_size == 0:  # which mmap refuses
+                raise CorruptionError(f"{path} is empty")
+            return mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
+        finally:
+            os.close(fd)
+    except FileNotFoundError as exc:
+        raise CorruptionError(f"{path} is missing from an existing database") from exc
+    except OSError as exc:
+        raise StorageError(f"cannot map: {exc}", path=path) from exc
 
 
 def _fd(fh) -> int:

@@ -100,6 +100,7 @@ class LiveDb:
         self._stores = (self.balances, self.nonces, self.exists_flags, self.reincarnations, code_meta, self.values,
                         self.a_index.reverse, self.ak_index.reverse)
         self._root_cache: bytes | None = None
+        self._committed_meta = None if new else meta  # a commit that would not change meta.json leaves it out
         self._closed = False
 
     # -- reads ---------------------------------------------------------------
@@ -209,16 +210,22 @@ class LiveDb:
     # -- lifecycle -----------------------------------------------------------
 
     def flush(self) -> None:
-        """Apply ``commit_writes()``, then mark it written; a failed commit marks nothing, so a retry writes it all."""
-        commit(self.commit_writes())
+        """Apply ``commit_writes()``, then mark it written; a failed commit marks nothing, so a retry writes it all,
+        and an empty one calls no writer."""
+        writes = self.commit_writes()
+        if writes:
+            commit(writes)
         for store in self._stores:
             store.tree.saved = True
         self.codes.mark_written()
         self._cache.mark_written()
+        if writes and writes[-1][0] == self._meta_path:
+            self._committed_meta = writes[-1][2]
 
     def commit_writes(self) -> list[tuple]:
         """The next commit's ``files.commit`` writes in order, tree levels, bodies and pages by reference: each changed
-        ``.tree`` file whole in ROOT_ORDER, the pending code bodies' append, each dirty page in key order, ``meta.json``.
+        ``.tree`` file whole in ROOT_ORDER, the pending code bodies' append, each dirty page in key order, ``meta.json``
+        unless it would be unchanged.
 
         Hash trees are brought up to date first, so two replicas that applied the same diffs flush byte-identical
         directories.
@@ -235,7 +242,7 @@ class LiveDb:
             "a_index": self.a_index.state(),
             "ak_index": self.ak_index.state(),
         }
-        return writes + [(self._meta_path, None, meta)]
+        return writes if meta == self._committed_meta else writes + [(self._meta_path, None, meta)]
 
     def close(self) -> None:
         """Flush, then close the cache (all eleven files) and forget the memos and root, even if the flush fails; once only."""

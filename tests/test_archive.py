@@ -1,5 +1,6 @@
 """Archive database: floor queries, incremental hashes, concurrency, merging."""
 
+import dataclasses
 import errno
 import gc
 import hashlib
@@ -8,6 +9,7 @@ import mmap
 import os
 import pathlib
 import random
+import shutil
 import sys
 import threading
 import time
@@ -16,6 +18,7 @@ import tracemalloc
 import pytest
 
 from flatstate import archive as archive_module
+from flatstate import files as files_module
 from flatstate.archive import FENCE_STRIDE, FILTER_BITS_PER_KEY, MAX_BLOCK, TABLES, ArchiveDb, RunRef, filter_bits
 from flatstate.errors import BoundsError, CorruptionError, SequenceError, StorageError, UnavailableError
 from flatstate.oracle import ReferenceOracle
@@ -556,7 +559,7 @@ def test_first_batch_cut_short_before_meta_reopens_as_new(tmp_path, monkeypatch)
     def killed(path, meta):  # the batch's files are written; the process dies before meta.json
         raise StorageError("killed")
 
-    monkeypatch.setattr(archive_module, "write_meta", killed)
+    monkeypatch.setattr(files_module, "write_meta", killed)
     cut = ArchiveDb(tmp_path / "cut")
     for block_diff in diffs:
         cut.append_block(block_diff)
@@ -787,6 +790,7 @@ def test_archive_io_failures_raise_storage_errors(tmp_path, monkeypatch):
     assert handle_request(archive, "BLOCKHASH 1").startswith("ERR internal read failed")
     monkeypatch.setattr(os, "pread", real_pread)
     monkeypatch.setattr(os, "pwrite", lambda *args: failing())
+    monkeypatch.setattr(files_module, "open", lambda *args: failing(), raising=False)  # write_file's, which writes runs
     archive.append_block(diff(2, AccountUpdate(address=addr(1), balance=6)))
     with pytest.raises(StorageError, match="write failed") as write_failure:
         archive.flush()
@@ -1186,7 +1190,7 @@ def test_snapshot_from_before_a_merge_still_answers(tmp_path, monkeypatch):
     archive.close()
 
 
-def test_failed_batch_stops_the_appender_for_good(tmp_path):
+def test_failed_batch_stops_the_appender_for_good(tmp_path, monkeypatch):
     account = addr(1)
     diffs = [
         diff(1, AccountUpdate(address=account, created=True, balance=10)),
@@ -1198,15 +1202,15 @@ def test_failed_batch_stops_the_appender_for_good(tmp_path):
         oracle.apply_block(block_diff)
     archive = ArchiveDb(tmp_path / "archive")
     feed(archive, diffs[:1])
-    write_run, failed = archive._write_run, []
+    write_file, failed = files_module.write_file, []
 
-    def write_run_failing_once(*args):
+    def write_file_failing_once(path, chunks):  # the batch's first run
         if not failed:
-            failed.append(args)
+            failed.append(path)
             raise OSError("injected write failure")
-        return write_run(*args)
+        return write_file(path, chunks)
 
-    archive._write_run = write_run_failing_once
+    monkeypatch.setattr(files_module, "write_file", write_file_failing_once)
     archive.append_block(diffs[1])
     with pytest.raises(OSError, match="injected"):
         archive.flush()
@@ -1244,12 +1248,16 @@ def test_merge_whose_second_chunk_write_fails_keeps_its_victims(tmp_path, monkey
     archive = ArchiveDb(directory)
     feed(archive, diffs[:2])
     merging = []
-    real_pwrite, maybe_merge = os.pwrite, ArchiveDb._maybe_merge
+    real_write_file, maybe_merge = files_module.write_file, ArchiveDb._maybe_merge
 
-    def pwrite_failing_in_merge(fd, data, offset):
-        if merging and offset > 0:  # the merged run's second chunk
-            raise OSError(errno.EIO, "injected")
-        return real_pwrite(fd, data, offset)
+    def write_file_failing_in_merge(path, chunks):
+        def failing_second():
+            for i, chunk in enumerate(chunks):
+                if merging and i > 0:  # the merged run's second chunk
+                    raise OSError(errno.EIO, "injected")
+                yield chunk
+
+        return real_write_file(path, failing_second())
 
     def flagged_merge(self, table):
         merging.append(table)
@@ -1258,7 +1266,7 @@ def test_merge_whose_second_chunk_write_fails_keeps_its_victims(tmp_path, monkey
         finally:
             merging.pop()
 
-    monkeypatch.setattr(os, "pwrite", pwrite_failing_in_merge)
+    monkeypatch.setattr(files_module, "write_file", write_file_failing_in_merge)
     monkeypatch.setattr(ArchiveDb, "_maybe_merge", flagged_merge)
     for block_diff in diffs[2:4]:
         archive.append_block(block_diff)
@@ -1273,7 +1281,7 @@ def test_merge_whose_second_chunk_write_fails_keeps_its_victims(tmp_path, monkey
     assert listed["storage"] == [(1, 2), (3, 4)]  # both victims, still unmerged
     with pytest.raises(StorageError, match="injected"):
         archive.close()
-    monkeypatch.setattr(os, "pwrite", real_pwrite)
+    monkeypatch.setattr(files_module, "write_file", real_write_file)
     monkeypatch.setattr(ArchiveDb, "_maybe_merge", maybe_merge)
 
     meta_files = {run["file"] for runs in json.loads((directory / "meta.json").read_text())["tables"].values() for run in runs}
@@ -1284,19 +1292,104 @@ def test_merge_whose_second_chunk_write_fails_keeps_its_victims(tmp_path, monkey
     reopened = ArchiveDb(directory)
     assert reopened.watermark == 4
     assert_answers_match(reopened, oracle, addresses, pairs, range(5))
-    written, write_run = [], reopened._write_run
+    written = []
 
-    def recording_write_run(*args):
-        run = write_run(*args)
-        written.append(run["file"])
-        return run
+    def recording_write_file(path, chunks):
+        written.append(path.name)
+        return real_write_file(path, chunks)
 
-    reopened._write_run = recording_write_run
+    monkeypatch.setattr(files_module, "write_file", recording_write_file)
     feed(reopened, diffs[4:])
     assert written[0] == orphan  # the first run written after the reopen overwrites the orphan
     assert {path.name for path in directory.glob("*.run")} == set().union(*reopened.run_files().values())
     assert_answers_match(reopened, oracle, addresses, pairs, range(SEARCH_SPEC.blocks + 1))
     reopened.close()
+
+
+def recorded_commits(directory, monkeypatch):
+    """A list that gets, for each commit of the archive in ``directory``, a copy of the directory taken just before
+    it and the writes ``files.commit`` applied for it (``meta.json`` ends a commit), each run as one chunk."""
+    commits, real_commit = [], files_module.commit
+
+    def recording_commit(writes):
+        writes = [(target, at, [b"".join(data)] if at is None and not isinstance(data, dict) else data) for target, at, data in writes]
+        if not commits or isinstance(commits[-1][1][-1][2], dict):
+            commits.append((shutil.copytree(directory, directory.with_name(f"before-{len(commits)}")), []))
+        commits[-1][1].extend(writes)
+        real_commit(writes)
+
+    monkeypatch.setattr(files_module, "commit", recording_commit)
+    return commits
+
+
+def apply_cut(source, directory, writes, k, torn):
+    """A copy of ``source`` in ``directory`` with ``writes[:k]`` applied by ``files.commit``, as a process killed there
+    leaves it; ``torn`` adds half the bytes of the k-th write (of ``meta.json``, half of its temporary file)."""
+    shutil.copytree(source, directory)
+    opened = {}
+
+    def moved(target, at, data):
+        if at is None:
+            return directory / target.name, at, data
+        name = pathlib.Path(target.name).name
+        if name not in opened:
+            opened[name] = files_module.open_data(directory / name, create=False)
+        return opened[name], at, data
+
+    cut = [moved(*write) for write in writes[:k]]
+    if torn:
+        target, at, data = moved(*writes[k])
+        if isinstance(data, dict):
+            target, data = target.with_suffix(".tmp"), [json.dumps(data, sort_keys=True, separators=(",", ":")).encode() + b"\n"]
+        cut.append((target, at, data[: len(data) // 2] if at is not None else [data[0][: len(data[0]) // 2]]))
+    try:
+        files_module.commit(cut)
+    finally:
+        for fh in opened.values():
+            fh.close()
+
+
+def test_every_cut_of_a_batch_and_a_merge_commit_reopens_at_a_watermark_and_refeeds(tmp_path, monkeypatch):
+    """Each prefix of one batch commit's writes and of one merge commit's, whole or with one more write torn in half,
+    reopens at the old or the new watermark with the oracle's answers up to it, and re-feeding the later blocks
+    reaches an uninterrupted archive's block hashes and answers."""
+    diffs = list(generate(SEARCH_SPEC))[:12]
+    for block, codes in ((6, [b"\x60\x06"]), (7, [b"\x60\x06", b"\x60\x07" * 40])):  # two new bodies in batch 2
+        updates = diffs[block - 1].updates
+        coded = [dataclasses.replace(update, code=code) for update, code in zip(updates, codes)]
+        diffs[block - 1] = diff(block, *coded, *updates[len(codes) :])
+    oracle, addresses, pairs, _, _ = history_facts(diffs)
+    patch_appender(monkeypatch, batch_blocks=4, merge_fanout=2)
+    clean = ArchiveDb(tmp_path / "clean")
+    feed(clean, diffs)
+    expected = [clean.block_hash(block) for block in range(len(diffs) + 1)]
+    clean.close()
+    directory, real_commit = tmp_path / "archive", files_module.commit
+    archive = ArchiveDb(directory)
+    commits = recorded_commits(directory, monkeypatch)
+    feed(archive, diffs[:8])  # two batches, then a merge of each table's two runs
+    archive.close()
+    monkeypatch.setattr(files_module, "commit", real_commit)
+    (batch_copy, batch), (merge_copy, merge) = commits[1], commits[2]
+    names = [pathlib.Path(getattr(target, "name", target)).name for target, _, _ in batch + merge]
+    assert (names[0], len(batch[0][2])) == ("codeblob.dat", 2 * 36 + 2 + 80)  # one append of both records
+    assert names[len(batch) - 2 :] == ["blockhash.dat", "meta.json", names[-2], "meta.json"] and names[-2].endswith(".run")
+    assert batch[-1][2]["watermark"] == merge[-1][2]["watermark"] == 8
+    for before, writes, old in ((batch_copy, batch, 4), (merge_copy, merge, 8)):
+        for k in range(len(writes) + 1):
+            for torn in (False, True) if k < len(writes) else (False,):
+                where = f"{before.name}, {k} writes, torn {torn}"
+                cut = tmp_path / f"cut-{before.name}-{k}-{torn}"
+                apply_cut(before, cut, writes, k, torn)
+                reopened = ArchiveDb(cut)
+                watermark = reopened.watermark
+                assert watermark in (old, 8), where
+                assert [reopened.block_hash(block) for block in range(watermark + 1)] == expected[: watermark + 1], where
+                assert_answers_match(reopened, oracle, addresses, pairs, range(watermark + 1))
+                feed(reopened, diffs[watermark:])
+                assert [reopened.block_hash(block) for block in range(len(diffs) + 1)] == expected, where
+                assert_answers_match(reopened, oracle, addresses, pairs, range(len(diffs) + 1))
+                reopened.close()
 
 
 def test_batch_whose_meta_replace_fails_publishes_nothing(tmp_path):
@@ -1322,14 +1415,14 @@ def test_batch_whose_meta_replace_fails_publishes_nothing(tmp_path):
 
 def fail_meta_replace(monkeypatch, when):
     """The archive's meta.json replace raises StorageError("injected") for each metadata ``when`` accepts."""
-    real_write_meta = archive_module.write_meta
+    real_write_meta = files_module.write_meta
 
     def write_meta(path, meta):
         if when(meta):
             raise StorageError("injected", path=path)
         real_write_meta(path, meta)
 
-    monkeypatch.setattr(archive_module, "write_meta", write_meta)
+    monkeypatch.setattr(files_module, "write_meta", write_meta)
 
 
 # With one block per batch and a merge of every 2 runs: the second batch's commit, and the merge it triggers.
@@ -1428,19 +1521,19 @@ def test_failed_commit_leaves_no_run_mapped_after_close(tmp_path, monkeypatch, c
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors through /proc")
-def test_batch_whose_third_run_write_fails_leaves_no_descriptor_after_close(tmp_path):
+def test_batch_whose_third_run_write_fails_leaves_no_descriptor_after_close(tmp_path, monkeypatch):
     """Runs are mapped only by the commit that lists them, so the two runs written first hold nothing."""
     before = len(os.listdir("/proc/self/fd"))
     archive = ArchiveDb(tmp_path / "archive")
-    write_run, written = archive._write_run, []
+    write_file, written = files_module.write_file, []
 
-    def write_run_failing_third(*args):
-        written.append(args[0])
+    def write_file_failing_third(path, chunks):
+        written.append(path.name.split("-")[0])  # the run's table
         if len(written) == 3:
             raise OSError("injected write failure")
-        return write_run(*args)
+        return write_file(path, chunks)
 
-    archive._write_run = write_run_failing_third
+    monkeypatch.setattr(files_module, "write_file", write_file_failing_third)
     update = AccountUpdate(address=addr(1), created=True, balance=5, slots=((key(1), val(1)),))
     archive.append_block(diff(1, update))  # storage, balance, state and accthash runs, in that order
     with pytest.raises(OSError, match="injected"):

@@ -17,12 +17,6 @@ from flatstate.workload import WorkloadSpec, write_workload
 DATABASE_MODULES = ("pagepool", "store", "hashtree", "index", "livedb", "archive")
 OS_CALLS = {"pread", "preadv", "pwrite", "pwritev", "ftruncate", "truncate", "replace", "rename", "open", "fstat", "unlink"}
 PATH_CALLS = {"read_bytes", "read_text", "write_bytes", "write_text", "unlink"}
-# (module, enclosing function, call) that may stay outside files.py: a run is mapped
-# through a bare descriptor.
-ALLOWED = {
-    ("archive", "map_run", "os.open"),
-    ("archive", "map_run", "os.fstat"),
-}
 
 
 def disk_calls(module: str) -> set[tuple[str, str, str]]:
@@ -53,10 +47,9 @@ def disk_calls(module: str) -> set[tuple[str, str, str]]:
 
 def test_only_files_py_touches_the_disk():
     found = set().union(*(disk_calls(module) for module in DATABASE_MODULES))
-    assert found - ALLOWED == set()
-    assert ALLOWED <= found  # an exception nobody needs any more is dropped from the list
+    assert found == set()
     seam = {call for _, _, call in disk_calls("files")}
-    assert {"open", "os.pread", "os.preadv", "os.pwrite", "os.ftruncate", "os.replace", ".unlink", ".read_bytes"} <= seam
+    assert {"open", "os.open", "os.fstat", "os.pread", "os.preadv", "os.pwrite", "os.ftruncate", "os.replace", ".unlink", ".read_bytes"} <= seam
 
 
 def test_each_database_decides_new_or_existing_once():
@@ -107,15 +100,28 @@ WRITERS = ("pwrite", "write_file", "write_meta", "truncate", "remove", "commit")
 def test_one_commit_site_and_one_record_writer():
     """A second commit site, record writer or store constructor cannot return unseen.
 
-    The archive replaces meta.json only in its commit function, which alone
-    maps and publishes a run besides the open; only ``set_many`` places
-    records, and a RecordStore is built only by its constructor. One writer
-    per LiveDb commit: of the LiveDb modules only ``LiveDb.flush`` calls a
-    ``files.py`` writer (``files.commit``, which applies the commit's list),
-    so no read, eviction, store, index or tree writes a LiveDb file; outside
-    them only ``bench.sweep_io`` does, through the same ``files.commit``.
+    One writer per archive commit: only ``ArchiveDb._commit`` calls a
+    ``files.py`` writer (``files.commit`` for the batch's or merge's list,
+    ``meta.json`` last, then ``remove`` for a merge's victims), but for a
+    new archive's block-0 hash in ``__init__``, which alone opens a data
+    file, and the first batch's cut of a torn code-blob tail. ``_commit``
+    alone maps and publishes a run besides the open; only ``set_many``
+    places records, and a RecordStore is built only by its constructor. One
+    writer per LiveDb commit: of the LiveDb modules only ``LiveDb.flush``
+    calls a ``files.py`` writer (``files.commit``, which applies the
+    commit's list), so no read, eviction, store, index or tree writes a
+    LiveDb file; outside them only ``bench.sweep_io`` does, through the same
+    ``files.commit``.
     """
-    assert functions_that("archive", calls("write_meta")) == {"_commit"}
+    archive_writers = {writer: functions_that("archive", calls(writer)) for writer in WRITERS}
+    assert archive_writers == {
+        **{writer: set() for writer in WRITERS},
+        "commit": {"_commit"},
+        "remove": {"_commit"},
+        "pwrite": {"__init__"},
+        "truncate": {"_process_batch"},
+    }
+    assert functions_that("archive", calls("open_data")) == {"__init__"}
     assert functions_that("archive", calls("publish")) == {"_commit", "_load_meta"}
     assert functions_that("archive", calls("map_run")) == {"_commit", "_load_meta"}
     assert not hasattr(RecordStore, "open")

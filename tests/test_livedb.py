@@ -811,6 +811,46 @@ def test_close_after_flush_opens_no_tree_file(tmp_path, monkeypatch):
         assert ((tmp_path / "db" / name).read_bytes() == data) == (name != "balances.tree")
 
 
+def test_a_commit_that_would_change_nothing_lists_no_write_and_calls_no_writer(tmp_path, monkeypatch):
+    """Right after a flush, and right after an existing database is opened, ``meta.json`` would not change, so the
+    commit lists nothing and ``close()`` calls no ``files.py`` writer."""
+    db = LiveDb(tmp_path / "db")
+    db.apply_block(diff(1, AccountUpdate(address=addr(1), created=True, balance=5, code=b"\x60", slots=((key(1), val(2)),))))
+    db.flush()
+    assert db.commit_writes() == []
+    called = []
+
+    def recording(name):
+        return lambda *args: called.append(name)
+
+    for name in ("pwrite", "write_file", "write_meta", "truncate", "remove", "commit"):  # every files.py writer
+        monkeypatch.setattr(files_module, name, recording(name))
+    monkeypatch.setattr(livedb_module, "commit", recording("commit"))  # livedb imports it by name
+    db.close()
+    reopened = LiveDb(tmp_path / "db")
+    assert reopened.commit_writes() == []
+    reopened.close()
+    assert called == []
+    monkeypatch.undo()
+    reopened = LiveDb(tmp_path / "db")
+    assert (reopened.block, reopened.get_storage(addr(1), key(1)), reopened.get_code(addr(1))) == (1, val(2), b"\x60")
+    reopened.close()
+
+
+def test_a_block_with_an_empty_diff_still_lists_meta_json(tmp_path):
+    """An empty diff changes no record, but ``block`` moves, so the commit still replaces ``meta.json``."""
+    db = LiveDb(tmp_path / "db")
+    db.apply_block(diff(1, AccountUpdate(address=addr(1), created=True, balance=5)))
+    db.flush()
+    db.apply_block(diff(2))
+    writes = db.commit_writes()
+    assert writes[-1][0] == tmp_path / "db" / "meta.json" and writes[-1][2]["block"] == 2
+    db.close()
+    reopened = LiveDb(tmp_path / "db")
+    assert (reopened.block, reopened.get_balance(addr(1))) == (2, 5)
+    reopened.close()
+
+
 def test_overwrites_do_not_grow_files(tmp_path, open_db):
     db = open_db("db")
     slots = tuple((key(i), val(1)) for i in range(64))
