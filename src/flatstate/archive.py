@@ -6,10 +6,10 @@ per commit batch, periodically merged into larger runs (the usual
 log-structured organization, which a forkless chain makes safe because
 each block has at most one successor state). A point-in-time query is a
 floor search: the entry with the greatest block less than or equal to
-the requested one. Because history is linear, every run covers a known
-block range; the search visits runs newest first, skips runs that start
-above the requested block and stops at the first run that cannot hold
-anything newer than the best match so far.
+the requested one. Because history is linear, the runs of a table cover
+disjoint block ranges, which an open checks; the search visits runs
+newest first, skips runs that start above the requested block and
+answers with the first match it finds.
 
 Ingestion is asynchronous: callers enqueue a block diff and return; a
 background appender converts it to entries, computes the per-account and
@@ -17,10 +17,12 @@ per-block hashes and commits them. Each batch, then each merge it
 triggers, is one list of writes that ``_commit`` applies through
 ``files.commit``: one code-blob append, each new run, the block hashes,
 then ``meta.json``, which lists the new runs (mapped just before it) and
-the watermark before readers see them; a merge's victims are deleted
-last. A failed batch or merge stops the appender for good: every later
-append or flush raises that failure, readers keep the last published
-watermark, and the runs it wrote stay unlisted, unmapped orphan files.
+the watermark before readers see them; run files it does not list, a
+merge's victims among them, are deleted last. A failed batch or merge
+stops the appender for good: every later append or flush raises that
+failure, readers keep the last published watermark, and the runs it
+wrote stay unlisted, unmapped orphans until a later appender's first
+commit deletes them.
 
 Whether the archive is new is decided once, by the absence of
 ``meta.json``: a new one creates (or truncates) its two flat files and
@@ -63,7 +65,6 @@ from .widths import (
     BALANCE_SIZE,
     BLOCK_SIZE,
     KEY_SIZE,
-    MAX_BLOCK,
     NONCE_SIZE,
     REINC_SIZE,
     VALUE_SIZE,
@@ -134,7 +135,7 @@ class RunRef:
         self.file = file
         self.level = level
         self.count = count
-        self.first = first  # lowest block the run may hold
+        self.first = first  # lowest block the run may hold; the runs of a table cover disjoint ranges
         self.last = last  # highest block the run may hold
         self.data = data  # read-only mapping; stays readable after the commit that drops the run unlinks its file
         self.search: RunSearch | None = None  # published whole, so a racing reader sees all of it or none
@@ -184,37 +185,30 @@ class _SortedTable:
     def entry_count(self) -> int:
         return sum(run.count for run in self.runs)
 
-    def floor(self, runs: tuple[RunRef, ...], prefix: bytes, block: int) -> tuple[int, bytes] | None:
-        """Best (block', payload) with matching prefix and block' <= block.
+    def floor(self, runs: tuple[RunRef, ...], prefix: bytes, block: int) -> bytes | None:
+        """Payload of the entry with matching prefix and the greatest block' <= block, or None.
 
-        ``runs`` is a newest-first snapshot: once the best match is at least
-        as new as a run's ``last``, no remaining run can hold a better one.
+        ``runs`` is a newest-first snapshot of runs with disjoint block
+        ranges, so the first run that holds a match holds the newest one.
         """
-        prefix_size, key_size = self.spec.prefix_size, self.key_size
         target = prefix + block.to_bytes(BLOCK_SIZE, "big")
         # Python's hash() of bytes is keyed per process, which is harmless
         # for filters that are never persisted.
         prefix_hash = hash(prefix)
         bits = filter_bits(prefix_hash)
-        best: tuple[int, bytes] | None = None
         try:
             for run in runs:
-                if best is not None and best[0] >= run.last:
-                    break
                 if run.first > block:
                     continue
                 search = run.search or self._search_of(run)
                 if search.words[prefix_hash & search.mask] & bits != bits:
                     continue  # the run holds no entry with this prefix
                 entry = self._floor_entry(run, search.fences, target)
-                if entry is None or entry[:prefix_size] != prefix:
-                    continue
-                found = int.from_bytes(entry[prefix_size:key_size], "big")
-                if best is None or found > best[0]:
-                    best = (found, entry[key_size:])
+                if entry is not None and entry[: self.spec.prefix_size] == prefix:
+                    return entry[self.key_size :]
         except ValueError as exc:  # close() released a mapping of this snapshot
             raise StorageError("archive is closed") from exc
-        return best
+        return None
 
     def _search_of(self, run: RunRef) -> RunSearch:
         """The search aids of ``run``, built unless a reader that held the lock first built them."""
@@ -432,8 +426,7 @@ class ArchiveDb:
 
     def _floor(self, table: str, prefix: bytes, block: int) -> bytes | None:
         """Payload of the newest ``table`` entry with ``prefix`` at or below ``block``, or None."""
-        best = self._tables[table].floor(self._published(table, block), prefix, block)
-        return best[1] if best else None
+        return self._tables[table].floor(self._published(table, block), prefix, block)
 
     def _published(self, table: str, block: int) -> tuple[RunRef, ...]:
         """The newest-first run snapshot of ``table``, once ``block`` is known to be published."""
@@ -590,7 +583,7 @@ class ArchiveDb:
     def _commit(self, writes: list[tuple], new_runs: dict[str, dict], watermark: int, victims: Sequence[RunRef] = ()) -> None:
         """The one commit site: apply ``writes`` (a batch's blob append, runs and block hashes, or a merge's run), map the
         new run recorded for each table, then apply the commit's last write, ``meta.json``, which lists it and ``watermark``
-        in place of ``victims``; publish, and only then delete the victims' files."""
+        in place of ``victims``; publish, and only then delete every run file it does not list."""
         lists: dict[str, list[RunRef]] = {}
         try:
             files.commit(writes)
@@ -618,10 +611,14 @@ class ArchiveDb:
             for name, runs in lists.items():
                 self._tables[name].publish(runs)
             self.watermark = watermark
-        # Readers holding a pre-merge snapshot keep reading the victims'
-        # mappings, which outlive the unlinked files.
-        for run in victims:
-            files.remove(self.data_dir / run.file)
+        # Unlisted runs are a merge's victims, whose mappings outlive the files
+        # for readers of a pre-merge snapshot, and at an appender's first commit
+        # what an earlier process left: the runs of a batch or merge that never
+        # committed, and victims that a stop kept from being deleted.
+        listed = {run.file for table in self._tables.values() for run in table.runs}
+        for name in files.names(self.data_dir, ".run"):
+            if name not in listed:
+                files.remove(self.data_dir / name)
 
     def _load_meta(self) -> None:
         path = self._meta_path
@@ -633,15 +630,20 @@ class ArchiveDb:
         for name, runs in meta["tables"].items():
             if name not in TABLES:
                 raise CorruptionError(f"metadata in {path} names unknown table {name!r}")
-            loaded = []
-            entry_size = TABLES[name].entry_size
+            table, loaded = self._tables[name], []
             for r in runs:
-                require(r, path, ("file", "level", "count"))
-                data = map_run(f"{directory}/{r['file']}", r["count"], entry_size)
-                # A run listed without a block range may hold any block.
-                first, last = r.get("first", 0), r.get("last", MAX_BLOCK)
-                loaded.append(RunRef(r["file"], r["level"], r["count"], first, last, data))
-            self._tables[name].publish(loaded)
+                require(r, path, ("file", "level", "count", "first", "last"))
+                data = map_run(f"{directory}/{r['file']}", r["count"], table.entry_size)
+                loaded.append(RunRef(r["file"], r["level"], r["count"], r["first"], r["last"], data))
+            table.publish(loaded)
+            end = 0  # forkless history: oldest first, the ranges lie one after another inside 1..watermark
+            for run in reversed(table.newest_first):
+                if not end < run.first <= run.last <= self.watermark:
+                    raise CorruptionError(
+                        f"metadata in {path} lists run {run.file} for blocks {run.first}..{run.last}, "
+                        f"not after block {end} or not within 1..{self.watermark}"
+                    )
+                end = run.last
 
     def _code_locations(self, *, reader: bool) -> dict[bytes, tuple[int, int]]:
         """The code index, built by the first caller that needs it.
@@ -684,17 +686,14 @@ class ArchiveDb:
     def _newest_payloads(self, name: str) -> dict[bytes, bytes]:
         """The payload of each address's newest entry in a table keyed by address."""
         table = self._tables[name]
-        # Each entry is read as (address, block ++ payload). The block field is
-        # big-endian, so the greater bytes are the newer entry, whatever order
-        # the runs are listed in and whether or not they carry a block range.
-        entry = struct.Struct(f"{ADDRESS_SIZE}s{BLOCK_SIZE + table.spec.payload_size}s")
+        # Entries read as (address, payload), the pad skipping the block: a run sorts an address's entries by
+        # block and the runs' ranges are disjoint, so updating from the oldest run on leaves the newest payload.
+        entry = struct.Struct(f"{ADDRESS_SIZE}s{BLOCK_SIZE}x{table.spec.payload_size}s")
         newest: dict[bytes, bytes] = {}
-        for run in table.runs:
-            for addr, found in entry.iter_unpack(run.data):
-                if found > newest.get(addr, b""):
-                    newest[addr] = found
+        for run in reversed(table.newest_first):
+            newest.update(entry.iter_unpack(run.data))
             run.data.madvise(mmap.MADV_DONTNEED)  # read once; a later search refaults what it needs
-        return {addr: found[BLOCK_SIZE:] for addr, found in newest.items()}
+        return newest
 
     def _raise_pending_error(self) -> None:
         if self._error is not None:

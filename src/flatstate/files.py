@@ -119,6 +119,13 @@ def remove(path: Path) -> None:
         raise StorageError(f"cannot delete: {exc}", path=path) from exc
 
 
+def names(directory: Path, suffix: str) -> list[str]:
+    try:
+        return [name for name in os.listdir(directory) if name.endswith(suffix)]
+    except OSError as exc:
+        raise StorageError(f"cannot list: {exc}", path=directory) from exc
+
+
 def write_meta(path: Path, meta: dict) -> None:
     tmp = path.with_suffix(".tmp")
     write_file(tmp, [json.dumps(meta, sort_keys=True, separators=(",", ":")).encode() + b"\n"])

@@ -99,7 +99,6 @@ class LiveDb:
         # The eight committed stores in ROOT_ORDER; the indexes commit to their reverse tables.
         self._stores = (self.balances, self.nonces, self.exists_flags, self.reincarnations, code_meta, self.values,
                         self.a_index.reverse, self.ak_index.reverse)
-        self._root_cache: bytes | None = None
         self._committed_meta = None if new else meta  # a commit that would not change meta.json leaves it out
         self._closed = False
 
@@ -185,7 +184,6 @@ class LiveDb:
         self.a_index.write_keys()
         self.ak_index.write_keys()
         self.block = diff.block
-        self._root_cache = None
         if self._cache.full(len(self.codes.pending)):
             self.flush()
 
@@ -202,10 +200,8 @@ class LiveDb:
         return dict(zip(ROOT_ORDER, (store.root() for store in self._stores)))
 
     def state_root(self) -> WorldstateRoot:
-        """Composite commitment; cached until the next write or ``close()``."""
-        if self._root_cache is None:
-            self._root_cache = digest(b"".join(self.component_roots().values()))  # in ROOT_ORDER
-        return WorldstateRoot(root=self._root_cache, block=self.block)
+        """Composite commitment: one digest over the component roots, which clean trees answer from memory."""
+        return WorldstateRoot(root=digest(b"".join(self.component_roots().values())), block=self.block)  # in ROOT_ORDER
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -245,7 +241,7 @@ class LiveDb:
         return writes if meta == self._committed_meta else writes + [(self._meta_path, None, meta)]
 
     def close(self) -> None:
-        """Flush, then close the cache (all eleven files) and forget the memos and root, even if the flush fails; once only."""
+        """Flush, then close the cache (all eleven files) and forget the memos, even if the flush fails; once only."""
         if self._closed:
             return
         try:
@@ -255,7 +251,6 @@ class LiveDb:
             self._cache.close()
             self.a_index.forget()
             self.ak_index.forget()
-            self._root_cache = None
 
     # -- internals -----------------------------------------------------------
 
@@ -269,13 +264,11 @@ class LiveDb:
         return LinearHashIndex(pool, reverse, key_width, state=state)
 
     def _read_meta(self) -> dict:
-        meta = read_meta(self._meta_path, FORMAT_VERSION, ("block", "accounts", "slots", "a_index", "ak_index"))
+        meta = read_meta(self._meta_path, FORMAT_VERSION, ("page_size", "block", "accounts", "slots", "a_index", "ak_index"))
         for name, count in (("a_index", "accounts"), ("ak_index", "slots")):
             require(meta[name], self._meta_path, ("count", "level", "split", "bucket_pages"))
             if meta[count] != meta[name]["count"]:
                 raise CorruptionError(f"{self._meta_path} counts {meta[count]} {count}, {name} {meta[name]['count']}")
-        if meta.get("page_size", self.page_size) != self.page_size:
-            raise CorruptionError(
-                f"database was created with page_size {meta.get('page_size')}, opened with {self.page_size}"
-            )
+        if meta["page_size"] != self.page_size:
+            raise CorruptionError(f"database was created with page_size {meta['page_size']}, opened with {self.page_size}")
         return meta

@@ -19,7 +19,7 @@ import pytest
 
 from flatstate import archive as archive_module
 from flatstate import files as files_module
-from flatstate.archive import FENCE_STRIDE, FILTER_BITS_PER_KEY, MAX_BLOCK, TABLES, ArchiveDb, RunRef, filter_bits
+from flatstate.archive import FENCE_STRIDE, FILTER_BITS_PER_KEY, TABLES, ArchiveDb, RunRef, filter_bits
 from flatstate.errors import BoundsError, CorruptionError, SequenceError, StorageError, UnavailableError
 from flatstate.oracle import ReferenceOracle
 from flatstate.server import handle_request
@@ -952,7 +952,9 @@ def test_newest_first_search_matches_oracle(tmp_path, monkeypatch, fanout):
     reopened.close()
 
 
-def test_runs_without_block_ranges_still_answer(tmp_path, monkeypatch):
+def test_runs_listed_newest_first_answer_and_append_like_an_unbroken_archive(tmp_path, monkeypatch):
+    """The listing order in meta.json says nothing about blocks: runs listed newest first answer the same, and the
+    account maps the appender rebuilds from them give the hashes of an archive that was never closed."""
     diffs = list(generate(SEARCH_SPEC))
     oracle, addresses, pairs, _, _ = history_facts(diffs)
     patch_appender(monkeypatch, batch_blocks=3, merge_fanout=2)
@@ -961,33 +963,25 @@ def test_runs_without_block_ranges_still_answer(tmp_path, monkeypatch):
     archive.close()
     meta_path = tmp_path / "archive" / "meta.json"
     meta = json.loads(meta_path.read_text())
-    legacy_seq = meta["next_seq"]
+    for name in ("state", "accthash"):  # the tables the account maps are rebuilt from
+        assert [run["last"] for run in meta["tables"][name]] == [12, 15], name
     for runs in meta["tables"].values():
-        for run in runs:
-            del run["first"], run["last"]
-        runs.reverse()  # the listing order says nothing about blocks, so newest first is as valid as oldest
+        runs.reverse()
     meta_path.write_text(json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n")
 
-    legacy = ArchiveDb(tmp_path / "archive")
-    assert_answers_match(legacy, oracle, addresses, pairs, range(16))
-    feed(legacy, diffs[15:])
-    # The next batch merged with the bound-less run: its range is unknown.
-    runs = json.loads(meta_path.read_text())["tables"]["storage"]
-    new_runs = [run for run in runs if int(run["file"].split("-")[1].split(".")[0]) >= legacy_seq]
-    assert any((run["first"], run["last"]) == (0, MAX_BLOCK) for run in new_runs)
-    assert any(run["last"] == SEARCH_SPEC.blocks for run in new_runs)
-    assert_answers_match(legacy, oracle, addresses, pairs, range(SEARCH_SPEC.blocks + 1))
-    assert_filters_admit_stored_prefixes(legacy)
-    # The appender rebuilt its account maps from runs without block ranges,
-    # so every later hash must equal that of an archive that was never closed.
+    reversed_listing = ArchiveDb(tmp_path / "archive")
+    assert_answers_match(reversed_listing, oracle, addresses, pairs, range(16))
+    feed(reversed_listing, diffs[15:])
+    assert_answers_match(reversed_listing, oracle, addresses, pairs, range(SEARCH_SPEC.blocks + 1))
+    assert_filters_admit_stored_prefixes(reversed_listing)
     unbroken = ArchiveDb(tmp_path / "unbroken")
     feed(unbroken, diffs)
     for block in range(SEARCH_SPEC.blocks + 1):
-        assert legacy.block_hash(block) == unbroken.block_hash(block)
+        assert reversed_listing.block_hash(block) == unbroken.block_hash(block)
         for address in addresses:
-            assert legacy.account_hash(address, block) == unbroken.account_hash(address, block)
+            assert reversed_listing.account_hash(address, block) == unbroken.account_hash(address, block)
     unbroken.close()
-    legacy.close()
+    reversed_listing.close()
 
 
 def written_slot_history(spec, monkeypatch, directory):
@@ -1182,11 +1176,11 @@ def test_snapshot_from_before_a_merge_still_answers(tmp_path, monkeypatch):
     reinc = (0).to_bytes(REINC_SIZE, "big")  # no deletions: every account keeps reincarnation 0
     for block in range(3):
         for address in addresses:
-            best = balance.floor(snapshots["balance"], address, block)
-            assert (int.from_bytes(best[1], "big") if best else 0) == oracle.balance_at(address, block)
+            found = balance.floor(snapshots["balance"], address, block)
+            assert int.from_bytes(found or b"", "big") == oracle.balance_at(address, block)
         for address, slot_key in pairs:
-            best = storage.floor(snapshots["storage"], address + reinc + slot_key, block)
-            assert (best[1] if best else ZERO_VALUE) == oracle.storage_at(address, slot_key, block)
+            found = storage.floor(snapshots["storage"], address + reinc + slot_key, block)
+            assert (found or ZERO_VALUE) == oracle.storage_at(address, slot_key, block)
     archive.close()
 
 
@@ -1352,7 +1346,7 @@ def apply_cut(source, directory, writes, k, torn):
 def test_every_cut_of_a_batch_and_a_merge_commit_reopens_at_a_watermark_and_refeeds(tmp_path, monkeypatch):
     """Each prefix of one batch commit's writes and of one merge commit's, whole or with one more write torn in half,
     reopens at the old or the new watermark with the oracle's answers up to it, and re-feeding the later blocks
-    reaches an uninterrupted archive's block hashes and answers."""
+    reaches an uninterrupted archive's block hashes and answers and leaves exactly the run files meta.json lists."""
     diffs = list(generate(SEARCH_SPEC))[:12]
     for block, codes in ((6, [b"\x60\x06"]), (7, [b"\x60\x06", b"\x60\x07" * 40])):  # two new bodies in batch 2
         updates = diffs[block - 1].updates
@@ -1388,6 +1382,8 @@ def test_every_cut_of_a_batch_and_a_merge_commit_reopens_at_a_watermark_and_refe
                 assert_answers_match(reopened, oracle, addresses, pairs, range(watermark + 1))
                 feed(reopened, diffs[watermark:])
                 assert [reopened.block_hash(block) for block in range(len(diffs) + 1)] == expected, where
+                listed = {run["file"] for runs in json.loads((cut / "meta.json").read_text())["tables"].values() for run in runs}
+                assert {path.name for path in cut.glob("*.run")} == listed, where
                 assert_answers_match(reopened, oracle, addresses, pairs, range(len(diffs) + 1))
                 reopened.close()
 
@@ -1628,6 +1624,16 @@ def test_query_racing_close_reports_closed_archive(tmp_path):
         archive.get_balance_at(addr(1), 1)
 
 
+def with_run(index, **fields):
+    """Damage that changes ``fields`` of the storage table's ``index``-th listed run."""
+
+    def damage(meta):
+        meta["tables"]["storage"][index].update(fields)
+        return meta
+
+    return damage
+
+
 def without(*steps):
     """Damage that deletes the field at ``steps`` from the parsed metadata."""
 
@@ -1650,6 +1656,11 @@ ARCHIVE_META_DAMAGE = {
     "no-tables": (without("tables"), "meta.json lacks field 'tables'"),
     "unknown-table": (lambda meta: {**meta, "tables": {**meta["tables"], "bogus": []}}, "meta.json names unknown table 'bogus'"),
     "run-without-count": (without("tables", "storage", 0, "count"), "meta.json lacks field 'count'"),
+    "run-without-first": (without("tables", "storage", 0, "first"), "meta.json lacks field 'first'"),
+    "run-without-last": (without("tables", "storage", 1, "last"), "meta.json lacks field 'last'"),
+    # The storage runs cover blocks 1..16 and 17..17, and the watermark is 17.
+    "overlapping-runs": (with_run(1, first=16), r"meta.json lists run storage-\d+\.run for blocks 16\.\.17, not after block 16"),
+    "last-above-watermark": (with_run(1, last=18), r"meta.json lists run storage-\d+\.run for blocks 17\.\.18, .* within 1\.\.17"),
 }
 
 
