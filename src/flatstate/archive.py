@@ -11,18 +11,20 @@ disjoint block ranges, which an open checks; the search visits runs
 newest first, skips runs that start above the requested block and
 answers with the first match it finds.
 
-Ingestion is asynchronous: callers enqueue a block diff and return; a
-background appender converts it to entries, computes the per-account and
-per-block hashes and commits them. Each batch, then each merge it
-triggers, is one list of writes that ``_commit`` applies through
-``files.commit``: one code-blob append, each new run, the block hashes,
-then ``meta.json``, which lists the new runs (mapped just before it) and
-the watermark before readers see them; run files it does not list, a
-merge's victims among them, are deleted last. A failed batch or merge
-stops the appender for good: every later append or flush raises that
-failure, readers keep the last published watermark, and the runs it
-wrote stay unlisted, unmapped orphans until a later appender's first
-commit deletes them.
+Ingestion is asynchronous: callers add a block diff to the batch filling
+and return. A full batch goes to the appender, a one-worker executor
+that the first batch starts (an archive only read runs no thread) and
+that holds at most two batches. Its worker is no daemon: a process
+exiting without ``close()`` still publishes the batches handed over.
+Each batch, then each merge it triggers, is one list of writes that
+``_commit`` applies through ``files.commit``: one code-blob append, each
+new run, the block hashes, then ``meta.json``, which lists the new runs
+(mapped just before it) and the watermark before readers see them; run
+files it does not list, a merge's victims among them, are deleted last.
+A failed batch or merge stops the appender for good: every later append
+or flush raises that failure, readers keep the last published watermark,
+and the runs it wrote stay unlisted, unmapped orphans until a later
+appender's first commit deletes them.
 
 Whether the archive is new is decided once, by the absence of
 ``meta.json``: a new one creates (or truncates) its two flat files and
@@ -45,7 +47,6 @@ only after it matches its digest.
 from __future__ import annotations
 
 import mmap
-import queue
 import struct
 import threading
 import traceback
@@ -57,7 +58,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import files
-from .digest import HASH_SIZE, ZERO_HASH, digest
+from .digest import EMPTY_HASH, HASH_SIZE, ZERO_HASH, digest
 from .errors import BoundsError, CorruptionError, SequenceError, StorageError, UnavailableError
 from .files import read_meta, require
 from .widths import (
@@ -71,14 +72,13 @@ from .widths import (
     ZERO_VALUE,
 )
 
-if TYPE_CHECKING:  # the update classes load only in a process that appends (see _process_batch)
+if TYPE_CHECKING:  # these load only in a process that appends (see _hand_over and _process_batch)
+    from concurrent.futures import Future, ThreadPoolExecutor
+
     from .types import BlockDiff
 
 FORMAT_VERSION = 1
 BATCH_BLOCKS = 16  # blocks persisted per commit batch; flush cuts a batch early
-# Blocks queued before append_block blocks (backpressure): one batch in the
-# appender and one filling, so queued diffs cannot outgrow two batches.
-QUEUE_DEPTH = 2 * BATCH_BLOCKS
 MERGE_FANOUT = 4  # runs on one level that trigger their merge into the next
 # A merge sorts and writes at most this many entries of each victim at a
 # time, and then hands the victims' pages it has read back to the OS, so
@@ -93,11 +93,6 @@ FENCE_STRIDE = 16
 # prefixes with at least this many bits per entry, so a search skips
 # nearly every run that cannot hold the queried prefix.
 FILTER_BITS_PER_KEY = 10
-EMPTY_CODE_HASH = digest(b"")
-
-# Queue sentinels: cut the current commit batch (and stop, for _CLOSE).
-_FLUSH = object()
-_CLOSE = object()
 
 
 class TableSpec(NamedTuple):
@@ -305,10 +300,11 @@ class ArchiveDb:
         self.watermark = 0
         self._meta_path = self.data_dir / "meta.json"
         new = not self._meta_path.exists()  # the one new-or-existing decision
-        if not new:
-            self._load_meta()  # maps the listed runs; searching them builds their aids later
-        self._blockhash_fh = files.open_data(self.data_dir / "blockhash.dat", create=new)
+        self._blockhash_fh = self._blob_fh = None
         try:
+            if not new:
+                self._load_meta()  # maps the listed runs; searching them builds their aids later
+            self._blockhash_fh = files.open_data(self.data_dir / "blockhash.dat", create=new)
             if new:  # a new archive: block 0 hashes to zero
                 files.pwrite(self._blockhash_fh, ZERO_HASH, 0)
             if files.size(self._blockhash_fh) < (self.watermark + 1) * HASH_SIZE:
@@ -317,7 +313,7 @@ class ArchiveDb:
             self._last_block_hash = files.pread(self._blockhash_fh, HASH_SIZE, self.watermark * HASH_SIZE)
             self._blob_fh = files.open_data(self.data_dir / "codeblob.dat", create=new)  # read on first need
         except BaseException:
-            self._blockhash_fh.close()
+            self._release()
             raise
         # Digest -> (body offset, length) of each whole record, and the end of
         # the last one; an existing blob is indexed on first need.
@@ -329,24 +325,25 @@ class ArchiveDb:
         # that is only read never does.
         self._account_hash: dict[bytes, bytes] | None = None
         self._account_state: dict[bytes, bytes] | None = None
-        self._queue: queue.Queue = queue.Queue(maxsize=QUEUE_DEPTH)
         self._next_block = self.watermark
+        self._batch: list[BlockDiff] = []  # the batch filling, handed over whole
+        self._executor: ThreadPoolExecutor | None = None  # the appender, started by the first hand-over
+        self._handed: Future | None = None  # the last batch handed over
+        self._slots = threading.Semaphore(2)  # backpressure: a slot per batch handed over and not yet ended
         self._error: Exception | None = None
         self._closed = False
-        self._intake = threading.Lock()  # close() queues _CLOSE under it, so nothing is queued after _CLOSE
-        self._appender = threading.Thread(target=self._appender_loop, name="archive-appender", daemon=True)
-        self._appender.start()
+        self._intake = threading.Lock()  # close() hands over its batch under it, so none is handed over after close
 
     # -- ingestion -------------------------------------------------------
 
     def append_block(self, diff: BlockDiff) -> None:
-        """Enqueue one block for the background appender.
+        """Add one block to the batch filling, and hand a full batch to the background appender.
 
-        Returns as soon as the diff is queued; blocks only while the queue
-        is full (backpressure). The appender persists blocks in commit
-        batches (``BATCH_BLOCKS`` at a time, or earlier when flush/close
-        cuts a batch) and readers see the new watermark only after the
-        whole batch is on disk.
+        Returns at once unless the appender already holds two batches; then
+        the append that fills a third waits until one of them ends
+        (backpressure). Batches hold ``BATCH_BLOCKS`` blocks, or fewer when
+        flush/close cuts one, and readers see the new watermark only after
+        the whole batch is on disk.
         """
         self._raise_pending_error()
         with self._intake:
@@ -354,36 +351,41 @@ class ArchiveDb:
             if diff.block != self._next_block + 1:
                 raise SequenceError(f"expected block {self._next_block + 1}, got {diff.block}")
             self._next_block = diff.block
-            self._queue.put(diff)
+            self._batch.append(diff)
+            if len(self._batch) >= BATCH_BLOCKS:
+                self._hand_over()
 
     def flush(self) -> None:
         """Cut the current commit batch and wait until it is published; a closed archive raises ``StorageError``."""
-        with self._intake:  # a _FLUSH queued ahead of _CLOSE is always taken by the appender
+        with self._intake:
             self._check_open()
-            self._queue.put(_FLUSH)
-        self._queue.join()
+            handed = self._hand_over()
+        if handed is not None:
+            handed.result()  # one worker: every batch handed over earlier has ended too
         self._raise_pending_error()
 
     def close(self) -> None:
-        """Stop the appender after the queued blocks and release every file.
-
-        Afterwards each query raises ``StorageError``.
-        """
+        """Publish the blocks appended, stop the appender and release every file; later queries raise ``StorageError``."""
         with self._intake:
             if self._closed:
-                return
+                return  # a second close does nothing
             self._closed = True
-            self._queue.put(_CLOSE)
-        self._appender.join()
+            self._hand_over()
+        if self._executor is not None:
+            self._executor.shutdown()
+        self._release()
+        self._raise_pending_error()
+
+    def _release(self) -> None:
+        """Close the open flat files and unmap every listed run (``_load_meta`` lists each run as it maps it)."""
         with self._lock:  # readers take descriptors and run snapshots under this lock
-            self._blockhash_fh.close()
-            self._blob_fh.close()
+            for fh in filter(None, (self._blockhash_fh, self._blob_fh)):
+                fh.close()
             for table in self._tables.values():
                 with table.build_lock:  # a build still running cannot publish after this
                     for run in table.runs:
                         run.data.close()
                         run.search = None
-        self._raise_pending_error()
 
     # -- queries ---------------------------------------------------------
 
@@ -451,34 +453,30 @@ class ArchiveDb:
 
     # -- appender --------------------------------------------------------
 
-    def _appender_loop(self) -> None:
-        batch: list[BlockDiff] = []
+    def _hand_over(self) -> Future | None:
+        """Hand the batch filling, if any, to the appender (``_intake`` held); return the last batch's future."""
+        if self._batch:
+            if self._executor is None:
+                from concurrent.futures import ThreadPoolExecutor  # loaded by the first batch, as is serialize_update
+                self._executor = ThreadPoolExecutor(1, thread_name_prefix="archive-appender")
+            self._slots.acquire()
+            self._handed = self._executor.submit(self._run_batch, self._batch)
+            self._batch = []
+        return self._handed
 
-        def end_batch() -> None:
-            if batch and self._error is None:
-                try:
-                    self._process_batch(batch)
-                except Exception as exc:  # raised by every later call; no later batch runs
-                    # The kept traceback must not pin the batch's locals: its frames
-                    # reference the archive, and through that cycle a merge's victim
-                    # mappings would stay open until the garbage collector runs.
-                    traceback.clear_frames(exc.__traceback__)
-                    self._error = exc
-            for _ in batch:
-                self._queue.task_done()
-            batch.clear()
-
-        while True:
-            item = self._queue.get()
-            if item is _FLUSH or item is _CLOSE:
-                end_batch()
-                self._queue.task_done()
-                if item is _CLOSE:
-                    return
-                continue
-            batch.append(item)
-            if len(batch) >= BATCH_BLOCKS:
-                end_batch()
+    def _run_batch(self, diffs: list[BlockDiff]) -> None:
+        """Process one batch on the appender unless an earlier one failed; keep a failure for every later call to raise."""
+        try:
+            if self._error is None:
+                self._process_batch(diffs)
+        except Exception as exc:
+            # The kept traceback must not pin the batch's locals: its frames
+            # reference the archive, and through that cycle a merge's victim
+            # mappings would stay open until the garbage collector runs.
+            traceback.clear_frames(exc.__traceback__)
+            self._error = exc
+        finally:
+            self._slots.release()
 
     def _process_batch(self, diffs: list[BlockDiff]) -> None:
         from .types import serialize_update  # loaded by the first batch, so a reading process never loads it
@@ -567,7 +565,7 @@ class ArchiveDb:
             self._commit(writes, {table: new_run}, self.watermark, victims)
 
     def _read_code(self, code_hash: bytes) -> bytes:
-        if code_hash == EMPTY_CODE_HASH:
+        if code_hash == EMPTY_HASH:
             return b""
         located = self._code_locations(reader=True).get(code_hash)
         if located is None:
@@ -630,12 +628,12 @@ class ArchiveDb:
         for name, runs in meta["tables"].items():
             if name not in TABLES:
                 raise CorruptionError(f"metadata in {path} names unknown table {name!r}")
-            table, loaded = self._tables[name], []
+            table = self._tables[name]
             for r in runs:
                 require(r, path, ("file", "level", "count", "first", "last"))
                 data = map_run(f"{directory}/{r['file']}", r["count"], table.entry_size)
-                loaded.append(RunRef(r["file"], r["level"], r["count"], r["first"], r["last"], data))
-            table.publish(loaded)
+                table.runs.append(RunRef(r["file"], r["level"], r["count"], r["first"], r["last"], data))
+            table.publish(table.runs)
             end = 0  # forkless history: oldest first, the ranges lie one after another inside 1..watermark
             for run in reversed(table.newest_first):
                 if not end < run.first <= run.last <= self.watermark:

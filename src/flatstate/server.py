@@ -24,9 +24,8 @@ One thread serves every connection: a selector loop accepts, reads,
 answers and writes over non-blocking sockets. Requests sent back to back
 on one connection (pipelined) are answered in order. A query runs to its
 end before the loop turns to any other connection, so a slow one, such
-as the first search of a large run, which builds that run's search aids
-(25 to 35 ms for a 49k-entry run on a 2-CPU x86 host), delays every
-connection.
+as the first search of a large run, which builds that run's search aids,
+delays every connection.
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ import pytest
 from flatstate import archive as archive_module
 from flatstate import files as files_module
 from flatstate.archive import FENCE_STRIDE, FILTER_BITS_PER_KEY, TABLES, ArchiveDb, RunRef, filter_bits
+from flatstate.digest import HASH_SIZE
 from flatstate.errors import BoundsError, CorruptionError, SequenceError, StorageError, UnavailableError
 from flatstate.oracle import ReferenceOracle
 from flatstate.server import handle_request
@@ -521,6 +522,36 @@ def test_damaged_run_file_is_reported_on_open(tmp_path, monkeypatch, damage):
         ArchiveDb(tmp_path / "archive")
 
 
+def cut_blockhash_file(directory):
+    hashes = directory / "blockhash.dat"
+    hashes.write_bytes(hashes.read_bytes()[:-HASH_SIZE])
+    return "watermark 12"
+
+
+def cut_last_run(directory):
+    """Cut a byte off the last run an open maps, so it fails with every other run mapped."""
+    meta = json.loads((directory / "meta.json").read_text())
+    run = [runs for runs in meta["tables"].values() if runs][-1][-1]
+    (directory / run["file"]).write_bytes((directory / run["file"]).read_bytes()[:-1])
+    return run["file"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors through /proc")
+@pytest.mark.parametrize("damage", [cut_blockhash_file, cut_last_run], ids=["short-blockhash-file", "run-one-byte-short"])
+def test_failed_open_releases_what_it_mapped(tmp_path, monkeypatch, damage):
+    """An open that fails after mapping runs unmaps them, even while its error, and so its frames, stay referenced."""
+    patch_appender(monkeypatch, batch_blocks=2, merge_fanout=NO_MERGE)
+    archive = ArchiveDb(tmp_path / "archive")
+    feed(archive, [diff(block, AccountUpdate(address=addr(block), created=True, balance=block)) for block in range(1, 13)])
+    archive.close()
+    message = damage(tmp_path / "archive")
+    before = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(CorruptionError, match=message) as raised:
+        ArchiveDb(tmp_path / "archive")
+    assert raised.value.__traceback__ is not None
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
 def test_short_block_hash_file_is_reported_as_corruption(tmp_path, monkeypatch):
     archive = balance_history(tmp_path / "archive", monkeypatch)
     hashes = tmp_path / "archive" / "blockhash.dat"
@@ -765,7 +796,7 @@ def test_close_right_after_an_append_indexes_the_blob_and_keeps_the_block(tmp_pa
     scans = count_scans(monkeypatch)
     archive = ArchiveDb(tmp_path / "archive")
     archive.append_block(diff(2, AccountUpdate(address=addr(2), code=second)))
-    archive.close()  # the queued block is the appender's first batch
+    archive.close()  # the block filling a batch is the appender's first batch
     assert scans == [archive]
     reopened = ArchiveDb(tmp_path / "archive")
     assert reopened.watermark == 2
@@ -1550,23 +1581,98 @@ def test_flush_after_close_raises(tmp_path):
 
 
 def test_flush_racing_close_returns(tmp_path):
-    """close() arriving between flush's check that the archive is open and its queueing of the cut."""
+    """close() arriving between flush's check that the archive is open and its hand-over of the batch filling."""
     archive = ArchiveDb(tmp_path / "archive")
     archive.append_block(diff(1, AccountUpdate(address=addr(1), created=True, balance=5)))
-    put, closer = archive._queue.put, []
+    hand_over, closer = archive._hand_over, []
 
-    def put_after_close_started(item):
-        if item is archive_module._FLUSH and not closer:
+    def hand_over_after_close_started():
+        if not closer:
             closer.append(threading.Thread(target=archive.close))
             closer[0].start()
-            closer[0].join(0.2)  # close runs on as far as it can before the cut is queued
-        put(item)
+            closer[0].join(0.2)  # close runs on as far as it can before the batch is handed over
+        return hand_over()
 
-    archive._queue.put = put_after_close_started
+    archive._hand_over = hand_over_after_close_started
     assert run_with_timeout(archive.flush) is None
     closer[0].join(10)
     assert not closer[0].is_alive()
     assert archive.watermark == 1
+
+
+def test_appender_holds_at_most_two_batches(tmp_path, monkeypatch):
+    """Backpressure: with the first batch paused, appends return until two batches are handed over and a third
+    fills; the append that fills it waits until one batch ends."""
+    patch_appender(monkeypatch, batch_blocks=2, merge_fanout=NO_MERGE)
+    process_batch, started, resume = ArchiveDb._process_batch, [], threading.Event()
+
+    def paused(self, diffs):
+        started.append([d.block for d in diffs])
+        resume.wait(10)
+        process_batch(self, diffs)
+
+    monkeypatch.setattr(ArchiveDb, "_process_batch", paused)
+    archive = ArchiveDb(tmp_path / "archive")
+    diffs = [diff(block, AccountUpdate(address=addr(1), balance=block)) for block in range(1, 8)]
+    filling = threading.Thread(target=archive.append_block, args=(diffs[5],))
+    try:
+        for block_diff in diffs[:5]:
+            assert run_with_timeout(lambda: archive.append_block(block_diff), seconds=5) is None
+        filling.start()
+        filling.join(0.3)
+        assert filling.is_alive()  # blocks 1-2 running, 3-4 handed over behind them, 5-6 full and waiting
+        assert started == [[1, 2]] and archive.watermark == 0
+    finally:
+        resume.set()
+    filling.join(10)
+    assert not filling.is_alive()
+    archive.append_block(diffs[6])
+    archive.flush()
+    assert started == [[1, 2], [3, 4], [5, 6], [7]]
+    assert archive.watermark == 7 and archive.get_balance_at(addr(1), 6) == 6
+    archive.close()
+
+
+def test_flushes_racing_appends_return_only_after_every_earlier_block_is_published(tmp_path, monkeypatch):
+    """Three threads flush in a loop, cutting batches at random points, while one appends and flushes; every one of
+    its flushes returns with its last block published, and the history equals that of an archive fed alone."""
+    patch_appender(monkeypatch, batch_blocks=3, merge_fanout=2)
+    spec = WorkloadSpec(seed=17, blocks=90, accounts=30, txs_per_block=3, slot_writes_per_tx=2, new_key_ratio=0.4, delete_ratio=0.05)
+    diffs = list(generate(spec))
+    archive, alone = ArchiveDb(tmp_path / "archive"), ArchiveDb(tmp_path / "alone")
+    feed(alone, diffs)
+    stop, errors, lagging = threading.Event(), [], []
+
+    def flush_in_a_loop():
+        try:
+            while not stop.is_set():
+                archive.flush()
+        except Exception as exc:
+            errors.append(exc)
+
+    flushers = [threading.Thread(target=flush_in_a_loop) for _ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in flushers:
+            thread.start()
+        for block_diff in diffs:
+            archive.append_block(block_diff)
+            if block_diff.block % 5 == 0:
+                archive.flush()
+                if archive.watermark != block_diff.block:
+                    lagging.append((block_diff.block, archive.watermark))
+    finally:
+        stop.set()
+        for thread in flushers:
+            thread.join(10)
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in flushers)
+    assert not errors and not lagging
+    archive.flush()
+    assert [archive.block_hash(block) for block in range(91)] == [alone.block_hash(block) for block in range(91)]
+    archive.close()
+    alone.close()
 
 
 def run_with_timeout(call, seconds=10):
@@ -1595,6 +1701,7 @@ def test_close_releases_every_run_and_refuses_queries(tmp_path):
     assert len(os.listdir("/proc/self/fd")) > before
     archive.close()
     assert len(os.listdir("/proc/self/fd")) == before
+    assert archive.close() is None  # a second close does nothing
     queries = [
         lambda: archive.get_balance_at(addr(1), 1),
         lambda: archive.get_nonce_at(addr(1), 1),

@@ -18,7 +18,7 @@ from flatstate import bench, cli
 from flatstate import server as server_module
 from flatstate.archive import ArchiveDb
 from flatstate.cli import main
-from flatstate.errors import StorageError
+from flatstate.errors import FlatStateError, StorageError
 from flatstate.livedb import LiveDb
 from flatstate.oracle import ReferenceOracle
 from flatstate.server import MAX_CONNECTIONS, MAX_REQUEST_BYTES, QueryClient, QueryServer
@@ -88,6 +88,9 @@ def test_replay_with_and_without_archive(tmp_path):
     assert plain.final_root == archived.final_root  # archive is a write-only side channel
     assert (tmp_path / "arch" / "archive").exists()
     assert not (tmp_path / "plain" / "archive").exists()
+    with pytest.raises(FlatStateError, match="unknown archive mode 'x'"):
+        bench.replay_workload(workload, tmp_path / "other", archive_mode="x")
+    assert not (tmp_path / "other").exists()
 
 
 def test_replay_cli_emits_expected_csv(tmp_path):

@@ -3,8 +3,11 @@
 import hashlib
 import random
 
+import pytest
+
 from flatstate import files
 from flatstate.digest import EMPTY_HASH, digest_count
+from flatstate.errors import BoundsError
 from flatstate.hashtree import HashTree
 
 
@@ -49,6 +52,14 @@ class Pages:
 
 def test_empty_tree_root_is_empty_string_digest():
     assert HashTree().root(lambda i: b"") == sha(b"") == EMPTY_HASH
+
+
+def test_negative_leaf_and_shrinking_growth_raise_bounds_errors():
+    tree = HashTree(leaf_count=4)
+    with pytest.raises(BoundsError, match="negative leaf index -1"):
+        tree.mark_dirty(-1)
+    with pytest.raises(BoundsError, match="cannot shrink tree from 4 to 3"):
+        tree.grow(3)
 
 
 def test_single_leaf_root_is_page_digest():

@@ -1,4 +1,5 @@
-"""Package imports: lazy exports, and a serving process that loads only the archive side, no socketserver and no dataclasses."""
+"""Package imports: lazy exports, a serving process that loads only the archive side, no socketserver and no
+dataclasses, and an archive that is only read, which starts no thread and loads no executor."""
 
 import os
 import subprocess
@@ -6,11 +7,12 @@ import sys
 from pathlib import Path
 
 import flatstate
+from flatstate.archive import ArchiveDb
+from flatstate.types import AccountUpdate, BlockDiff
 
 SRC = Path(flatstate.__file__).resolve().parent.parent
 LIVE_SIDE = ("livedb", "index", "store", "hashtree", "pagepool", "oracle", "workload", "bench")
 
-# Run in a fresh interpreter, so no module another test imported is loaded yet.
 CHECK = """
 import sys
 
@@ -40,11 +42,50 @@ print("ok")
 """
 
 
-def test_serving_side_imports_no_livedb_module_and_exports_resolve_lazily():
+# Open the archive at argv[1], ask one query of each kind and close it, checking the thread count at each step.
+READ_ONLY = """
+import sys
+import threading
+
+from flatstate.archive import ArchiveDb
+
+assert threading.active_count() == 1
+archive = ArchiveDb(sys.argv[1])
+address = bytes.fromhex(sys.argv[2])
+answers = [
+    archive.get_storage_at(address, bytes(32), 1),
+    archive.get_balance_at(address, 1),
+    archive.get_nonce_at(address, 1),
+    archive.get_code_at(address, 1),
+    archive.account_exists_at(address, 1),
+    archive.block_hash(1),
+    archive.account_hash(address, 1),
+]
+assert threading.active_count() == 1, threading.enumerate()
+archive.close()
+assert threading.active_count() == 1, threading.enumerate()
+assert "concurrent.futures" not in sys.modules, "reading the archive loaded concurrent.futures"
+print(answers[1], answers[3].hex())
+"""
+
+
+def run_fresh(script, *args):
+    """``script`` run in a fresh interpreter, so no module another test imported is loaded yet."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    result = subprocess.run(
-        [sys.executable, "-c", CHECK, *LIVE_SIDE], env=env, capture_output=True, text=True, timeout=60
-    )
+    return subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_serving_side_imports_no_livedb_module_and_exports_resolve_lazily():
+    result = run_fresh(CHECK, *LIVE_SIDE)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "ok\n"
 
+
+def test_an_archive_only_read_runs_no_thread_and_loads_no_executor(tmp_path):
+    address = bytes(range(20))
+    archive = ArchiveDb(tmp_path / "archive")
+    archive.append_block(BlockDiff(1, (AccountUpdate(address, created=True, balance=7, code=b"\x60\x00"),)))
+    archive.close()
+    result = run_fresh(READ_ONLY, str(tmp_path / "archive"), address.hex())
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "7 6000\n"

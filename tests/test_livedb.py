@@ -15,7 +15,7 @@ from flatstate import files as files_module
 from flatstate import index as index_module
 from flatstate import livedb as livedb_module
 from flatstate.digest import EMPTY_HASH, digest, digest_count
-from flatstate.errors import CorruptionError, SequenceError, StorageError, ValidationError
+from flatstate.errors import CorruptionError, FormatError, SequenceError, StorageError, ValidationError
 from flatstate.livedb import LiveDb, ROOT_ORDER
 from flatstate.oracle import ReferenceOracle
 from flatstate.pagepool import PageCache, PagePool
@@ -128,6 +128,8 @@ def test_sequencing_and_validation_errors(open_db):
     with pytest.raises(ValidationError):
         db.apply_block(diff(1, update, update))
     assert db.block == 0
+    with pytest.raises(FormatError, match="key must be 20 bytes, got 19"):
+        db.get_balance(addr(1)[:19])
 
 
 def test_empty_diff_advances_block_only(open_db):

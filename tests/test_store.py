@@ -85,6 +85,9 @@ def test_bounds_and_format_errors(open_store):
         store.set(1, b"x" * 16)  # count is 0, only record 0 may be appended
     with pytest.raises(FormatError):
         store.set(0, b"short")
+    for record_size in (0, 4097):
+        with pytest.raises(FormatError, match=f"record_size {record_size} must be in 1..4096"):
+            open_store(record_size=record_size)
 
 
 def test_random_schedule_matches_flat_array_oracle(open_store):
