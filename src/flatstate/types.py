@@ -86,6 +86,42 @@ class AccountUpdate:
         if not _canonical_slots(self.slots):
             object.__setattr__(self, "slots", self._sorted_slots())
 
+    @classmethod
+    def _decoded(
+        cls,
+        address: Address,
+        created: bool,
+        deleted: bool,
+        balance: int | None,
+        nonce: int | None,
+        code: bytes | None,
+        slots: list[tuple[StorageKey, StorageValue]],
+    ) -> AccountUpdate:
+        """The update the workload decoder read, checked only where the stream layout proves nothing.
+
+        The decoder cuts ``address``, ``code`` and every slot key and value as ``bytes`` from fixed-width
+        fields, and ``balance`` and ``nonce`` as ``int`` from 16- and 8-byte fields, so their widths, types
+        and ranges need no check. ``slots`` is the list of (key, value) pairs in stream order; it is sorted
+        here, and a repeated key is rejected as the public constructor rejects it.
+        """
+        self = object.__new__(cls)
+        init = object.__setattr__  # as the frozen dataclass's __init__ sets each field
+        init(self, "address", address)
+        init(self, "created", created)
+        init(self, "deleted", deleted)
+        init(self, "balance", balance)
+        init(self, "nonce", nonce)
+        init(self, "code", code)
+        if created and deleted:
+            raise ValidationError(f"update for {address.hex()} is both created and deleted")
+        if code is not None and len(code) > MAX_CODE_SIZE:
+            raise FormatError(f"code length {len(code)} exceeds {MAX_CODE_SIZE}")
+        slots.sort()
+        init(self, "slots", tuple(slots))
+        if len(slots) > 1 and len(dict(slots)) < len(slots):
+            self._sorted_slots()  # raises for the repeated key
+        return self
+
     def _sorted_slots(self) -> tuple[tuple[StorageKey, StorageValue], ...]:
         """Convert, sort and check slots given in any other form than the canonical one."""
         pairs = []

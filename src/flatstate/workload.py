@@ -11,6 +11,7 @@ machines.
 from __future__ import annotations
 
 import itertools
+import os
 import random
 import struct
 from dataclasses import dataclass
@@ -37,7 +38,12 @@ _CODE_RATIO = 0.02
 _ZERO_VALUE_RATIO = 0.05
 _FLAG_BITS = 0b11  # bit0 deleted, bit1 created
 _PRESENCE_BITS = 0b111  # bit0 balance, bit1 nonce, bit2 code
-_SLOT_SIZE = KEY_SIZE + VALUE_SIZE
+_RECORD_HEAD = struct.Struct(">QI")  # block, update count
+_UPDATE_HEAD = struct.Struct(f">{ADDRESS_SIZE}sBB")  # address, flags, presence
+_BALANCE = struct.Struct(">QQ")  # high and low halves
+_NONCE = struct.Struct(">Q")
+_LENGTH = struct.Struct(">I")  # code length or slot count
+_SLOT = struct.Struct(f"{KEY_SIZE}s{VALUE_SIZE}s")
 
 
 @dataclass(frozen=True)
@@ -157,66 +163,52 @@ def encode_diff(diff: BlockDiff) -> bytes:
 
 
 def decode_diff(data: bytes) -> BlockDiff:
+    """The BlockDiff one stream record holds, in canonical form.
+
+    Each fixed field is one ``struct`` unpack and each update's slots one ``iter_unpack``; the updates
+    are built by ``AccountUpdate._decoded``, which skips the width, type and range checks those fixed
+    fields already prove. Unknown flag bits, an early end and trailing bytes raise ``FormatError``, and so
+    does code over ``MAX_CODE_SIZE`` bytes. An update both created and deleted and a repeated slot key or
+    address raise ``ValidationError``. Slots and updates out of order are sorted.
+    """
     if type(data) is not bytes:
         data = bytes(data)
     size = len(data)
-    if size < 12:
-        raise FormatError("truncated diff record")
-    block = int.from_bytes(data[0:8], "big")
-    count = int.from_bytes(data[8:12], "big")
-    offset = 12
+    decoded = AccountUpdate._decoded
     updates = []
-    for _ in range(count):
-        head = offset + ADDRESS_SIZE + 2
-        if head > size:
-            raise FormatError("truncated diff record")
-        flags = data[head - 2]
-        presence = data[head - 1]
-        if flags & ~_FLAG_BITS or presence & ~_PRESENCE_BITS:
-            raise FormatError(f"unknown flag bits {flags:#04x}/{presence:#04x} in diff record")
-        address = data[offset : head - 2]
-        offset = head
-        balance = nonce = code = None
-        if presence & 1:
-            end = offset + BALANCE_SIZE
+    try:
+        block, count = _RECORD_HEAD.unpack_from(data)
+        offset = _RECORD_HEAD.size
+        for _ in range(count):
+            address, flags, presence = _UPDATE_HEAD.unpack_from(data, offset)
+            if flags & ~_FLAG_BITS or presence & ~_PRESENCE_BITS:
+                raise FormatError(f"unknown flag bits {flags:#04x}/{presence:#04x} in diff record")
+            offset += _UPDATE_HEAD.size
+            balance = nonce = code = None
+            if presence & 1:
+                high, low = _BALANCE.unpack_from(data, offset)
+                balance = high << 64 | low
+                offset += BALANCE_SIZE
+            if presence & 2:
+                (nonce,) = _NONCE.unpack_from(data, offset)
+                offset += NONCE_SIZE
+            (length,) = _LENGTH.unpack_from(data, offset)
+            offset += 4
+            if presence & 4:
+                end = offset + length
+                if end > size:
+                    raise FormatError("truncated diff record")
+                code = data[offset:end]
+                (length,) = _LENGTH.unpack_from(data, end)
+                offset = end + 4
+            end = offset + length * _SLOT.size
             if end > size:
                 raise FormatError("truncated diff record")
-            balance = int.from_bytes(data[offset:end], "big")
+            slots = list(_SLOT.iter_unpack(data[offset:end]))
             offset = end
-        if presence & 2:
-            end = offset + NONCE_SIZE
-            if end > size:
-                raise FormatError("truncated diff record")
-            nonce = int.from_bytes(data[offset:end], "big")
-            offset = end
-        if presence & 4:
-            if offset + 4 > size:
-                raise FormatError("truncated diff record")
-            end = offset + 4 + int.from_bytes(data[offset : offset + 4], "big")
-            if end > size:
-                raise FormatError("truncated diff record")
-            code = data[offset + 4 : end]
-            offset = end
-        if offset + 4 > size:
-            raise FormatError("truncated diff record")
-        end = offset + 4 + int.from_bytes(data[offset : offset + 4], "big") * _SLOT_SIZE
-        if end > size:
-            raise FormatError("truncated diff record")
-        slots = tuple(
-            [(data[at : at + KEY_SIZE], data[at + KEY_SIZE : at + _SLOT_SIZE]) for at in range(offset + 4, end, _SLOT_SIZE)]
-        )
-        offset = end
-        updates.append(
-            AccountUpdate(
-                address=address,
-                deleted=bool(flags & 1),
-                created=bool(flags & 2),
-                balance=balance,
-                nonce=nonce,
-                code=code,
-                slots=slots,
-            )
-        )
+            updates.append(decoded(address, flags & 2 == 2, flags & 1 == 1, balance, nonce, code, slots))
+    except struct.error:  # an unpack ran past the end
+        raise FormatError("truncated diff record") from None
     if offset != size:
         raise FormatError(f"{size - offset} trailing bytes after diff record")
     return BlockDiff(block=block, updates=tuple(updates))
@@ -259,6 +251,7 @@ def read_workload(path: Path):
     """Yield the BlockDiff stream stored in ``path``."""
     with open(path, "rb") as fh:
         _parse_header(fh.read(_HEADER.size), path)
+        left = os.fstat(fh.fileno()).st_size - _HEADER.size
         while True:
             prefix = fh.read(4)
             if not prefix:
@@ -266,6 +259,9 @@ def read_workload(path: Path):
             if len(prefix) != 4:
                 raise FormatError(f"truncated length prefix in {path}")
             length = int.from_bytes(prefix, "big")
+            left -= 4 + length
+            if left < 0:  # checked before reading: read(length) allocates all of length first
+                raise FormatError(f"truncated diff record in {path}")
             record = fh.read(length)
             if len(record) != length:
                 raise FormatError(f"truncated diff record in {path}")

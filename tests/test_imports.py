@@ -1,16 +1,13 @@
 """Package imports: lazy exports, a serving process that loads only the archive side, no socketserver and no
-dataclasses, and an archive that is only read, which starts no thread and loads no executor."""
+dataclasses, and an archive that is only read, which starts no thread and loads no executor. Also one source scan:
+only the workload decoder builds updates through the constructor that skips the layout-proven checks."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
+import re
 
-import flatstate
 from flatstate.archive import ArchiveDb
 from flatstate.types import AccountUpdate, BlockDiff
 
-SRC = Path(flatstate.__file__).resolve().parent.parent
+from util import SRC, run_fresh
 LIVE_SIDE = ("livedb", "index", "store", "hashtree", "pagepool", "oracle", "workload", "bench")
 
 CHECK = """
@@ -69,12 +66,6 @@ print(answers[1], answers[3].hex())
 """
 
 
-def run_fresh(script, *args):
-    """``script`` run in a fresh interpreter, so no module another test imported is loaded yet."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=60)
-
-
 def test_serving_side_imports_no_livedb_module_and_exports_resolve_lazily():
     result = run_fresh(CHECK, *LIVE_SIDE)
     assert result.returncode == 0, result.stderr
@@ -89,3 +80,13 @@ def test_an_archive_only_read_runs_no_thread_and_loads_no_executor(tmp_path):
     result = run_fresh(READ_ONLY, str(tmp_path / "archive"), address.hex())
     assert result.returncode == 0, result.stderr
     assert result.stdout == "7 6000\n"
+
+
+def test_only_the_workload_decoder_calls_the_narrow_update_constructor():
+    # AccountUpdate._decoded trusts widths, types and ranges that only the stream layout proves.
+    users = sorted(
+        path.relative_to(SRC).as_posix()
+        for path in SRC.rglob("*.py")
+        if re.search(r"\b_decoded\b", path.read_text().replace("def _decoded(", ""))
+    )
+    assert users == ["flatstate/workload.py"]

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from flatstate.errors import FormatError, ValidationError
-from flatstate.types import AccountUpdate, BlockDiff
+from flatstate.types import MAX_CODE_SIZE, AccountUpdate, BlockDiff
 from flatstate.workload import (
     WorkloadSpec,
     decode_diff,
@@ -17,7 +17,7 @@ from flatstate.workload import (
     write_workload,
 )
 
-from util import addr, random_diff
+from util import addr, key, random_diff, run_fresh, val
 
 SPEC = WorkloadSpec(seed=42, blocks=30, accounts=50, txs_per_block=5, slot_writes_per_tx=3, new_key_ratio=0.3, delete_ratio=0.1)
 
@@ -122,13 +122,14 @@ def test_deletions_and_recreations_occur():
 
 
 # A workload file spoilt one way each: (its bytes, made from a good file's, and what the FormatError says).
-# A bad header fails read_spec and read_workload alike; a cut in the stream fails read_workload only.
+# A bad header fails read_spec and read_workload alike; a spoilt stream behind a good header fails read_workload only.
 SPOILT = {
     "bad-magic": (lambda good: b"JUNKJUNKJUNK" + b"\x00" * 64, "bad magic"),
     "short-header": (lambda good: good[:49], "too short to be a workload file"),
     "version-9": (lambda good: good[:4] + (9).to_bytes(2, "big") + good[6:], "unsupported workload version 9"),
     "record-cut-short": (lambda good: good[:-1], "truncated diff record"),
     "prefix-cut-short": (lambda good: good[: 54 + int.from_bytes(good[50:54], "big") + 2], "truncated length prefix"),
+    "length-past-end": (lambda good: good[:50] + (0xFFFFFFF0).to_bytes(4, "big") + good[54:], "truncated diff record"),
 }
 
 
@@ -136,14 +137,80 @@ SPOILT = {
 def test_bad_magic_rejected(tmp_path, case):
     write_workload(tmp_path / "good.wl", SPEC)
     spoil, message = SPOILT[case]
-    (tmp_path / "junk.wl").write_bytes(spoil((tmp_path / "good.wl").read_bytes()))
-    if "cut" in case:
+    good = (tmp_path / "good.wl").read_bytes()
+    spoilt = spoil(good)
+    (tmp_path / "junk.wl").write_bytes(spoilt)
+    if spoilt[:50] == good[:50]:
         assert read_spec(tmp_path / "junk.wl") == SPEC
     else:
         with pytest.raises(FormatError, match=message):
             read_spec(tmp_path / "junk.wl")
     with pytest.raises(FormatError, match=message):
         list(read_workload(tmp_path / "junk.wl"))
+
+
+# Read the workload file at argv[1] with the process's address space capped at 1 GiB; print the FormatError.
+CAPPED_READ = """
+import resource
+import sys
+
+from flatstate.errors import FormatError
+from flatstate.workload import read_workload
+
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+try:
+    list(read_workload(sys.argv[1]))
+except FormatError as exc:
+    print(exc)
+"""
+
+
+def test_a_length_prefix_past_the_end_is_refused_before_it_is_allocated(tmp_path):
+    write_workload(tmp_path / "good.wl", SPEC)
+    spoil, message = SPOILT["length-past-end"]
+    (tmp_path / "junk.wl").write_bytes(spoil((tmp_path / "good.wl").read_bytes()))
+    result = run_fresh(CAPPED_READ, str(tmp_path / "junk.wl"))
+    assert result.returncode == 0, result.stderr  # a read of the prefix's 4 GiB would raise MemoryError
+    assert message in result.stdout
+
+
+def hand_update(address, flags=0, code=None, slots=()):
+    """One update in the stream layout, written by hand so it can hold what the constructor refuses."""
+    body = address + bytes([flags, 0 if code is None else 4])
+    if code is not None:
+        body += len(code).to_bytes(4, "big") + code
+    return body + len(slots).to_bytes(4, "big") + b"".join(k + v for k, v in slots)
+
+
+def hand_record(*updates):
+    return (1).to_bytes(8, "big") + len(updates).to_bytes(4, "big") + b"".join(updates)
+
+
+def test_decoder_rejects_an_update_both_created_and_deleted():
+    assert decode_diff(hand_record(hand_update(addr(1), flags=0b10))).updates[0].created is True
+    with pytest.raises(ValidationError, match="both created and deleted"):
+        decode_diff(hand_record(hand_update(addr(1), flags=0b11)))
+
+
+def test_decoder_rejects_code_over_the_size_limit():
+    assert len(decode_diff(hand_record(hand_update(addr(1), code=b"\x60" * MAX_CODE_SIZE))).updates[0].code) == 25_600
+    with pytest.raises(FormatError, match="code length 25601 exceeds 25600"):
+        decode_diff(hand_record(hand_update(addr(1), code=b"\x60" * (MAX_CODE_SIZE + 1))))
+
+
+def test_decoder_sorts_slots_and_rejects_a_repeated_key():
+    slots = ((key(2), val(9)), (key(1), val(8)), (key(3), val(0)))
+    decoded = decode_diff(hand_record(hand_update(addr(1), slots=slots))).updates[0]
+    assert decoded.slots == tuple(sorted(slots))
+    assert decoded == AccountUpdate(address=addr(1), slots=slots)
+    repeats = [
+        ((key(1), val(8)), (key(2), val(9)), (key(1), val(7))),
+        ((key(1), val(7)), (key(1), val(8))),  # in order as pairs, the key repeated
+        ((key(1), val(7)), (key(1), val(7))),
+    ]
+    for slots in repeats:
+        with pytest.raises(ValidationError, match="duplicate storage key"):
+            decode_diff(hand_record(hand_update(addr(1), slots=slots)))
 
 
 def sample_records(count=40, seed=3):
@@ -204,3 +271,23 @@ def test_canonical_records_roundtrip_byte_for_byte(tmp_path):
 def test_decoder_accepts_any_bytes_like_record():
     record = sample_records(count=5)[-1]
     assert decode_diff(bytearray(record)) == decode_diff(memoryview(record)) == decode_diff(record)
+
+
+def test_decoded_updates_hold_the_constructor_types_and_equal_its_twins():
+    fields = ("address", "created", "deleted", "balance", "nonce", "code", "slots")
+    for record in sample_records():
+        for update in decode_diff(record).updates:
+            # Given as bytearrays, a list and slots in reverse, so the twin takes the converting, sorting path.
+            twin = AccountUpdate(
+                address=bytearray(update.address),
+                created=update.created,
+                deleted=update.deleted,
+                balance=update.balance,
+                nonce=update.nonce,
+                code=None if update.code is None else bytearray(update.code),
+                slots=[(bytearray(k), bytearray(v)) for k, v in reversed(update.slots)],
+            )
+            assert [type(getattr(update, name)) for name in fields] == [type(getattr(twin, name)) for name in fields]
+            assert type(update.created) is type(update.deleted) is bool
+            assert all(type(slot) is tuple and type(slot[0]) is type(slot[1]) is bytes for slot in update.slots)
+            assert update == twin and hash(update) == hash(twin)

@@ -3,8 +3,13 @@
 from __future__ import annotations
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import flatstate
 from flatstate import files
 from flatstate.types import (
     ADDRESS_SIZE,
@@ -15,6 +20,14 @@ from flatstate.types import (
     BlockDiff,
     serialize_update,
 )
+
+SRC = Path(flatstate.__file__).resolve().parent.parent
+
+
+def run_fresh(script, *args):
+    """``script`` run in a fresh interpreter, so no module another test imported is loaded yet."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=60)
 
 
 def sha(data: bytes) -> bytes:
